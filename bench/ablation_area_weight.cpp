@@ -20,7 +20,7 @@ int main() {
     FlowParams params = paper_flow_params();
     params.rewrite.max_enodes = 30000;
 
-    BaselineResult base = baseline_flow(circuit, params);
+    FlowResult base = Pipeline::baseline(params).run(circuit, params);
     std::printf("%s: baseline area %.1f, delay %.1f\n", name, base.qor.area,
                 base.qor.delay);
     std::printf("%8s %12s %12s %14s %14s\n", "w", "area(um2)", "delay(ps)",
@@ -29,7 +29,7 @@ int main() {
     for (double w : {0.0, 0.25, 0.5, 1.0, 2.0}) {
       FlowParams p = params;
       p.area_weight = w;
-      EmorphicResult em = emorphic_flow(circuit, p);
+      FlowResult em = Pipeline::emorphic(p).run(circuit, p);
       std::printf("%8.2f %12.1f %12.1f %+13.1f%% %+13.1f%%\n", w, em.qor.area,
                   em.qor.delay, 100.0 * (em.qor.area / base.qor.area - 1.0),
                   100.0 * (em.qor.delay / base.qor.delay - 1.0));

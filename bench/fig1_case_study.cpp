@@ -55,7 +55,7 @@ int main() {
   FlowParams em_params = params;
   em_params.rounds = 1;  // the plateau circuit is already optimized
   em_params.sa.moves_per_iteration = 4;
-  EmorphicResult em = emorphic_flow(best, em_params);
+  FlowResult em = Pipeline::emorphic(em_params).run(best, em_params);
   std::printf("%-28s %10.1f %12.3f\n", "E-morphic exploration", em.qor.delay,
               em.qor.delay / norm);
 

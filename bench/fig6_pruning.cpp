@@ -25,7 +25,7 @@ int main() {
     // Moderate rewriting so classes have many equivalent nodes (the
     // "commutative/associative redundancy" Fig. 6 talks about).
     CircuitEGraph ce = aig_to_egraph(dch_substitute(strash(circuit)));
-    RunnerLimits limits;
+    RunnerParams limits;
     limits.max_iterations = 4;
     limits.max_enodes = circuit.num_ands() > 3000 ? 25000 : 15000;
     limits.time_limit_s = 5.0;

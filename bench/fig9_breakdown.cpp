@@ -2,9 +2,9 @@
 // the wall clock goes to the conventional ABC-style delay flow vs. e-graph
 // conversion vs. SA extraction, for both cost models.
 //
-// The per-stage times come from FlowObserver telemetry (on_stage_end), not
-// hand-inserted timers: the observer collects one StageTelemetry per
-// executed pipeline stage and folds them into the Fig. 9 buckets.
+// The per-stage times come from the pipeline's own telemetry
+// (FlowResult::telemetry), not hand-inserted timers: each Fig. 9 bucket is
+// the FlowTelemetry::seconds_for sum of the stages it groups.
 //
 // Shape target: the conventional flow dominates; conversion is negligible;
 // the E-morphic additions are moderate and relatively smaller on the
@@ -19,45 +19,31 @@ using namespace emorphic::bench;
 
 namespace {
 
-/// Accumulates the per-stage telemetry of one pipeline run.
-class TelemetryObserver : public FlowObserver {
- public:
-  void on_stage_end(const Stage&, const StageTelemetry& stage,
-                    const FlowContext&) override {
-    telemetry_.stages.push_back(stage);
-  }
-
-  EmorphicBreakdown breakdown() const { return breakdown_from(telemetry_); }
-
- private:
-  FlowTelemetry telemetry_;
-};
-
-EmorphicBreakdown run_with_telemetry(const Aig& circuit, const FlowParams& params,
-                                     const QorEvaluator* evaluator) {
-  TelemetryObserver observer;
+FlowTelemetry run_with_telemetry(const Aig& circuit, const FlowParams& params,
+                                 const QorEvaluator* evaluator) {
   FlowContext ctx;
   ctx.params = params;
   ctx.input = circuit;
   ctx.evaluator = evaluator;
-  ctx.observer = &observer;
-  Pipeline::emorphic().run(ctx);
-  return observer.breakdown();
+  return Pipeline::emorphic(params).run(ctx).telemetry;
 }
 
-void print_breakdown(const char* title,
-                     const std::vector<std::pair<std::string, EmorphicBreakdown>>& rows) {
+void print_breakdown(
+    const char* title,
+    const std::vector<std::pair<std::string, FlowTelemetry>>& rows) {
   std::printf("%s\n", title);
   std::printf("%-10s %9s | %7s %7s %7s | 0%%       bar chart        100%%\n",
               "circuit", "total(s)", "flow%", "conv%", "SA%");
   print_rule(88);
-  for (const auto& [name, b] : rows) {
-    // Rewriting is folded into the SA bar, as the paper groups the
-    // e-graph-specific work into "conversion" + "SA extraction".
-    double conv = b.conversion_seconds;
-    double sa = b.sa_seconds + b.rewrite_seconds;
-    double total = b.flow_seconds + conv + sa;
-    double pf = 100.0 * b.flow_seconds / total;
+  for (const auto& [name, t] : rows) {
+    // ResynRounds + TechMap are the conventional flow; rewriting is folded
+    // into the SA bar, as the paper groups the e-graph-specific work into
+    // "conversion" + "SA extraction". Cec is excluded.
+    double flow = t.seconds_for("ResynRounds") + t.seconds_for("TechMap");
+    double conv = t.seconds_for("EgraphConversion");
+    double sa = t.seconds_for("SaExtract") + t.seconds_for("Rewrite");
+    double total = flow + conv + sa;
+    double pf = 100.0 * flow / total;
     double pc = 100.0 * conv / total;
     double ps = 100.0 * sa / total;
     char bar[33];
@@ -96,7 +82,7 @@ int main() {
   MlCostModel model(mp);
   model.train(all.features, all.delays, all.areas);
 
-  std::vector<std::pair<std::string, EmorphicBreakdown>> exact_rows, ml_rows;
+  std::vector<std::pair<std::string, FlowTelemetry>> exact_rows, ml_rows;
   for (const auto& spec : epfl_specs()) {
     Aig circuit = make_epfl(spec.name);
     FlowParams p = params;

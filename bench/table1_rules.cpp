@@ -43,7 +43,7 @@ int main() {
   // Build a representative rewritten e-graph to count matches on.
   Aig circuit = make_epfl("multiplier");
   CircuitEGraph ce = aig_to_egraph(dch_substitute(strash(circuit)));
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 5;
   limits.max_enodes = 30000;
   limits.time_limit_s = 10.0;
@@ -78,7 +78,7 @@ int main() {
   print_rule(58);
   for (unsigned iters : {1u, 2u, 3u, 5u, 8u}) {
     CircuitEGraph fresh = aig_to_egraph(dch_substitute(strash(circuit)));
-    RunnerLimits lim = limits;
+    RunnerParams lim = limits;
     lim.max_iterations = iters;
     RunnerReport rep = run_rewriting(fresh.egraph, make_logic_rules(), lim);
     std::size_t enodes = fresh.egraph.num_enodes();

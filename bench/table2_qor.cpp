@@ -67,16 +67,20 @@ int main() {
 
     Row row;
     row.name = name;
-    BaselineResult base = baseline_flow(circuit, params);
+    FlowResult base = Pipeline::baseline(params).run(circuit, params);
     row.base = base.qor;
 
-    EmorphicResult em = emorphic_flow(circuit, params);
+    FlowResult em = Pipeline::emorphic(params).run(circuit, params);
     row.em = em.qor;
     row.em_ok = cec(circuit, em.final_aig, CecParams{8, 50000, 1}).status;
 
     FlowParams ml_params = params;
     ml_params.sa.num_threads = 6;  // runtime-prioritized mode (Sec. IV-A)
-    EmorphicResult ml = emorphic_flow(circuit, ml_params, &ml_model);
+    FlowContext ml_ctx;
+    ml_ctx.params = ml_params;
+    ml_ctx.input = circuit;
+    ml_ctx.evaluator = &ml_model;
+    FlowResult ml = Pipeline::emorphic(ml_params).run(ml_ctx);
     row.ml = ml.qor;
     row.ml_ok = cec(circuit, ml.final_aig, CecParams{8, 50000, 1}).status;
 

@@ -47,8 +47,8 @@ int main() {
   // 3. Run the prebuilt E-morphic pipeline (Fig. 5) with an observer.
   //    Pipeline::emorphic() is ResynRounds -> EgraphConversion -> Rewrite ->
   //    SaExtract -> EgraphConversion -> TechMap -> Cec; you can also compose
-  //    your own with Pipeline().add("..."), or call the one-line legacy
-  //    facade optimize() / emorphic_flow() instead.
+  //    your own with Pipeline().add("..."), or let optimize() pick the cost
+  //    model (exact mapping or ML) and run this same pipeline for you.
   std::printf("\nrunning Pipeline::emorphic():\n");
   PrintingObserver observer;
   FlowResult result = Pipeline::emorphic().run(circuit, params, &observer);

@@ -28,7 +28,7 @@ int main() {
 
   // Direct DAG-to-DAG conversion + a few rewriting iterations.
   CircuitEGraph ce = aig_to_egraph(optimized);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 4;
   limits.max_enodes = 30000;
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);

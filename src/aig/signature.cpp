@@ -1,19 +1,13 @@
 #include "aig/signature.hpp"
 
+#include "util/rng.hpp"
+
 namespace emorphic {
 
 namespace {
 
-/// splitmix64 finalizer (Vigna): full-avalanche mixing per ingested word.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ v) * 0x2545f4914f6cdd1dull;
+  return splitmix64(h ^ v) * 0x2545f4914f6cdd1dull;
 }
 
 }  // namespace

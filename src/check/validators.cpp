@@ -11,22 +11,13 @@
 #include "aig/truth.hpp"
 #include "egraph/egraph.hpp"
 #include "mapper/lut_mapper.hpp"
+#include "util/rng.hpp"
 
 namespace emorphic::check {
 
 namespace {
 
 std::string node_str(Var v) { return "node " + std::to_string(v); }
-
-/// Deterministic word mixer for pseudo-random simulation patterns
-/// (splitmix64 finalizer). Seeded from fixed constants only, so the
-/// validator's verdict is reproducible run to run.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Bit-parallel simulation of the whole AIG over its primary inputs:
 /// `num_words` 64-bit patterns per node. Exhaustive over all 2^pis input
@@ -45,7 +36,7 @@ std::vector<std::vector<Tt>> simulate(const Aig& aig, unsigned num_words,
           value[v][w] = i < 6 ? tt_var(i, 6)
                               : (((w >> (i - 6)) & 1u) != 0 ? ~0ull : 0ull);
         } else {
-          value[v][w] = mix64((static_cast<std::uint64_t>(v) << 32) | w);
+          value[v][w] = splitmix64((static_cast<std::uint64_t>(v) << 32) | w);
         }
       }
       continue;

@@ -1,5 +1,7 @@
 #include "core/emorphic.hpp"
 
+#include <optional>
+
 namespace emorphic {
 
 namespace {
@@ -27,21 +29,22 @@ MlCostModel train_on_input(const Aig& input, const FlowParams& flow) {
 
 }  // namespace
 
-EmorphicResult optimize(const Aig& input, const EmorphicOptions& options) {
-  // emorphic_flow is itself a shim over Pipeline::emorphic(); this facade
-  // only picks the cost model and thread budget.
-  FlowParams flow = options.flow;
-  if (options.mode == CostModelMode::kQualityPrioritized) {
-    return emorphic_flow(input, flow);
+FlowResult optimize(const Aig& input, const EmorphicOptions& options) {
+  // Only the cost model and the SA thread budget depend on the mode; a null
+  // evaluator is the quality-prioritized MapQorEvaluator.
+  FlowContext ctx;
+  ctx.params = options.flow;
+  ctx.input = input;
+  std::optional<MlCostModel> trained;
+  if (options.mode == CostModelMode::kRuntimePrioritized) {
+    if (options.runtime_sa_threads > 0) {
+      ctx.params.sa.num_threads = options.runtime_sa_threads;
+    }
+    ctx.evaluator = options.ml_model != nullptr
+                        ? options.ml_model
+                        : &trained.emplace(train_on_input(input, ctx.params));
   }
-  if (options.runtime_sa_threads > 0) {
-    flow.sa.num_threads = options.runtime_sa_threads;
-  }
-  if (options.ml_model != nullptr) {
-    return emorphic_flow(input, flow, options.ml_model);
-  }
-  MlCostModel model = train_on_input(input, flow);
-  return emorphic_flow(input, flow, &model);
+  return Pipeline::emorphic(ctx.params).run(ctx);
 }
 
 const char* version() { return "emorphic 1.0.0 (DAC'25 reproduction)"; }

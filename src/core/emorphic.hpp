@@ -22,7 +22,6 @@
 #include "extract/sa_extractor.hpp"
 #include "flow/batch.hpp"
 #include "flow/conversion.hpp"
-#include "flow/flows.hpp"
 #include "flow/pipeline.hpp"
 #include "mapper/genlib.hpp"
 #include "mapper/tech_mapper.hpp"
@@ -53,8 +52,9 @@ struct EmorphicOptions {
   unsigned runtime_sa_threads = 0;
 };
 
-/// Run the full E-morphic flow on `input`.
-EmorphicResult optimize(const Aig& input, const EmorphicOptions& options = {});
+/// Run the full E-morphic flow, Pipeline::emorphic(options.flow), on
+/// `input` under the cost model `options.mode` selects.
+FlowResult optimize(const Aig& input, const EmorphicOptions& options = {});
 
 /// Library version string.
 const char* version();

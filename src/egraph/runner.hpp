@@ -49,10 +49,6 @@ struct RunnerParams {
   bool use_rule_index = true;
 };
 
-/// Historical name of RunnerParams (the struct originally carried only the
-/// resource limits).
-using RunnerLimits = RunnerParams;
-
 /// Why a saturation run ended.
 enum class StopReason {
   kSaturated,

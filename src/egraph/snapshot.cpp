@@ -1,6 +1,7 @@
 #include "egraph/snapshot.hpp"
 
 #include <cstring>
+#include <fstream>
 
 namespace emorphic {
 
@@ -271,6 +272,15 @@ EGraph snapshot_to_egraph(const std::string& bytes) {
     }
   }
   return g;
+}
+
+void write_checkpoint_file(const std::string& path, const std::string& data,
+                           bool append) {
+  std::ofstream out(path, std::ios::binary |
+                              (append ? std::ios::app : std::ios::trunc));
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  out.close();
+  if (!out) throw SnapshotError("cannot write checkpoint file '" + path + "'");
 }
 
 }  // namespace emorphic

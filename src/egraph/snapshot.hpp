@@ -55,6 +55,13 @@ EGraph snapshot_to_egraph(const std::string& bytes);
 // Reused by the checkpoint file formats (flow/pipeline.cpp's saturation
 // checkpoints, opt/partition.cpp's window-result checkpoints).
 
+/// Write `data` to the checkpoint file `path`, replacing its contents or,
+/// with `append`, extending them. Throws SnapshotError naming the path when
+/// the file cannot be opened or fully written: a checkpoint that silently
+/// fails to persist would leave a crash unrecoverable.
+void write_checkpoint_file(const std::string& path, const std::string& data,
+                           bool append = false);
+
 /// Append-only byte-buffer writer with LEB128 varints.
 class SnapshotWriter {
  public:

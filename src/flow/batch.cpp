@@ -3,27 +3,9 @@
 #include <algorithm>
 #include <thread>
 
+#include "util/rng.hpp"
+
 namespace emorphic {
-
-namespace {
-
-/// splitmix64 (Vigna): decorrelates consecutive indices into independent
-/// seeds, so circuit i's SA chains never overlap circuit i+1's.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t circuit_seed(std::uint64_t base_seed, std::size_t index) {
-  std::uint64_t seed = splitmix64(base_seed ^ splitmix64(index + 1));
-  // 0 means "no override" to the pipeline; keep derived seeds nonzero.
-  if (seed == 0) seed = 0x9e3779b97f4a7c15ull;
-  return seed;
-}
-
-}  // namespace
 
 BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
                       const FlowParams& params, const BatchParams& batch,
@@ -63,7 +45,7 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
     ctx.matcher = matcher;
     if (batch.warm_cache != nullptr) batch.warm_cache->prepare(ctx);
     ctx.input = inputs[i];
-    ctx.seed = circuit_seed(batch.base_seed, i);
+    ctx.seed = derive_seed(batch.base_seed, i);
     ctx.observer = observer;
     ctx.cancel = batch.cancel;
     ctx.time_budget_s = batch.time_budget_s;

@@ -20,9 +20,10 @@ struct BatchParams {
   /// SA threads multiply with this, so batches of many circuits usually
   /// pair num_threads = cores with sa_threads = 1.
   unsigned num_threads = 0;
-  /// Per-circuit seeds are derived deterministically from this (splitmix64
-  /// of base_seed and the circuit index), so the same batch always produces
-  /// the same FlowQor per circuit, whatever the worker count.
+  /// Per-circuit seeds are derived deterministically from this
+  /// (derive_seed(base_seed, circuit index), util/rng.hpp), so the same
+  /// batch always produces the same FlowQor per circuit, whatever the
+  /// worker count.
   std::uint64_t base_seed = 1;
   /// Override of FlowParams.sa.num_threads per circuit; 0 keeps the
   /// pipeline's setting. This is the explicit home of the thread bump the

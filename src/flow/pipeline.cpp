@@ -13,6 +13,7 @@
 #include "check/validators.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace emorphic {
 
@@ -143,19 +144,12 @@ namespace {
 constexpr char kRewriteCkptMagic[4] = {'E', 'M', 'C', 'K'};
 constexpr std::uint64_t kRewriteCkptVersion = 1;
 
-std::uint64_t mix_u64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Everything the saturation trajectory depends on. A checkpoint whose
 /// fingerprint disagrees was taken under a different run and throws
 /// (restoring it would silently splice two unrelated saturations).
 std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx) {
   std::uint64_t h = structural_signature(ctx.current);
-  auto fold = [&h](std::uint64_t v) { h = mix_u64(h ^ mix_u64(v)); };
+  auto fold = [&h](std::uint64_t v) { h = splitmix64(h ^ splitmix64(v)); };
   fold(ctx.params.rewrite.max_iterations);
   fold(ctx.params.rewrite.max_enodes);
   fold(ctx.params.rewrite.max_matches_per_rule);
@@ -204,11 +198,11 @@ void save_rewrite_ckpt(const std::string& path, std::uint64_t fingerprint,
   w.varint(snapshot.size());
   w.bytes(snapshot);
   std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(w.str().data(), static_cast<std::streamsize>(w.str().size()));
+  write_checkpoint_file(tmp, w.str());
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw SnapshotError("cannot move checkpoint '" + tmp + "' into place at '" +
+                        path + "'");
   }
-  std::rename(tmp.c_str(), path.c_str());
 }
 
 }  // namespace
@@ -593,8 +587,7 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
   }
 
   // FlowQor::seconds is the optimization time: every stage except the
-  // verification, matching the legacy flows (which stamped the total before
-  // running cec).
+  // verification.
   double optimization = 0.0;
   for (const StageTelemetry& s : ctx.telemetry.stages) {
     if (s.name != std::string_view("Cec")) optimization += s.seconds;
@@ -614,10 +607,6 @@ FlowResult Pipeline::run(const Aig& input, const FlowParams& params,
   ctx.observer = observer;
   return run(ctx);
 }
-
-Pipeline Pipeline::baseline() { return baseline(FlowParams{}); }
-
-Pipeline Pipeline::emorphic() { return emorphic(FlowParams{}); }
 
 Pipeline Pipeline::baseline(const FlowParams& params) {
   Pipeline pipeline;

@@ -7,8 +7,7 @@
 // shared `FlowContext`. A `Pipeline` is an ordered list of stages; running it
 // produces a `FlowResult` with per-stage telemetry. A `FlowObserver` receives
 // begin/end events for the flow and each stage, plus fine-grained progress
-// from the rewriting runner (per iteration) and the SA extractor (per move) —
-// this subsumes the old hand-inserted timers behind `EmorphicBreakdown`.
+// from the rewriting runner (per iteration) and the SA extractor (per move).
 //
 // Stages are stateless and re-entrant: all mutable state lives in the
 // FlowContext, so one Pipeline instance can drive many circuits concurrently
@@ -101,9 +100,7 @@ struct FlowParams {
   /// input before any optimization, `fraig_post` sweeps the optimized
   /// network right before the final mapping. Honored by the
   /// `Pipeline::baseline(params)` / `Pipeline::emorphic(params)` factories
-  /// (and therefore by `baseline_flow`/`emorphic_flow` and any `run_batch`
-  /// over those pipelines); the no-argument factories keep the historical
-  /// stage lists.
+  /// (and therefore by any `run_batch` over those pipelines).
   bool fraig_pre = false;
   bool fraig_post = false;
   /// Choice export configuration for the "choicemap" stage: ring cap and
@@ -459,7 +456,7 @@ class TechMapStage : public Stage {
 
 /// SAT-backed combinational equivalence check of ctx.current against
 /// ctx.input (no-op unless params.verify). Its runtime is excluded from
-/// FlowQor::seconds, matching the legacy flows.
+/// FlowQor::seconds.
 class CecStage : public Stage {
  public:
   const char* name() const override { return "Cec"; }
@@ -573,26 +570,23 @@ class Pipeline {
   FlowResult run(const Aig& input, const FlowParams& params = {},
                  FlowObserver* observer = nullptr) const;
 
-  /// The conventional delay-oriented flow of [22]:
-  /// ResynRounds; TechMap.
-  static Pipeline baseline();
+  // The prebuilt flows. Both apply the opt-in placements of `params`
+  // (default FlowParams select none): `params.fraig_pre` inserts a "fraig"
+  // stage before everything, `params.fraig_post` right before the final
+  // TechMap, and `params.use_choicemap` (emorphic only) swaps the backward
+  // EgraphConversion + TechMap pair for the choice-aware "choicemap"
+  // stage. `params.use_lutmap` swaps the final cell mapping for the
+  // "lutmap" stage (combined with use_choicemap, one lutmap stage consumes
+  // the e-graph choice-aware), and `params.partition` (emorphic only)
+  // replaces the whole-circuit body by the "partition" stage.
+
+  /// The conventional delay-oriented flow of [22]: ResynRounds; TechMap.
+  static Pipeline baseline(const FlowParams& params = {});
 
   /// The paper's Fig. 5 flow: ResynRounds (all but the last round);
   /// EgraphConversion (fwd); Rewrite; SaExtract; EgraphConversion (bwd);
   /// TechMap (resynth-gated final round); Cec.
-  static Pipeline emorphic();
-
-  /// baseline()/emorphic() with the opt-in placements applied:
-  /// `params.fraig_pre` inserts a "fraig" stage before everything,
-  /// `params.fraig_post` right before the final TechMap, and
-  /// `params.use_choicemap` (emorphic only) swaps the backward
-  /// EgraphConversion + TechMap pair for the choice-aware "choicemap"
-  /// stage. `params.use_lutmap` swaps the final cell mapping for the
-  /// "lutmap" stage (combined with use_choicemap, one lutmap stage
-  /// consumes the e-graph choice-aware). With all flags false these
-  /// return the plain pipelines.
-  static Pipeline baseline(const FlowParams& params);
-  static Pipeline emorphic(const FlowParams& params);
+  static Pipeline emorphic(const FlowParams& params = {});
 
  private:
   // Shared (not unique) so a Pipeline is cheap to copy and one instance can

@@ -1,22 +1,9 @@
 #include "flow/warm_cache.hpp"
 
 #include "aig/signature.hpp"
+#include "util/rng.hpp"
 
 namespace emorphic {
-
-namespace {
-
-/// splitmix64 (Vigna) — the same mixer the batch driver derives per-circuit
-/// seeds with; here it decorrelates the key components so (input, seed,
-/// params) triples spread uniformly.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::shared_ptr<const Matcher> WarmCache::matcher_for(
     const CellLibrary& library) {

@@ -21,7 +21,8 @@ struct PhaseMatch {
   std::int32_t cut = -1;          // cut index at the node
   std::int32_t match = -1;        // index into the matcher's match list
   bool via_inv = false;           // implemented as INV(other phase)
-  bool is_const = false;          // node is semantically constant in this phase
+  bool is_const = false;          // node is semantically constant: a tie net
+  bool const_val = false;         // ... of this value (in this phase)
 };
 
 struct NodeState {
@@ -170,13 +171,17 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
       const Cut& cut = node_cuts[ci];
       if (cut.is_trivial(v)) continue;
       // Structural hashing removes syntactic constants, but a node can
-      // still be *semantically* constant (it matches no cell then).
-      if ((cut.tt & tt_mask(cut.size)) == 0 ||
-          (cut.tt & tt_mask(cut.size)) == tt_mask(cut.size)) {
-        int p = (cut.tt & tt_mask(cut.size)) == 0 ? 0 : 1;
-        PhaseMatch& slot = state[v].phase[p];
-        if (slot.arrival > 0.0) {
-          slot = PhaseMatch{0.0, 0.0, -1, -1, false, true};
+      // still be *semantically* constant (it matches no cell then). Both
+      // phases become free tie nets: phase p of constant c is tied to
+      // c XOR p, and (0, 0.0) wins every later comparison.
+      const Tt f = cut.tt & tt_mask(cut.size);
+      if (f == 0 || f == tt_mask(cut.size)) {
+        for (int p = 0; p < 2; ++p) {
+          PhaseMatch& slot = state[v].phase[p];
+          if (!slot.is_const) {
+            slot = PhaseMatch{0.0, 0.0, -1, -1, false, true,
+                              (f != 0) != (p == 1)};
+          }
         }
         continue;
       }
@@ -370,9 +375,9 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
     const PhaseMatch& slot = state[v].phase[p];
     assert(slot.arrival != kInf);
     if (slot.is_const) {
-      // Semantically constant node: tie the net directly.
+      // Semantically constant node: tie the net to this phase's value.
       net[v][p] = netlist.add_net(net_name_for(v, p));
-      netlist.set_const_net(net[v][p], p == 1);
+      netlist.set_const_net(net[v][p], slot.const_val);
       stack.pop_back();
       continue;
     }

@@ -17,7 +17,7 @@ namespace emorphic {
 
 struct DatasetParams {
   unsigned variants_per_circuit = 40;
-  RunnerLimits rewrite;     // short rewriting run to open up the space
+  RunnerParams rewrite;     // short rewriting run to open up the space
   MapperParams mapping;     // labelling effort
   std::uint64_t seed = 11;
 };

@@ -11,6 +11,7 @@
 #include "egraph/snapshot.hpp"
 #include "flow/batch.hpp"
 #include "flow/pipeline.hpp"
+#include "util/rng.hpp"
 
 namespace emorphic {
 
@@ -29,13 +30,6 @@ constexpr std::uint64_t kCheckpointVersion = 1;
 constexpr std::uint8_t kRejectedQor = 0;
 constexpr std::uint8_t kAdopted = 1;
 constexpr std::uint8_t kRejectedCec = 2;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return splitmix64(h ^ splitmix64(v));
@@ -59,12 +53,6 @@ std::uint64_t checkpoint_fingerprint(const Aig& input,
   h = fold(h, num_windows);
   h = fold(h, kChunkWindows);
   return h;
-}
-
-std::uint64_t chunk_seed(std::uint64_t base_seed, std::size_t chunk) {
-  std::uint64_t seed = splitmix64(base_seed ^ splitmix64(chunk + 1));
-  if (seed == 0) seed = 0x9e3779b97f4a7c15ull;
-  return seed;
 }
 
 Pipeline make_window_pipeline(const PartitionParams& params) {
@@ -94,16 +82,6 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-void append_file(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
 std::string checkpoint_header(std::uint64_t fingerprint,
                               std::size_t num_windows) {
   SnapshotWriter w;
@@ -124,7 +102,7 @@ std::size_t load_checkpoint(const std::string& path, std::uint64_t fingerprint,
                             std::vector<Aig>& adopted) {
   std::string data = read_file(path);
   if (data.empty()) {
-    write_file(path, checkpoint_header(fingerprint, num_windows));
+    write_checkpoint_file(path, checkpoint_header(fingerprint, num_windows));
     return 0;
   }
   SnapshotReader r(data);
@@ -186,7 +164,7 @@ std::size_t load_checkpoint(const std::string& path, std::uint64_t fingerprint,
     valid_prefix = data.size() - r.remaining();
   }
   if (valid_prefix < data.size()) {
-    write_file(path, data.substr(0, valid_prefix));
+    write_checkpoint_file(path, data.substr(0, valid_prefix));
   }
   return chunks;
 }
@@ -376,7 +354,7 @@ PartitionResult partition_optimize(const Aig& input,
     }
     BatchParams batch;
     batch.num_threads = params.num_threads;
-    batch.base_seed = chunk_seed(params.seed, c);
+    batch.base_seed = derive_seed(params.seed, c);
     batch.sa_threads = 1;
     batch.cancel = params.cancel;
     batch.warm_cache = params.warm_cache;
@@ -418,7 +396,8 @@ PartitionResult partition_optimize(const Aig& input,
       }
     }
     if (!params.checkpoint_path.empty()) {
-      append_file(params.checkpoint_path, record.str());
+      write_checkpoint_file(params.checkpoint_path, record.str(),
+                            /*append=*/true);
     }
     ++fresh_chunks;
   }

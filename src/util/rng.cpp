@@ -3,21 +3,16 @@
 namespace emorphic {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  // The splitmix64 generator: outputs of consecutive Weyl-sequence states.
+  for (auto& s : s_) {
+    s = splitmix64(seed);
+    seed += 0x9e3779b97f4a7c15ull;
+  }
   // Avoid the all-zero state (splitmix64 cannot produce four zeros from one
   // seed in practice, but be defensive).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;

@@ -9,6 +9,25 @@
 
 namespace emorphic {
 
+/// The splitmix64 output function (Vigna): a stateless, full-avalanche
+/// 64-bit mixer. Rng::reseed expands a seed with it; structural signatures,
+/// checkpoint fingerprints, cache keys and derived seeds all hash with it.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Seed of the `index`-th sub-run of a run seeded with `base_seed` (a
+/// run_batch circuit, a partition chunk): decorrelated across indices so
+/// sub-runs never share SA chains, and never 0, which the pipeline reads
+/// as "no override".
+inline std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {
+  std::uint64_t seed = splitmix64(base_seed ^ splitmix64(index + 1));
+  return seed != 0 ? seed : 0x9e3779b97f4a7c15ull;
+}
+
 /// xoshiro256** 1.0 by Blackman & Vigna — small, fast, high quality.
 /// Not cryptographic; perfectly adequate for stochastic search.
 class Rng {

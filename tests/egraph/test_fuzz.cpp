@@ -70,7 +70,7 @@ TEST_P(RewriteFuzz, RewritingNeverChangesFunction) {
   Aig aig = testing::random_aig(pis, pos, ands, rng);
 
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 1 + rng.next_below(4);
   limits.max_enodes = 2000 + rng.next_below(6000);
   limits.max_matches_per_rule = 200 + rng.next_below(2000);

@@ -16,7 +16,7 @@ TEST(Runner, SaturatesTinyIdentity) {
   EClassId x = eg.add_var(0);
   EClassId one = eg.add_const1();
   EClassId f = eg.add_and(x, one);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 10;
   RunnerReport report = run_rewriting(eg, make_reduction_rules(), limits);
   EXPECT_EQ(report.stop_reason, StopReason::kSaturated);
@@ -28,7 +28,7 @@ TEST(Runner, DemorganDiscoversOrForm) {
   EClassId a = eg.add_var(0);
   EClassId b = eg.add_var(1);
   EClassId nab = eg.add_not(eg.add_and(a, b));
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 3;
   run_rewriting(eg, make_logic_rules(), limits);
   // !(a&b) must now be equivalent to !a | !b.
@@ -41,7 +41,7 @@ TEST(Runner, AbsorptionCollapses) {
   EClassId a = eg.add_var(0);
   EClassId b = eg.add_var(1);
   EClassId f = eg.add_and(a, eg.add_or(a, b));  // == a
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 4;
   run_rewriting(eg, make_logic_rules(), limits);
   EXPECT_EQ(eg.find(f), eg.find(a));
@@ -51,7 +51,7 @@ TEST(Runner, NodeLimitStops) {
   Rng rng(31);
   Aig aig = testing::random_aig(6, 3, 60, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 50;
   limits.max_enodes = 500;
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -62,7 +62,7 @@ TEST(Runner, IterationLimitRespected) {
   Rng rng(32);
   Aig aig = testing::random_aig(6, 3, 40, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   limits.max_enodes = 1u << 20;
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -76,7 +76,7 @@ TEST(Runner, RewritingPreservesFunction) {
   for (int round = 0; round < 5; ++round) {
     Aig aig = testing::random_aig(5, 3, 35, rng);
     CircuitEGraph ce = aig_to_egraph(aig);
-    RunnerLimits limits;
+    RunnerParams limits;
     limits.max_iterations = 4;
     limits.max_enodes = 20000;
     run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -91,7 +91,7 @@ TEST(Runner, GrowsEquivalenceClasses) {
   Aig aig = testing::random_aig(6, 3, 50, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
   std::size_t before = ce.egraph.num_enodes();
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 3;
   limits.max_enodes = 50000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -103,7 +103,7 @@ TEST(Runner, ReportsPerRuleCounts) {
   EClassId a = eg.add_var(0);
   eg.add_and(a, eg.add_const1());
   auto rules = make_reduction_rules();
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   RunnerReport report = run_rewriting(eg, rules, limits);
   ASSERT_EQ(report.rule_matches.size(), rules.size());

@@ -79,7 +79,7 @@ TEST(Serialize, RewrittenGraphRoundTrips) {
   Rng rng(43);
   Aig aig = testing::random_aig(4, 2, 20, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 3;
   limits.max_enodes = 5000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -100,7 +100,7 @@ TEST(Serialize, RenormalizationIsDeterministicAndLossless) {
   for (int round = 0; round < 5; ++round) {
     Aig aig = testing::random_aig(4, 2, 20, rng);
     CircuitEGraph ce = aig_to_egraph(aig);
-    RunnerLimits limits;
+    RunnerParams limits;
     limits.max_iterations = 2;
     limits.max_enodes = 3000;
     run_rewriting(ce.egraph, make_logic_rules(), limits);

@@ -41,7 +41,7 @@ TEST(Exact, GivesUpOnHugeSpaces) {
   Rng rng(211);
   Aig aig = testing::random_aig(6, 3, 60, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 3;
   limits.max_enodes = 10000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -108,7 +108,7 @@ TEST_P(ExactOracle, GreedyIsBoundedByOptimum) {
   Rng rng(3000 + GetParam());
   Aig aig = testing::random_aig(3, 2, 6, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   limits.max_enodes = 60;
   limits.max_matches_per_rule = 50;

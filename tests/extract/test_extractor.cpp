@@ -67,7 +67,7 @@ TEST(Extractor, PrunedAndUnprunedAgreeOnGreedyCost) {
   for (int round = 0; round < 4; ++round) {
     Aig aig = testing::random_aig(5, 3, 30, rng);
     CircuitEGraph ce = aig_to_egraph(aig);
-    RunnerLimits limits;
+    RunnerParams limits;
     limits.max_iterations = 3;
     limits.max_enodes = 8000;
     run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -88,7 +88,7 @@ TEST(Extractor, RandomExtractionIsWellFormed) {
   Rng rng(63);
   Aig aig = testing::random_aig(5, 2, 25, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   limits.max_enodes = 4000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -103,7 +103,7 @@ TEST(Extractor, NeighborGenerationPreservesFunction) {
   Rng rng(64);
   Aig aig = testing::random_aig(5, 2, 25, rng);
   CircuitEGraph ce = aig_to_egraph(aig);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   limits.max_enodes = 4000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);

@@ -27,7 +27,7 @@ struct SaFixture : public ::testing::Test {
     Rng rng(71);
     original = testing::random_aig(6, 3, 40, rng);
     ce = aig_to_egraph(original);
-    RunnerLimits limits;
+    RunnerParams limits;
     limits.max_iterations = 3;
     limits.max_enodes = 10000;
     run_rewriting(ce.egraph, make_logic_rules(), limits);
@@ -156,7 +156,7 @@ TEST(SaMapped, MemoizedQorEqualsRecomputedOnBenchgenCircuit) {
   // e-graph actually produces hits.
   Aig adder = make_adder(5);
   CircuitEGraph ce = aig_to_egraph(adder);
-  RunnerLimits limits;
+  RunnerParams limits;
   limits.max_iterations = 2;
   limits.max_enodes = 2000;
   run_rewriting(ce.egraph, make_logic_rules(), limits);

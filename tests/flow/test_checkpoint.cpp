@@ -127,6 +127,22 @@ TEST(RewriteCheckpoint, FingerprintMismatchThrows) {
   std::remove(path.c_str());
 }
 
+TEST(RewriteCheckpoint, UnwritablePathThrowsNamingIt) {
+  // A checkpoint that cannot be written must fail the run, not silently
+  // leave it unrecoverable.
+  FlowParams params = checkpoint_params();
+  params.checkpoint_path =
+      ::testing::TempDir() + "emorphic_no_such_dir/rewrite.emck";
+  try {
+    (void)Pipeline::emorphic(params).run(make_adder(6), params);
+    FAIL() << "expected SnapshotError";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(params.checkpoint_path),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- the partition stage inside the flow -------------------------------------
 
 TEST(PartitionFlow, EmorphicPartitionPipelinePreservesFunction) {

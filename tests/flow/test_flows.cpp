@@ -1,4 +1,7 @@
-#include "flow/flows.hpp"
+// The two prebuilt flows of Sec. IV-C, run through Pipeline: the baseline
+// delay flow of [22] and the E-morphic flow of Fig. 5.
+
+#include "flow/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,8 @@ FlowParams quick_params() {
 
 TEST(Flows, BaselineProducesValidMapping) {
   Aig adder = make_adder(8);
-  BaselineResult result = baseline_flow(adder, quick_params());
+  FlowParams params = quick_params();
+  FlowResult result = Pipeline::baseline(params).run(adder, params);
   EXPECT_GT(result.qor.area, 0.0);
   EXPECT_GT(result.qor.delay, 0.0);
   EXPECT_GT(result.qor.lev, 0u);
@@ -37,23 +41,23 @@ TEST(Flows, BaselineImprovesDelayOverDirectMap) {
   Aig mult = make_multiplier(8);
   FlowParams params = quick_params();
   MappedQor direct = map_qor(mult, *params.library, params.mapping);
-  BaselineResult optimized = baseline_flow(mult, params);
+  FlowResult optimized = Pipeline::baseline(params).run(mult, params);
   EXPECT_LT(optimized.qor.delay, direct.delay);
 }
 
-TEST(Flows, EmorphicResultIsEquivalentAndComplete) {
+TEST(Flows, EmorphicFlowIsEquivalentAndComplete) {
   Aig arbiter = make_arbiter(8);
   FlowParams params = quick_params();
   params.verify = true;
-  EmorphicResult result = emorphic_flow(arbiter, params);
+  FlowResult result = Pipeline::emorphic(params).run(arbiter, params);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
   EXPECT_GT(result.qor.area, 0.0);
   EXPECT_GT(result.qor.delay, 0.0);
-  // Breakdown must cover all stages (Fig. 9 inputs).
-  EXPECT_GT(result.breakdown.flow_seconds, 0.0);
-  EXPECT_GT(result.breakdown.conversion_seconds, 0.0);
-  EXPECT_GT(result.breakdown.rewrite_seconds, 0.0);
-  EXPECT_GT(result.breakdown.sa_seconds, 0.0);
+  // Telemetry must cover every stage Fig. 9 reports.
+  for (const char* stage : {"ResynRounds", "TechMap", "EgraphConversion",
+                            "Rewrite", "SaExtract"}) {
+    EXPECT_GT(result.telemetry.seconds_for(stage), 0.0) << stage;
+  }
   // Rewriting must have multiplied the e-graph.
   EXPECT_GT(result.egraph_enodes, result.initial_enodes);
 }
@@ -65,8 +69,8 @@ TEST(Flows, EmorphicNeverMuchWorseThanBaselineOnDelay) {
   Aig sqrt_c = make_sqrt(8);
   FlowParams params = quick_params();
   params.verify = false;
-  BaselineResult base = baseline_flow(sqrt_c, params);
-  EmorphicResult em = emorphic_flow(sqrt_c, params);
+  FlowResult base = Pipeline::baseline(params).run(sqrt_c, params);
+  FlowResult em = Pipeline::emorphic(params).run(sqrt_c, params);
   EXPECT_LT(em.qor.delay, base.qor.delay * 1.25);
 }
 
@@ -74,10 +78,12 @@ TEST(Flows, RuntimeBreakdownSumsToTotal) {
   Aig sin_c = make_sin(6);
   FlowParams params = quick_params();
   params.verify = false;
-  EmorphicResult result = emorphic_flow(sin_c, params);
-  double sum = result.breakdown.flow_seconds +
-               result.breakdown.conversion_seconds +
-               result.breakdown.rewrite_seconds + result.breakdown.sa_seconds;
+  FlowResult result = Pipeline::emorphic(params).run(sin_c, params);
+  double sum = 0.0;
+  for (const char* stage : {"ResynRounds", "TechMap", "EgraphConversion",
+                            "Rewrite", "SaExtract"}) {
+    sum += result.telemetry.seconds_for(stage);
+  }
   EXPECT_NEAR(sum, result.qor.seconds, 0.25 * result.qor.seconds + 0.05);
 }
 

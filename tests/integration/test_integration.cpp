@@ -28,7 +28,7 @@ TEST(Integration, QualityModeOnAdder) {
   EmorphicOptions options;
   options.flow = quick_params();
   options.mode = CostModelMode::kQualityPrioritized;
-  EmorphicResult result = optimize(adder, options);
+  FlowResult result = optimize(adder, options);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
   EXPECT_GT(result.qor.delay, 0.0);
 }
@@ -39,7 +39,7 @@ TEST(Integration, RuntimeModeSelfTrains) {
   options.flow = quick_params();
   options.flow.verify = true;
   options.mode = CostModelMode::kRuntimePrioritized;
-  EmorphicResult result = optimize(mult, options);
+  FlowResult result = optimize(mult, options);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
 }
 
@@ -59,7 +59,7 @@ TEST(Integration, RuntimeModeWithPretrainedModel) {
   options.flow = quick_params();
   options.mode = CostModelMode::kRuntimePrioritized;
   options.ml_model = &model;
-  EmorphicResult result = optimize(circuit, options);
+  FlowResult result = optimize(circuit, options);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
 }
 
@@ -69,7 +69,7 @@ TEST(Integration, EveryEpflCircuitSurvivesTheQuickPipeline) {
   for (const char* name : {"adder", "sin", "arbiter"}) {
     Aig circuit = make_epfl(name);
     FlowParams params = quick_params();
-    EmorphicResult result = emorphic_flow(circuit, params);
+    FlowResult result = Pipeline::emorphic(params).run(circuit, params);
     EXPECT_EQ(result.verify_status, CecStatus::kEquivalent) << name;
     EXPECT_GT(result.egraph_enodes, result.initial_enodes) << name;
   }
@@ -82,7 +82,7 @@ TEST(Integration, IoRoundTripThroughEquationFormat) {
   std::string eq = write_equations(original);
   Aig parsed = read_equations(eq);
   FlowParams params = quick_params();
-  EmorphicResult result = emorphic_flow(parsed, params);
+  FlowResult result = Pipeline::emorphic(params).run(parsed, params);
   EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
   std::string eq_out = write_equations(result.final_aig);
   Aig reparsed = read_equations(eq_out);

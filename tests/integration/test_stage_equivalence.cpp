@@ -1,6 +1,7 @@
 // The repo's end-to-end functional-correctness gate: every registered
 // pipeline stage, run on a spread of benchgen circuits and seeds, must
-// produce an AIG that SAT-backed cec proves equivalent to its input.
+// produce an AIG that SAT-backed cec proves equivalent to its input — and
+// so must every netlist a stage or prebuilt flow delivers.
 //
 // Each stage gets a minimal pipeline harness (some stages only make sense
 // with a conversion prefix/suffix around them). The test fails loudly when
@@ -115,6 +116,14 @@ std::vector<std::pair<std::string, Aig>> gate_circuits() {
   circuits.emplace_back("arbiter4", make_arbiter(4));
   Rng rng(2024);
   circuits.emplace_back("random", testing::random_aig(6, 4, 60, rng));
+  // Semantically constant nodes over an adder's inputs: mapped as tie
+  // nets, which must keep their polarity. On top of the adder so the
+  // partition harness still cuts several windows.
+  Aig consts = make_adder(5);
+  testing::add_semantic_constants(consts, make_lit(consts.pis()[0]),
+                                  make_lit(consts.pis()[1]),
+                                  make_lit(consts.pis()[2]));
+  circuits.emplace_back("adder5_consts", std::move(consts));
   return circuits;
 }
 
@@ -145,7 +154,35 @@ TEST(StageEquivalence, EveryStagePreservesCircuitFunction) {
         ASSERT_EQ(check.status, CecStatus::kEquivalent)
             << "stage '" << stage_name << "' broke circuit '" << circuit_name
             << "' (seed " << seed << ")";
+        // The cell netlist is what ships, not final_aig: prove it too
+        // (ResynRounds, TechMap and choicemap leave one).
+        if (result.netlist.has_value()) {
+          ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
+                    CecStatus::kEquivalent)
+              << "stage '" << stage_name << "' mapped circuit '"
+              << circuit_name << "' to a non-equivalent netlist (seed "
+              << seed << ")";
+        }
       }
+    }
+  }
+}
+
+TEST(StageEquivalence, PrebuiltFlowNetlistsAreEquivalentEndToEnd) {
+  // The delivered product of the baseline and E-morphic flows is the cell
+  // netlist; the flow's own Cec stage proves only final_aig.
+  FlowParams params = fast_params();
+  const std::map<std::string, Pipeline> flows{
+      {"baseline", Pipeline::baseline(params)},
+      {"emorphic", Pipeline::emorphic(params)}};
+  for (auto& [circuit_name, aig] : gate_circuits()) {
+    for (const auto& [flow, pipeline] : flows) {
+      FlowResult result = pipeline.run(aig, params);
+      ASSERT_TRUE(result.netlist.has_value()) << flow;
+      ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
+                CecStatus::kEquivalent)
+          << flow << " flow shipped a non-equivalent netlist for '"
+          << circuit_name << "'";
     }
   }
 }

@@ -5,6 +5,8 @@
 #include "../test_helpers.hpp"
 #include "aig/cut.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/epfl.hpp"
+#include "cec/cec.hpp"
 #include "opt/balance.hpp"
 
 namespace emorphic {
@@ -39,6 +41,41 @@ TEST(Mapper, PassThroughAndConstants) {
   aig.add_po(kLitFalse, "zero");
   MappedNetlist netlist = map_to_cells(aig, CellLibrary::asap7_like());
   EXPECT_TRUE(testing::functionally_equal(aig, netlist.to_aig()));
+}
+
+TEST(Mapper, SemanticConstantsKeepTheirPolarity) {
+  // A node whose cut function is constant matches no cell and becomes a tie
+  // net. Both phases are ties of their own value: a constant-1 node must
+  // not come out as 0 (nor its complement as 1).
+  Aig aig;
+  Lit a = make_lit(aig.add_pi("a"));
+  Lit b = make_lit(aig.add_pi("b"));
+  Lit c = make_lit(aig.add_pi("c"));
+  testing::add_semantic_constants(aig, a, b, c);
+  for (bool area_recovery : {false, true}) {
+    MapperParams params;
+    params.area_recovery = area_recovery;
+    MappedNetlist netlist =
+        map_to_cells(aig, CellLibrary::asap7_like(), params);
+    EXPECT_EQ(cec(aig, netlist.to_aig()).status, CecStatus::kEquivalent)
+        << "area_recovery=" << area_recovery;
+    EXPECT_EQ(netlist.num_gates(), 0u) << "constants need no cells";
+  }
+}
+
+TEST(Mapper, RawEpflCircuitsAreNeverRefuted) {
+  // The shipped netlist of every registry circuit, mapped as generated.
+  // Bounded SAT effort may leave a hard miter undecided, never refuted.
+  CecParams cec_params;
+  cec_params.conflict_limit = 20000;
+  cec_params.time_limit_s = 0.0;
+  for (const std::string& name : epfl_names()) {
+    Aig aig = make_epfl(name);
+    MappedNetlist netlist = map_to_cells(aig, CellLibrary::asap7_like());
+    EXPECT_NE(cec(aig, netlist.to_aig(), cec_params).status,
+              CecStatus::kNotEquivalent)
+        << name;
+  }
 }
 
 TEST(Mapper, FunctionPreservedRandom) {

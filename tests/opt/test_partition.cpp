@@ -256,6 +256,22 @@ TEST(Partition, CheckpointFingerprintMismatchThrows) {
   std::remove(path.c_str());
 }
 
+TEST(Partition, UnwritableCheckpointPathThrowsNamingIt) {
+  Rng rng(62);
+  Aig aig = testing::random_aig(8, 4, 200, rng);
+  PartitionParams p = test_params(10, 11);
+  p.checkpoint_path =
+      ::testing::TempDir() + "emorphic_no_such_dir/windows.empc";
+  try {
+    (void)partition_optimize(aig, p);
+    FAIL() << "expected SnapshotError";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(p.checkpoint_path),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Partition, TornCheckpointTailIsTruncatedAndRecomputed) {
   Rng rng(62);
   Aig aig = testing::random_aig(8, 4, 260, rng);

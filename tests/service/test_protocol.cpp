@@ -1,8 +1,11 @@
-// Wire protocol units: framing round-trips and corruption handling
-// (util/socket.hpp), JobRequest parsing, FlowParams overrides, and the
-// params fingerprint.
+// Wire protocol units: framing round-trips, corruption handling and TCP
+// socket options (util/socket.hpp), JobRequest parsing, FlowParams
+// overrides, and the params fingerprint.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <stdexcept>
@@ -78,6 +81,23 @@ TEST(Framing, TruncatedPayloadThrows) {
 }
 
 // --- JobRequest -------------------------------------------------------------
+
+TEST(Socket, TcpConnectionsDisableNagle) {
+  // Small request/response frames must not wait out delayed ACKs: both
+  // ends of a TCP connection run with TCP_NODELAY.
+  std::uint16_t port = 0;
+  Socket listener = Socket::listen_tcp_loopback(0, &port);
+  Socket client = Socket::connect_tcp("127.0.0.1", port);
+  Socket server = listener.accept();
+  ASSERT_TRUE(server.valid());
+  for (const Socket* end : {&client, &server}) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    ASSERT_EQ(::getsockopt(end->fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len),
+              0);
+    EXPECT_EQ(value, 1) << (end == &client ? "client" : "server");
+  }
+}
 
 TEST(JobRequest, RoundTripsThroughJson) {
   JobRequest req;

@@ -36,6 +36,20 @@ inline Aig random_aig(unsigned num_pis, unsigned num_pos, unsigned num_ands,
   return aig;
 }
 
+/// Append logic that structural hashing keeps but that is semantically
+/// constant, over three literals of `aig`: n1 = (a&b)&(!a&c) and
+/// n3 = (a&c)&(!a&b) are 0, so n2 = !n1 & !n3 is 1. Adds the outputs n2,
+/// !n2, n1 and !n1: both constants, each in both phases.
+inline void add_semantic_constants(Aig& aig, Lit a, Lit b, Lit c) {
+  Lit n1 = aig.make_and(aig.make_and(a, b), aig.make_and(lit_not(a), c));
+  Lit n3 = aig.make_and(aig.make_and(a, c), aig.make_and(lit_not(a), b));
+  Lit n2 = aig.make_and(lit_not(n1), lit_not(n3));
+  aig.add_po(n2, "n2");
+  aig.add_po(lit_not(n2), "n2_b");
+  aig.add_po(n1, "n1");
+  aig.add_po(lit_not(n1), "n1_b");
+}
+
 /// Evaluate a Pattern as a truth table over `n`-variable assignments where
 /// pattern variable i is input variable i (requires num_vars <= n <= 6).
 inline Tt eval_pattern(const Pattern& pattern, unsigned n) {
