@@ -30,16 +30,8 @@
 // asserted (overhead is machine-dependent; raw realized delay after area
 // recovery is only bounded by the pass-1 target, so it can wiggle within
 // that bound — which is precisely why the gate exists).
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -87,17 +79,17 @@ Workload build_workload(const Aig& aig) {
 
 // --- micro timing hooks ------------------------------------------------------
 
-void BM_ChoiceExportAdder(benchmark::State& state) {
+void BM_ChoiceExportAdder(minibench::State& state) {
   Aig aig = make_adder(static_cast<unsigned>(state.range(0)));
   Workload w = build_workload(aig);
   for (auto _ : state) {
     ChoiceAig caig = egraph_to_choice_aig(w.ce, w.solution);
-    benchmark::DoNotOptimize(caig.choices.num_alts());
+    minibench::DoNotOptimize(caig.choices.num_alts());
   }
 }
 BENCHMARK(BM_ChoiceExportAdder)->Arg(8);
 
-void BM_ChoiceMapAdder(benchmark::State& state) {
+void BM_ChoiceMapAdder(minibench::State& state) {
   Aig aig = make_adder(static_cast<unsigned>(state.range(0)));
   Workload w = build_workload(aig);
   ChoiceAig caig = egraph_to_choice_aig(w.ce, w.solution);
@@ -105,19 +97,19 @@ void BM_ChoiceMapAdder(benchmark::State& state) {
   MapperWorkspace workspace;
   for (auto _ : state) {
     MappedNetlist netlist = map_to_cells(caig, matcher, {}, &workspace);
-    benchmark::DoNotOptimize(netlist.num_gates());
+    minibench::DoNotOptimize(netlist.num_gates());
   }
 }
 BENCHMARK(BM_ChoiceMapAdder)->Arg(8);
 
-void BM_PlainMapAdder(benchmark::State& state) {
+void BM_PlainMapAdder(minibench::State& state) {
   Aig aig = make_adder(static_cast<unsigned>(state.range(0)));
   Workload w = build_workload(aig);
   Matcher matcher(CellLibrary::asap7_like());
   MapperWorkspace workspace;
   for (auto _ : state) {
     MappedNetlist netlist = map_to_cells(w.plain_aig, matcher, {}, &workspace);
-    benchmark::DoNotOptimize(netlist.num_gates());
+    minibench::DoNotOptimize(netlist.num_gates());
   }
 }
 BENCHMARK(BM_PlainMapAdder)->Arg(8);
@@ -254,8 +246,8 @@ bool run_comparison(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_choicemap.json";
   return run_comparison(json_path) ? 0 : 1;
 }

@@ -8,17 +8,8 @@
 // to BENCH_egraph.json so the perf trajectory is machine-readable across PRs.
 // Along the way it cross-checks that indexed, full-scan, and parallel
 // matching all reach bit-identical saturation states.
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt),
-// so this harness always exists.
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <algorithm>
 #include <cstdio>
@@ -51,7 +42,7 @@ Aig make_random_aig(unsigned pis, unsigned ands, std::uint64_t seed) {
   return aig;
 }
 
-void BM_EGraphAdd(benchmark::State& state) {
+void BM_EGraphAdd(minibench::State& state) {
   for (auto _ : state) {
     EGraph eg;
     EClassId a = eg.add_var(0);
@@ -59,13 +50,13 @@ void BM_EGraphAdd(benchmark::State& state) {
     for (int i = 0; i < state.range(0); ++i) {
       a = eg.add_and(a, b);
     }
-    benchmark::DoNotOptimize(eg.num_enodes());
+    minibench::DoNotOptimize(eg.num_enodes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EGraphAdd)->Arg(1000)->Arg(10000);
 
-void BM_MergeRebuild(benchmark::State& state) {
+void BM_MergeRebuild(minibench::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     EGraph eg;
@@ -79,22 +70,22 @@ void BM_MergeRebuild(benchmark::State& state) {
     state.ResumeTiming();
     for (std::size_t i = 1; i < vars.size(); ++i) eg.merge(vars[0], vars[i]);
     eg.rebuild();
-    benchmark::DoNotOptimize(eg.num_classes());
+    minibench::DoNotOptimize(eg.num_classes());
   }
 }
 BENCHMARK(BM_MergeRebuild)->Arg(256)->Arg(2048);
 
-void BM_DirectConversion(benchmark::State& state) {
+void BM_DirectConversion(minibench::State& state) {
   Aig aig = make_random_aig(32, static_cast<unsigned>(state.range(0)), 5);
   for (auto _ : state) {
     CircuitEGraph ce = aig_to_egraph(aig);
-    benchmark::DoNotOptimize(ce.egraph.num_enodes());
+    minibench::DoNotOptimize(ce.egraph.num_enodes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DirectConversion)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_EMatching(benchmark::State& state) {
+void BM_EMatching(minibench::State& state) {
   Aig aig = make_random_aig(16, 400, 7);
   CircuitEGraph ce = aig_to_egraph(aig);
   RunnerParams limits;
@@ -108,12 +99,12 @@ void BM_EMatching(benchmark::State& state) {
     for (EClassId id : ce.egraph.class_ids()) {
       match_in_class(ce.egraph, pattern, id, matches, 100000);
     }
-    benchmark::DoNotOptimize(matches.size());
+    minibench::DoNotOptimize(matches.size());
   }
 }
 BENCHMARK(BM_EMatching);
 
-void BM_GreedyExtractPruned(benchmark::State& state) {
+void BM_GreedyExtractPruned(minibench::State& state) {
   Aig aig = make_random_aig(16, 600, 9);
   CircuitEGraph ce = aig_to_egraph(aig);
   RunnerParams limits;
@@ -124,30 +115,30 @@ void BM_GreedyExtractPruned(benchmark::State& state) {
   bool prune = state.range(0) != 0;
   for (auto _ : state) {
     Extraction sol = greedy_extract(ce.egraph, cost, nullptr, prune);
-    benchmark::DoNotOptimize(sol.size());
+    minibench::DoNotOptimize(sol.size());
   }
 }
 BENCHMARK(BM_GreedyExtractPruned)->Arg(0)->Arg(1);
 
-void BM_TechMap(benchmark::State& state) {
+void BM_TechMap(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 11);
   const CellLibrary& lib = CellLibrary::asap7_like();
   for (auto _ : state) {
     MappedQor qor = map_qor(aig, lib);
-    benchmark::DoNotOptimize(qor.delay);
+    minibench::DoNotOptimize(qor.delay);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TechMap)->Arg(500)->Arg(4000);
 
-void BM_NpnCanon(benchmark::State& state) {
+void BM_NpnCanon(minibench::State& state) {
   Rng rng(13);
   std::vector<Tt> tts;
   for (int i = 0; i < 256; ++i) tts.push_back(rng.next() & tt_mask(4));
   for (auto _ : state) {
     Tt acc = 0;
     for (Tt t : tts) acc ^= npn_canon(t);
-    benchmark::DoNotOptimize(acc);
+    minibench::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
@@ -337,8 +328,8 @@ bool run_saturation_comparison(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path =
       argc > 1 ? argv[1] : "BENCH_egraph.json";
   return run_saturation_comparison(json_path) ? 0 : 1;

@@ -12,16 +12,8 @@
 //     pruning may only skip SAT calls, never merges),
 //   * `cec` proves every swept output equivalent to its input.
 // The speedup itself is recorded, not asserted (machine-dependent).
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -40,17 +32,17 @@ namespace {
 
 using namespace emorphic;
 
-void BM_FraigGuidedDoubledAdder(benchmark::State& state) {
+void BM_FraigGuidedDoubledAdder(minibench::State& state) {
   Aig aig = doubled(make_adder(static_cast<unsigned>(state.range(0))));
   for (auto _ : state) {
     Aig swept = fraig(aig);
-    benchmark::DoNotOptimize(swept.num_ands());
+    minibench::DoNotOptimize(swept.num_ands());
   }
   state.SetItemsProcessed(state.iterations() * aig.num_ands());
 }
 BENCHMARK(BM_FraigGuidedDoubledAdder)->Arg(8)->Arg(16);
 
-void BM_FraigSimulationOnly(benchmark::State& state) {
+void BM_FraigSimulationOnly(minibench::State& state) {
   // Mostly the candidate-partitioning front-end: with a conflict budget of
   // 1 nearly every non-trivial proof gives up immediately, so the time is
   // dominated by simulation + partition refinement.
@@ -60,7 +52,7 @@ void BM_FraigSimulationOnly(benchmark::State& state) {
   for (auto _ : state) {
     FraigStats stats;
     Aig swept = fraig(aig, params, &stats);
-    benchmark::DoNotOptimize(stats.classes);
+    minibench::DoNotOptimize(stats.classes);
   }
 }
 BENCHMARK(BM_FraigSimulationOnly);
@@ -200,8 +192,8 @@ bool run_comparison(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_fraig.json";
   return run_comparison(json_path) ? 0 : 1;
 }

@@ -11,16 +11,8 @@
 // (and this repo's dev container) may expose a single core, where the
 // wave overhead makes parallel enumeration a wash. Correctness — parallel
 // == serial, cover == input — is what the exit code gates.
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -72,35 +64,35 @@ bool cuts_identical(const CutManager& a, const CutManager& b, std::size_t n) {
   return true;
 }
 
-void BM_CutEnumSerial(benchmark::State& state) {
+void BM_CutEnumSerial(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 7);
   CutArena arena;
   for (auto _ : state) {
     CutManager cuts(aig, CutParams{6, 8}, &arena);
-    benchmark::DoNotOptimize(cuts.cuts(aig.num_nodes() - 1).size());
+    minibench::DoNotOptimize(cuts.cuts(aig.num_nodes() - 1).size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CutEnumSerial)->Arg(4000)->Arg(20000);
 
-void BM_CutEnumParallel4(benchmark::State& state) {
+void BM_CutEnumParallel4(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 7);
   CutArena arena;
   ThreadPool pool(4);
   for (auto _ : state) {
     CutManager cuts(aig, CutParams{6, 8}, &arena, &pool);
-    benchmark::DoNotOptimize(cuts.cuts(aig.num_nodes() - 1).size());
+    minibench::DoNotOptimize(cuts.cuts(aig.num_nodes() - 1).size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CutEnumParallel4)->Arg(4000)->Arg(20000);
 
-void BM_LutMap(benchmark::State& state) {
+void BM_LutMap(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 7);
   LutWorkspace workspace;
   for (auto _ : state) {
     LutNetwork network = map_to_luts(aig, {}, &workspace);
-    benchmark::DoNotOptimize(network.num_luts());
+    minibench::DoNotOptimize(network.num_luts());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -215,8 +207,8 @@ bool run_comparison(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_lutmap.json";
   return run_comparison(json_path) ? 0 : 1;
 }

@@ -17,16 +17,8 @@
 // (the evaluators are exact and deterministic); the harness enforces that
 // through its exit code and writes the throughput numbers to
 // BENCH_mapper.json so the perf trajectory is machine-readable across PRs.
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -79,16 +71,16 @@ class SeedStyleEvaluator : public QorEvaluator {
   MapperParams params_;
 };
 
-void BM_MatcherBuild(benchmark::State& state) {
+void BM_MatcherBuild(minibench::State& state) {
   const CellLibrary& lib = CellLibrary::asap7_like();
   for (auto _ : state) {
     Matcher matcher(lib);
-    benchmark::DoNotOptimize(matcher.cache_size());
+    minibench::DoNotOptimize(matcher.cache_size());
   }
 }
 BENCHMARK(BM_MatcherBuild);
 
-void BM_MatchWarmCache(benchmark::State& state) {
+void BM_MatchWarmCache(minibench::State& state) {
   Matcher matcher(CellLibrary::asap7_like());
   Rng rng(17);
   std::vector<Tt> tts;
@@ -97,30 +89,30 @@ void BM_MatchWarmCache(benchmark::State& state) {
   for (auto _ : state) {
     std::size_t total = 0;
     for (Tt t : tts) total += matcher.match(t, 4).size();
-    benchmark::DoNotOptimize(total);
+    minibench::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_MatchWarmCache);
 
-void BM_MapFreshMatcher(benchmark::State& state) {
+void BM_MapFreshMatcher(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 11);
   const CellLibrary& lib = CellLibrary::asap7_like();
   for (auto _ : state) {
     MappedQor qor = map_qor(aig, lib);
-    benchmark::DoNotOptimize(qor.delay);
+    minibench::DoNotOptimize(qor.delay);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MapFreshMatcher)->Arg(500)->Arg(4000);
 
-void BM_MapSharedMatcher(benchmark::State& state) {
+void BM_MapSharedMatcher(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 11);
   Matcher matcher(CellLibrary::asap7_like());
   MapperWorkspace workspace;
   for (auto _ : state) {
     MappedQor qor = map_qor(aig, matcher, {}, &workspace);
-    benchmark::DoNotOptimize(qor.delay);
+    minibench::DoNotOptimize(qor.delay);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -313,8 +305,8 @@ bool run_evaluation_comparison(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_mapper.json";
   return run_evaluation_comparison(json_path) ? 0 : 1;
 }

@@ -18,16 +18,8 @@
 // functionally equal, structurally different copies, so every window holds
 // real merge opportunities for the per-window flow (saturation + SAT sweep)
 // and the adopt/reject QoR gate has actual work to judge.
-//
-// Builds with google-benchmark when available, and against the bundled
-// minibench fallback otherwise (see EMORPHIC_USE_GBENCH in CMakeLists.txt).
 
-#ifdef EMORPHIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#else
 #include "minibench.hpp"
-namespace benchmark = minibench;
-#endif
 
 #include <cstdio>
 #include <fstream>
@@ -40,8 +32,8 @@ namespace benchmark = minibench;
 #include "benchgen/doubling.hpp"
 #include "benchgen/scale.hpp"
 #include "cec/cec.hpp"
+#include "flow/partition_flow.hpp"
 #include "flow/pipeline.hpp"
-#include "opt/partition.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -55,16 +47,14 @@ Aig tile_base() { return doubled(make_adder(6)); }
 /// One shared saturation budget for every mode in this harness: windows
 /// convert and rewrite comfortably inside it; the 10^6-AND whole circuit
 /// cannot even hold its initial e-graph under it.
-PartitionParams scale_params() {
-  PartitionParams p;
+FlowParams scale_params() {
+  FlowParams p;
   p.window_size = 4000;
-  p.seed = 1;
   p.rewrite.max_iterations = 1;
   p.rewrite.max_enodes = 12000;
   p.rewrite.max_matches_per_rule = 500;
   p.rewrite.time_limit_s = 1e9;  // determinism: no wall-clock limit fires
-  p.window_fraig = true;  // the SAT sweep is part of the per-window flow
-  p.window_cec.time_limit_s = 0.0;
+  p.fraig_post = true;  // the SAT sweep is part of the per-window flow
   return p;
 }
 
@@ -75,21 +65,21 @@ bool sim_equal(const Aig& a, const Aig& b) {
 
 // --- micro benchmarks --------------------------------------------------------
 
-void BM_AssignWindows(benchmark::State& state) {
+void BM_AssignWindows(minibench::State& state) {
   Aig aig = tile_to_ands(tile_base(), 100000);
   for (auto _ : state) {
     WindowAssignment a = assign_windows(aig, 4000);
-    benchmark::DoNotOptimize(a.num_windows);
+    minibench::DoNotOptimize(a.num_windows);
   }
   state.SetItemsProcessed(state.iterations() * aig.num_ands());
 }
 BENCHMARK(BM_AssignWindows);
 
-void BM_BinaryAigerRoundTrip(benchmark::State& state) {
+void BM_BinaryAigerRoundTrip(minibench::State& state) {
   Aig aig = tile_to_ands(tile_base(), 100000);
   for (auto _ : state) {
     Aig back = read_aiger_binary(write_aiger_binary(aig));
-    benchmark::DoNotOptimize(back.num_ands());
+    minibench::DoNotOptimize(back.num_ands());
   }
   state.SetItemsProcessed(state.iterations() * aig.num_ands());
 }
@@ -111,9 +101,8 @@ bool run_scaling(const char* json_path) {
   for (std::size_t target : {std::size_t{20000}, std::size_t{100000},
                              kBigTarget}) {
     Aig aig = tile_to_ands(tile_base(), target);
-    PartitionParams p = scale_params();
     Timer timer;
-    PartitionResult r = partition_optimize(aig, p);
+    PartitionResult r = partition_optimize(aig, scale_params());
     double seconds = timer.seconds();
 
     bool completed = r.stats.completed;
@@ -173,16 +162,12 @@ bool run_scaling(const char* json_path) {
   // without applying a single rewrite — the scaling wall this PR removes.
   Json whole = Json::object();
   {
-    PartitionParams p = scale_params();
-    FlowParams params;
-    params.rewrite = p.rewrite;
-    params.verify = false;
     Pipeline pipeline;
     pipeline.add("EgraphConversion");
     pipeline.add("Rewrite");
     pipeline.add("EgraphConversion");
     Timer timer;
-    FlowResult result = pipeline.run(big, params);
+    FlowResult result = pipeline.run(big, scale_params());
     double seconds = timer.seconds();
 
     std::size_t applied = 0;
@@ -220,22 +205,20 @@ bool run_scaling(const char* json_path) {
   Json resume = Json::object();
   {
     Aig aig = tile_to_ands(tile_base(), 100000);
-    PartitionParams base = scale_params();
+    FlowParams params = scale_params();
 
-    PartitionResult straight = partition_optimize(aig, base);
+    PartitionResult straight = partition_optimize(aig, params);
     std::string want = write_aiger_binary(straight.optimized);
 
     const char* ckpt = "BENCH_scale.ckpt";
     std::remove(ckpt);
-    PartitionParams killed = base;
-    killed.checkpoint_path = ckpt;
+    params.checkpoint_path = ckpt;
+    PartitionParams killed;
     killed.stop_after_chunks = 1;
-    (void)partition_optimize(aig, killed);
+    (void)partition_optimize(aig, params, killed);
 
-    PartitionParams resumed_params = base;
-    resumed_params.checkpoint_path = ckpt;
     Timer timer;
-    PartitionResult resumed = partition_optimize(aig, resumed_params);
+    PartitionResult resumed = partition_optimize(aig, params);
     double seconds = timer.seconds();
     std::remove(ckpt);
 
@@ -280,8 +263,8 @@ bool run_scaling(const char* json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  minibench::Initialize(&argc, argv);
+  minibench::RunSpecifiedBenchmarks();
   const char* json_path = argc > 1 ? argv[1] : "BENCH_scale.json";
   return run_scaling(json_path) ? 0 : 1;
 }

@@ -1,9 +1,7 @@
 #pragma once
-// Zero-dependency fallback timer harness exposing the subset of the
-// google-benchmark API that bench/micro_egraph.cpp uses. When google-benchmark
-// is not installed, micro_egraph builds against this instead (see the
-// EMORPHIC_USE_GBENCH option in CMakeLists.txt), so the perf harness — and
-// the BENCH_egraph.json it emits — always exists.
+// Zero-dependency timer harness for the micro benches (bench/micro_*.cpp),
+// shaped like the small subset of the google-benchmark API they use, so the
+// perf harnesses (and the BENCH_*.json they emit) build on every machine.
 //
 // Supported surface: benchmark::State (range-for iteration, range(),
 // PauseTiming/ResumeTiming, SetItemsProcessed, iterations),
@@ -92,8 +90,8 @@ inline std::vector<Benchmark>& registry() {
   return benchmarks;
 }
 
-/// Returned (as a pointer) by the BENCHMARK macro so ->Arg(n) chains keep
-/// working exactly like google-benchmark's.
+/// Returned (as a pointer) by the BENCHMARK macro so ->Arg(n) chains work
+/// as in google-benchmark.
 class Registrar {
  public:
   explicit Registrar(std::size_t index) : index_(index) {}
@@ -145,7 +143,7 @@ inline void run_one(const Benchmark& bench, std::int64_t arg, bool has_arg) {
 }
 
 inline int RunSpecifiedBenchmarks() {
-  std::printf("%-32s %15s %18s\n", "benchmark (minibench fallback)", "time",
+  std::printf("%-32s %15s %18s\n", "benchmark (minibench)", "time",
               "iterations");
   for (const Benchmark& bench : registry()) {
     if (bench.args.empty()) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Determinism lint for the E-morphic sources (see docs/correctness.md).
+"""Source lint for the E-morphic sources (see docs/correctness.md).
 
 The repo's results must be bit-reproducible across runs, machines, and
 thread counts; this lint catches the three C++ patterns that historically
-break that promise:
+break that promise, plus one layering rule:
 
   unordered-iteration   Range-for over a std::unordered_map/set declared in
                         the same file. Hash-table iteration order is
@@ -22,6 +22,12 @@ break that promise:
                         the process's stdout (the service daemon shares it).
                         Examples and benches are free to print.
 
+  include-layering      A file under src/{aig,sat,egraph,cec,opt,extract,
+                        mapper}/ includes flow/, service/, core/ or ml/.
+                        Dependencies point one way (aig -> egraph/sat ->
+                        opt/extract/mapper -> flow -> service); a lower layer
+                        that needs an upper one gets split instead.
+
 Waiver syntax (same line or the line directly above):
 
     // lint:allow(<rule>) <reason>
@@ -39,7 +45,8 @@ import pathlib
 import re
 import sys
 
-RULES = ("unordered-iteration", "nondeterministic-seed", "stdout-in-library")
+RULES = ("unordered-iteration", "nondeterministic-seed", "stdout-in-library",
+         "include-layering")
 
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)\s*(.*)$")
 
@@ -60,6 +67,10 @@ SEED_PATTERNS = (
     (re.compile(r"reinterpret_cast<\s*(?:std::)?u?int(?:ptr)?(?:64)?_t\s*>\s*\(\s*(?:this|&)"),
      "object address used as a value (ASLR-dependent)"),
 )
+
+# The layers below flow/ and the upper layers they must never include.
+LOWER_LAYERS = ("aig", "sat", "egraph", "cec", "opt", "extract", "mapper")
+UPPER_INCLUDE_RE = re.compile(r'#include\s+"((?:flow|service|core|ml)/[^"]*)"')
 
 STDOUT_PATTERNS = (
     (re.compile(r"\bstd::cout\b"), "std::cout in library code"),
@@ -136,7 +147,13 @@ def unordered_names(lines: list[str]) -> set[str]:
 
 
 def lint_file(f: File, names: set[str], check_stdout: bool) -> None:
+    layer = f.rel.split("/")[1]
     for idx, raw in enumerate(f.lines):
+        m = UPPER_INCLUDE_RE.match(raw.strip())
+        if m and layer in LOWER_LAYERS:
+            f.report(idx, "include-layering",
+                     f"src/{layer}/ includes \"{m.group(1)}\" — a lower "
+                     "layer must not depend on flow/, service/, core/ or ml/")
         line = code_part(raw)
         for m in RANGE_FOR_RE.finditer(line):
             expr = m.group(1)

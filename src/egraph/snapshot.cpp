@@ -1,7 +1,10 @@
 #include "egraph/snapshot.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+
+#include "util/rng.hpp"
 
 namespace emorphic {
 
@@ -48,6 +51,18 @@ namespace {
 
 constexpr char kSnapshotMagic[4] = {'E', 'M', 'S', 'S'};
 constexpr std::uint64_t kSnapshotVersion = 1;
+constexpr std::uint64_t kCheckpointVersion = 1;
+
+/// Write `head` then `body` to `path`; throws SnapshotError naming the path
+/// when the file cannot be opened or fully written.
+void write_checkpoint_file(const std::string& path, const std::string& head,
+                           const std::string& body, std::ios::openmode mode) {
+  std::ofstream out(path, std::ios::binary | mode);
+  out.write(head.data(), static_cast<std::streamsize>(head.size()));
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  out.close();
+  if (!out) throw SnapshotError("cannot write checkpoint file '" + path + "'");
+}
 
 void write_enode(SnapshotWriter& w, const ENode& node) {
   w.u8(static_cast<std::uint8_t>(node.op));
@@ -99,7 +114,9 @@ void SnapshotReader::expect_magic(const char tag[4], const char* format_name) {
     throw SnapshotError(std::string(format_name) + ": truncated before magic");
   }
   if (std::memcmp(data_.data() + pos_, tag, 4) != 0) {
-    throw SnapshotError(std::string(format_name) + ": wrong magic");
+    throw SnapshotError(std::string(format_name) +
+                        ": wrong magic (expected \"" + std::string(tag, 4) +
+                        "\")");
   }
   pos_ += 4;
 }
@@ -274,13 +291,51 @@ EGraph snapshot_to_egraph(const std::string& bytes) {
   return g;
 }
 
-void write_checkpoint_file(const std::string& path, const std::string& data,
-                           bool append) {
-  std::ofstream out(path, std::ios::binary |
-                              (append ? std::ios::app : std::ios::trunc));
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
-  if (!out) throw SnapshotError("cannot write checkpoint file '" + path + "'");
+// --- checkpoint envelope ----------------------------------------------------
+
+std::uint64_t fingerprint_fold(std::uint64_t h, std::uint64_t v) {
+  return splitmix64(h ^ splitmix64(v));
+}
+
+std::optional<std::string> read_checkpoint(const std::string& path,
+                                           const char magic[4],
+                                           const char* format,
+                                           std::uint64_t fingerprint) {
+  std::ifstream in(path, std::ios::binary);
+  std::string data(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>{});
+  if (data.empty()) return std::nullopt;  // absent, unreadable or empty
+  SnapshotReader r(data);
+  r.expect_magic(magic, format);
+  std::uint64_t version = r.varint("version");
+  if (version != kCheckpointVersion) {
+    throw SnapshotError("unsupported " + std::string(format) + " version " +
+                        std::to_string(version));
+  }
+  if (r.varint("fingerprint") != fingerprint) {
+    throw SnapshotError(std::string(format) +
+                        " was taken for a different circuit or configuration "
+                        "(fingerprint mismatch) — delete it to start over");
+  }
+  return data.substr(data.size() - r.remaining());
+}
+
+void replace_checkpoint(const std::string& path, const char magic[4],
+                        std::uint64_t fingerprint, const std::string& body) {
+  SnapshotWriter header;
+  header.magic(magic);
+  header.varint(kCheckpointVersion);
+  header.varint(fingerprint);
+  const std::string tmp = path + ".tmp";
+  write_checkpoint_file(tmp, header.str(), body, std::ios::trunc);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw SnapshotError("cannot move checkpoint '" + tmp + "' into place at '" +
+                        path + "'");
+  }
+}
+
+void append_checkpoint(const std::string& path, const std::string& record) {
+  write_checkpoint_file(path, {}, record, std::ios::app);
 }
 
 }  // namespace emorphic

@@ -24,6 +24,7 @@
 // snapshot throws SnapshotError and never crashes or over-allocates.
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -51,16 +52,35 @@ std::string egraph_to_snapshot(const EGraph& egraph);
 /// SnapshotError on any malformed input.
 EGraph snapshot_to_egraph(const std::string& bytes);
 
+// --- checkpoint envelope ----------------------------------------------------
+// Every checkpoint file ("EMCK", "EMPC") opens with one header: a 4-byte
+// magic, varint version 1, and a varint fingerprint of everything the
+// recorded progress depends on. The body after it is format-specific.
+
+/// Fold one configuration value into a checkpoint fingerprint.
+std::uint64_t fingerprint_fold(std::uint64_t h, std::uint64_t v);
+
+/// The body of the checkpoint at `path`; nothing when the file is absent or
+/// empty. Throws SnapshotError naming `format` on a wrong magic or version,
+/// or on a fingerprint other than `fingerprint`.
+std::optional<std::string> read_checkpoint(const std::string& path,
+                                           const char magic[4],
+                                           const char* format,
+                                           std::uint64_t fingerprint);
+
+/// Replace the checkpoint at `path` with header + `body` atomically (write
+/// `path.tmp`, rename it into place), so a crash leaves the previous file.
+/// Throws SnapshotError naming the path when it cannot be written: a
+/// checkpoint that silently fails to persist leaves a crash unrecoverable.
+void replace_checkpoint(const std::string& path, const char magic[4],
+                        std::uint64_t fingerprint, const std::string& body);
+
+/// Append one record to the checkpoint at `path` (same error contract).
+void append_checkpoint(const std::string& path, const std::string& record);
+
 // --- shared binary primitives -----------------------------------------------
 // Reused by the checkpoint file formats (flow/pipeline.cpp's saturation
-// checkpoints, opt/partition.cpp's window-result checkpoints).
-
-/// Write `data` to the checkpoint file `path`, replacing its contents or,
-/// with `append`, extending them. Throws SnapshotError naming the path when
-/// the file cannot be opened or fully written: a checkpoint that silently
-/// fails to persist would leave a crash unrecoverable.
-void write_checkpoint_file(const std::string& path, const std::string& data,
-                           bool append = false);
+// checkpoints, flow/partition_flow.cpp's window-result checkpoints).
 
 /// Append-only byte-buffer writer with LEB128 varints.
 class SnapshotWriter {

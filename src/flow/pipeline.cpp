@@ -1,7 +1,5 @@
 #include "flow/pipeline.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -13,7 +11,7 @@
 #include "check/validators.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/snapshot.hpp"
-#include "util/rng.hpp"
+#include "flow/partition_flow.hpp"
 
 namespace emorphic {
 
@@ -137,23 +135,22 @@ namespace {
 // parameters restores the snapshot and runs only the remaining iterations;
 // because the runner's iterations are deterministic functions of the
 // e-graph state, the resumed trajectory is bit-identical to the
-// uninterrupted one (tests/flow/test_checkpoint.cpp). The file is written
-// to a sibling ".tmp" and renamed into place, so a kill mid-write leaves
-// the previous complete checkpoint, never a torn one.
+// uninterrupted one (tests/flow/test_checkpoint.cpp). The checkpoint
+// envelope replaces the file atomically, so a kill mid-write leaves the
+// previous complete checkpoint, never a torn one.
 
 constexpr char kRewriteCkptMagic[4] = {'E', 'M', 'C', 'K'};
-constexpr std::uint64_t kRewriteCkptVersion = 1;
+constexpr const char* kRewriteCkptFormat = "rewrite checkpoint";
 
 /// Everything the saturation trajectory depends on. A checkpoint whose
 /// fingerprint disagrees was taken under a different run and throws
 /// (restoring it would silently splice two unrelated saturations).
 std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx) {
   std::uint64_t h = structural_signature(ctx.current);
-  auto fold = [&h](std::uint64_t v) { h = splitmix64(h ^ splitmix64(v)); };
-  fold(ctx.params.rewrite.max_iterations);
-  fold(ctx.params.rewrite.max_enodes);
-  fold(ctx.params.rewrite.max_matches_per_rule);
-  fold(ctx.seed);
+  h = fingerprint_fold(h, ctx.params.rewrite.max_iterations);
+  h = fingerprint_fold(h, ctx.params.rewrite.max_enodes);
+  h = fingerprint_fold(h, ctx.params.rewrite.max_matches_per_rule);
+  h = fingerprint_fold(h, ctx.seed);
   return h;
 }
 
@@ -162,27 +159,14 @@ std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx) {
 /// mismatch or corruption.
 std::uint64_t load_rewrite_ckpt(const std::string& path,
                                 std::uint64_t fingerprint, EGraph& egraph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::string data(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>{});
-  if (data.empty()) return 0;
-  SnapshotReader r(data);
-  r.expect_magic(kRewriteCkptMagic, "rewrite checkpoint");
-  std::uint64_t version = r.varint("version");
-  if (version != kRewriteCkptVersion) {
-    throw SnapshotError("unsupported rewrite checkpoint version " +
-                        std::to_string(version));
-  }
-  if (r.varint("fingerprint") != fingerprint) {
-    throw SnapshotError(
-        "rewrite checkpoint was taken for a different circuit or "
-        "configuration (fingerprint mismatch) — delete it to start over");
-  }
+  std::optional<std::string> body =
+      read_checkpoint(path, kRewriteCkptMagic, kRewriteCkptFormat, fingerprint);
+  if (!body.has_value()) return 0;
+  SnapshotReader r(*body);
   std::uint64_t iterations = r.varint("iterations done");
   std::uint64_t len = r.varint("snapshot length");
   std::string snapshot = r.bytes(len, "e-graph snapshot");
-  r.expect_end("rewrite checkpoint");
+  r.expect_end(kRewriteCkptFormat);
   egraph = snapshot_to_egraph(snapshot);
   return iterations;
 }
@@ -190,19 +174,11 @@ std::uint64_t load_rewrite_ckpt(const std::string& path,
 void save_rewrite_ckpt(const std::string& path, std::uint64_t fingerprint,
                        std::uint64_t iterations, const EGraph& egraph) {
   SnapshotWriter w;
-  w.magic(kRewriteCkptMagic);
-  w.varint(kRewriteCkptVersion);
-  w.varint(fingerprint);
   w.varint(iterations);
   std::string snapshot = egraph_to_snapshot(egraph);
   w.varint(snapshot.size());
   w.bytes(snapshot);
-  std::string tmp = path + ".tmp";
-  write_checkpoint_file(tmp, w.str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw SnapshotError("cannot move checkpoint '" + tmp + "' into place at '" +
-                        path + "'");
-  }
+  replace_checkpoint(path, kRewriteCkptMagic, fingerprint, w.str());
 }
 
 }  // namespace
@@ -416,16 +392,10 @@ void LutMapStage::run(FlowContext& ctx) const {
 // --- partition --------------------------------------------------------------
 
 void PartitionStage::run(FlowContext& ctx) const {
-  PartitionParams pp;
-  pp.window_size = ctx.params.window_size;
-  pp.seed = ctx.seed != 0 ? ctx.seed : ctx.params.sa.seed;
-  pp.rewrite = ctx.params.rewrite;
-  pp.window_fraig = ctx.params.fraig_post;
-  pp.fraig = ctx.params.fraig;
-  pp.window_cec = ctx.params.cec_params;
-  pp.checkpoint_path = ctx.params.checkpoint_path;
-  pp.cancel = ctx.cancel;
-  PartitionResult result = partition_optimize(ctx.current, pp);
+  PartitionParams run;
+  run.seed = ctx.seed != 0 ? ctx.seed : ctx.params.sa.seed;
+  run.cancel = ctx.cancel;
+  PartitionResult result = partition_optimize(ctx.current, ctx.params, run);
   ctx.partition_stats = result.stats;
   if (!result.stats.completed) {
     // Cancelled between chunks: the checkpoint holds the progress; leave

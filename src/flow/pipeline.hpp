@@ -135,7 +135,7 @@ struct FlowParams {
   bool paranoia = false;
   /// Opt into windowed (partitioned) saturation in `Pipeline::emorphic
   /// (params)`: the whole-circuit conversion/rewrite/extract body is
-  /// replaced by the "partition" stage (opt/partition.hpp), which
+  /// replaced by the "partition" stage (flow/partition_flow.hpp), which
   /// decomposes the circuit into bounded fanin-cone windows, saturates
   /// each on the batch workers, CEC-gates every adopted window and
   /// stitches them back. The scaling mode for circuits too large for one
@@ -509,16 +509,11 @@ class LutMapStage : public Stage {
   void run(FlowContext& ctx) const override;
 };
 
-/// Windowed saturation of ctx.current (opt/partition.hpp): decompose into
-/// bounded fanin-cone windows, saturate/extract each window on a nested
-/// run_batch, SAT-gate every adopted window, stitch the results back.
-/// Configured by FlowParams::{window_size, checkpoint_path}; the per-window
-/// flow inherits params.rewrite, params.fraig (placed by fraig_post) and
-/// params.cec_params for the window gate. Stats land in
-/// FlowResult::partition_stats. When the external cancel flag stops the
-/// nested batch between chunks, ctx.current is left untouched (progress
-/// persists in the checkpoint file, not the context). Registered as
-/// "partition".
+/// Windowed saturation of ctx.current: partition_optimize
+/// (flow/partition_flow.hpp) seeded by ctx.seed, or sa.seed when that is 0.
+/// Stats land in FlowResult::partition_stats. When the external cancel flag
+/// stops the nested batch between chunks, ctx.current is left untouched
+/// (progress persists in the checkpoint file). Registered as "partition".
 class PartitionStage : public Stage {
  public:
   const char* name() const override { return "partition"; }

@@ -1,79 +1,23 @@
 #pragma once
-// Windowed (partitioned) saturation — the scaling mode for industrial-size
-// AIGs (ROADMAP item 4). Whole-circuit equality saturation dies on
-// million-gate designs: the e-graph node cap is reached before a single
-// rewrite fires. This module decomposes the circuit into bounded fanin-cone
-// windows, saturates and extracts each window independently on the batch
-// worker pool, stitches the optimized windows back, and gates every adopted
-// window with a SAT equivalence check.
-//
-// Determinism contract: the window assignment is a pure function of the
-// circuit and window size; per-window seeds derive from the base seed and
-// the window's chunk index (never from worker scheduling); every window
-// result is normalized through the binary AIGER round trip before adoption.
-// The same circuit, seed and window size therefore produce a bit-identical
-// stitched netlist at any thread count — tests/opt/test_partition.cpp holds
-// this across {1,2,4,8} workers.
-//
-// Checkpointing: windows are processed in fixed-size chunks; after each
-// chunk, its results are appended to the checkpoint file ("EMPC" format,
-// built on the egraph/snapshot.hpp primitives). A resumed run replays the
-// recorded chunks byte-for-byte and recomputes only the missing ones, so an
-// interrupted and a straight-through run finish with identical netlists. A
-// torn tail (partial last record after a crash) is detected and truncated;
-// a checkpoint from a different circuit or configuration throws
-// SnapshotError (fingerprint mismatch) instead of silently corrupting the
-// result.
+// Window geometry for windowed (partitioned) saturation, the scaling mode
+// whose flow lives in flow/partition_flow.hpp: a deterministic
+// decomposition of an AIG into bounded fanin-cone windows, each window as a
+// standalone AIG, and the stitch that rebuilds the whole circuit. All of it
+// is a pure function of the circuit and the window size.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "cec/cec.hpp"
-#include "egraph/runner.hpp"
-#include "opt/fraig.hpp"
 
 namespace emorphic {
-
-class WarmCache;  // flow/warm_cache.hpp
 
 /// Sentinel window id for variables that belong to no window (PIs, const0).
 constexpr std::uint32_t kNoWindow = 0xffffffffu;
 
-struct PartitionParams {
-  /// Maximum AND nodes per window. 1 degenerates to per-node windows;
-  /// >= the circuit's AND count degenerates to one whole-circuit window.
-  std::uint32_t window_size = 1000;
-  /// Base seed; per-chunk batch seeds derive from it deterministically.
-  std::uint64_t seed = 1;
-  /// Worker threads for the nested run_batch; 0 = hardware concurrency.
-  /// Never affects results (the batch driver's determinism contract).
-  unsigned num_threads = 0;
-  /// Inner per-window saturation caps. match_threads is forced to 1: the
-  /// windows themselves are the parallelism.
-  RunnerParams rewrite;
-  /// Append a SAT sweep to the per-window flow.
-  bool window_fraig = false;
-  FraigParams fraig;
-  /// Per-window equivalence gate. time_limit_s is forced to 0 (the conflict
-  /// limit is the only budget) so the adopt/reject decision is deterministic;
-  /// an undecided check rejects the window.
-  CecParams window_cec;
-  /// Checkpoint file ("EMPC" format); empty disables checkpointing.
-  std::string checkpoint_path;
-  /// Test seam: stop (with stats.completed == false) after freshly
-  /// processing this many chunks; 0 = run to completion. Used to exercise
-  /// the resume path deterministically.
-  unsigned stop_after_chunks = 0;
-  /// External cancellation, polled between chunks.
-  std::atomic<bool>* cancel = nullptr;
-  /// Optional shared warm cache for the nested batch (flow/warm_cache.hpp).
-  WarmCache* warm_cache = nullptr;
-};
-
+/// Counters of one windowed-flow run (flow/partition_flow.hpp).
 struct PartitionStats {
   std::size_t num_windows = 0;
   std::size_t chunks_total = 0;
@@ -120,17 +64,12 @@ std::vector<Window> build_windows(const Aig& aig,
 /// (named "v<var>"), one PO per boundary output, members replayed in order.
 Aig extract_window(const Aig& aig, const Window& window);
 
-struct PartitionResult {
-  Aig optimized;
-  PartitionStats stats;
-};
-
-/// The full windowed flow: assign -> extract -> saturate/extract per window
-/// (nested run_batch) -> per-window CEC gate -> stitch. See the file header
-/// for the determinism and checkpoint contracts. Throws SnapshotError when
-/// an existing checkpoint file does not match this circuit/configuration,
-/// std::invalid_argument for window_size == 0.
-PartitionResult partition_optimize(const Aig& input,
-                                   const PartitionParams& params);
+/// Rebuild the whole circuit into a fresh AIG, windows ascending: window w
+/// is replayed from `input`, or replaced by `optimized[w]` when set (a
+/// circuit with extract_window's interface). Rebuilding, unlike
+/// Aig::substitute, allows replacements with higher variable numbers and
+/// strashes across window seams.
+Aig stitch(const Aig& input, const std::vector<Window>& windows,
+           const std::vector<std::optional<Aig>>& optimized);
 
 }  // namespace emorphic

@@ -1,5 +1,7 @@
 #include "service/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "aig/cut.hpp"
@@ -17,10 +19,23 @@ double expect_number(const Json& value, const std::string& key) {
   return value.as_number();
 }
 
-unsigned expect_unsigned(const Json& value, const std::string& key) {
+/// A JSON number as an unsigned T. Negative, non-integral and out-of-range
+/// values are rejected: casting them would be undefined behavior.
+template <typename T>
+T expect_integer(const Json& value, const std::string& key) {
   double n = expect_number(value, key);
   if (n < 0) bad("field '" + key + "' must be non-negative");
-  return static_cast<unsigned>(n);
+  if (n != std::floor(n)) bad("field '" + key + "' must be an integer");
+  // 2^digits, exact as a double, is the first value T cannot hold.
+  if (n >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    bad("field '" + key + "' exceeds " +
+        std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(n);
+}
+
+unsigned expect_unsigned(const Json& value, const std::string& key) {
+  return expect_integer<unsigned>(value, key);
 }
 
 bool expect_bool(const Json& value, const std::string& key) {
@@ -97,7 +112,7 @@ JobRequest JobRequest::from_json(const Json& msg) {
     } else if (key == "flow") {
       req.flow = expect_string(value, key);
     } else if (key == "seed") {
-      req.seed = static_cast<std::uint64_t>(expect_number(value, key));
+      req.seed = expect_integer<std::uint64_t>(value, key);
     } else if (key == "deadline_s") {
       req.deadline_s = expect_number(value, key);
       if (req.deadline_s < 0) bad("field 'deadline_s' must be non-negative");
@@ -149,9 +164,9 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
       }
       params->lut_size = k;
     } else if (key == "partition") {
-      // Windowed saturation (opt/partition.hpp) for circuits too large for
-      // whole-circuit conversion. checkpoint_path is deliberately NOT
-      // exposed: clients must not name server-side filesystem paths.
+      // Windowed saturation (flow/partition_flow.hpp) for circuits too
+      // large for whole-circuit conversion. checkpoint_path is deliberately
+      // NOT exposed: clients must not name server-side filesystem paths.
       params->partition = expect_bool(value, key);
     } else if (key == "window_size") {
       unsigned w = expect_unsigned(value, key);
@@ -182,9 +197,11 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
       for (const auto& [rkey, rval] : value.as_object()) {
         const std::string path = "rewrite." + rkey;
         if (rkey == "max_iterations") {
-          params->rewrite.max_iterations = expect_unsigned(rval, path);
+          params->rewrite.max_iterations =
+              expect_integer<std::size_t>(rval, path);
         } else if (rkey == "max_enodes") {
-          params->rewrite.max_enodes = expect_unsigned(rval, path);
+          params->rewrite.max_enodes =
+              expect_integer<std::size_t>(rval, path);
         } else if (rkey == "time_limit_s") {
           params->rewrite.time_limit_s = expect_number(rval, path);
         } else if (rkey == "match_threads") {

@@ -490,8 +490,10 @@ void SynthServer::process(std::shared_ptr<Job> job, FlowContext& ctx) {
   }
   // Cache only untainted completions: a run whose budget fired inside the
   // final stage (stop_reason without cancelled) still answered, but is not
-  // a canonical result worth serving to others.
-  if (job->cache_eligible && result.stop_reason == FlowStopReason::kNone) {
+  // a canonical result worth serving to others, and a refuted result must
+  // never be served again as if it were an answer.
+  if (job->cache_eligible && result.stop_reason == FlowStopReason::kNone &&
+      result.verify_status != CecStatus::kNotEquivalent) {
     cache_->insert_flow(job->cache_key,
                         CachedFlow{result.qor, result.final_aig,
                                    result.verify_status});

@@ -1,6 +1,8 @@
 // Mid-saturation checkpoint/restore ("EMCK") and the partition stage as a
 // flow citizen: kill a run mid-rewrite, resume it from the checkpoint file,
 // and require the final netlist to be bit-identical to an uninterrupted run.
+// Also checks that EMCK and EMPC, which share one checkpoint envelope,
+// refuse each other's files.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "egraph/snapshot.hpp"
+#include "flow/partition_flow.hpp"
 #include "flow/pipeline.hpp"
 
 namespace emorphic {
@@ -141,6 +144,49 @@ TEST(RewriteCheckpoint, UnwritablePathThrowsNamingIt) {
               std::string::npos)
         << e.what();
   }
+}
+
+// --- one envelope, two formats ----------------------------------------------
+
+/// Expect `run` to throw a SnapshotError whose message names `format`.
+template <typename Fn>
+void expect_format_error(Fn run, const std::string& format) {
+  try {
+    run();
+    FAIL() << "expected SnapshotError naming " << format;
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(format), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointEnvelope, FormatsRefuseEachOthersFiles) {
+  // Both formats share the envelope's read path; its magic check is what
+  // keeps a file of one format from being parsed as the other.
+  Aig input = make_adder(6);
+  FlowParams rewrite = checkpoint_params();
+  rewrite.checkpoint_path = temp_path("envelope_emck");
+  ASSERT_FALSE(Pipeline::emorphic().run(input, rewrite).cancelled);
+
+  FlowParams windows = checkpoint_params();
+  windows.window_size = 20;
+  windows.checkpoint_path = temp_path("envelope_empc");
+  ASSERT_TRUE(partition_optimize(input, windows).stats.completed);
+
+  // The windowed flow's EMPC file on the Rewrite stage's path...
+  FlowParams swapped = rewrite;
+  swapped.checkpoint_path = windows.checkpoint_path;
+  expect_format_error(
+      [&] { (void)Pipeline::emorphic().run(input, swapped); },
+      "rewrite checkpoint: wrong magic (expected \"EMCK\")");
+  // ...and the Rewrite stage's EMCK file handed to the windowed flow.
+  FlowParams swapped_windows = windows;
+  swapped_windows.checkpoint_path = rewrite.checkpoint_path;
+  expect_format_error(
+      [&] { (void)partition_optimize(input, swapped_windows); },
+      "partition checkpoint: wrong magic (expected \"EMPC\")");
+  std::remove(rewrite.checkpoint_path.c_str());
+  std::remove(windows.checkpoint_path.c_str());
 }
 
 // --- the partition stage inside the flow -------------------------------------

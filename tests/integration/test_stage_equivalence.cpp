@@ -84,7 +84,8 @@ std::map<std::string, Pipeline> stage_harnesses() {
   }
   {
     Pipeline p;
-    p.add("partition");  // windowed saturation + stitch (opt/partition.hpp)
+    // Windowed saturation + stitch (flow/partition_flow.hpp).
+    p.add("partition");
     harness.emplace("partition", std::move(p));
   }
   return harness;

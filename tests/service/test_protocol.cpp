@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <stdexcept>
 #include <thread>
 
@@ -151,6 +153,26 @@ TEST(JobRequest, RejectsMissingOrIllTypedFields) {
       std::invalid_argument);
 }
 
+TEST(JobRequest, RejectsSeedsOutsideTheIntegerRange) {
+  auto parse_seed = [](const char* seed) {
+    return JobRequest::from_json(Json::parse(
+        std::string(R"({"type":"submit","id":"j","circuit":"x","seed":)") +
+        seed + "}"));
+  };
+  EXPECT_EQ(parse_seed("9007199254740992").seed, 9007199254740992ull);
+  // Negative, non-integral and beyond-uint64 seeds: each cast would be
+  // undefined behavior, so each is a typed error naming the field.
+  for (const char* seed : {"-1", "2.5", "1e30", "18446744073709551616"}) {
+    try {
+      (void)parse_seed(seed);
+      ADD_FAILURE() << "seed " << seed << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- FlowParams overrides ---------------------------------------------------
 
 TEST(ApplyFlowParams, AppliesEveryDocumentedKey) {
@@ -199,6 +221,37 @@ TEST(ApplyFlowParams, RejectsUnknownAndIllTypedKeys) {
   EXPECT_THROW(apply_flow_params(&params, negative), std::invalid_argument);
   Json not_object = Json::parse(R"({"sa": 3})");
   EXPECT_THROW(apply_flow_params(&params, not_object), std::invalid_argument);
+}
+
+TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
+  // {override, field named in the error}: non-integral, negative and
+  // above-maximum values for integer fields of several widths.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"rounds": 2.5})", "'rounds'"},
+      {R"({"rounds": -1})", "'rounds'"},
+      {R"({"rounds": 1e20})", "'rounds'"},
+      {R"({"window_size": 4294967296})", "'window_size'"},
+      {R"({"lut_size": 4.5})", "'lut_size'"},
+      {R"({"sa": {"iterations": 1e20}})", "'sa.iterations'"},
+      {R"({"rewrite": {"max_enodes": 1e30}})", "'rewrite.max_enodes'"},
+      {R"({"mapping": {"num_cuts": 0.5}})", "'mapping.num_cuts'"},
+  };
+  for (const auto& [text, field] : cases) {
+    FlowParams params;
+    try {
+      apply_flow_params(&params, Json::parse(text));
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  // Values up to the field type's maximum still pass.
+  FlowParams params;
+  apply_flow_params(&params, Json::parse(R"({"rounds": 4294967295,
+      "rewrite": {"max_enodes": 1e12}})"));
+  EXPECT_EQ(params.rounds, 4294967295u);
+  EXPECT_EQ(params.rewrite.max_enodes, 1000000000000u);
 }
 
 TEST(ApplyFlowParams, ValidatesPartitionKeys) {

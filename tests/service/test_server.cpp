@@ -53,6 +53,23 @@ Pipeline slow_pipeline(const FlowParams&) {
   return pipeline;
 }
 
+/// A deliberately wrong "optimization": complements PO 0.
+class BreakFirstOutputStage : public Stage {
+ public:
+  const char* name() const override { return "BreakFirstOutputTest"; }
+  void run(FlowContext& ctx) const override {
+    ctx.current.set_po(0, lit_not(ctx.current.po(0)));
+  }
+};
+
+/// A flow whose result its own Cec stage refutes.
+Pipeline refuted_pipeline(const FlowParams&) {
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<BreakFirstOutputStage>());
+  pipeline.add("Cec");
+  return pipeline;
+}
+
 /// Server + client over an ephemeral loopback TCP port (no socket files to
 /// clean up, works in any sandbox that allows loopback).
 struct ServerFixture {
@@ -62,6 +79,7 @@ struct ServerFixture {
     config.base_params = quick_params();
     server = std::make_unique<SynthServer>(config);
     server->add_flow("slowtest", slow_pipeline);
+    server->add_flow("refutedtest", refuted_pipeline);
     server->start();
   }
   SynthClient connect() {
@@ -118,6 +136,24 @@ TEST(SynthServer, CompletesAJobAndServesRepeatsFromCache) {
   EXPECT_FALSE(fresh.at("cache_hit").as_bool());
 
   EXPECT_EQ(fx.server->stats().result_cache_hits, 1u);
+}
+
+TEST(SynthServer, NeverCachesARefutedResult) {
+  // A refuted result is reported, but must not be served again from the
+  // flow-result cache as if it were an answer.
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+  for (const char* id : {"refuted-1", "refuted-2"}) {
+    JobRequest req = adder_request(id);
+    req.flow = "refutedtest";
+    req.params["verify"] = true;  // the fixture's base params skip Cec
+    ASSERT_EQ(client.submit(req).at("type").as_string(), "accepted");
+    Json result = client.await(id);
+    ASSERT_EQ(result.at("type").as_string(), "result");
+    EXPECT_EQ(result.at("verify").as_string(), "NOT-equivalent") << id;
+    EXPECT_FALSE(result.at("cache_hit").as_bool()) << id;
+  }
+  EXPECT_EQ(fx.server->stats().result_cache_hits, 0u);
 }
 
 TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
