@@ -91,8 +91,8 @@ void BM_LutMap(minibench::State& state) {
   Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 7);
   LutWorkspace workspace;
   for (auto _ : state) {
-    LutNetwork network = map_to_luts(aig, {}, &workspace);
-    minibench::DoNotOptimize(network.num_luts());
+    MappedNetlist network = map_to_luts(aig, {}, &workspace);
+    minibench::DoNotOptimize(network.num_gates());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -171,20 +171,22 @@ bool run_comparison(const char* json_path) {
   qor_workloads.push_back({"multiplier6", make_multiplier(6)});
   qor_workloads.push_back({"random2k", make_random_aig(16, 2000, 21)});
   for (const Workload& wl : qor_workloads) {
-    LutNetwork luts = map_to_luts(wl.aig);
+    MappedNetlist luts = map_to_luts(wl.aig);
+    const auto depth = static_cast<std::uint64_t>(luts.delay());
     bool ok = cec(wl.aig, luts.to_aig()).status == CecStatus::kEquivalent;
     all_equivalent = all_equivalent && ok;
     MappedQor cells = map_qor(wl.aig, lib);
     Json entry = Json::object();
     entry["circuit"] = wl.name;
-    entry["lut_count"] = static_cast<std::uint64_t>(luts.num_luts());
-    entry["lut_depth"] = static_cast<std::uint64_t>(luts.depth());
+    entry["lut_count"] = static_cast<std::uint64_t>(luts.num_gates());
+    entry["lut_depth"] = depth;
     entry["cell_area"] = cells.area;
     entry["cell_delay"] = cells.delay;
     entry["cec_equivalent"] = ok;
-    std::printf("%-12s luts=%5zu depth=%3u | cells area=%9.1f delay=%7.1f | "
+    std::printf("%-12s luts=%5zu depth=%3llu | cells area=%9.1f delay=%7.1f | "
                 "cec: %s\n",
-                wl.name.c_str(), luts.num_luts(), luts.depth(), cells.area,
+                wl.name.c_str(), luts.num_gates(),
+                static_cast<unsigned long long>(depth), cells.area,
                 cells.delay, ok ? "yes" : "NO");
     qor_results.push_back(std::move(entry));
   }

@@ -3,7 +3,7 @@
 
 The repo's results must be bit-reproducible across runs, machines, and
 thread counts; this lint catches the three C++ patterns that historically
-break that promise, plus one layering rule:
+break that promise, plus a layering rule and a dead-code rule:
 
   unordered-iteration   Range-for over a std::unordered_map/set declared in
                         the same file. Hash-table iteration order is
@@ -28,6 +28,12 @@ break that promise, plus one layering rule:
                         opt/extract/mapper -> flow -> service); a lower layer
                         that needs an upper one gets split instead.
 
+  orphan-header         A src/**/*.hpp that no file under src/, bench/,
+                        examples/ or perfbench/src/ includes. Code only the
+                        tests reach is dead weight; delete it, or waive the
+                        header's `#pragma once` line with the reason it
+                        exists (e.g. a test-only seam).
+
 Waiver syntax (same line or the line directly above):
 
     // lint:allow(<rule>) <reason>
@@ -46,7 +52,10 @@ import re
 import sys
 
 RULES = ("unordered-iteration", "nondeterministic-seed", "stdout-in-library",
-         "include-layering")
+         "include-layering", "orphan-header")
+
+# Where an include keeps a src/ header alive (tests deliberately excluded).
+INCLUDER_DIRS = ("src", "bench", "examples", "perfbench/src")
 
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)\s*(.*)$")
 
@@ -191,6 +200,17 @@ def main() -> int:
                             if len(n) >= 3}
                     for f in files}
 
+    # Headers included (by their src/-relative path) from program code.
+    included: set[str] = set()
+    for d in INCLUDER_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix not in (".cpp", ".hpp", ".h", ".cc"):
+                continue
+            for line in path.read_text(encoding="utf-8").splitlines():
+                m = re.match(r'\s*#include\s+"([^"]+)"', line)
+                if m:
+                    included.add(m.group(1))
+
     # A file's unordered names: its own declarations plus those of the src/
     # headers it directly #includes — members are declared in headers but
     # iterated in .cpp files, so file-local scoping would miss exactly the
@@ -206,6 +226,13 @@ def main() -> int:
             if m:
                 names |= names_by_rel.get("src/" + m.group(1), set())
         lint_file(f, names, check_stdout=True)
+        header = f.rel[len("src/"):]
+        if f.rel.endswith(".hpp") and header not in included:
+            idx = next((i for i, line in enumerate(f.lines)
+                        if line.strip() == "#pragma once"), 0)
+            f.report(idx, "orphan-header",
+                     f"no file under {', '.join(INCLUDER_DIRS)} includes "
+                     f"\"{header}\"")
         for idx in sorted(f.waivers[k][2] for k in f.waivers):
             if idx not in f.used_waivers and idx in f.waivers \
                     and f.waivers[idx][2] == idx:

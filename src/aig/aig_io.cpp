@@ -1,5 +1,6 @@
 #include "aig/aig_io.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -219,6 +220,73 @@ Aig read_equations(const std::string& text) {
 // ASCII AIGER
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// AIGER's delta encoding is LEB128: 7 payload bits per byte, high bit set
+// on every byte but the last.
+void put_delta(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+// Strict decimal parse of a whole token: nonempty, digits only, no overflow.
+// `format` ("aiger" / "aiger binary") prefixes the error message.
+std::uint64_t parse_u64(const std::string& token, const char* what,
+                        const char* format) {
+  std::uint64_t value = 0;
+  const char* begin = token.data();
+  const char* end = begin + token.size();
+  auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end || token.empty()) {
+    throw std::runtime_error(std::string(format) + ": malformed " + what +
+                             " '" + token + "'");
+  }
+  return value;
+}
+
+// The symbol table both AIGER readers share: newline-terminated
+// `i<k> name` / `o<k> name` lines from `pos` to the end of `text`, where a
+// lone `c` line starts the comment section and ends the table. A malformed
+// line or an index outside [0, pi_names.size()) / [0, po_names.size())
+// throws std::runtime_error prefixed with `format`.
+void read_symbol_table(const std::string& text, std::size_t pos,
+                       const char* format, std::vector<std::string>& pi_names,
+                       std::vector<std::string>& po_names) {
+  const std::string prefix = std::string(format) + ": ";
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) {
+      throw std::runtime_error(prefix +
+                               "truncated (no newline) in symbol section");
+    }
+    std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (line == "c") break;  // comment section: ignore the rest
+    std::size_t space = line.find(' ');
+    if (line.empty() || (line[0] != 'i' && line[0] != 'o') ||
+        space == std::string::npos) {
+      throw std::runtime_error(prefix + "malformed symbol line '" + line +
+                               "'");
+    }
+    std::uint64_t index =
+        parse_u64(line.substr(1, space - 1), "symbol index", format);
+    std::vector<std::string>& names = line[0] == 'i' ? pi_names : po_names;
+    if (index >= names.size()) {
+      throw std::runtime_error(prefix +
+                               (line[0] == 'i' ? "input" : "output") +
+                               " symbol index " + std::to_string(index) +
+                               " out of range");
+    }
+    names[static_cast<std::size_t>(index)] = line.substr(space + 1);
+  }
+}
+
+}  // namespace
+
+
 std::string write_aiger(const Aig& aig) {
   // AIGER requires PIs first, then ANDs; our variable numbering already
   // guarantees topological order, but PIs may interleave with ANDs, so remap.
@@ -278,12 +346,12 @@ Aig read_aiger(const std::string& text) {
     throw std::runtime_error("aiger: declared counts exceed input size");
   }
 
-  Aig aig;
+  // Structure is validated and staged first, then built after the symbol
+  // table (which follows the AND section), so PIs carry their names from
+  // construction. Staging grows with the parsed text, never with the
+  // declared counts.
   const std::uint64_t max_lit = 2 * m + 1;
-  std::vector<Lit> map(2 * (m + 1), kLitFalse);
   std::vector<bool> defined(2 * (m + 1), false);
-  map[0] = kLitFalse;
-  map[1] = kLitTrue;
   defined[0] = defined[1] = true;
 
   auto read_lit = [&](const char* section) -> std::uint64_t {
@@ -300,6 +368,7 @@ Aig read_aiger(const std::string& text) {
     return lit;
   };
 
+  std::vector<std::uint64_t> pi_lits;
   for (std::uint64_t k = 0; k < i; ++k) {
     std::uint64_t lit = read_lit("input");
     if (lit < 2 || (lit & 1) != 0) {
@@ -310,15 +379,14 @@ Aig read_aiger(const std::string& text) {
       throw std::runtime_error("aiger: literal " + std::to_string(lit) +
                                " defined twice");
     }
-    Var v = aig.add_pi();
-    map[lit] = make_lit(v);
-    map[lit ^ 1] = lit_not(make_lit(v));
+    pi_lits.push_back(lit);
     defined[lit] = defined[lit ^ 1] = true;
   }
 
-  std::vector<std::uint64_t> po_lits(o);
-  for (auto& lit : po_lits) lit = read_lit("output");
+  std::vector<std::uint64_t> po_lits;
+  for (std::uint64_t k = 0; k < o; ++k) po_lits.push_back(read_lit("output"));
 
+  std::vector<std::array<std::uint64_t, 3>> ands;
   for (std::uint64_t k = 0; k < a; ++k) {
     std::uint64_t out_lit = read_lit("and");
     std::uint64_t in0 = read_lit("and");
@@ -336,9 +404,7 @@ Aig read_aiger(const std::string& text) {
           "aiger: AND fanin used before definition (literal " +
           std::to_string(!defined[in0] ? in0 : in1) + ")");
     }
-    Lit f = aig.make_and(map[in0], map[in1]);
-    map[out_lit] = f;
-    map[out_lit ^ 1] = lit_not(f);
+    ands.push_back({out_lit, in0, in1});
     defined[out_lit] = defined[out_lit ^ 1] = true;
   }
   for (std::uint64_t lit : po_lits) {
@@ -346,7 +412,34 @@ Aig read_aiger(const std::string& text) {
       throw std::runtime_error("aiger: undefined output literal " +
                                std::to_string(lit));
     }
-    aig.add_po(map[lit]);
+  }
+
+  // The symbol table starts on the line after the last token read (at the
+  // end of the text when that token ended it).
+  std::size_t pos = text.size();
+  if (std::streamoff at = in.tellg(); at >= 0) {
+    std::size_t nl = text.find('\n', static_cast<std::size_t>(at));
+    if (nl != std::string::npos) pos = nl + 1;
+  }
+  std::vector<std::string> pi_names(pi_lits.size());
+  std::vector<std::string> po_names(po_lits.size());
+  read_symbol_table(text, pos, "aiger", pi_names, po_names);
+
+  Aig aig;
+  std::vector<Lit> map(2 * (m + 1), kLitFalse);
+  map[1] = kLitTrue;
+  for (std::size_t k = 0; k < pi_lits.size(); ++k) {
+    Lit lit = make_lit(aig.add_pi(pi_names[k]));
+    map[pi_lits[k]] = lit;
+    map[pi_lits[k] ^ 1] = lit_not(lit);
+  }
+  for (const auto& [out_lit, in0, in1] : ands) {
+    Lit f = aig.make_and(map[in0], map[in1]);
+    map[out_lit] = f;
+    map[out_lit ^ 1] = lit_not(f);
+  }
+  for (std::size_t k = 0; k < po_lits.size(); ++k) {
+    aig.add_po(map[po_lits[k]], po_names[k]);
   }
   return aig;
 }
@@ -354,33 +447,6 @@ Aig read_aiger(const std::string& text) {
 // ---------------------------------------------------------------------------
 // Binary AIGER
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// AIGER's delta encoding is LEB128: 7 payload bits per byte, high bit set
-// on every byte but the last.
-void put_delta(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-// Strict decimal parse of a whole token: nonempty, digits only, no overflow.
-std::uint64_t parse_u64(const std::string& token, const char* what) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || token.empty()) {
-    throw std::runtime_error(std::string("aiger binary: malformed ") + what +
-                             " '" + token + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string write_aiger_binary(const Aig& aig) {
   // Same PIs-first remap as write_aiger; in the binary format the remap is
@@ -428,9 +494,9 @@ std::string write_aiger_binary(const Aig& aig) {
 Aig read_aiger_binary(const std::string& bytes) {
   // Hardened to the same standard as read_aiger: truncation, fabricated
   // counts, malformed varints, and out-of-range deltas all throw
-  // std::runtime_error before any allocation is sized off them. Unlike
-  // read_aiger, the symbol table is parsed and PI/PO names preserved —
-  // partition checkpoints rely on names surviving the round trip.
+  // std::runtime_error before any allocation is sized off them. PI/PO
+  // names survive the round trip, which partition checkpoints rely on.
+  constexpr const char* kBinary = "aiger binary";
   std::size_t pos = 0;
   auto read_line = [&](const char* section) -> std::string {
     std::size_t nl = bytes.find('\n', pos);
@@ -452,11 +518,11 @@ Aig read_aiger_binary(const std::string& bytes) {
     if (tokens.size() != 6 || tokens[0] != "aig") {
       throw std::runtime_error("aiger binary: expected 'aig M I L O A' header");
     }
-    std::uint64_t m = parse_u64(tokens[1], "header count");
-    std::uint64_t i = parse_u64(tokens[2], "header count");
-    std::uint64_t l = parse_u64(tokens[3], "header count");
-    std::uint64_t o = parse_u64(tokens[4], "header count");
-    std::uint64_t a = parse_u64(tokens[5], "header count");
+    std::uint64_t m = parse_u64(tokens[1], "header count", kBinary);
+    std::uint64_t i = parse_u64(tokens[2], "header count", kBinary);
+    std::uint64_t l = parse_u64(tokens[3], "header count", kBinary);
+    std::uint64_t o = parse_u64(tokens[4], "header count", kBinary);
+    std::uint64_t a = parse_u64(tokens[5], "header count", kBinary);
     if (l != 0) throw std::runtime_error("aiger binary: latches not supported");
     if (m != i + a) {
       throw std::runtime_error(
@@ -476,7 +542,8 @@ Aig read_aiger_binary(const std::string& bytes) {
     const std::uint64_t max_lit = 2 * m + 1;
     std::vector<std::uint64_t> po_lits(static_cast<std::size_t>(o));
     for (std::uint64_t k = 0; k < o; ++k) {
-      std::uint64_t lit = parse_u64(read_line("output section"), "output literal");
+      std::uint64_t lit = parse_u64(read_line("output section"),
+                                   "output literal", kBinary);
       if (lit > max_lit) {
         throw std::runtime_error("aiger binary: output literal " +
                                  std::to_string(lit) + " out of range (max " +
@@ -527,35 +594,7 @@ Aig read_aiger_binary(const std::string& bytes) {
 
     std::vector<std::string> pi_names(static_cast<std::size_t>(i));
     std::vector<std::string> po_names(static_cast<std::size_t>(o));
-    while (pos < bytes.size()) {
-      std::string line = read_line("symbol section");
-      if (line == "c") break;  // comment section: ignore the rest
-      if (line.empty() || (line[0] != 'i' && line[0] != 'o')) {
-        throw std::runtime_error("aiger binary: malformed symbol line '" +
-                                 line + "'");
-      }
-      std::size_t space = line.find(' ');
-      if (space == std::string::npos) {
-        throw std::runtime_error("aiger binary: malformed symbol line '" +
-                                 line + "'");
-      }
-      std::uint64_t index =
-          parse_u64(line.substr(1, space - 1), "symbol index");
-      std::string name = line.substr(space + 1);
-      if (line[0] == 'i') {
-        if (index >= i) {
-          throw std::runtime_error("aiger binary: input symbol index " +
-                                   std::to_string(index) + " out of range");
-        }
-        pi_names[static_cast<std::size_t>(index)] = std::move(name);
-      } else {
-        if (index >= o) {
-          throw std::runtime_error("aiger binary: output symbol index " +
-                                   std::to_string(index) + " out of range");
-        }
-        po_names[static_cast<std::size_t>(index)] = std::move(name);
-      }
-    }
+    read_symbol_table(bytes, pos, kBinary, pi_names, po_names);
 
     // Build: variables 1..I are the implicit inputs, I+1..I+A the ANDs in
     // definition order. Deltas were range-checked against lhs above, so

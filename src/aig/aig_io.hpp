@@ -21,14 +21,16 @@ Aig read_equations(const std::string& text);
 /// Serialize to ASCII AIGER ("aag"). Combinational only.
 std::string write_aiger(const Aig& aig);
 
-/// Parse ASCII AIGER; throws std::runtime_error on malformed input or latches.
+/// Parse ASCII AIGER, symbol table included (PI/PO names survive a round
+/// trip); throws std::runtime_error on malformed input — a bad symbol line
+/// too — or latches.
 Aig read_aiger(const std::string& text);
 
 /// Serialize to binary AIGER ("aig"): inputs implicit, AND fanins
 /// delta-encoded as LEB128 varints — roughly 5-10x smaller than "aag" on
 /// large circuits, which is what the partition checkpoints and the scaled
-/// benchmarks store. PI/PO names are written to the symbol table (unlike
-/// read_aiger, read_aiger_binary preserves them). Combinational only.
+/// benchmarks store. PI/PO names are written to the symbol table, and
+/// both readers parse it with the same code. Combinational only.
 ///
 /// The writer renumbers variables PIs-first then ANDs in ascending index
 /// order, so write ∘ read is a fixed point: re-serializing a parsed circuit

@@ -130,6 +130,11 @@ class CutManager {
              const CutParams& params, CutArena* arena = nullptr,
              ThreadPool* pool = nullptr);
 
+  /// One constructor for both: choice-aware when `choices` is non-null,
+  /// plain otherwise.
+  CutManager(const Aig& aig, const AigChoices* choices,
+             const CutParams& params, CutArena* arena, ThreadPool* pool);
+
   // arena_ may point at the own_ member, so compiler-generated copies/moves
   // would dangle.
   CutManager(const CutManager&) = delete;
@@ -150,9 +155,6 @@ class CutManager {
 
  private:
   friend struct check::CheckProbe;
-
-  CutManager(const Aig& aig, const AigChoices* choices,
-             const CutParams& params, CutArena* arena, ThreadPool* pool);
 
   void process_node(Var v, std::vector<Cut>& scratch, SpanStore<Cut>& store);
   void enumerate_serial();

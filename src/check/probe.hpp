@@ -1,3 +1,4 @@
+// lint:allow(orphan-header) test-only seam for the validator tests
 #pragma once
 // CheckProbe: the deliberate backdoor into the core structures' private
 // state, used ONLY to seed corruption in tests/check/test_validators.cpp so
@@ -18,7 +19,7 @@
 #include "aig/choice.hpp"
 #include "aig/cut.hpp"
 #include "egraph/egraph.hpp"
-#include "mapper/lut_mapper.hpp"
+#include "mapper/netlist.hpp"
 
 namespace emorphic::check {
 
@@ -69,13 +70,9 @@ struct CheckProbe {
     }
   }
 
-  // --- LutNetwork ----------------------------------------------------------
-  static std::vector<MappedLut>& luts(LutNetwork& network) {
-    return network.luts_;
-  }
-  static std::vector<std::pair<std::uint32_t, bool>>& const_nets(
-      LutNetwork& network) {
-    return network.const_nets_;
+  // --- MappedNetlist -------------------------------------------------------
+  static std::vector<MappedGate>& gates(MappedNetlist& netlist) {
+    return netlist.gates_;
   }
 };
 

@@ -10,7 +10,7 @@
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
 #include "egraph/egraph.hpp"
-#include "mapper/lut_mapper.hpp"
+#include "mapper/netlist.hpp"
 #include "util/rng.hpp"
 
 namespace emorphic::check {
@@ -251,17 +251,17 @@ std::string check_cuts(const CutManager& cuts) {
   return "";
 }
 
-std::string check_lut_network(const LutNetwork& network) {
-  const std::size_t n = network.num_nets();
+std::string check_netlist(const MappedNetlist& netlist) {
+  const std::size_t n = netlist.num_nets();
   std::vector<std::uint8_t> defined(n, 0);
-  for (std::uint32_t net : network.pis()) {
+  for (std::uint32_t net : netlist.pis()) {
     if (net >= n) return "PI net " + std::to_string(net) + " out of range";
     if (defined[net]) {
       return "net " + std::to_string(net) + " driven twice (PI)";
     }
     defined[net] = 1;
   }
-  for (const auto& [net, value] : network.const_nets()) {
+  for (const auto& [net, value] : netlist.const_nets()) {
     (void)value;
     if (net >= n) {
       return "constant net " + std::to_string(net) + " out of range";
@@ -271,39 +271,52 @@ std::string check_lut_network(const LutNetwork& network) {
     }
     defined[net] = 1;
   }
-  for (std::size_t i = 0; i < network.luts().size(); ++i) {
-    const MappedLut& lut = network.luts()[i];
-    if (lut.inputs.empty() || lut.inputs.size() > kMaxCutSize) {
-      return "LUT " + std::to_string(i) + ": illegal input count " +
-             std::to_string(lut.inputs.size());
+  for (std::size_t i = 0; i < netlist.gates().size(); ++i) {
+    const MappedGate& gate = netlist.gates()[i];
+    auto where = [i] { return "gate " + std::to_string(i); };
+    if (netlist.is_lut()) {
+      if (gate.inputs.empty() || gate.inputs.size() > kMaxCutSize) {
+        return where() + ": illegal LUT input count " +
+               std::to_string(gate.inputs.size());
+      }
+    } else {
+      const CellLibrary& library = netlist.library();
+      if (gate.cell >= library.size()) {
+        return where() + ": cell id " + std::to_string(gate.cell) +
+               " out of range";
+      }
+      const Cell& cell = library.cell(gate.cell);
+      if (gate.inputs.size() != cell.num_inputs) {
+        return where() + ": " + std::to_string(gate.inputs.size()) +
+               " inputs on cell " + cell.name + " with " +
+               std::to_string(cell.num_inputs) + " pins";
+      }
     }
-    for (std::uint32_t in : lut.inputs) {
+    for (std::uint32_t in : gate.inputs) {
       if (in >= n) {
-        return "LUT " + std::to_string(i) + ": input net " +
-               std::to_string(in) + " out of range";
+        return where() + ": input net " + std::to_string(in) +
+               " out of range";
       }
       if (!defined[in]) {
-        return "LUT " + std::to_string(i) + ": input net " +
-               std::to_string(in) +
+        return where() + ": input net " + std::to_string(in) +
                " used before definition (emission order broken)";
       }
     }
-    if ((lut.tt & ~tt_mask(static_cast<unsigned>(lut.inputs.size()))) != 0) {
-      return "LUT " + std::to_string(i) +
-             ": truth table spills past its inputs' minterms";
+    if ((gate.tt & ~tt_mask(static_cast<unsigned>(gate.inputs.size()))) != 0) {
+      return where() + ": truth table spills past its inputs' minterms";
     }
-    if (lut.output >= n) {
-      return "LUT " + std::to_string(i) + ": output net " +
-             std::to_string(lut.output) + " out of range";
+    if (gate.output >= n) {
+      return where() + ": output net " + std::to_string(gate.output) +
+             " out of range";
     }
-    if (defined[lut.output]) {
-      return "net " + std::to_string(lut.output) + " driven twice (LUT " +
-             std::to_string(i) + ")";
+    if (defined[gate.output]) {
+      return "net " + std::to_string(gate.output) + " driven twice (" +
+             where() + ")";
     }
-    defined[lut.output] = 1;
+    defined[gate.output] = 1;
   }
-  for (std::size_t i = 0; i < network.pos().size(); ++i) {
-    std::uint32_t net = network.pos()[i];
+  for (std::size_t i = 0; i < netlist.pos().size(); ++i) {
+    std::uint32_t net = netlist.pos()[i];
     if (net >= n || !defined[net]) {
       return "PO " + std::to_string(i) + ": net " + std::to_string(net) +
              " is undefined";

@@ -4,7 +4,7 @@
 //
 // Each validator walks the whole structure and returns an empty string when
 // it is consistent, else a description of the *first* violation naming the
-// offending node/class/LUT — the same convention as EGraph::check_invariants
+// offending node/class/gate — the same convention as EGraph::check_invariants
 // and AigChoices::check, which they subsume. They are always compiled (the
 // pipeline's paranoia mode calls them at stage boundaries in release builds);
 // the EMORPHIC_CHECKS option only gates the internal call sites at
@@ -22,7 +22,7 @@ class Aig;
 class AigChoices;
 class CutManager;
 class EGraph;
-class LutNetwork;
+class MappedNetlist;
 
 namespace check {
 
@@ -56,12 +56,14 @@ std::string check_choices(const Aig& aig, const AigChoices& choices);
 /// it — no dominated cuts.
 std::string check_cuts(const CutManager& cuts);
 
-/// LUT-network invariants: nets in range and driven exactly once (by a PI
-/// declaration, a constant tie, or one LUT), LUT inputs within the 6-input
-/// truth-table domain and defined before use (topological emission order),
+/// Mapped-netlist invariants, for cell and LUT netlists alike: nets in
+/// range and driven exactly once (by a PI declaration, a constant tie, or
+/// one gate), gate inputs defined before use (topological emission order),
 /// truth tables confined to their inputs' minterms, and every PO driven by
-/// a defined net.
-std::string check_lut_network(const LutNetwork& network);
+/// a defined net. A cell gate's id must name a library cell and its input
+/// count equal that cell's pin count; a LUT gate has 1 to kMaxCutSize
+/// inputs.
+std::string check_netlist(const MappedNetlist& netlist);
 
 }  // namespace check
 }  // namespace emorphic

@@ -233,22 +233,17 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
   return result;
 }
 
-ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
-                                        const Matcher& matcher,
-                                        const MapperParams& params,
-                                        MapperWorkspace* workspace) {
-  MappedNetlist choice = map_to_cells(caig, matcher, params, workspace);
-  // The plain baseline maps the identical network through the identical
-  // kernel without the rings: the alternative cones are then invisible
-  // (no PO-reachable fanout, so they influence neither the reference
-  // estimate nor the cover), making this exactly the pre-choicemap
-  // mapping of the committed extraction. The baseline does pay cut
-  // enumeration over the dead alternative cones; stripping them first is
-  // not safe-by-index (an alternative may strash onto a base-cone
-  // intermediate), and this is the once-per-flow final mapping, not the
-  // SA hot path.
-  MappedNetlist plain = map_to_cells(caig.aig, matcher, params, workspace);
+namespace {
 
+// The plain baseline maps the identical network through the identical
+// kernel without the rings: the alternative cones are then invisible (no
+// PO-reachable fanout, so they influence neither the reference estimate
+// nor the cover), making this exactly the pre-choicemap mapping of the
+// committed extraction. The baseline does pay cut enumeration over the
+// dead alternative cones; stripping them first is not safe-by-index (an
+// alternative may strash onto a base-cone intermediate), and this is the
+// once-per-flow final mapping, not the SA hot path.
+ChoiceMapOutcome pareto_gate(MappedNetlist choice, MappedNetlist plain) {
   MappedQor plain_qor{plain.area(), plain.delay()};
   MappedQor choice_qor{choice.area(), choice.delay()};
   const double eps = 1e-9;
@@ -258,24 +253,24 @@ ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                           plain_qor, choice_qor, adopt};
 }
 
-LutChoiceOutcome map_luts_with_choices_gated(const ChoiceAig& caig,
-                                             const LutMapperParams& params,
-                                             LutWorkspace* workspace,
-                                             ThreadPool* pool) {
-  LutNetwork choice = map_to_luts(caig, params, workspace, pool);
-  // Same baseline rationale as the cell version: mapping caig.aig without
-  // the rings is exactly the plain mapping of the committed extraction —
-  // alternative cones carry no PO-reachable fanout, so they affect neither
-  // the reference estimate nor the cover.
-  LutNetwork plain = map_to_luts(caig.aig, params, workspace, pool);
+}  // namespace
 
-  LutQor plain_qor = lut_qor(plain);
-  LutQor choice_qor = lut_qor(choice);
-  // Unit costs are exact integers; no epsilon needed.
-  bool adopt = choice_qor.area <= plain_qor.area &&
-               choice_qor.depth <= plain_qor.depth;
-  return LutChoiceOutcome{adopt ? std::move(choice) : std::move(plain),
-                          plain_qor, choice_qor, adopt};
+ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
+                                        const Matcher& matcher,
+                                        const MapperParams& params,
+                                        MapperWorkspace* workspace) {
+  MappedNetlist choice = map_to_cells(caig, matcher, params, workspace);
+  MappedNetlist plain = map_to_cells(caig.aig, matcher, params, workspace);
+  return pareto_gate(std::move(choice), std::move(plain));
+}
+
+ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
+                                        const LutMapperParams& params,
+                                        LutWorkspace* workspace,
+                                        ThreadPool* pool) {
+  MappedNetlist choice = map_to_luts(caig, params, workspace, pool);
+  MappedNetlist plain = map_to_luts(caig.aig, params, workspace, pool);
+  return pareto_gate(std::move(choice), std::move(plain));
 }
 
 }  // namespace emorphic

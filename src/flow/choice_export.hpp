@@ -71,7 +71,8 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
                                const ChoiceExportParams& params = {},
                                ChoiceExportStats* stats = nullptr);
 
-/// Result of one gated choice-aware mapping (map_with_choices_gated).
+/// Result of one Pareto-gated choice-aware mapping (map_with_choices_gated),
+/// for either backend.
 struct ChoiceMapOutcome {
   /// The adopted cover: the choice-aware one, or the plain fallback.
   MappedNetlist netlist;
@@ -85,39 +86,24 @@ struct ChoiceMapOutcome {
 
 /// Map `caig` across its choice rings AND map its representative cone
 /// plainly, then adopt the choice-aware cover only when it is no worse in
-/// BOTH mapped area and mapped delay (a Pareto gate). Mapping is
-/// delay-first, so extra choices can tighten the delay target at an area
-/// price; the gate makes the choicemap stage monotone — choices can only
-/// help, never hurt — the same role gating plays for the resynthesis
-/// rounds. Both runs share the matcher, workspace, reference estimates and
-/// tie-breaking, so the comparison isolates the rings themselves.
+/// BOTH area() and delay() (a Pareto gate, 1e-9 tolerance — exact for the
+/// LUT backend's integer costs). Mapping is delay-first, so extra choices
+/// can tighten the delay target at an area price; the gate makes the
+/// choice-aware stages monotone — choices can only help, never hurt — the
+/// same role gating plays for the resynthesis rounds. Both runs share the
+/// mapper, workspace, reference estimates and tie-breaking, so the
+/// comparison isolates the rings themselves.
 ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const Matcher& matcher,
                                         const MapperParams& params = {},
                                         MapperWorkspace* workspace = nullptr);
 
-/// Result of one gated choice-aware LUT mapping (map_luts_with_choices_gated).
-struct LutChoiceOutcome {
-  /// The adopted cover: the choice-aware one, or the plain fallback.
-  LutNetwork network;
-  /// QoR of the plain LUT mapping of the representative cone alone.
-  LutQor plain;
-  /// QoR of the raw choice-aware LUT mapping across all ring variants.
-  LutQor choice;
-  /// True when the choice-aware cover was adopted.
-  bool adopted_choice = false;
-};
-
-/// LUT-backend counterpart of map_with_choices_gated: map `caig` across its
-/// choice rings AND map its representative cone plainly, then adopt the
-/// choice-aware cover only when it is no worse in BOTH LUT count and LUT
-/// depth (the same Pareto gate, on exact integer costs). Both runs share
-/// the workspace and the identical selection DP, so the comparison
-/// isolates the rings themselves. The optional pool parallelizes cut
-/// enumeration only (bit-identical results, see aig/cut.hpp).
-LutChoiceOutcome map_luts_with_choices_gated(const ChoiceAig& caig,
-                                             const LutMapperParams& params = {},
-                                             LutWorkspace* workspace = nullptr,
-                                             ThreadPool* pool = nullptr);
+/// The same gate over the k-LUT backend (LUT count and LUT depth). The
+/// optional pool parallelizes cut enumeration only (bit-identical results,
+/// see aig/cut.hpp).
+ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
+                                        const LutMapperParams& params,
+                                        LutWorkspace* workspace = nullptr,
+                                        ThreadPool* pool = nullptr);
 
 }  // namespace emorphic

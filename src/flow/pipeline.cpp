@@ -53,7 +53,6 @@ FlowResult FlowContext::take_result() {
   result.qor = qor;
   result.final_aig = std::move(current);
   result.netlist = std::move(netlist);
-  result.lut_netlist = std::move(lut_netlist);
   result.telemetry = std::move(telemetry);
   result.rewrite_report = std::move(rewrite_report);
   result.sa = std::move(sa);
@@ -325,28 +324,37 @@ void FraigStage::run(FlowContext& ctx) const {
 
 // --- choicemap --------------------------------------------------------------
 
+namespace {
+
+/// The choice-export prologue of the choicemap and lutmap stages: the
+/// committed extraction (the SA winner, else a greedy depth extraction)
+/// defines the representative cone, and the rings carry everything else
+/// the saturation discovered. ctx.current becomes the plain extraction
+/// (what verification and downstream stages see); the returned annotation
+/// is what the stage maps, Pareto-gated so the rings can only improve the
+/// cover, never hurt it.
+ChoiceAig export_choices(FlowContext& ctx) {
+  Extraction solution =
+      ctx.sa_valid
+          ? ctx.sa.best
+          : greedy_extract(ctx.egraph->egraph, CostModel{CostKind::kDepth});
+  ChoiceAig choice_aig = egraph_to_choice_aig(
+      *ctx.egraph, solution, ctx.params.choice_export, &ctx.choice_stats);
+  ctx.current = egraph_to_aig(*ctx.egraph, solution);
+  return choice_aig;
+}
+
+}  // namespace
+
 void ChoiceMapStage::run(FlowContext& ctx) const {
   if (!ctx.egraph.has_value()) {
     throw std::runtime_error(
         "choicemap stage needs an e-graph: add EgraphConversion first");
   }
-  const FlowParams& params = ctx.params;
-  // The committed extraction defines the representative cone; the rings
-  // carry everything else the saturation discovered.
-  Extraction solution =
-      ctx.sa_valid
-          ? ctx.sa.best
-          : greedy_extract(ctx.egraph->egraph, CostModel{CostKind::kDepth});
-  ChoiceAig choice_aig = egraph_to_choice_aig(*ctx.egraph, solution,
-                                              params.choice_export,
-                                              &ctx.choice_stats);
-  // ctx.current is the plain extraction (what verification and downstream
-  // stages see); the netlist maps the same function across all variants,
-  // Pareto-gated so the rings can only improve the cover, never hurt it.
-  ctx.current = egraph_to_aig(*ctx.egraph, solution);
-  const Matcher& matcher = *ctx.shared_matcher();
-  ChoiceMapOutcome outcome = map_with_choices_gated(
-      choice_aig, matcher, params.mapping, &ctx.mapper_workspace);
+  ChoiceAig choice_aig = export_choices(ctx);
+  ChoiceMapOutcome outcome =
+      map_with_choices_gated(choice_aig, *ctx.shared_matcher(),
+                             ctx.params.mapping, &ctx.mapper_workspace);
   ctx.netlist = std::move(outcome.netlist);
   ctx.netlist_is_current = true;
   ctx.qor.area = ctx.netlist->area();
@@ -361,31 +369,21 @@ void LutMapStage::run(FlowContext& ctx) const {
   LutMapperParams lut_params;
   lut_params.lut_size = params.lut_size;
   if (params.use_choicemap && ctx.egraph.has_value()) {
-    // Choice-aware tail, mirroring ChoiceMapStage: lower the committed
-    // extraction plus the verified rings and LUT-map across all variants,
-    // Pareto-gated so the rings can only improve the cover.
-    Extraction solution =
-        ctx.sa_valid
-            ? ctx.sa.best
-            : greedy_extract(ctx.egraph->egraph, CostModel{CostKind::kDepth});
-    ChoiceAig choice_aig = egraph_to_choice_aig(*ctx.egraph, solution,
-                                                params.choice_export,
-                                                &ctx.choice_stats);
-    ctx.current = egraph_to_aig(*ctx.egraph, solution);
-    LutChoiceOutcome outcome = map_luts_with_choices_gated(
-        choice_aig, lut_params, &ctx.lut_workspace, ctx.pool);
-    ctx.lut_netlist = std::move(outcome.network);
+    // Choice-aware tail, mirroring ChoiceMapStage.
+    ChoiceAig choice_aig = export_choices(ctx);
+    ctx.netlist = map_with_choices_gated(choice_aig, lut_params,
+                                         &ctx.lut_workspace, ctx.pool)
+                      .netlist;
   } else {
     ctx.current = strash(ctx.current);
-    ctx.lut_netlist =
+    ctx.netlist =
         map_to_luts(ctx.current, lut_params, &ctx.lut_workspace, ctx.pool);
   }
-  // The two backends are mutually exclusive outputs of one run: a stale
-  // cell netlist would misreport the flow that actually ran.
-  ctx.netlist.reset();
+  // A LUT cover is not a cell netlist of ctx.current: a later TechMap
+  // must remap instead of reusing it.
   ctx.netlist_is_current = false;
-  ctx.qor.area = ctx.lut_netlist->area();  // LUT count
-  ctx.qor.delay = static_cast<double>(ctx.lut_netlist->depth());  // LUT levels
+  ctx.qor.area = ctx.netlist->area();    // LUT count
+  ctx.qor.delay = ctx.netlist->delay();  // LUT levels
   ctx.qor.lev = ctx.current.num_levels();
 }
 
@@ -501,7 +499,6 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
   ctx.current = ctx.input;
   ctx.egraph.reset();
   ctx.netlist.reset();
-  ctx.lut_netlist.reset();
   ctx.netlist_is_current = false;
   ctx.sa_valid = false;
   ctx.qor = FlowQor{};
@@ -533,8 +530,8 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
     if (ctx.egraph.has_value()) {
       require(check::check_egraph(ctx.egraph->egraph), "e-graph");
     }
-    if (ctx.lut_netlist.has_value()) {
-      require(check::check_lut_network(*ctx.lut_netlist), "LUT network");
+    if (ctx.netlist.has_value()) {
+      require(check::check_netlist(*ctx.netlist), "netlist");
     }
   };
   validate("flow input");

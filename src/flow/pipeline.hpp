@@ -127,8 +127,8 @@ struct FlowParams {
   /// that range, and the service rejects it as BAD_PARAMS at submit time.
   unsigned lut_size = 6;
   /// Paranoia mode: re-validate every live structure (working AIG, e-graph,
-  /// LUT network) with the deep validators of check/validators.hpp at every
-  /// stage boundary — at *runtime*, in any build, unlike the
+  /// mapped netlist) with the deep validators of check/validators.hpp at
+  /// every stage boundary — at *runtime*, in any build, unlike the
   /// EMORPHIC_CHECKS-gated internal call sites. A violation aborts the flow
   /// with a check::CheckError naming the stage and the offending
   /// node/class. Costs one full structure walk per stage; off by default.
@@ -201,10 +201,9 @@ const char* to_string(FlowStopReason reason);
 struct FlowResult {
   FlowQor qor;
   Aig final_aig;
+  /// The mapped cover: a cell netlist, or a LUT netlist (no library) when
+  /// a "lutmap" stage ran last.
   std::optional<MappedNetlist> netlist;
-  /// The k-LUT cover when a "lutmap" stage ran (cell-mapping flows leave
-  /// it empty, LUT flows leave `netlist` empty).
-  std::optional<LutNetwork> lut_netlist;
   FlowTelemetry telemetry;
   RunnerReport rewrite_report;
   SaResult sa;
@@ -313,11 +312,11 @@ struct FlowContext {
   Aig input;    // original circuit, kept pristine for verification
   Aig current;  // the network being transformed
   std::optional<CircuitEGraph> egraph;
+  /// The mapped cover, cell or LUT (see FlowResult::netlist).
   std::optional<MappedNetlist> netlist;
-  /// Output of the "lutmap" stage (see FlowResult::lut_netlist).
-  std::optional<LutNetwork> lut_netlist;
-  /// True while `netlist` corresponds to `current` (stages that change
-  /// `current` clear it, so TechMap knows when a remap is needed).
+  /// True while `netlist` is a cell netlist of `current` (stages that
+  /// change `current`, and the lutmap stage, clear it, so TechMap knows
+  /// when a remap is needed).
   bool netlist_is_current = false;
   /// True once SaExtract populated `sa` (EgraphConversion's backward pass
   /// falls back to greedy extraction otherwise).
@@ -492,16 +491,15 @@ class ChoiceMapStage : public Stage {
 };
 
 /// k-LUT technology mapping of ctx.current (mapper/lut_mapper.hpp): the
-/// FPGA-flavored final stage. The cover lands in ctx.lut_netlist and the
-/// flow QoR becomes LUT count (area) and LUT depth (delay); any cell
-/// netlist is cleared (the two backends are mutually exclusive outputs of
-/// one run). When ctx.egraph exists and params.use_choicemap is set, the
-/// stage subsumes the backward conversion like choicemap does: ctx.current
-/// becomes the committed extraction and the cover is the Pareto-gated
-/// choice-aware LUT mapping across the verified rings
-/// (map_luts_with_choices_gated). Configured by FlowParams::lut_size;
-/// registered as "lutmap". Every cover is CEC-proven against the stage
-/// input by the stage-equivalence gate
+/// FPGA-flavored final stage. The LUT cover replaces ctx.netlist (with
+/// netlist_is_current cleared, so a later TechMap remaps) and the flow QoR
+/// becomes LUT count (area) and LUT depth (delay). When ctx.egraph exists
+/// and params.use_choicemap is set, the stage subsumes the backward
+/// conversion like choicemap does: ctx.current becomes the committed
+/// extraction and the cover is the Pareto-gated choice-aware LUT mapping
+/// across the verified rings (map_with_choices_gated). Configured by
+/// FlowParams::lut_size; registered as "lutmap". Every cover is CEC-proven
+/// against the stage input by the stage-equivalence gate
 /// (tests/integration/test_stage_equivalence.cpp).
 class LutMapStage : public Stage {
  public:

@@ -4,12 +4,11 @@
 #include <cassert>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 
 #include "check/check.hpp"
 #include "check/validators.hpp"
-#include "opt/sop.hpp"
+#include "mapper/cover_dp.hpp"
 #include "util/thread_pool.hpp"
 
 namespace emorphic {
@@ -41,111 +40,6 @@ bool lex_improves(std::uint32_t depth, double flow, const LutMatch& slot) {
 
 }  // namespace
 
-// --- LutNetwork --------------------------------------------------------------
-
-std::uint32_t LutNetwork::add_net(std::string name) {
-  net_names_.push_back(std::move(name));
-  return static_cast<std::uint32_t>(net_names_.size() - 1);
-}
-
-std::uint32_t LutNetwork::add_lut(MappedLut lut) {
-  luts_.push_back(std::move(lut));
-  return static_cast<std::uint32_t>(luts_.size() - 1);
-}
-
-void LutNetwork::add_po(std::uint32_t net, std::string name) {
-  pos_.push_back(net);
-  po_names_.push_back(std::move(name));
-}
-
-void LutNetwork::set_const_net(std::uint32_t net, bool value) {
-  const_nets_.emplace_back(net, value);
-}
-
-std::vector<std::uint32_t> LutNetwork::levels() const {
-  std::vector<std::uint32_t> level(net_names_.size(), 0);
-  // LUTs are appended in topological order by the mapper.
-  for (const MappedLut& lut : luts_) {
-    std::uint32_t worst = 0;
-    for (std::uint32_t in : lut.inputs) worst = std::max(worst, level[in]);
-    level[lut.output] = worst + 1;
-  }
-  return level;
-}
-
-std::uint32_t LutNetwork::depth() const {
-  std::vector<std::uint32_t> level = levels();
-  std::uint32_t worst = 0;
-  for (std::uint32_t po : pos_) worst = std::max(worst, level[po]);
-  return worst;
-}
-
-Aig LutNetwork::to_aig() const {
-  Aig aig;
-  std::vector<Lit> net_lit(net_names_.size(), kLitFalse);
-  std::vector<bool> driven(net_names_.size(), false);
-  for (std::size_t i = 0; i < pis_.size(); ++i) {
-    net_lit[pis_[i]] = make_lit(aig.add_pi(net_names_[pis_[i]]));
-    driven[pis_[i]] = true;
-  }
-  for (const auto& [net, value] : const_nets_) {
-    net_lit[net] = value ? kLitTrue : kLitFalse;
-    driven[net] = true;
-  }
-  for (const MappedLut& lut : luts_) {
-    const unsigned k = static_cast<unsigned>(lut.inputs.size());
-    std::vector<Lit> leaves(k);
-    for (unsigned j = 0; j < k; ++j) {
-      assert(driven[lut.inputs[j]] && "LUT netlists must be topological");
-      leaves[j] = net_lit[lut.inputs[j]];
-    }
-    net_lit[lut.output] = build_sop(aig, lut.tt & tt_mask(k), k, leaves);
-    driven[lut.output] = true;
-  }
-  for (std::size_t i = 0; i < pos_.size(); ++i) {
-    if (!driven[pos_[i]]) {
-      throw std::runtime_error("LUT network PO net is undriven: " +
-                               net_names_[pos_[i]]);
-    }
-    aig.add_po(net_lit[pos_[i]], po_names_[i]);
-  }
-  return aig.cleanup();
-}
-
-std::string LutNetwork::to_blif(const std::string& model_name) const {
-  std::ostringstream out;
-  out << ".model " << model_name << "\n.inputs";
-  for (std::uint32_t net : pis_) out << ' ' << net_names_[net];
-  out << "\n.outputs";
-  for (std::size_t i = 0; i < pos_.size(); ++i) out << ' ' << po_names_[i];
-  out << "\n";
-  for (const auto& [net, value] : const_nets_) {
-    out << ".names " << net_names_[net] << "\n";
-    if (value) out << "1\n";
-  }
-  for (const MappedLut& lut : luts_) {
-    const unsigned k = static_cast<unsigned>(lut.inputs.size());
-    out << ".names";
-    for (std::uint32_t in : lut.inputs) out << ' ' << net_names_[in];
-    out << ' ' << net_names_[lut.output] << "\n";
-    // One cover row per ON-set minterm; row character j is input j.
-    const Tt f = lut.tt & tt_mask(k);
-    for (unsigned m = 0; m < (1u << k); ++m) {
-      if (((f >> m) & 1) == 0) continue;
-      for (unsigned j = 0; j < k; ++j) out << (((m >> j) & 1) ? '1' : '0');
-      out << " 1\n";
-    }
-  }
-  for (std::size_t i = 0; i < pos_.size(); ++i) {
-    if (net_names_[pos_[i]] != po_names_[i]) {
-      out << ".names " << net_names_[pos_[i]] << ' ' << po_names_[i]
-          << "\n1 1\n";
-    }
-  }
-  out << ".end\n";
-  return out.str();
-}
-
 // --- the mapper --------------------------------------------------------------
 
 struct LutWorkspace::Impl {
@@ -153,7 +47,7 @@ struct LutWorkspace::Impl {
   std::vector<std::uint32_t> required;
   std::vector<std::uint32_t> net;
   std::vector<std::uint32_t> inv_net;
-  std::vector<std::uint32_t> fanout;
+  std::vector<std::uint32_t> refs;
   std::vector<Var> stack;
   CutArena cuts;
 };
@@ -163,35 +57,36 @@ LutWorkspace::~LutWorkspace() = default;
 LutWorkspace::LutWorkspace(LutWorkspace&&) noexcept = default;
 LutWorkspace& LutWorkspace::operator=(LutWorkspace&&) noexcept = default;
 
-LutNetwork map_to_luts(const Aig& aig, const LutMapperParams& params,
-                       LutWorkspace* workspace, ThreadPool* pool) {
+MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params,
+                          LutWorkspace* workspace, ThreadPool* pool) {
   return detail::map_luts_with_choices(aig, nullptr, params, workspace, pool);
 }
 
-LutNetwork map_to_luts(const ChoiceAig& caig, const LutMapperParams& params,
-                       LutWorkspace* workspace, ThreadPool* pool) {
+MappedNetlist map_to_luts(const ChoiceAig& caig, const LutMapperParams& params,
+                          LutWorkspace* workspace, ThreadPool* pool) {
   return detail::map_luts_with_choices(caig.aig, &caig.choices, params,
                                        workspace, pool);
-}
-
-LutQor lut_qor(const LutNetwork& network) {
-  return LutQor{network.area(), network.depth()};
 }
 
 namespace detail {
 
 // Structure mirrors the cell mapper's map_with_choices: the choice-specific
-// behavior is only the traversal order (the annotation's schedule instead
-// of index order) and the choice-aware cut enumeration.
-LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
-                                 const LutMapperParams& params,
-                                 LutWorkspace* workspace, ThreadPool* pool) {
+// behavior is only the traversal order and the choice-aware cut
+// enumeration, both in CoverDp.
+MappedNetlist map_luts_with_choices(const Aig& aig, const AigChoices* choices,
+                                    const LutMapperParams& params,
+                                    LutWorkspace* workspace, ThreadPool* pool) {
   if (params.lut_size < 2 || params.lut_size > kMaxCutSize) {
     throw std::invalid_argument(
         "map_to_luts: lut_size must be in [2, kMaxCutSize = " +
         std::to_string(kMaxCutSize) +
         "] (a LUT configuration is one cut truth table, so the enumeration "
         "bound is the backend bound), got " + std::to_string(params.lut_size));
+  }
+  if (params.num_cuts == 0) {
+    throw std::invalid_argument(
+        "map_to_luts: num_cuts must be >= 1 (the trivial cut alone covers "
+        "no node)");
   }
   std::optional<LutWorkspace> local;
   if (workspace == nullptr) local.emplace();
@@ -202,29 +97,8 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
   cut_params.cut_size = params.lut_size;
   cut_params.num_cuts = params.num_cuts;
   cut_params.num_threads = params.num_threads;
-  std::optional<CutManager> cuts_storage;
-  if (choices != nullptr) {
-    cuts_storage.emplace(aig, *choices, cut_params, &ws.cuts, pool);
-  } else {
-    cuts_storage.emplace(aig, cut_params, &ws.cuts, pool);
-  }
-  CutManager& cuts = *cuts_storage;
-
-  // Area-flow reference estimate: fanout edges inside the PO-reachable
-  // cone only, exactly as in the cell mapper — dead logic (including
-  // choice-ring alternative cones) influences the available cuts but
-  // never the flow of shared live nodes.
-  std::vector<std::uint32_t>& fanout = ws.fanout;
-  fanout.assign(aig.num_nodes(), 0);
-  {
-    std::vector<std::uint8_t> reachable = aig.po_reachable();
-    for (Var v = 1; v < aig.num_nodes(); ++v) {
-      if (!reachable[v] || !aig.is_and(v)) continue;
-      ++fanout[lit_var(aig.fanin0(v))];
-      ++fanout[lit_var(aig.fanin1(v))];
-    }
-    for (Lit po : aig.pos()) ++fanout[lit_var(po)];
-  }
+  const CoverDp dp(aig, choices, cut_params, &ws.cuts, pool, ws.refs);
+  const CutManager& cuts = dp.cuts();
 
   std::vector<LutMatch>& state = ws.state;
   state.assign(aig.num_nodes(), LutMatch{});
@@ -235,7 +109,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
       state[v] = LutMatch{0, 0.0, -1, false, false};
       return;
     }
-    const double refs = std::max<double>(1.0, fanout[v]);
+    const double refs = dp.refs(v);
     LutMatch& slot = state[v];
     const auto& node_cuts = cuts.cuts(v);
     for (std::int32_t ci = 0; ci < static_cast<std::int32_t>(node_cuts.size());
@@ -268,13 +142,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
     // selection always exists.
     assert(slot.depth != kNoReq);
   };
-  if (choices != nullptr) {
-    for (Var v : choices->order()) {
-      if (v != 0) pass1_node(v);
-    }
-  } else {
-    for (Var v = 1; v < aig.num_nodes(); ++v) pass1_node(v);
-  }
+  dp.forward(pass1_node);
 
   // --- Pass 2: required-depth area recovery -------------------------------
   std::vector<std::uint32_t>& required = ws.required;
@@ -295,15 +163,13 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
   }
 
   if (params.area_recovery) {
-    // Reverse topological order — the reverse of the choice schedule when
-    // an annotation is present, so a node's requirement is final before
-    // its cut leaves (which may live inside alternative cones) see it.
+    // Reverse topological order (CoverDp::reverse).
     auto pass2_node = [&](Var v) {
       if (!aig.is_and(v)) return;
       LutMatch& slot = state[v];
       const std::uint32_t req = required[v];
       if (req == kNoReq || slot.is_const) return;  // not in the cover / free
-      const double refs = std::max<double>(1.0, fanout[v]);
+      const double refs = dp.refs(v);
       const auto& node_cuts = cuts.cuts(v);
       double best_flow = slot.area_flow;
       for (std::int32_t ci = 0;
@@ -334,20 +200,11 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
         required[leaf] = std::min(required[leaf], req - 1);
       }
     };
-    if (choices != nullptr) {
-      const std::vector<Var>& order = choices->order();
-      for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        if (*it != 0) pass2_node(*it);
-      }
-    } else {
-      for (Var v = static_cast<Var>(aig.num_nodes()) - 1; v >= 1; --v) {
-        pass2_node(v);
-      }
-    }
+    dp.reverse(pass2_node);
   }
 
   // --- Pass 3: netlist construction ---------------------------------------
-  LutNetwork out;
+  MappedNetlist out;
   std::vector<std::uint32_t>& net = ws.net;
   std::vector<std::uint32_t>& inv_net = ws.inv_net;
   net.assign(aig.num_nodes(), kNoNet);
@@ -418,7 +275,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
       }
     }
     if (pending) continue;
-    MappedLut lut;
+    MappedGate lut;
     lut.inputs.resize(cut.size);
     for (unsigned j = 0; j < cut.size; ++j) {
       lut.inputs[j] = leaf_net(cut.leaves[j]);
@@ -426,7 +283,7 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
     lut.tt = cut.tt & tt_mask(cut.size);
     lut.output = out.add_net("n" + std::to_string(v));
     net[v] = lut.output;
-    out.add_lut(std::move(lut));
+    out.add_gate(std::move(lut));
     stack.pop_back();
   }
 
@@ -444,17 +301,17 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
     } else if (inv_net[r] != kNoNet) {
       po_net = inv_net[r];
     } else if (aig.is_pi(r)) {
-      MappedLut inv;
+      MappedGate inv;
       inv.inputs = {net[r]};
       inv.tt = tt_not(tt_var(0, 1), 1);
       inv.output = out.add_net("n" + std::to_string(r) + "_b");
       inv_net[r] = inv.output;
-      out.add_lut(std::move(inv));
+      out.add_gate(std::move(inv));
       po_net = inv_net[r];
     } else {
       // Complemented root LUT: same leaves, negated table.
       const Cut& cut = cuts.cuts(r)[state[r].cut];
-      MappedLut dup;
+      MappedGate dup;
       dup.inputs.resize(cut.size);
       for (unsigned j = 0; j < cut.size; ++j) {
         dup.inputs[j] = leaf_net(cut.leaves[j]);
@@ -463,12 +320,12 @@ LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
       dup.tt = tt_not(cut.tt, cut.size);
       dup.output = out.add_net("n" + std::to_string(r) + "_b");
       inv_net[r] = dup.output;
-      out.add_lut(std::move(dup));
+      out.add_gate(std::move(dup));
       po_net = inv_net[r];
     }
     out.add_po(po_net, aig.po_name(i));
   }
-  EM_CHECK_EXPENSIVE(check::check_lut_network(out));
+  EM_CHECK_EXPENSIVE(check::check_netlist(out));
   return out;
 }
 

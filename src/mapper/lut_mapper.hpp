@@ -9,10 +9,11 @@
 // kMaxCellPins = 4 matching bound — LUT covers run at the full enumeration
 // width kMaxCutSize = 6, the `if -K 6` setting of the paper's baseline.
 //
-// The selection DP is the cell mapper's, specialized to the LUT cost
-// model: unit area and unit delay per LUT, so pass 1 is depth-optimal
-// (LUT levels, area flow breaking ties) and pass 2 recovers area under
-// per-node required depths. No phase bookkeeping is needed — a LUT
+// The cover is a MappedNetlist without a cell library (mapper/netlist.hpp),
+// and the DP runs in the cell mapper's frame (mapper/cover_dp.hpp) with its
+// own selection kernel for the LUT cost model: unit area and unit delay
+// per LUT, so pass 1 is depth-optimal (LUT levels, area flow breaking
+// ties) and pass 2 recovers area under per-node required depths. No phase bookkeeping is needed — a LUT
 // absorbs input and output polarity into its table — so only positive
 // polarities are computed; a complemented primary output duplicates its
 // root LUT with the negated table (or adds a 1-input inverter LUT when
@@ -35,14 +36,11 @@
 #include "aig/choice.hpp"
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
+#include "mapper/netlist.hpp"
 
 namespace emorphic {
 
 class ThreadPool;
-
-namespace check {
-struct CheckProbe;  // corruption-seeding seam for validator tests
-}  // namespace check
 
 /// Mapping effort knobs shared by every map_to_luts overload.
 struct LutMapperParams {
@@ -51,7 +49,7 @@ struct LutMapperParams {
   /// bound is the backend bound. map_to_luts throws std::invalid_argument
   /// outside this range, the same contract as map_to_cells.
   unsigned lut_size = 6;
-  /// Priority cuts kept per node (plus the trivial cut).
+  /// Priority cuts kept per node (plus the trivial cut); must be >= 1.
   unsigned num_cuts = 8;
   /// Run the required-depth area-recovery pass after the depth-optimal
   /// pass.
@@ -62,86 +60,15 @@ struct LutMapperParams {
   unsigned num_threads = 1;
 };
 
-/// One configured LUT: which nets feed it, and its truth table over them
-/// (bit m = output value when input i carries bit i of m).
-struct MappedLut {
-  std::vector<std::uint32_t> inputs;  // net ids, [0, tt inputs)
-  Tt tt = 0;                          // function over `inputs`
-  std::uint32_t output = 0;           // output net id
-};
-
-/// A combinational k-LUT netlist: the FPGA-flavored counterpart of
-/// MappedNetlist. Area is the LUT count, delay the LUT depth (both unit
-/// cost, the standard FPGA QoR proxies).
-class LutNetwork {
- public:
-  /// Create a named net; returns its id.
-  std::uint32_t add_net(std::string name);
-  /// Append a LUT; returns its index in luts(). Inputs must be existing
-  /// nets (the mapper emits in topological order).
-  std::uint32_t add_lut(MappedLut lut);
-  /// Declare `net` a primary input.
-  void add_pi(std::uint32_t net) { pis_.push_back(net); }
-  /// Declare `net` a primary output named `name`.
-  void add_po(std::uint32_t net, std::string name);
-  /// Tie `net` to a constant (no driving LUT).
-  void set_const_net(std::uint32_t net, bool value);
-
-  /// All LUTs, in emission order (a LUT's inputs are driven by earlier
-  /// LUTs, PIs, or constant nets).
-  const std::vector<MappedLut>& luts() const { return luts_; }
-  /// Primary-input net ids, in interface order.
-  const std::vector<std::uint32_t>& pis() const { return pis_; }
-  /// Primary-output net ids, in interface order.
-  const std::vector<std::uint32_t>& pos() const { return pos_; }
-  /// Name of a net (as written to BLIF).
-  const std::string& net_name(std::uint32_t net) const {
-    return net_names_[net];
-  }
-  /// Number of nets (PIs, LUT outputs, and constants included).
-  std::size_t num_nets() const { return net_names_.size(); }
-  /// Constant-tied nets and their values, in declaration order.
-  const std::vector<std::pair<std::uint32_t, bool>>& const_nets() const {
-    return const_nets_;
-  }
-  /// Number of LUTs.
-  std::size_t num_luts() const { return luts_.size(); }
-
-  /// Total area under the unit-cost model: the LUT count.
-  double area() const { return static_cast<double>(luts_.size()); }
-  /// LUT depth: the maximum number of LUTs on any PI-to-PO path.
-  std::uint32_t depth() const;
-  /// Per-net LUT levels (PIs and constants at level 0).
-  std::vector<std::uint32_t> levels() const;
-
-  /// Rebuild an AIG with the same function: each LUT contributes its truth
-  /// table as a factored SOP (the re-expression the stage-equivalence gate
-  /// proves against the mapper's input).
-  Aig to_aig() const;
-
-  /// BLIF dump (LUTs as .names cover tables).
-  std::string to_blif(const std::string& model_name) const;
-
- private:
-  friend struct check::CheckProbe;
-
-  std::vector<MappedLut> luts_;
-  std::vector<std::string> net_names_;
-  std::vector<std::uint32_t> pis_;
-  std::vector<std::uint32_t> pos_;
-  std::vector<std::string> po_names_;
-  std::vector<std::pair<std::uint32_t, bool>> const_nets_;
-};
-
 class LutWorkspace;
 
 namespace detail {
 /// The shared LUT-mapping kernel behind every map_to_luts overload: plain
 /// when `choices` is null, choice-aware otherwise. Not a stable API — call
 /// map_to_luts.
-LutNetwork map_luts_with_choices(const Aig& aig, const AigChoices* choices,
-                                 const LutMapperParams& params,
-                                 LutWorkspace* workspace, ThreadPool* pool);
+MappedNetlist map_luts_with_choices(const Aig& aig, const AigChoices* choices,
+                                    const LutMapperParams& params,
+                                    LutWorkspace* workspace, ThreadPool* pool);
 }  // namespace detail
 
 /// Reusable scratch for repeated map_to_luts calls: the per-node DP state,
@@ -155,35 +82,28 @@ class LutWorkspace {
   LutWorkspace& operator=(LutWorkspace&&) noexcept;
 
  private:
-  friend LutNetwork detail::map_luts_with_choices(const Aig& aig,
-                                                  const AigChoices* choices,
-                                                  const LutMapperParams& params,
-                                                  LutWorkspace* workspace,
-                                                  ThreadPool* pool);
+  friend MappedNetlist detail::map_luts_with_choices(
+      const Aig& aig, const AigChoices* choices, const LutMapperParams& params,
+      LutWorkspace* workspace, ThreadPool* pool);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Map an AIG onto k-input LUTs. Throws std::invalid_argument unless
-/// 2 <= params.lut_size <= kMaxCutSize.
-LutNetwork map_to_luts(const Aig& aig, const LutMapperParams& params = {},
-                       LutWorkspace* workspace = nullptr,
-                       ThreadPool* pool = nullptr);
+/// Map an AIG onto k-input LUTs; returns a LUT netlist (a MappedNetlist
+/// without a library: area() is the LUT count, delay() the LUT depth).
+/// Throws std::invalid_argument unless 2 <= params.lut_size <= kMaxCutSize
+/// and params.num_cuts >= 1.
+MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params = {},
+                          LutWorkspace* workspace = nullptr,
+                          ThreadPool* pool = nullptr);
 
 /// Choice-aware LUT mapping: select the best cut per node across every
 /// structural variant recorded in the choice annotation. The annotation
 /// must be finalized and fit the AIG. With no rings this is bit-identical
 /// to the plain overload.
-LutNetwork map_to_luts(const ChoiceAig& caig,
-                       const LutMapperParams& params = {},
-                       LutWorkspace* workspace = nullptr,
-                       ThreadPool* pool = nullptr);
-
-/// Convenience: {LUT count, LUT depth} of a mapped network.
-struct LutQor {
-  double area = 0.0;        // LUT count
-  std::uint32_t depth = 0;  // LUT levels
-};
-LutQor lut_qor(const LutNetwork& network);
+MappedNetlist map_to_luts(const ChoiceAig& caig,
+                          const LutMapperParams& params = {},
+                          LutWorkspace* workspace = nullptr,
+                          ThreadPool* pool = nullptr);
 
 }  // namespace emorphic

@@ -15,6 +15,15 @@ std::uint32_t MappedNetlist::add_net(std::string name) {
 }
 
 std::uint32_t MappedNetlist::add_gate(MappedGate gate) {
+  if (library_ != nullptr) {
+    const Cell& cell = library_->cell(gate.cell);
+    gate.tt = cell.tt & tt_mask(cell.num_inputs);
+    gate.area = cell.area;
+    gate.delay = cell.delay;
+  } else {
+    gate.area = 1.0;
+    gate.delay = 1.0;
+  }
   gates_.push_back(std::move(gate));
   return static_cast<std::uint32_t>(gates_.size() - 1);
 }
@@ -30,7 +39,7 @@ void MappedNetlist::set_const_net(std::uint32_t net, bool value) {
 
 double MappedNetlist::area() const {
   double total = 0.0;
-  for (const MappedGate& g : gates_) total += library_->cell(g.cell).area;
+  for (const MappedGate& g : gates_) total += g.area;
   return total;
 }
 
@@ -40,7 +49,7 @@ std::vector<double> MappedNetlist::arrival_times() const {
   for (const MappedGate& g : gates_) {
     double worst = 0.0;
     for (std::uint32_t in : g.inputs) worst = std::max(worst, arrival[in]);
-    arrival[g.output] = worst + library_->cell(g.cell).delay;
+    arrival[g.output] = worst + g.delay;
   }
   return arrival;
 }
@@ -65,14 +74,13 @@ Aig MappedNetlist::to_aig() const {
     driven[net] = true;
   }
   for (const MappedGate& g : gates_) {
-    const Cell& cell = library_->cell(g.cell);
-    std::vector<Lit> leaves(cell.num_inputs);
-    for (unsigned j = 0; j < cell.num_inputs; ++j) {
+    const unsigned k = static_cast<unsigned>(g.inputs.size());
+    std::vector<Lit> leaves(k);
+    for (unsigned j = 0; j < k; ++j) {
       assert(driven[g.inputs[j]] && "netlist gates must be topological");
       leaves[j] = net_lit[g.inputs[j]];
     }
-    net_lit[g.output] = build_sop(aig, cell.tt & tt_mask(cell.num_inputs),
-                                  cell.num_inputs, leaves);
+    net_lit[g.output] = build_sop(aig, g.tt & tt_mask(k), k, leaves);
     driven[g.output] = true;
   }
   for (std::size_t i = 0; i < pos_.size(); ++i) {
@@ -97,12 +105,26 @@ std::string MappedNetlist::to_blif(const std::string& model_name) const {
     if (value) out << "1\n";
   }
   for (const MappedGate& g : gates_) {
-    const Cell& cell = library_->cell(g.cell);
-    out << ".gate " << cell.name;
-    for (unsigned j = 0; j < cell.num_inputs; ++j) {
-      out << ' ' << cell.input_names[j] << '=' << net_names_[g.inputs[j]];
+    if (library_ != nullptr) {
+      const Cell& cell = library_->cell(g.cell);
+      out << ".gate " << cell.name;
+      for (unsigned j = 0; j < cell.num_inputs; ++j) {
+        out << ' ' << cell.input_names[j] << '=' << net_names_[g.inputs[j]];
+      }
+      out << ' ' << cell.output_name << '=' << net_names_[g.output] << "\n";
+      continue;
     }
-    out << ' ' << cell.output_name << '=' << net_names_[g.output] << "\n";
+    // A LUT: one cover row per ON-set minterm; row character j is input j.
+    const unsigned k = static_cast<unsigned>(g.inputs.size());
+    out << ".names";
+    for (std::uint32_t in : g.inputs) out << ' ' << net_names_[in];
+    out << ' ' << net_names_[g.output] << "\n";
+    const Tt f = g.tt & tt_mask(k);
+    for (unsigned m = 0; m < (1u << k); ++m) {
+      if (((f >> m) & 1) == 0) continue;
+      for (unsigned j = 0; j < k; ++j) out << (((m >> j) & 1) ? '1' : '0');
+      out << " 1\n";
+    }
   }
   // Alias PO names onto their driving nets.
   for (std::size_t i = 0; i < pos_.size(); ++i) {

@@ -8,6 +8,9 @@
 #include <string>
 
 #include "aig/cut.hpp"
+#include "check/check.hpp"
+#include "check/validators.hpp"
+#include "mapper/cover_dp.hpp"
 
 namespace emorphic {
 
@@ -52,6 +55,7 @@ Tt pad4(const Cut& cut) {
 
 struct MapperWorkspace::Impl {
   std::vector<NodeState> state;
+  std::vector<std::uint32_t> refs;
   std::vector<std::array<double, 2>> required;
   std::vector<std::array<std::uint32_t, 2>> net;
   std::vector<Want> stack;
@@ -86,9 +90,7 @@ MappedNetlist map_to_cells(const ChoiceAig& caig, const Matcher& matcher,
 namespace detail {
 
 // The only choice-specific behavior here is the traversal order of passes
-// 1 and 2 (the annotation's schedule instead of index order — a ring
-// member may carry a larger index than the representative whose cut list
-// it feeds) and the choice-aware cut enumeration itself.
+// 1 and 2 and the choice-aware cut enumeration, both in CoverDp.
 MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
                                const Matcher& matcher,
                                const MapperParams& params,
@@ -100,6 +102,11 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
         "] (matching runs in the 4-variable NPN domain; the wider "
         "kMaxCutSize bound applies to cut enumeration only)");
   }
+  if (params.num_cuts == 0) {
+    throw std::invalid_argument(
+        "map_to_cells: num_cuts must be >= 1 (the trivial cut alone matches "
+        "no cell)");
+  }
   std::optional<MapperWorkspace> local;
   if (workspace == nullptr) local.emplace();
   MapperWorkspace::Impl& ws =
@@ -109,31 +116,10 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
   CutParams cut_params;
   cut_params.cut_size = params.cut_size;
   cut_params.num_cuts = params.num_cuts;
-  std::optional<CutManager> cuts_storage;
-  if (choices != nullptr) {
-    cuts_storage.emplace(aig, *choices, cut_params, &ws.cuts);
-  } else {
-    cuts_storage.emplace(aig, cut_params, &ws.cuts);
-  }
-  CutManager& cuts = *cuts_storage;
+  const CoverDp dp(aig, choices, cut_params, &ws.cuts, nullptr, ws.refs);
+  const CutManager& cuts = dp.cuts();
 
   const Cell& inv = library.cell(library.inverter());
-  // Area-flow reference estimate: fanout edges inside the PO-reachable
-  // cone only. Dead logic never materializes in a cover, so its fanouts
-  // must not dilute the flow of shared live nodes — and with choices this
-  // is what keeps the estimate identical to plain mapping: alternative
-  // cones hang off representatives but carry no PO-reachable fanout, so
-  // rings change the available matches, never the refs.
-  std::vector<std::uint32_t> fanout(aig.num_nodes(), 0);
-  {
-    std::vector<std::uint8_t> reachable = aig.po_reachable();
-    for (Var v = 1; v < aig.num_nodes(); ++v) {
-      if (!reachable[v] || !aig.is_and(v)) continue;
-      ++fanout[lit_var(aig.fanin0(v))];
-      ++fanout[lit_var(aig.fanin1(v))];
-    }
-    for (Lit po : aig.pos()) ++fanout[lit_var(po)];
-  }
   std::vector<NodeState>& state = ws.state;
   state.assign(aig.num_nodes(), NodeState{});
 
@@ -155,16 +141,13 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
   };
 
   // --- Pass 1: delay-optimal matching in topological order ---------------
-  // "Topological" means the choice schedule when an annotation is present:
-  // a representative's merged cuts reference leaves inside alternative
-  // cones, whose state must be final before the representative matches.
   auto pass1_node = [&](Var v) {
     if (aig.is_pi(v)) {
       state[v].phase[0] = PhaseMatch{0.0, 0.0, -1, -1, false};
       close_phases(v);
       return;
     }
-    double refs = std::max<double>(1.0, fanout[v]);
+    const double refs = dp.refs(v);
     const auto& node_cuts = cuts.cuts(v);
     for (std::int32_t ci = 0; ci < static_cast<std::int32_t>(node_cuts.size());
          ++ci) {
@@ -222,13 +205,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
           "2-input ANDs?");
     }
   };
-  if (choices != nullptr) {
-    for (Var v : choices->order()) {
-      if (v != 0) pass1_node(v);
-    }
-  } else {
-    for (Var v = 1; v < aig.num_nodes(); ++v) pass1_node(v);
-  }
+  dp.forward(pass1_node);
 
   // --- Pass 2: required-time-aware area recovery -------------------------
   // Cover of pass 1 defines the delay target; off-critical nodes re-select
@@ -249,9 +226,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
   }
 
   if (params.area_recovery) {
-    // Reverse topological order — the reverse of the choice schedule when
-    // an annotation is present, so a node's requirement is final before
-    // its cut leaves (which may live inside alternative cones) see it.
+    // Reverse topological order (CoverDp::reverse).
     auto pass2_node = [&](Var v) {
       if (!aig.is_and(v)) {
         // PI: propagate requirement through the phase-closing inverter.
@@ -322,16 +297,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
         }
       }
     };
-    if (choices != nullptr) {
-      const std::vector<Var>& order = choices->order();
-      for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        if (*it != 0) pass2_node(*it);
-      }
-    } else {
-      for (Var v = static_cast<Var>(aig.num_nodes()) - 1; v >= 1; --v) {
-        pass2_node(v);
-      }
-    }
+    dp.reverse(pass2_node);
   }
 
   // --- Pass 3: netlist construction ---------------------------------------
@@ -427,6 +393,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
     int p = lit_is_compl(po) ? 1 : 0;
     netlist.add_po(net[lit_var(po)][p], aig.po_name(i));
   }
+  EM_CHECK_EXPENSIVE(check::check_netlist(netlist));
   return netlist;
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "aig/cut.hpp"
+#include "mapper/cell_library.hpp"
 
 namespace emorphic::service {
 
@@ -214,10 +215,20 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
       if (!value.is_object()) bad("'mapping' must be an object");
       for (const auto& [mkey, mval] : value.as_object()) {
         const std::string path = "mapping." + mkey;
+        // Range-checked here like lut_size, against map_to_cells' contract
+        // (mapper/tech_mapper.hpp), so a bad value is a BAD_PARAMS at
+        // submit instead of an internal error mid-flow.
         if (mkey == "cut_size") {
-          params->mapping.cut_size = expect_unsigned(mval, path);
+          unsigned k = expect_unsigned(mval, path);
+          if (k < 2 || k > kMaxCellPins) {
+            bad("field '" + path + "' must be in [2, " +
+                std::to_string(kMaxCellPins) + "]");
+          }
+          params->mapping.cut_size = k;
         } else if (mkey == "num_cuts") {
-          params->mapping.num_cuts = expect_unsigned(mval, path);
+          unsigned c = expect_unsigned(mval, path);
+          if (c < 1) bad("field '" + path + "' must be >= 1");
+          params->mapping.num_cuts = c;
         } else if (mkey == "area_recovery") {
           params->mapping.area_recovery = expect_bool(mval, path);
         } else {

@@ -1,8 +1,8 @@
 #pragma once
-// The repo-wide bump/pool allocator layer behind the allocation-free hot
-// loop (ROADMAP item 3).
+// The repo-wide bump allocator layer behind the allocation-free hot loop
+// (ROADMAP item 3).
 //
-// Three tiers, stacked:
+// Two tiers, stacked:
 //
 //  * BumpArena — a block list with pointer-bump allocation. `reset()` is the
 //    epoch boundary: it rewinds to empty while keeping the capacity, and
@@ -10,8 +10,6 @@
 //    so the *next* epoch of the same size does zero mallocs. Allocations
 //    never move or free individually; an arena's addresses are stable until
 //    reset()/release().
-//  * PoolAllocator<T> — a free list of fixed-size slots over a BumpArena,
-//    for objects that are released one at a time instead of wholesale.
 //  * ArenaSpan<T> / SpanStore<T> — the struct-of-arrays building block: a
 //    trivially copyable {data, size, capacity} header (stored densely,
 //    indexed by class/node id) whose element storage lives in a SpanStore's
@@ -199,63 +197,6 @@ class BumpArena {
   std::size_t used_ = 0;
 };
 
-/// Fixed-size-slot pool with a free list, for objects released one at a
-/// time (arena epochs reclaim wholesale; the pool reclaims per object).
-/// Slots come from the underlying BumpArena and are recycled forever.
-template <typename T>
-class PoolAllocator {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "PoolAllocator slots are raw storage");
-
- public:
-  /// Uninitialized slot; construct in place or assign into it.
-  T* allocate() {
-    if (free_ != nullptr) {
-      FreeNode* slot = free_;
-      free_ = slot->next;
-      --free_count_;
-      return reinterpret_cast<T*>(slot);
-    }
-    ++live_high_water_;
-    return static_cast<T*>(arena_.alloc_bytes(kSlotSize, kSlotAlign));
-  }
-
-  /// Return a slot to the free list. The object is not destroyed (T is
-  /// trivially copyable, there is nothing to destroy).
-  void deallocate(T* ptr) {
-    FreeNode* slot = reinterpret_cast<FreeNode*>(ptr);
-    slot->next = free_;
-    free_ = slot;
-    ++free_count_;
-  }
-
-  /// Drop every slot at once (the free list and the arena rewind together).
-  void reset() {
-    free_ = nullptr;
-    free_count_ = 0;
-    live_high_water_ = 0;
-    arena_.reset();
-  }
-
-  std::size_t free_count() const { return free_count_; }
-  /// Slots ever bump-allocated (== peak live slots across the pool's life).
-  std::size_t high_water() const { return live_high_water_; }
-
- private:
-  struct FreeNode {
-    FreeNode* next;
-  };
-  static constexpr std::size_t kSlotSize =
-      sizeof(T) > sizeof(FreeNode*) ? sizeof(T) : sizeof(FreeNode*);
-  static constexpr std::size_t kSlotAlign =
-      alignof(T) > alignof(FreeNode*) ? alignof(T) : alignof(FreeNode*);
-
-  BumpArena arena_;
-  FreeNode* free_ = nullptr;
-  std::size_t free_count_ = 0;
-  std::size_t live_high_water_ = 0;
-};
-
 /// A {data, size, capacity} span header whose element storage lives in a
 /// SpanStore's arena. Trivially copyable: headers are stored densely in
 /// std::vectors indexed by id (the SoA layout), and copying a header is a
@@ -326,9 +267,8 @@ template <typename T>
 class SpanStore {
  public:
   /// Append one element, growing the span's arena region if needed. Safe
-  /// even when `value` aliases an element of `span` (the self-alias
-  /// use-after-free class fixed in SmallVec::push_back — see
-  /// tests/util/test_arena.cpp).
+  /// even when `value` aliases an element of `span` (growth retires the
+  /// region `value` lives in — see tests/util/test_arena.cpp).
   void push_back(ArenaSpan<T>& span, const T& value) {
     if (span.size_ == span.capacity_) {
       T tmp = value;  // `value` may live in the region grow() retires
@@ -341,8 +281,8 @@ class SpanStore {
   }
 
   /// Append [first, last); the range must not alias `span`'s storage
-  /// (growth would memcpy from a retired region — same contract as
-  /// SmallVec::append). Ranges in *other* spans of this store are fine:
+  /// (growth would memcpy from a retired region). Ranges in *other* spans
+  /// of this store are fine:
   /// arena regions never move.
   void append(ArenaSpan<T>& span, const T* first, const T* last) {
     std::size_t n = static_cast<std::size_t>(last - first);

@@ -166,6 +166,37 @@ TEST(AigIo, AigerConstantOutputs) {
   EXPECT_EQ(back.po(1), kLitFalse);
 }
 
+TEST(AigIo, AigerRoundTripPreservesNames) {
+  // The ASCII reader parses the symbol table the writer emits, exactly like
+  // the binary reader: served circuits keep their interface names.
+  Aig aig;
+  Lit a = make_lit(aig.add_pi("alpha"));
+  Lit b = make_lit(aig.add_pi("beta"));
+  aig.add_po(aig.make_and(a, b), "out_and");
+  Aig back = read_aiger(write_aiger(aig));
+  ASSERT_EQ(back.num_pis(), 2u);
+  ASSERT_EQ(back.num_pos(), 1u);
+  EXPECT_EQ(back.pi_name(0), "alpha");
+  EXPECT_EQ(back.pi_name(1), "beta");
+  EXPECT_EQ(back.po_name(0), "out_and");
+  EXPECT_TRUE(testing::functionally_equal(aig, back));
+  // A comment section ends the table; text without one keeps default names.
+  Aig commented = read_aiger("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni1 y\nc\nz\n");
+  EXPECT_EQ(commented.pi_name(0), "pi0");
+  EXPECT_EQ(commented.pi_name(1), "y");
+  EXPECT_EQ(commented.po_name(0), "po0");
+}
+
+TEST(AigIo, AigerRejectsMalformedSymbolTable) {
+  const std::string base = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n";
+  EXPECT_THROW(read_aiger(base + "x0 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(base + "i0\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(base + "ix name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(base + "i2 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(base + "o1 name\n"), std::runtime_error);
+  EXPECT_THROW(read_aiger(base + "i0 unterminated"), std::runtime_error);
+}
+
 TEST(AigIo, EquationConstantOutputs) {
   Aig aig;
   aig.add_pi("a");

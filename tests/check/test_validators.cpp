@@ -19,6 +19,7 @@
 #include "egraph/egraph.hpp"
 #include "flow/pipeline.hpp"
 #include "mapper/lut_mapper.hpp"
+#include "mapper/tech_mapper.hpp"
 #include "util/rng.hpp"
 
 namespace emorphic {
@@ -267,45 +268,90 @@ TEST(CheckCuts, RejectsDuplicateLeafSets) {
   EXPECT_NE(why.find("duplicate"), std::string::npos) << why;
 }
 
-// --- check_lut_network -------------------------------------------------------
+// --- check_netlist: LUT netlists ---------------------------------------------
 
-TEST(CheckLutNetwork, AcceptsMappedNetwork) {
+TEST(CheckNetlist, AcceptsMappedLutNetlist) {
   Aig aig = small_aig();
-  LutNetwork network = map_to_luts(aig);
-  EXPECT_EQ(check::check_lut_network(network), "");
+  MappedNetlist network = map_to_luts(aig);
+  EXPECT_EQ(check::check_netlist(network), "");
 }
 
-TEST(CheckLutNetwork, RejectsUseBeforeDefinition) {
+TEST(CheckNetlist, RejectsUseBeforeDefinition) {
   Aig aig = small_aig();
-  LutNetwork network = map_to_luts(aig);
-  std::vector<MappedLut>& luts = CheckProbe::luts(network);
+  MappedNetlist network = map_to_luts(aig);
+  std::vector<MappedGate>& luts = CheckProbe::gates(network);
   ASSERT_GE(luts.size(), 2u);
   // Feed the first LUT from the last LUT's output: emission order broken.
   luts.front().inputs[0] = luts.back().output;
-  std::string why = check::check_lut_network(network);
-  EXPECT_NE(why.find("LUT 0"), std::string::npos) << why;
+  std::string why = check::check_netlist(network);
+  EXPECT_NE(why.find("gate 0"), std::string::npos) << why;
   EXPECT_NE(why.find("before definition"), std::string::npos) << why;
 }
 
-TEST(CheckLutNetwork, RejectsDoubleDrivenNet) {
+TEST(CheckNetlist, RejectsDoubleDrivenNet) {
   Aig aig = small_aig();
-  LutNetwork network = map_to_luts(aig);
-  std::vector<MappedLut>& luts = CheckProbe::luts(network);
+  MappedNetlist network = map_to_luts(aig);
+  std::vector<MappedGate>& luts = CheckProbe::gates(network);
   ASSERT_GE(luts.size(), 2u);
   luts.back().output = luts.front().output;
-  std::string why = check::check_lut_network(network);
+  std::string why = check::check_netlist(network);
   EXPECT_NE(why.find("driven twice"), std::string::npos) << why;
 }
 
-TEST(CheckLutNetwork, RejectsTruthTableSpill) {
+TEST(CheckNetlist, RejectsTruthTableSpill) {
   Aig aig = small_aig();
-  LutNetwork network = map_to_luts(aig);
-  std::vector<MappedLut>& luts = CheckProbe::luts(network);
+  MappedNetlist network = map_to_luts(aig);
+  std::vector<MappedGate>& luts = CheckProbe::gates(network);
   ASSERT_FALSE(luts.empty());
-  MappedLut& lut = luts.front();
+  MappedGate& lut = luts.front();
   lut.tt |= Tt{1} << (1u << lut.inputs.size());
-  std::string why = check::check_lut_network(network);
+  std::string why = check::check_netlist(network);
   EXPECT_NE(why.find("spills"), std::string::npos) << why;
+}
+
+// --- check_netlist: cell netlists ---------------------------------------------
+
+TEST(CheckNetlist, AcceptsMappedCellNetlist) {
+  Aig aig = small_aig();
+  MappedNetlist netlist = map_to_cells(aig, CellLibrary::asap7_like());
+  EXPECT_EQ(check::check_netlist(netlist), "");
+}
+
+TEST(CheckNetlist, RejectsCellGateReadingUndefinedNet) {
+  Aig aig = small_aig();
+  MappedNetlist netlist = map_to_cells(aig, CellLibrary::asap7_like());
+  std::vector<MappedGate>& gates = CheckProbe::gates(netlist);
+  ASSERT_GE(gates.size(), 2u);
+  // The first gate reads the last gate's output, not yet defined there.
+  gates.front().inputs[0] = gates.back().output;
+  std::string why = check::check_netlist(netlist);
+  EXPECT_NE(why.find("gate 0"), std::string::npos) << why;
+  EXPECT_NE(why.find("before definition"), std::string::npos) << why;
+}
+
+TEST(CheckNetlist, RejectsCellGateWithWrongPinCount) {
+  Aig aig = small_aig();
+  const CellLibrary& library = CellLibrary::asap7_like();
+  MappedNetlist netlist = map_to_cells(aig, library);
+  std::vector<MappedGate>& gates = CheckProbe::gates(netlist);
+  ASSERT_FALSE(gates.empty());
+  const std::size_t last = gates.size() - 1;
+  gates[last].inputs.push_back(netlist.pis().front());
+  std::string why = check::check_netlist(netlist);
+  EXPECT_NE(why.find("gate " + std::to_string(last)), std::string::npos)
+      << why;
+  EXPECT_NE(why.find("pins"), std::string::npos) << why;
+}
+
+TEST(CheckNetlist, RejectsCellIdOutOfRange) {
+  Aig aig = small_aig();
+  const CellLibrary& library = CellLibrary::asap7_like();
+  MappedNetlist netlist = map_to_cells(aig, library);
+  std::vector<MappedGate>& gates = CheckProbe::gates(netlist);
+  ASSERT_FALSE(gates.empty());
+  gates.front().cell = static_cast<std::uint32_t>(library.size());
+  std::string why = check::check_netlist(netlist);
+  EXPECT_NE(why.find("cell id"), std::string::npos) << why;
 }
 
 // --- EM_ASSERT tier ----------------------------------------------------------

@@ -406,12 +406,24 @@ TEST(Optimize, ReturnsTheWholeFlowResult) {
   options.flow = quick_params();
   options.flow.use_lutmap = true;
   FlowResult result = optimize(make_adder(5), options);
-  ASSERT_TRUE(result.lut_netlist.has_value());
-  EXPECT_FALSE(result.netlist.has_value());
+  ASSERT_TRUE(result.netlist.has_value());
+  EXPECT_TRUE(result.netlist->is_lut());
   EXPECT_EQ(result.telemetry.stages.size(),
             Pipeline::emorphic(options.flow).size());
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.stop_reason, FlowStopReason::kNone);
+}
+
+TEST(Pipeline, TechMapAfterLutmapRemapsToCells) {
+  // lutmap leaves its LUT cover in ctx.netlist but marks it not current, so
+  // a later TechMap maps ctx.current onto cells instead of reusing it.
+  Pipeline pipeline;
+  pipeline.add("lutmap");
+  pipeline.add("TechMap");
+  FlowResult result = pipeline.run(make_adder(4), quick_params());
+  ASSERT_TRUE(result.netlist.has_value());
+  EXPECT_FALSE(result.netlist->is_lut());
+  EXPECT_DOUBLE_EQ(result.qor.area, result.netlist->area());
 }
 
 TEST(Optimize, RuntimePrioritizedHonorsConfiguredSaThreads) {

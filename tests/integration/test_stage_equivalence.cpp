@@ -218,7 +218,7 @@ TEST(StageEquivalence, ChoicemapNetlistIsEquivalentEndToEnd) {
 TEST(StageEquivalence, LutmapNetlistIsEquivalentEndToEnd) {
   // Same rationale as the choicemap netlist gate: lutmap's real product is
   // the LUT cover, so the gate proves the cover itself — re-expressed as
-  // an AIG via LutNetwork::to_aig — equivalent to the pipeline input, on
+  // an AIG via MappedNetlist::to_aig — equivalent to the pipeline input, on
   // both the plain tail and the choice-aware tail.
   FlowParams params = fast_params();
   Pipeline plain;
@@ -240,10 +240,10 @@ TEST(StageEquivalence, LutmapNetlistIsEquivalentEndToEnd) {
         ctx.input = aig;
         ctx.seed = seed;
         FlowResult result = (choices ? choicy : plain).run(ctx);
-        ASSERT_TRUE(result.lut_netlist.has_value());
-        ASSERT_FALSE(result.netlist.has_value())
-            << "lutmap must not leave a stale cell netlist behind";
-        ASSERT_EQ(cec(aig, result.lut_netlist->to_aig()).status,
+        ASSERT_TRUE(result.netlist.has_value());
+        ASSERT_TRUE(result.netlist->is_lut())
+            << "lutmap must leave its LUT cover, not a stale cell netlist";
+        ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
                   CecStatus::kEquivalent)
             << "lutmap produced a non-equivalent cover on '" << circuit_name
             << "' (seed " << seed << ", choices=" << choices << ")";
@@ -279,8 +279,9 @@ TEST(StageEquivalence, LutmapPrebuiltFlowsStayEquivalent) {
     for (const Pipeline& pipeline :
          {Pipeline::baseline(params), Pipeline::emorphic(params)}) {
       FlowResult result = pipeline.run(aig, params);
-      ASSERT_TRUE(result.lut_netlist.has_value());
-      ASSERT_EQ(cec(aig, result.lut_netlist->to_aig()).status,
+      ASSERT_TRUE(result.netlist.has_value());
+      ASSERT_TRUE(result.netlist->is_lut());
+      ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
                 CecStatus::kEquivalent)
           << "use_choicemap=" << choicemap;
       ASSERT_EQ(cec(aig, result.final_aig).status, CecStatus::kEquivalent);

@@ -6,8 +6,8 @@
 //   * choice-aware mapping of a ring-free annotation is bit-identical to
 //     the plain overload, and real rings (e-graph export) stay
 //     CEC-equivalent with the gated outcome never worse than plain;
-//   * lut_size outside [2, kMaxCutSize] throws std::invalid_argument on
-//     both overloads (the map_to_cells contract);
+//   * lut_size outside [2, kMaxCutSize] and num_cuts == 0 throw
+//     std::invalid_argument on both overloads (the map_to_cells contract);
 //   * parallel cut enumeration never changes the mapped network;
 //   * interface edge cases: complemented / constant / pass-through POs,
 //     workspace reuse, BLIF shape.
@@ -29,18 +29,20 @@
 namespace emorphic {
 namespace {
 
-bool equivalent(const Aig& input, const LutNetwork& network) {
+bool equivalent(const Aig& input, const MappedNetlist& network) {
   return cec(input, network.to_aig()).status == CecStatus::kEquivalent;
 }
 
 /// Bit-identical network comparison: same nets, LUTs, tables, interface.
-void expect_same_network(const LutNetwork& a, const LutNetwork& b) {
+void expect_same_network(const MappedNetlist& a, const MappedNetlist& b) {
+  ASSERT_TRUE(a.is_lut());
+  ASSERT_TRUE(b.is_lut());
   ASSERT_EQ(a.num_nets(), b.num_nets());
-  ASSERT_EQ(a.num_luts(), b.num_luts());
-  for (std::size_t i = 0; i < a.num_luts(); ++i) {
-    EXPECT_EQ(a.luts()[i].inputs, b.luts()[i].inputs) << "lut " << i;
-    EXPECT_EQ(a.luts()[i].tt, b.luts()[i].tt) << "lut " << i;
-    EXPECT_EQ(a.luts()[i].output, b.luts()[i].output) << "lut " << i;
+  ASSERT_EQ(a.num_gates(), b.num_gates());
+  for (std::size_t i = 0; i < a.num_gates(); ++i) {
+    EXPECT_EQ(a.gates()[i].inputs, b.gates()[i].inputs) << "lut " << i;
+    EXPECT_EQ(a.gates()[i].tt, b.gates()[i].tt) << "lut " << i;
+    EXPECT_EQ(a.gates()[i].output, b.gates()[i].output) << "lut " << i;
   }
   EXPECT_EQ(a.pis(), b.pis());
   EXPECT_EQ(a.pos(), b.pos());
@@ -52,9 +54,11 @@ TEST(LutMapper, SingleAnd) {
   Lit a = make_lit(aig.add_pi());
   Lit b = make_lit(aig.add_pi());
   aig.add_po(aig.make_and(a, b));
-  LutNetwork network = map_to_luts(aig);
-  EXPECT_EQ(network.num_luts(), 1u);
-  EXPECT_EQ(network.depth(), 1u);
+  MappedNetlist network = map_to_luts(aig);
+  EXPECT_TRUE(network.is_lut());
+  EXPECT_EQ(network.num_gates(), 1u);
+  EXPECT_EQ(network.area(), 1.0);
+  EXPECT_EQ(network.delay(), 1.0);
   EXPECT_TRUE(equivalent(aig, network));
 }
 
@@ -63,8 +67,8 @@ TEST(LutMapper, ComplementedOutputAbsorbedIntoTable) {
   Lit a = make_lit(aig.add_pi());
   Lit b = make_lit(aig.add_pi());
   aig.add_po(lit_not(aig.make_and(a, b)));  // NAND: still one LUT
-  LutNetwork network = map_to_luts(aig);
-  EXPECT_EQ(network.num_luts(), 1u);
+  MappedNetlist network = map_to_luts(aig);
+  EXPECT_EQ(network.num_gates(), 1u);
   EXPECT_TRUE(equivalent(aig, network));
 }
 
@@ -75,7 +79,7 @@ TEST(LutMapper, PassThroughAndConstantOutputs) {
   aig.add_po(lit_not(a), "neg");  // inverter on a PI: one 1-input LUT
   aig.add_po(kLitTrue, "one");
   aig.add_po(kLitFalse, "zero");
-  LutNetwork network = map_to_luts(aig);
+  MappedNetlist network = map_to_luts(aig);
   EXPECT_TRUE(equivalent(aig, network));
 }
 
@@ -87,7 +91,7 @@ TEST(LutMapper, EquivalentAcrossLutSizes) {
     for (unsigned k = 3; k <= kMaxCutSize; ++k) {
       LutMapperParams params;
       params.lut_size = k;
-      LutNetwork network = map_to_luts(aig, params);
+      MappedNetlist network = map_to_luts(aig, params);
       EXPECT_TRUE(equivalent(aig, network)) << "k=" << k;
     }
   }
@@ -101,23 +105,23 @@ TEST(LutMapper, QorSanityAcrossLutSizes) {
   Aig aig = make_adder(8);
   LutMapperParams p2;
   p2.lut_size = 2;
-  const double area2 = lut_qor(map_to_luts(aig, p2)).area;
-  std::uint32_t prev_depth = 0xffffffffu;
+  const double area2 = map_to_luts(aig, p2).area();
+  double prev_depth = 1e300;
   for (unsigned k = 2; k <= kMaxCutSize; ++k) {
     LutMapperParams params;
     params.lut_size = k;
-    LutQor qor = lut_qor(map_to_luts(aig, params));
-    EXPECT_LE(qor.depth, prev_depth) << "k=" << k;
-    if (k >= 3) EXPECT_LT(qor.area, area2) << "k=" << k;
-    prev_depth = qor.depth;
+    MappedNetlist network = map_to_luts(aig, params);
+    EXPECT_LE(network.delay(), prev_depth) << "k=" << k;
+    if (k >= 3) EXPECT_LT(network.area(), area2) << "k=" << k;
+    prev_depth = network.delay();
   }
 }
 
 TEST(LutMapper, RingFreeChoicesMatchPlainBitIdentically) {
   Rng rng(33);
   Aig aig = testing::random_aig(6, 3, 70, rng);
-  LutNetwork plain = map_to_luts(aig);
-  LutNetwork via_choices = map_to_luts(ChoiceAig::from_plain(aig));
+  MappedNetlist plain = map_to_luts(aig);
+  MappedNetlist via_choices = map_to_luts(ChoiceAig::from_plain(aig));
   expect_same_network(plain, via_choices);
 }
 
@@ -133,14 +137,13 @@ TEST(LutMapper, ChoiceRingsStayEquivalentAndGatedNoWorse) {
   ChoiceAig caig = egraph_to_choice_aig(ce, solution, {}, nullptr);
   ASSERT_GT(caig.choices.num_rings(), 0u);
 
-  LutNetwork choice = map_to_luts(caig);
+  MappedNetlist choice = map_to_luts(caig);
   EXPECT_TRUE(equivalent(aig, choice));
 
-  LutChoiceOutcome outcome = map_luts_with_choices_gated(caig);
-  EXPECT_TRUE(equivalent(aig, outcome.network));
-  LutQor adopted = lut_qor(outcome.network);
-  EXPECT_LE(adopted.area, outcome.plain.area);
-  EXPECT_LE(adopted.depth, outcome.plain.depth);
+  ChoiceMapOutcome outcome = map_with_choices_gated(caig, LutMapperParams{});
+  EXPECT_TRUE(equivalent(aig, outcome.netlist));
+  EXPECT_LE(outcome.netlist.area(), outcome.plain.area);
+  EXPECT_LE(outcome.netlist.delay(), outcome.plain.delay);
 }
 
 TEST(LutMapper, InvalidLutSizeThrowsOnBothOverloads) {
@@ -156,17 +159,26 @@ TEST(LutMapper, InvalidLutSizeThrowsOnBothOverloads) {
   }
 }
 
+TEST(LutMapper, ZeroNumCutsThrowsOnBothOverloads) {
+  Aig aig = make_adder(3);
+  ChoiceAig caig = ChoiceAig::from_plain(aig);
+  LutMapperParams params;
+  params.num_cuts = 0;
+  EXPECT_THROW(map_to_luts(aig, params), std::invalid_argument);
+  EXPECT_THROW(map_to_luts(caig, params), std::invalid_argument);
+}
+
 TEST(LutMapper, ParallelEnumerationNeverChangesTheNetwork) {
   Rng rng(44);
   Aig aig = testing::random_aig(8, 4, 160, rng);
-  LutNetwork serial = map_to_luts(aig);
+  MappedNetlist serial = map_to_luts(aig);
   LutMapperParams params;
   params.num_threads = 4;
-  LutNetwork parallel = map_to_luts(aig, params);
+  MappedNetlist parallel = map_to_luts(aig, params);
   expect_same_network(serial, parallel);
 
   ThreadPool pool(4);
-  LutNetwork pooled = map_to_luts(aig, LutMapperParams{}, nullptr, &pool);
+  MappedNetlist pooled = map_to_luts(aig, LutMapperParams{}, nullptr, &pool);
   expect_same_network(serial, pooled);
 }
 
@@ -175,8 +187,8 @@ TEST(LutMapper, WorkspaceReuseAcrossCalls) {
   Rng rng(55);
   for (int round = 0; round < 3; ++round) {
     Aig aig = testing::random_aig(6 + round, 3, 50 + 25 * round, rng);
-    LutNetwork fresh = map_to_luts(aig);
-    LutNetwork reused = map_to_luts(aig, LutMapperParams{}, &workspace);
+    MappedNetlist fresh = map_to_luts(aig);
+    MappedNetlist reused = map_to_luts(aig, LutMapperParams{}, &workspace);
     expect_same_network(fresh, reused);
   }
 }
@@ -186,7 +198,7 @@ TEST(LutMapper, BlifShape) {
   Lit a = make_lit(aig.add_pi("a"));
   Lit b = make_lit(aig.add_pi("b"));
   aig.add_po(aig.make_and(a, lit_not(b)), "f");
-  LutNetwork network = map_to_luts(aig);
+  MappedNetlist network = map_to_luts(aig);
   std::string blif = network.to_blif("andnot");
   EXPECT_NE(blif.find(".model andnot"), std::string::npos);
   EXPECT_NE(blif.find(".inputs a b"), std::string::npos);

@@ -209,6 +209,18 @@ TEST(Mapper, RejectsUndersizeCuts) {
                std::invalid_argument);
 }
 
+TEST(Mapper, RejectsZeroNumCuts) {
+  // num_cuts == 0 leaves every node only its trivial cut, which matches no
+  // cell: a parameter error, not a "library not NPN-complete" one.
+  Aig aig = make_adder(3);
+  Matcher matcher(CellLibrary::asap7_like());
+  MapperParams params;
+  params.num_cuts = 0;
+  EXPECT_THROW(map_to_cells(aig, matcher, params), std::invalid_argument);
+  EXPECT_THROW(map_to_cells(ChoiceAig::from_plain(aig), matcher, params),
+               std::invalid_argument);
+}
+
 TEST(Mapper, SharedMatcherAndWorkspaceReuseMatchFreshMapping) {
   // The SA hot path maps many candidate AIGs through one shared matcher and
   // one reused workspace; every call must agree exactly with a fresh-state

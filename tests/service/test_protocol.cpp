@@ -225,7 +225,9 @@ TEST(ApplyFlowParams, RejectsUnknownAndIllTypedKeys) {
 
 TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
   // {override, field named in the error}: non-integral, negative and
-  // above-maximum values for integer fields of several widths.
+  // above-maximum values for integer fields of several widths, and mapping
+  // settings outside map_to_cells' range (these must die at submit, not as
+  // an internal error mid-flow).
   const std::pair<const char*, const char*> cases[] = {
       {R"({"rounds": 2.5})", "'rounds'"},
       {R"({"rounds": -1})", "'rounds'"},
@@ -235,6 +237,10 @@ TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
       {R"({"sa": {"iterations": 1e20}})", "'sa.iterations'"},
       {R"({"rewrite": {"max_enodes": 1e30}})", "'rewrite.max_enodes'"},
       {R"({"mapping": {"num_cuts": 0.5}})", "'mapping.num_cuts'"},
+      {R"({"mapping": {"num_cuts": 0}})", "'mapping.num_cuts'"},
+      {R"({"mapping": {"cut_size": 7}})", "'mapping.cut_size'"},
+      {R"({"mapping": {"cut_size": 5}})", "'mapping.cut_size'"},
+      {R"({"mapping": {"cut_size": 1}})", "'mapping.cut_size'"},
   };
   for (const auto& [text, field] : cases) {
     FlowParams params;
@@ -249,9 +255,12 @@ TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
   // Values up to the field type's maximum still pass.
   FlowParams params;
   apply_flow_params(&params, Json::parse(R"({"rounds": 4294967295,
-      "rewrite": {"max_enodes": 1e12}})"));
+      "rewrite": {"max_enodes": 1e12},
+      "mapping": {"cut_size": 4, "num_cuts": 1}})"));
   EXPECT_EQ(params.rounds, 4294967295u);
   EXPECT_EQ(params.rewrite.max_enodes, 1000000000000u);
+  EXPECT_EQ(params.mapping.cut_size, 4u);
+  EXPECT_EQ(params.mapping.num_cuts, 1u);
 }
 
 TEST(ApplyFlowParams, ValidatesPartitionKeys) {

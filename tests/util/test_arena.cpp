@@ -73,40 +73,6 @@ TEST(BumpArena, MoveTransfersOwnershipAndKeepsPointersValid) {
   EXPECT_EQ(b.capacity(), 0u);
 }
 
-// --- PoolAllocator -----------------------------------------------------------
-
-TEST(PoolAllocator, RecyclesFreedSlots) {
-  PoolAllocator<std::uint64_t> pool;
-  std::uint64_t* a = pool.allocate();
-  std::uint64_t* b = pool.allocate();
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.high_water(), 2u);
-
-  pool.deallocate(a);
-  EXPECT_EQ(pool.free_count(), 1u);
-  std::uint64_t* c = pool.allocate();
-  EXPECT_EQ(c, a);  // LIFO reuse of the freed slot
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_EQ(pool.high_water(), 2u);  // no fresh slot was bump-allocated
-}
-
-TEST(PoolAllocator, SteadyStateChurnsWithoutMallocs) {
-  PoolAllocator<std::uint64_t> pool;
-  std::vector<std::uint64_t*> live;
-  for (int i = 0; i < 256; ++i) live.push_back(pool.allocate());
-  std::uint64_t before = arena_block_allocs();
-  // Alloc/free churn at constant population: the free list absorbs it all.
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 64; ++i) {
-      pool.deallocate(live.back());
-      live.pop_back();
-    }
-    for (int i = 0; i < 64; ++i) live.push_back(pool.allocate());
-  }
-  EXPECT_EQ(arena_block_allocs(), before);
-  EXPECT_EQ(pool.high_water(), 256u);
-}
-
 // --- ArenaSpan / SpanStore ---------------------------------------------------
 
 TEST(SpanStore, PushBackGrowsAndPreservesContents) {
@@ -120,9 +86,9 @@ TEST(SpanStore, PushBackGrowsAndPreservesContents) {
 }
 
 TEST(SpanStore, PushBackSelfAliasIsSafe) {
-  // The arena twin of the SmallVec::push_back self-alias bug: pushing
-  // span[0] exactly when the span is at capacity must copy the value before
-  // growth retires the old region. Under ASan the broken version reads
+  // The self-alias use-after-free class: pushing span[0] exactly when the
+  // span is at capacity must copy the value before growth retires the old
+  // region. Under ASan the broken version reads
   // freed/retired memory.
   SpanStore<std::uint32_t> store;
   ArenaSpan<std::uint32_t> span;
