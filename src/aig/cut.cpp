@@ -1,6 +1,7 @@
 #include "aig/cut.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,54 @@ namespace {
 /// handful of nodes through the pool costs more than computing them.
 /// Purely a throughput threshold — the cut lists are identical either way.
 constexpr std::size_t kMinParallelWave = 16;
+
+/// Bit (leaf & 63) per leaf: a subset's signature is a subset of its
+/// superset's, but distinct leaves 64 apart share a bit.
+std::uint64_t leaf_signature(const Cut& c) {
+  std::uint64_t sig = 0;
+  for (unsigned i = 0; i < c.size; ++i) sig |= 1ull << (c.leaves[i] & 63);
+  return sig;
+}
+
+/// Union of the sorted leaf sets of `a` and `b` into `out`; false when it
+/// exceeds `k` leaves.
+bool merge_leaves(const Cut& a, const Cut& b, unsigned k, Cut& out) {
+  unsigned i = 0, j = 0, n = 0;
+  while (i < a.size || j < b.size) {
+    Var next = 0;
+    if (j >= b.size || (i < a.size && a.leaves[i] <= b.leaves[j])) {
+      next = a.leaves[i];
+      if (j < b.size && b.leaves[j] == next) ++j;
+      ++i;
+    } else {
+      next = b.leaves[j];
+      ++j;
+    }
+    if (n >= k) return false;
+    out.leaves[n++] = next;
+  }
+  out.size = static_cast<std::uint8_t>(n);
+  return true;
+}
+
+/// Position of each leaf of `sub` among the leaves of `cut` (sub ⊆ cut).
+std::array<std::uint8_t, 6> leaf_positions(const Cut& sub, const Cut& cut) {
+  std::array<std::uint8_t, 6> pos{};
+  unsigned j = 0;
+  for (unsigned i = 0; i < sub.size; ++i) {
+    while (cut.leaves[j] != sub.leaves[i]) ++j;
+    pos[i] = static_cast<std::uint8_t>(j);
+  }
+  return pos;
+}
+
+Cut trivial_cut(Var v) {
+  Cut trivial;
+  trivial.size = 1;
+  trivial.leaves[0] = v;
+  trivial.tt = tt_var(0, 1);
+  return trivial;
+}
 
 }  // namespace
 
@@ -86,15 +135,11 @@ CutManager::CutManager(const Aig& aig, const AigChoices* choices,
   EM_CHECK_EXPENSIVE(check::check_cuts(*this));
 }
 
-void CutManager::process_node(Var v, std::vector<Cut>& scratch,
+void CutManager::process_node(Var v, CutScratch& scratch,
                               SpanStore<Cut>& store) {
   if (v == 0) return;
   if (aig_.is_pi(v)) {
-    Cut trivial;
-    trivial.size = 1;
-    trivial.leaves[0] = v;
-    trivial.tt = tt_var(0, 1);
-    store.push_back(arena_->slots[v], trivial);
+    store.push_back(arena_->slots[v], trivial_cut(v));
     return;
   }
   compute(v, scratch, store);
@@ -192,7 +237,7 @@ void CutManager::enumerate_parallel(ThreadPool* external_pool) {
       // cut storage from its own bump arena, so no bump pointer is shared
       // across threads. Slot headers are written once, by the one worker
       // that owns the node.
-      std::vector<Cut>& scratch = arena_->worker_scratch[ci];
+      CutScratch& scratch = arena_->worker_scratch[ci];
       SpanStore<Cut>& store = arena_->worker_stores[ci];
       for (std::size_t i = lo; i < hi; ++i) {
         process_node(nodes[i], scratch, store);
@@ -243,103 +288,91 @@ void CutManager::merge_choice_cuts(Var rep, SpanStore<Cut>& store) {
   store.push_back(slot, trivial);
 }
 
-bool CutManager::merge(const Cut& a, const Cut& b, bool compl_a, bool compl_b,
-                       Cut& out) const {
-  // Merge sorted leaf sets, bailing out when exceeding K.
-  unsigned i = 0, j = 0, n = 0;
-  while (i < a.size || j < b.size) {
-    Var next;
-    if (j >= b.size || (i < a.size && a.leaves[i] <= b.leaves[j])) {
-      next = a.leaves[i];
-      if (j < b.size && b.leaves[j] == next) ++j;
-      ++i;
-    } else {
-      next = b.leaves[j];
-      ++j;
-    }
-    if (n >= params_.cut_size) return false;
-    out.leaves[n++] = next;
-  }
-  out.size = static_cast<std::uint8_t>(n);
-
-  // Compute the merged truth table: expand each operand function onto the
-  // union support, complement per the AIG edge, and conjoin.
-  std::array<std::uint8_t, 6> pos_a{}, pos_b{};
-  for (unsigned k = 0; k < a.size; ++k) {
-    pos_a[k] = static_cast<std::uint8_t>(
-        std::lower_bound(out.leaves.begin(), out.leaves.begin() + n, a.leaves[k]) -
-        out.leaves.begin());
-  }
-  for (unsigned k = 0; k < b.size; ++k) {
-    pos_b[k] = static_cast<std::uint8_t>(
-        std::lower_bound(out.leaves.begin(), out.leaves.begin() + n, b.leaves[k]) -
-        out.leaves.begin());
-  }
-  Tt ta = tt_expand(a.tt, a.size, n, pos_a);
-  Tt tb = tt_expand(b.tt, b.size, n, pos_b);
-  if (compl_a) ta = tt_not(ta, n);
-  if (compl_b) tb = tt_not(tb, n);
-  out.tt = ta & tb & tt_mask(n);
-  return true;
-}
-
-void CutManager::compute(Var v, std::vector<Cut>& scratch,
+void CutManager::compute(Var v, CutScratch& scratch,
                          SpanStore<Cut>& store) {
   const Lit f0 = aig_.fanin0(v);
   const Lit f1 = aig_.fanin1(v);
   const auto& cuts0 = arena_->slots[lit_var(f0)];
   const auto& cuts1 = arena_->slots[lit_var(f1)];
+  const unsigned k = params_.cut_size;
 
-  // The caller hands a per-worker scratch vector: in the wave-parallel
-  // pass several nodes compute concurrently and must not share one merge
+  // The caller hands a per-worker scratch: in the wave-parallel pass
+  // several nodes compute concurrently and must not share one merge
   // workspace. All shared state touched here is read-only (earlier-wave
   // slots, levels) except the node's own slot.
-  std::vector<Cut>& result = scratch;
+  std::vector<std::uint64_t>& sigs1 = scratch.sigs;
+  sigs1.clear();
+  for (const Cut& b : cuts1) sigs1.push_back(leaf_signature(b));
+  std::vector<CutCandidate>& result = scratch.candidates;
   result.clear();
-  result.reserve(params_.num_cuts + 1);
 
-  auto average_leaf_level = [&](const Cut& c) {
-    std::uint64_t sum = 0;
-    for (unsigned i = 0; i < c.size; ++i) sum += arena_->levels[c.leaves[i]];
-    return c.size == 0 ? 0.0 : static_cast<double>(sum) / c.size;
-  };
-
-  for (const Cut& a : cuts0) {
-    for (const Cut& b : cuts1) {
-      Cut merged;
-      if (!merge(a, b, lit_is_compl(f0), lit_is_compl(f1), merged)) continue;
-      // Domination filtering: skip if an existing cut is a subset.
+  // Merge leaf sets only; truth tables wait until after truncation. The
+  // signature test only rules dominance out; subset_of decides it.
+  for (std::uint32_t i = 0; i < cuts0.size(); ++i) {
+    const Cut& a = cuts0[i];
+    const std::uint64_t sig_a = leaf_signature(a);
+    for (std::uint32_t j = 0; j < cuts1.size(); ++j) {
+      const std::uint64_t sig = sig_a | sigs1[j];
+      // More signature bits than K means more than K distinct leaves.
+      if (static_cast<unsigned>(std::popcount(sig)) > k) continue;
+      CutCandidate merged;
+      if (!merge_leaves(a, cuts1[j], k, merged.cut)) continue;
       bool dominated = false;
-      for (const Cut& c : result) {
-        if (c.subset_of(merged)) {
+      for (const CutCandidate& c : result) {
+        if ((c.sig & ~sig) == 0 && c.cut.subset_of(merged.cut)) {
           dominated = true;
           break;
         }
       }
       if (dominated) continue;
-      std::erase_if(result, [&](const Cut& c) { return merged.subset_of(c); });
+      std::erase_if(result, [&](const CutCandidate& c) {
+        return (sig & ~c.sig) == 0 && merged.cut.subset_of(c.cut);
+      });
+      merged.sig = sig;
+      merged.a = i;
+      merged.b = j;
       result.push_back(merged);
     }
   }
 
   // Priority: smaller cuts first, then cuts whose leaves sit lower in the
-  // graph (a proxy for better arrival times, as in the `if` mapper).
-  std::sort(result.begin(), result.end(), [&](const Cut& x, const Cut& y) {
-    if (x.size != y.size) return x.size < y.size;
-    return average_leaf_level(x) < average_leaf_level(y);
-  });
-  if (result.size() > params_.num_cuts) result.resize(params_.num_cuts);
+  // graph (a proxy for better arrival times, as in the `if` mapper). The
+  // key is computed once per survivor. std::sort's order among equal keys
+  // is part of the cut lists, so a stable sort, an extra tie-break or a
+  // different key expression would change QoR.
+  for (CutCandidate& c : result) {
+    std::uint64_t sum = 0;
+    for (unsigned l = 0; l < c.cut.size; ++l) {
+      sum += arena_->levels[c.cut.leaves[l]];
+    }
+    c.key = c.cut.size == 0 ? 0.0 : static_cast<double>(sum) / c.cut.size;
+  }
+  std::sort(result.begin(), result.end(),
+            [](const CutCandidate& x, const CutCandidate& y) {
+              if (x.cut.size != y.cut.size) return x.cut.size < y.cut.size;
+              return x.key < y.key;
+            });
+  const std::size_t kept = std::min<std::size_t>(result.size(),
+                                                 params_.num_cuts);
 
-  // The trivial cut is always kept (last) so mapping can fall back on it.
-  Cut trivial;
-  trivial.size = 1;
-  trivial.leaves[0] = v;
-  trivial.tt = tt_var(0, 1);
-  result.push_back(trivial);
-
-  // Copy into the node's span (exact-fit arena allocation; the scratch
-  // vector never aliases arena storage).
-  store.assign(arena_->slots[v], result.data(), result.data() + result.size());
+  // Truth tables for the kept cuts only: expand each operand function onto
+  // the merged support, complement per the AIG edge, and conjoin. The span
+  // is reserved exact-fit; the trivial cut is always kept (last) so mapping
+  // can fall back on it.
+  ArenaSpan<Cut>& slot = arena_->slots[v];
+  store.reserve(slot, kept + 1);
+  for (std::size_t c = 0; c < kept; ++c) {
+    Cut cut = result[c].cut;
+    const Cut& a = cuts0[result[c].a];
+    const Cut& b = cuts1[result[c].b];
+    Tt ta = tt_expand(a.tt, a.size, cut.size, leaf_positions(a, cut));
+    Tt tb = tt_expand(b.tt, b.size, cut.size, leaf_positions(b, cut));
+    if (lit_is_compl(f0)) ta = ~ta;
+    if (lit_is_compl(f1)) tb = ~tb;
+    cut.tt = ta & tb & tt_mask(cut.size);
+    store.push_back(slot, cut);
+  }
+  store.push_back(slot, trivial_cut(v));
 }
 
 }  // namespace emorphic

@@ -4,8 +4,17 @@
 // (`if -g -K 6 -C 8`) and the standard-cell mapper (`map`) are built on.
 //
 // Each cut carries its local function as a truth table over the (sorted)
-// leaves, computed incrementally during the merge, so complemented AIG edges
-// inside the cone are absorbed into the cut function.
+// leaves, derived from the two fanin cuts it merges, so complemented AIG
+// edges inside the cone are absorbed into the cut function.
+//
+// A node's list is built in the order that keeps the expensive work on the
+// cuts that survive: merge the fanin leaf sets of every pair; drop
+// dominated candidates; compute each survivor's priority key once; sort and
+// truncate to C; and only then build truth tables, for the kept cuts alone
+// (at most C of up to (C+1)^2 candidates). Dominance tests a 64-bit leaf
+// signature (bit `leaf & 63` per leaf) before `Cut::subset_of`. The
+// signature is a necessary condition only: distinct leaves can share a bit,
+// so a passing signature always goes on to the exact subset test.
 //
 // When an AigChoices annotation (aig/choice.hpp) is supplied, enumeration
 // is *choice-aware*: nodes are visited in the annotation's evaluation order
@@ -70,6 +79,24 @@ struct CutParams {
   unsigned num_threads = 1;
 };
 
+/// One merged cut while its node's list is being built. The truth table is
+/// left unset until the candidate survives dominance and truncation; `a`
+/// and `b` name the fanin cuts it is built from then.
+struct CutCandidate {
+  Cut cut;                // leaves and size; tt filled in for kept cuts
+  std::uint64_t sig = 0;  // bit (leaf & 63) per leaf
+  double key = 0.0;       // average leaf level (priority tie-breaker)
+  std::uint32_t a = 0;    // index into the fanin0 cut list
+  std::uint32_t b = 0;    // index into the fanin1 cut list
+};
+
+/// Workspace for building one node's cut list. One per worker in the
+/// wave-parallel pass, reused across nodes and enumerations.
+struct CutScratch {
+  std::vector<CutCandidate> candidates;  // undominated candidates so far
+  std::vector<std::uint64_t> sigs;       // leaf signatures of fanin1's cuts
+};
+
 /// Reusable cut storage. Hot paths (the SA cost evaluator) construct one
 /// CutManager per candidate AIG; routing them through a caller-owned arena
 /// keeps the storage alive across candidates so repeated enumerations stop
@@ -87,11 +114,11 @@ struct CutArena {
   /// race-free. The chunking is deterministic, so after warm-up every
   /// store's epoch is the same size and no store mallocs.
   std::vector<SpanStore<Cut>> worker_stores;
-  std::vector<Cut> scratch;              // merge workspace for one node
+  CutScratch scratch;                    // merge workspace for one node
   std::vector<std::uint32_t> levels;     // cut priority ordering
   /// Per-worker merge workspaces for the wave-parallel pass (one per pool
   /// worker, reused across enumerations like `scratch` is).
-  std::vector<std::vector<Cut>> worker_scratch;
+  std::vector<CutScratch> worker_scratch;
   /// Wave schedule scratch (parallel pass only): per-node wave index and
   /// the nodes of each wave, bucketed in traversal order.
   std::vector<std::uint32_t> waves;
@@ -156,12 +183,11 @@ class CutManager {
  private:
   friend struct check::CheckProbe;
 
-  void process_node(Var v, std::vector<Cut>& scratch, SpanStore<Cut>& store);
+  void process_node(Var v, CutScratch& scratch, SpanStore<Cut>& store);
   void enumerate_serial();
   void enumerate_parallel(ThreadPool* pool);
-  void compute(Var v, std::vector<Cut>& scratch, SpanStore<Cut>& store);
+  void compute(Var v, CutScratch& scratch, SpanStore<Cut>& store);
   void merge_choice_cuts(Var rep, SpanStore<Cut>& store);
-  bool merge(const Cut& a, const Cut& b, bool compl_a, bool compl_b, Cut& out) const;
 
   const Aig& aig_;
   CutParams params_;

@@ -41,16 +41,23 @@ unsigned tt_count_ones(Tt t, unsigned n) {
 Tt tt_expand(Tt t, unsigned n_small, unsigned n_big,
              const std::array<std::uint8_t, 6>& pos) {
   assert(n_small <= n_big && n_big <= 6);
-  Tt out = 0;
-  unsigned big_size = 1u << n_big;
-  for (unsigned m = 0; m < big_size; ++m) {
-    unsigned small_m = 0;
-    for (unsigned i = 0; i < n_small; ++i) {
-      small_m |= ((m >> pos[i]) & 1u) << i;
-    }
-    out |= ((t >> small_m) & 1ull) << m;
+  // Replicate the 2^n_small defined bits across the word: the table now
+  // reads as a 6-input function that ignores inputs n_small..5.
+  t &= tt_mask(n_small);
+  for (unsigned s = n_small; s < 6; ++s) t |= t << (1u << s);
+  // Move inputs to their new positions, highest first. `pos` is strictly
+  // increasing, so pos[i] lies above every input not yet moved and below
+  // every input already moved: the table ignores it, and one masked delta
+  // swap of input i with input pos[i] relocates i. Once pos[i] == i, every
+  // lower input is already in place too.
+  for (unsigned i = n_small; i-- > 0;) {
+    const unsigned p = pos[i];
+    if (p == i) break;
+    const unsigned shift = (1u << p) - (1u << i);
+    const Tt delta = ((t >> shift) ^ t) & kProj[i] & ~kProj[p];
+    t ^= delta | (delta << shift);
   }
-  return out;
+  return t & tt_mask(n_big);
 }
 
 std::string tt_to_string(Tt t, unsigned n) {

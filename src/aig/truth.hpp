@@ -39,7 +39,9 @@ Tt tt_cofactor0(Tt t, unsigned i, unsigned n);
 unsigned tt_count_ones(Tt t, unsigned n);
 
 /// Re-express a function of `n_small` inputs over a larger support:
-/// `pos[i]` is the position of old input `i` in the new n_big-input domain.
+/// `pos[i]` is the position of old input `i` in the new n_big-input domain
+/// and must be strictly increasing in `i`. Bits of `t` above 2^n_small are
+/// ignored.
 Tt tt_expand(Tt t, unsigned n_small, unsigned n_big, const std::array<std::uint8_t, 6>& pos);
 
 /// Human-readable binary string (most significant minterm first).

@@ -2,11 +2,147 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "../test_helpers.hpp"
+#include "aig/choice.hpp"
 #include "aig/sim.hpp"
+#include "benchgen/epfl.hpp"
+#include "opt/resyn.hpp"
 
 namespace emorphic {
 namespace {
+
+/// Fold an enumeration into a running digest: for every node 0..n-1, each
+/// cut's size, leaves and truth table in list order, then a node separator.
+std::uint64_t fold_cuts(std::uint64_t h, const CutManager& cuts,
+                        std::size_t n) {
+  for (Var v = 0; v < n; ++v) {
+    for (const Cut& c : cuts.cuts(v)) {
+      h = splitmix64(h ^ c.size);
+      for (unsigned i = 0; i < c.size; ++i) h = splitmix64(h ^ c.leaves[i]);
+      h = splitmix64(h ^ c.tt);
+    }
+    h = splitmix64(h ^ 0xfeed);
+  }
+  return h;
+}
+
+std::uint64_t leaf_signature(const Cut& c) {
+  std::uint64_t sig = 0;
+  for (unsigned i = 0; i < c.size; ++i) sig |= 1ull << (c.leaves[i] & 63);
+  return sig;
+}
+
+/// The priority-cut algorithm written plainly, as the reference the
+/// optimized kernel must reproduce: merge every fanin-cut pair together
+/// with its truth table, drop dominated cuts by `subset_of` alone, sort by
+/// (size, average leaf level) with std::sort, keep `num_cuts`, append the
+/// trivial cut. Plain AIGs only. `aliases` counts the dominance checks in
+/// which the 64-bit leaf signatures pass but `subset_of` fails.
+std::vector<std::vector<Cut>> reference_cuts(const Aig& aig,
+                                             const CutParams& params,
+                                             std::size_t* aliases) {
+  const std::size_t n = aig.num_nodes();
+  std::vector<std::uint32_t> level(n, 0);
+  std::vector<std::vector<Cut>> out(n);
+  out[0].push_back(Cut{});
+  auto trivial = [](Var v) {
+    Cut c;
+    c.size = 1;
+    c.leaves[0] = v;
+    c.tt = tt_var(0, 1);
+    return c;
+  };
+  auto dominates = [&](const Cut& small, const Cut& big) {
+    const bool sig_ok = (leaf_signature(small) & ~leaf_signature(big)) == 0;
+    const bool subset = small.subset_of(big);
+    if (sig_ok && !subset) ++*aliases;
+    return subset;
+  };
+  for (Var v = 1; v < n; ++v) {
+    if (!aig.is_and(v)) {
+      out[v].push_back(trivial(v));
+      continue;
+    }
+    const Lit f0 = aig.fanin0(v);
+    const Lit f1 = aig.fanin1(v);
+    level[v] = 1 + std::max(level[lit_var(f0)], level[lit_var(f1)]);
+    std::vector<Cut> result;
+    for (const Cut& a : out[lit_var(f0)]) {
+      for (const Cut& b : out[lit_var(f1)]) {
+        Cut m;
+        std::vector<Var> leaves(a.leaves.begin(), a.leaves.begin() + a.size);
+        leaves.insert(leaves.end(), b.leaves.begin(), b.leaves.begin() + b.size);
+        std::sort(leaves.begin(), leaves.end());
+        leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
+        if (leaves.size() > params.cut_size) continue;
+        m.size = static_cast<std::uint8_t>(leaves.size());
+        std::copy(leaves.begin(), leaves.end(), m.leaves.begin());
+        std::array<std::uint8_t, 6> pa{}, pb{};
+        for (unsigned k = 0; k < a.size; ++k) {
+          pa[k] = static_cast<std::uint8_t>(
+              std::find(leaves.begin(), leaves.end(), a.leaves[k]) -
+              leaves.begin());
+        }
+        for (unsigned k = 0; k < b.size; ++k) {
+          pb[k] = static_cast<std::uint8_t>(
+              std::find(leaves.begin(), leaves.end(), b.leaves[k]) -
+              leaves.begin());
+        }
+        Tt ta = tt_expand(a.tt, a.size, m.size, pa);
+        Tt tb = tt_expand(b.tt, b.size, m.size, pb);
+        if (lit_is_compl(f0)) ta = tt_not(ta, m.size);
+        if (lit_is_compl(f1)) tb = tt_not(tb, m.size);
+        m.tt = ta & tb & tt_mask(m.size);
+        bool dominated = false;
+        for (const Cut& c : result) {
+          if (dominates(c, m)) {
+            dominated = true;
+            break;
+          }
+        }
+        if (dominated) continue;
+        std::erase_if(result, [&](const Cut& c) { return dominates(m, c); });
+        result.push_back(m);
+      }
+    }
+    auto key = [&](const Cut& c) {
+      std::uint64_t sum = 0;
+      for (unsigned i = 0; i < c.size; ++i) sum += level[c.leaves[i]];
+      return c.size == 0 ? 0.0 : static_cast<double>(sum) / c.size;
+    };
+    std::sort(result.begin(), result.end(), [&](const Cut& x, const Cut& y) {
+      if (x.size != y.size) return x.size < y.size;
+      return key(x) < key(y);
+    });
+    if (result.size() > params.num_cuts) result.resize(params.num_cuts);
+    result.push_back(trivial(v));
+    out[v] = std::move(result);
+  }
+  return out;
+}
+
+/// First difference between an enumeration and the reference ("" = none).
+std::string diff_against_reference(const CutManager& cuts,
+                                   const std::vector<std::vector<Cut>>& ref) {
+  for (Var v = 0; v < ref.size(); ++v) {
+    const auto& got = cuts.cuts(v);
+    if (got.size() != ref[v].size()) {
+      return "node " + std::to_string(v) + ": " + std::to_string(got.size()) +
+             " vs " + std::to_string(ref[v].size()) + " cuts";
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i].size != ref[v][i].size || got[i].tt != ref[v][i].tt ||
+          got[i].leaves != ref[v][i].leaves) {
+        return "node " + std::to_string(v) + ": cut " + std::to_string(i) +
+               " differs";
+      }
+    }
+  }
+  return "";
+}
 
 TEST(Cut, TrivialCutsOnPis) {
   Aig aig;
@@ -156,6 +292,108 @@ TEST(Cut, ArenaReuseMatchesFreshEnumeration) {
       EXPECT_EQ(a[i].leaves, b[i].leaves);
     }
   }
+}
+
+/// Pins the cut lists of every EPFL circuit, as generated and after the
+/// `dch` substitute, under three (K, C) settings: any change to which cuts
+/// survive, their order or their truth tables changes the digest. The
+/// kernel is a throughput target; this constant is its behaviour.
+TEST(Cut, GoldenDigestOverEpfl) {
+  const std::pair<unsigned, unsigned> configs[] = {{6, 8}, {6, 6}, {4, 8}};
+  CutArena arena;
+  std::uint64_t h = 0;
+  for (const std::string& name : epfl_names()) {
+    const Aig generated = make_epfl(name);
+    const Aig variants[] = {generated, dch_substitute(generated)};
+    for (const Aig& aig : variants) {
+      for (const auto& [k, c] : configs) {
+        CutManager cuts(aig, CutParams{k, c}, &arena);
+        h = fold_cuts(h, cuts, aig.num_nodes());
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x873a733115da6eceull);
+}
+
+/// Choice rings by reassociation: every AND v = (c & d) & b whose first
+/// fanin is a positive AND edge gets the alternative c & (d & b) when that
+/// node is new. Deterministic in the seed, with real fanin cones under
+/// every ring.
+ChoiceAig reassociation_choices(std::uint64_t seed) {
+  Rng rng(seed);
+  ChoiceAig caig;
+  caig.aig = testing::random_aig(10, 4, 200, rng);
+  Aig& aig = caig.aig;
+  const Var plain_nodes = static_cast<Var>(aig.num_nodes());
+  std::vector<std::pair<Var, Var>> members;
+  std::vector<bool> used(plain_nodes, false);
+  for (Var v = 1; v < plain_nodes; ++v) {
+    if (!aig.is_and(v)) continue;
+    const Lit a = aig.fanin0(v);
+    if (lit_is_compl(a) || !aig.is_and(lit_var(a))) continue;
+    const Var before = static_cast<Var>(aig.num_nodes());
+    const Lit inner = aig.make_and(aig.fanin1(lit_var(a)), aig.fanin1(v));
+    const Lit alt = aig.make_and(aig.fanin0(lit_var(a)), inner);
+    if (lit_is_compl(alt) || lit_var(alt) < before) continue;
+    members.emplace_back(v, lit_var(alt));
+  }
+  caig.choices = AigChoices(aig.num_nodes());
+  for (const auto& [rep, alt] : members) {
+    caig.choices.add_member(rep, alt, false);
+  }
+  EXPECT_EQ(caig.choices.finalize(aig), 0u);
+  EXPECT_EQ(caig.choices.check(aig), "");
+  return caig;
+}
+
+/// The choice-aware path (ring members merged into representatives) is
+/// pinned the same way as the plain one.
+TEST(Cut, GoldenDigestWithChoices) {
+  std::uint64_t h = 0;
+  for (std::uint64_t seed : {5u, 29u}) {
+    ChoiceAig caig = reassociation_choices(seed);
+    ASSERT_GT(caig.choices.num_rings(), 10u) << "seed " << seed;
+    for (unsigned k : {4u, 6u}) {
+      CutManager cuts(caig.aig, caig.choices, CutParams{k, 8});
+      h = fold_cuts(h, cuts, caig.aig.num_nodes());
+    }
+  }
+  EXPECT_EQ(h, 0x24df0d61a4d08fc0ull);
+}
+
+TEST(Cut, MatchesReferenceEnumeration) {
+  for (std::uint64_t seed : {3u, 41u, 97u}) {
+    Rng rng(seed);
+    Aig aig = testing::random_aig(10, 4, 300, rng);
+    for (unsigned k : {2u, 4u, 6u}) {
+      for (unsigned c : {1u, 3u, 8u}) {
+        std::size_t aliases = 0;
+        CutManager cuts(aig, CutParams{k, c});
+        EXPECT_EQ(diff_against_reference(
+                      cuts, reference_cuts(aig, CutParams{k, c}, &aliases)),
+                  "")
+            << "seed=" << seed << " k=" << k << " c=" << c;
+      }
+    }
+  }
+}
+
+/// With more than 128 PIs, distinct leaves share signature bits (leaf mod
+/// 64), so a signature test passes for cuts that are not subsets. Dominance
+/// must still follow `subset_of`: the signature is a necessary condition
+/// only, and treating it as sufficient would drop cuts the reference keeps.
+TEST(Cut, SignatureAliasingDoesNotDropCuts) {
+  Rng rng(2024);
+  Aig aig = testing::random_aig(200, 8, 600, rng);
+  std::size_t aliases = 0;
+  for (unsigned k : {4u, 6u}) {
+    CutManager cuts(aig, CutParams{k, 8});
+    EXPECT_EQ(diff_against_reference(
+                  cuts, reference_cuts(aig, CutParams{k, 8}, &aliases)),
+              "")
+        << "k=" << k;
+  }
+  EXPECT_GT(aliases, 0u) << "fixture must produce signature collisions";
 }
 
 }  // namespace

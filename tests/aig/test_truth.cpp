@@ -2,10 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace emorphic {
 namespace {
+
+/// Oracle for tt_expand: build the expanded table one minterm at a time.
+/// Bit m of the result is bit `small_m` of `t`, where input i of the small
+/// function reads input pos[i] of the big one.
+Tt expand_by_minterms(Tt t, unsigned n_small, unsigned n_big,
+                      const std::array<std::uint8_t, 6>& pos) {
+  Tt out = 0;
+  for (unsigned m = 0; m < (1u << n_big); ++m) {
+    unsigned small_m = 0;
+    for (unsigned i = 0; i < n_small; ++i) {
+      small_m |= ((m >> pos[i]) & 1u) << i;
+    }
+    out |= ((t >> small_m) & 1ull) << m;
+  }
+  return out;
+}
+
+/// Calls `fn(pos)` for every strictly increasing map of n_small inputs
+/// into n_big positions.
+template <typename Fn>
+void for_each_position_map(unsigned n_small, unsigned n_big, Fn&& fn) {
+  for (unsigned set = 0; set < (1u << n_big); ++set) {
+    if (static_cast<unsigned>(std::popcount(set)) != n_small) continue;
+    std::array<std::uint8_t, 6> pos{};
+    unsigned i = 0;
+    for (unsigned b = 0; b < n_big; ++b) {
+      if ((set >> b) & 1u) pos[i++] = static_cast<std::uint8_t>(b);
+    }
+    fn(pos);
+  }
+}
 
 TEST(Truth, MasksAndVars) {
   EXPECT_EQ(tt_mask(0), 1ull);
@@ -38,6 +72,71 @@ TEST(Truth, ExpandPreservesFunction) {
   std::array<std::uint8_t, 6> pos{{1, 3, 0, 0, 0, 0}};
   Tt g = tt_expand(f, 2, 4, pos);
   EXPECT_EQ(g, tt_var(1, 4) & tt_not(tt_var(3, 4), 4));
+}
+
+TEST(Truth, ExpandMatchesMintermOracleOnEveryPositionMap) {
+  Rng rng(11);
+  for (unsigned n_big = 0; n_big <= 6; ++n_big) {
+    for (unsigned n_small = 0; n_small <= n_big; ++n_small) {
+      unsigned maps = 0;
+      for_each_position_map(n_small, n_big, [&](const auto& pos) {
+        ++maps;
+        // Every projection, both constants, and random functions.
+        std::vector<Tt> tables = {0, tt_mask(n_small)};
+        for (unsigned i = 0; i < n_small; ++i) {
+          tables.push_back(tt_var(i, n_small));
+        }
+        for (int r = 0; r < 64; ++r) {
+          tables.push_back(rng.next() & tt_mask(n_small));
+        }
+        for (Tt t : tables) {
+          ASSERT_EQ(tt_expand(t, n_small, n_big, pos),
+                    expand_by_minterms(t, n_small, n_big, pos))
+              << "t=" << t << " n_small=" << n_small << " n_big=" << n_big;
+        }
+      });
+      // C(n_big, n_small) strictly increasing maps.
+      unsigned binom = 1;
+      for (unsigned i = 0; i < n_small; ++i) {
+        binom = binom * (n_big - i) / (i + 1);
+      }
+      EXPECT_EQ(maps, binom);
+    }
+  }
+}
+
+TEST(Truth, ExpandIgnoresBitsAboveTheSmallDomain) {
+  // Only the low 2^n_small bits of the input table are defined; whatever
+  // sits above them must not leak into the expanded function.
+  Rng rng(12);
+  for (unsigned n_big = 0; n_big <= 6; ++n_big) {
+    for (unsigned n_small = 0; n_small <= n_big; ++n_small) {
+      for_each_position_map(n_small, n_big, [&](const auto& pos) {
+        for (int r = 0; r < 16; ++r) {
+          const Tt t = rng.next();  // garbage above bit 2^n_small
+          const Tt g = tt_expand(t, n_small, n_big, pos);
+          EXPECT_EQ(g, expand_by_minterms(t, n_small, n_big, pos));
+          EXPECT_EQ(g, tt_expand(t & tt_mask(n_small), n_small, n_big, pos));
+          EXPECT_EQ(g & ~tt_mask(n_big), 0ull);
+        }
+      });
+    }
+  }
+}
+
+TEST(Truth, ExpandIdentityPaddingToFourInputs) {
+  // The cell mapper's pad4: a cut function of up to 4 inputs re-expressed
+  // over 4 inputs with the identity map.
+  const std::array<std::uint8_t, 6> identity{{0, 1, 2, 3, 4, 5}};
+  Rng rng(13);
+  for (unsigned n = 0; n <= 4; ++n) {
+    for (int r = 0; r < 256; ++r) {
+      const Tt t = rng.next() & tt_mask(n);
+      const Tt g = tt_expand(t, n, 4, identity);
+      EXPECT_EQ(g, expand_by_minterms(t, n, 4, identity));
+      for (unsigned i = n; i < 4; ++i) EXPECT_FALSE(tt_depends_on(g, i, 4));
+    }
+  }
 }
 
 TEST(Truth, ToString) {
