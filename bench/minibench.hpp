@@ -1,10 +1,10 @@
 #pragma once
 // Zero-dependency timer harness for the micro benches (bench/micro_*.cpp),
-// shaped like the small subset of the google-benchmark API they use, so the
-// perf harnesses (and the BENCH_*.json they emit) build on every machine.
+// shaped like the small subset of the google-benchmark API they use, so
+// they build on every machine.
 //
 // Supported surface: benchmark::State (range-for iteration, range(),
-// PauseTiming/ResumeTiming, SetItemsProcessed, iterations),
+// SetItemsProcessed, iterations),
 // benchmark::DoNotOptimize, the BENCHMARK(fn)->Arg(n) registration macro,
 // and Initialize/RunSpecifiedBenchmarks. Each benchmark is auto-calibrated
 // to run for at least ~50 ms and reported as ns/op.
@@ -27,13 +27,10 @@ class State {
 
   std::size_t iterations() const { return iters_; }
 
-  void PauseTiming() { accumulate(); }
-  void ResumeTiming() { start_ = Clock::now(); }
-
   void SetItemsProcessed(std::int64_t items) { items_ = items; }
   std::int64_t items_processed() const { return items_; }
 
-  /// Seconds of measured (non-paused) loop time.
+  /// Seconds of measured loop time.
   double seconds() const { return elapsed_; }
 
   struct iterator {

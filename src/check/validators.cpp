@@ -1,6 +1,7 @@
 #include "check/validators.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -54,26 +55,36 @@ std::vector<std::vector<Tt>> simulate(const Aig& aig, unsigned num_words,
   return value;
 }
 
-/// Evaluate `cut`'s truth table on the simulated leaf words: output bit p
-/// is tt[minterm assembled from the leaves' bits p]. The cut is
+/// Evaluate `cut`'s truth table on the simulated leaf words. The cut is
 /// functionally correct iff this equals the root's own simulated word —
 /// a property that holds for choice-merged cuts too (ring members agree
 /// with their representative as functions of the PIs), where no single
 /// structural cone walk could verify the table.
 Tt eval_cut_word(const Cut& cut, const std::vector<std::vector<Tt>>& value,
                  unsigned w) {
-  Tt out = 0;
-  for (unsigned p = 0; p < 64; ++p) {
-    unsigned idx = 0;
-    for (unsigned i = 0; i < cut.size; ++i) {
-      idx |= static_cast<unsigned>((value[cut.leaves[i]][w] >> p) & 1ull) << i;
-    }
-    out |= ((cut.tt >> idx) & 1ull) << p;
+  std::array<Tt, kMaxCutSize> leaf_words{};
+  for (unsigned i = 0; i < cut.size; ++i) {
+    leaf_words[i] = value[cut.leaves[i]][w];
   }
-  return out;
+  return eval_table_word(cut.tt, leaf_words.data(), cut.size);
 }
 
 }  // namespace
+
+Tt eval_table_word(Tt tt, const Tt* leaf_words, unsigned size) {
+  // cof[m] is the output word for the minterms whose not-yet-folded leaves
+  // spell m. Folding leaf i muxes each pair of cofactors that differ only
+  // in that leaf's bit: 2^size - 1 muxes in all.
+  std::array<Tt, 1u << kMaxCutSize> cof{};
+  for (unsigned m = 0; m < (1u << size); ++m) cof[m] = 0 - ((tt >> m) & 1ull);
+  for (unsigned i = 0; i < size; ++i) {
+    const Tt x = leaf_words[i];
+    for (unsigned m = 0; m < (1u << (size - i - 1)); ++m) {
+      cof[m] = cof[2 * m] ^ (x & (cof[2 * m] ^ cof[2 * m + 1]));
+    }
+  }
+  return cof[0];
+}
 
 std::string check_aig(const Aig& aig) {
   const std::uint32_t n = aig.num_nodes();

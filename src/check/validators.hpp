@@ -14,6 +14,7 @@
 // tests/check/test_validators.cpp, which plants defects through the
 // check::CheckProbe seam (check/probe.hpp) and asserts each one is caught.
 
+#include <cstdint>
 #include <string>
 
 namespace emorphic {
@@ -64,6 +65,13 @@ std::string check_cuts(const CutManager& cuts);
 /// count equal that cell's pin count; a LUT gate has 1 to kMaxCutSize
 /// inputs.
 std::string check_netlist(const MappedNetlist& netlist);
+
+/// Evaluate a `size`-input truth table (size <= 6) on 64 input patterns at
+/// once: bit p of the result is the table's value on the minterm whose
+/// input i is bit p of leaf_words[i]. A Shannon mux over the leaf words,
+/// 2^size - 1 word muxes; check_cuts compares it with a node's simulation.
+std::uint64_t eval_table_word(std::uint64_t tt,
+                              const std::uint64_t* leaf_words, unsigned size);
 
 }  // namespace check
 }  // namespace emorphic

@@ -15,8 +15,9 @@
 //    SpanStore bump arenas. Growing a class bumps an arena pointer instead
 //    of calling malloc, and rebuild() reclaims the waste merges leave
 //    behind by compacting the arenas (epoch reclaim) — so a warmed-up
-//    saturation loop runs allocation-free (bench/micro_alloc.cpp holds
-//    this via exit code).
+//    saturation loop runs allocation-free
+//    (Alloc.EGraphKernelsAreAllocationFreeWhenWarm in tests/alloc holds
+//    this).
 //  - The union-find uses path halving, and rebuild() finishes with a full
 //    compression pass so that on a *clean* e-graph every parent pointer aims
 //    directly at its root. find() on a clean graph is therefore one load and

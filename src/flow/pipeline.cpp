@@ -141,15 +141,22 @@ namespace {
 constexpr char kRewriteCkptMagic[4] = {'E', 'M', 'C', 'K'};
 constexpr const char* kRewriteCkptFormat = "rewrite checkpoint";
 
-/// Everything the saturation trajectory depends on. A checkpoint whose
-/// fingerprint disagrees was taken under a different run and throws
-/// (restoring it would silently splice two unrelated saturations).
-std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx) {
+/// Everything the saturation trajectory depends on: circuit, caps, seed
+/// and rule set (by name). A checkpoint whose fingerprint disagrees was
+/// taken under a different run and throws (restoring it would silently
+/// splice two unrelated saturations).
+std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx,
+                                       const std::vector<Rewrite>& rules) {
   std::uint64_t h = structural_signature(ctx.current);
   h = fingerprint_fold(h, ctx.params.rewrite.max_iterations);
   h = fingerprint_fold(h, ctx.params.rewrite.max_enodes);
   h = fingerprint_fold(h, ctx.params.rewrite.max_matches_per_rule);
   h = fingerprint_fold(h, ctx.seed);
+  h = fingerprint_fold(h, rules.size());
+  for (const Rewrite& rule : rules) {
+    h = fingerprint_fold(h, rule.name.size());
+    for (unsigned char c : rule.name) h = fingerprint_fold(h, c);
+  }
   return h;
 }
 
@@ -202,7 +209,7 @@ void RewriteStage::run(FlowContext& ctx) const {
   std::uint64_t fingerprint = 0;
   std::uint64_t iterations_done = 0;
   if (checkpointing) {
-    fingerprint = rewrite_ckpt_fingerprint(ctx);
+    fingerprint = rewrite_ckpt_fingerprint(ctx, *rules);
     iterations_done = load_rewrite_ckpt(ctx.params.checkpoint_path,
                                         fingerprint, ctx.egraph->egraph);
     if (iterations_done >= rewrite.max_iterations) {

@@ -44,7 +44,7 @@
 
 namespace emorphic {
 
-/// Telemetry snapshot (BENCH_service.json reports these as hit rates).
+/// Telemetry snapshot: hit and miss counts per cache.
 struct WarmCacheStats {
   std::uint64_t qor_hits = 0;
   std::uint64_t qor_misses = 0;

@@ -377,8 +377,8 @@ void SynthServer::worker_loop() {
   // Pipeline::run re-initializes the working state, and the context's
   // mapper/LUT workspaces (cut arenas, DP state) plus the shared matcher
   // survive between jobs, so a warm worker serves the steady state without
-  // allocator traffic (the BENCH_alloc gate and
-  // tests/service/test_warm_cache.cpp pin this).
+  // allocator traffic (WarmCache.WorkerContextReuseIsFlatAndDeterministic
+  // in tests/alloc pins this).
   FlowContext ctx;
   std::shared_ptr<Job> job;
   while (queue_.pop(&job)) {

@@ -19,8 +19,8 @@
 //    (the e-graph does this at rebuild() — epoch reclaim).
 //
 // Instrumentation: under EMORPHIC_CHECKS every block malloc bumps a global
-// counter (arena_block_allocs()), so tests and bench/micro_alloc.cpp can
-// assert that a warmed-up flow stops touching the system allocator.
+// counter (arena_block_allocs()), so the tests/alloc suite can assert that
+// a warmed-up loop stops touching the system allocator.
 
 #include <cstddef>
 #include <cstdint>

@@ -253,6 +253,26 @@ TEST(CheckCuts, RejectsWrongTruthTable) {
   EXPECT_NE(why.find("simulation"), std::string::npos) << why;
 }
 
+TEST(CheckCuts, WordEvaluationMatchesMintermOracle) {
+  // The Shannon-mux evaluation check_cuts relies on, against the bit-serial
+  // definition: output bit p is tt[minterm of the leaves' bits p].
+  Rng rng(61);
+  for (unsigned k = 0; k <= kMaxCutSize; ++k) {
+    for (int trial = 0; trial < 50; ++trial) {
+      Tt tt = rng.next() & tt_mask(k);
+      Tt leaves[kMaxCutSize];
+      for (Tt& word : leaves) word = rng.next();
+      Tt want = 0;
+      for (unsigned p = 0; p < 64; ++p) {
+        unsigned m = 0;
+        for (unsigned i = 0; i < k; ++i) m |= ((leaves[i] >> p) & 1u) << i;
+        want |= ((tt >> m) & 1u) << p;
+      }
+      EXPECT_EQ(check::eval_table_word(tt, leaves, k), want) << "k=" << k;
+    }
+  }
+}
+
 TEST(CheckCuts, RejectsDuplicateLeafSets) {
   Aig aig = small_aig();
   CutManager cuts(aig, CutParams{});

@@ -112,6 +112,42 @@ TEST(Runner, ReportsPerRuleCounts) {
   EXPECT_GT(total, 0u);
 }
 
+TEST(Runner, UncappedCountsMatchTheSeedCore) {
+  // Uncapped, the final congruence closure is independent of match order,
+  // so full-scan, indexed and 4-thread matching must each reach the exact
+  // counts the original (seed) e-graph core produced on these circuits.
+  struct Pinned {
+    unsigned pis, ands;
+    std::size_t iterations, matches, enodes, classes;
+  };
+  for (Pinned pin : {Pinned{8, 30, 3, 8195, 2148, 842},
+                     Pinned{10, 40, 2, 1272, 925, 491}}) {
+    Aig aig = testing::random_aig_tail_pos(pin.pis, pin.ands, 7);
+    for (auto [use_index, threads] :
+         {std::pair{false, 1u}, std::pair{true, 1u}, std::pair{true, 4u}}) {
+      CircuitEGraph ce = aig_to_egraph(aig);
+      RunnerParams params;
+      params.max_iterations = pin.iterations;
+      params.max_enodes = 100000000;
+      params.max_matches_per_rule = 100000000;
+      params.time_limit_s = 1e9;
+      params.use_rule_index = use_index;
+      params.match_threads = threads;
+      RunnerReport report =
+          run_rewriting(ce.egraph, make_logic_rules(), params);
+      std::size_t matches = 0;
+      for (const IterationStats& it : report.iterations) matches += it.matches;
+      std::string where = std::to_string(pin.pis) + "x" +
+                          std::to_string(pin.ands) + " index=" +
+                          std::to_string(use_index) +
+                          " threads=" + std::to_string(threads);
+      EXPECT_EQ(matches, pin.matches) << where;
+      EXPECT_EQ(ce.egraph.num_enodes(), pin.enodes) << where;
+      EXPECT_EQ(ce.egraph.num_classes(), pin.classes) << where;
+    }
+  }
+}
+
 TEST(Runner, StopReasonNames) {
   EXPECT_STREQ(stop_reason_name(StopReason::kSaturated), "saturated");
   EXPECT_STREQ(stop_reason_name(StopReason::kIterLimit), "iteration-limit");

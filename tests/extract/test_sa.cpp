@@ -176,6 +176,7 @@ TEST(SaMapped, MemoizedQorEqualsRecomputedOnBenchgenCircuit) {
   EXPECT_DOUBLE_EQ(plain.best_cost, memo.best_cost);
   EXPECT_DOUBLE_EQ(plain.best_qor.area, memo.best_qor.area);
   EXPECT_DOUBLE_EQ(plain.best_qor.delay, memo.best_qor.delay);
+  EXPECT_EQ(plain.trace.size(), memo.trace.size());
   EXPECT_EQ(memo.qor_cache_hits + memo.qor_cache_misses, plain.evaluations);
   EXPECT_GT(memo.qor_cache_hits, 0u);
   EXPECT_LT(memo.evaluations, plain.evaluations);

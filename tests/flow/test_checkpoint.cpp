@@ -15,6 +15,7 @@
 #include "aig/aig_io.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
+#include "egraph/rules.hpp"
 #include "egraph/snapshot.hpp"
 #include "flow/partition_flow.hpp"
 #include "flow/pipeline.hpp"
@@ -127,6 +128,24 @@ TEST(RewriteCheckpoint, FingerprintMismatchThrows) {
   FlowParams other = params;
   other.rewrite.max_enodes += 1;
   EXPECT_THROW(Pipeline::emorphic().run(make_adder(6), other), SnapshotError);
+  std::remove(path.c_str());
+}
+
+TEST(RewriteCheckpoint, RuleSetMismatchThrows) {
+  // A custom rule set must not resume a default-rule saturation.
+  std::string path = temp_path("rules");
+  FlowParams params = checkpoint_params();
+  params.checkpoint_path = path;
+  auto saturate = [&](std::vector<Rewrite> rules) {
+    Pipeline pipeline;
+    pipeline.add("EgraphConversion")
+        .add(StagePtr(new RewriteStage(std::move(rules))));
+    return pipeline.run(make_adder(6), params);
+  };
+  ASSERT_FALSE(saturate({}).cancelled);  // empty: the default rules
+  std::vector<Rewrite> subset = make_logic_rules();
+  subset.resize(subset.size() / 2);
+  EXPECT_THROW(saturate(subset), SnapshotError);
   std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
 
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
 #include "cec/cec.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
@@ -116,6 +117,46 @@ TEST(ChoiceExport, ChoiceFreeMappingReproducesPlainMappingExactly) {
     EXPECT_EQ(plain.area(), via_choices.area());
     EXPECT_EQ(plain.delay(), via_choices.delay());
   }
+}
+
+TEST(ChoiceExport, GatedCoverNeverWorseAndSometimesSmaller) {
+  // One committed extraction mapped twice on the same e-graph: plainly
+  // (ring_cap = 0 exports the bare cone) and across the verified rings.
+  // Every cover is proven. The gated cover the choicemap stage ships is
+  // never worse than plain, and strictly smaller in area somewhere.
+  Aig circuits[] = {make_adder(8), make_adder(16), make_multiplier(4),
+                    make_square(5), make_arbiter(4)};
+  Matcher matcher(CellLibrary::asap7_like());
+  bool any_smaller = false;
+  bool any_rings = false;
+  for (const Aig& aig : circuits) {
+    CircuitEGraph ce = aig_to_egraph(aig);
+    RunnerParams params;
+    params.max_iterations = 4;
+    params.max_enodes = 30000;
+    params.max_matches_per_rule = 5000;
+    params.time_limit_s = 1e9;
+    run_rewriting(ce.egraph, make_logic_rules(), params);
+    Extraction solution =
+        greedy_extract(ce.egraph, CostModel{CostKind::kDepth});
+    ChoiceExportParams no_choices;
+    no_choices.ring_cap = 0;
+    MappedNetlist plain = map_to_cells(
+        egraph_to_choice_aig(ce, solution, no_choices).aig, matcher);
+    ChoiceAig caig = egraph_to_choice_aig(ce, solution);
+    MappedNetlist raw = map_to_cells(caig, matcher);
+    MappedNetlist gated = map_with_choices_gated(caig, matcher).netlist;
+
+    EXPECT_EQ(cec(aig, plain.to_aig()).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, raw.to_aig()).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, gated.to_aig()).status, CecStatus::kEquivalent);
+    EXPECT_LE(gated.area(), plain.area() + 1e-9);
+    EXPECT_LE(gated.delay(), plain.delay() + 1e-9);
+    any_smaller = any_smaller || gated.area() < plain.area() - 1e-9;
+    any_rings = any_rings || caig.choices.num_alts() > 0;
+  }
+  EXPECT_TRUE(any_smaller);
+  EXPECT_TRUE(any_rings);
 }
 
 TEST(ChoicemapStage, RegisteredAndRunsInAPipeline) {

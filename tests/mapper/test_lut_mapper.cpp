@@ -85,8 +85,12 @@ TEST(LutMapper, PassThroughAndConstantOutputs) {
 
 TEST(LutMapper, EquivalentAcrossLutSizes) {
   Rng rng(21);
-  Aig circuits[] = {make_adder(8), make_multiplier(4),
-                    testing::random_aig(7, 4, 90, rng)};
+  Aig circuits[] = {make_adder(8),
+                    make_adder(16),
+                    make_multiplier(4),
+                    make_multiplier(6),
+                    testing::random_aig(7, 4, 90, rng),
+                    testing::random_aig_tail_pos(16, 2000, 21)};
   for (const Aig& aig : circuits) {
     for (unsigned k = 3; k <= kMaxCutSize; ++k) {
       LutMapperParams params;

@@ -4,6 +4,7 @@
 
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
 #include "benchgen/doubling.hpp"
 #include "cec/cec.hpp"
 
@@ -70,25 +71,43 @@ TEST(Fraig, MergesComplementEquivalentNodes) {
   EXPECT_NE(swept.po(0), swept.po(1));
 }
 
+FraigParams complete_sweep(bool guided) {
+  // Uncapped: the naive == guided invariant only holds for complete sweeps
+  // (naive has no class-size cap).
+  FraigParams params;
+  params.use_simulation = guided;
+  params.conflict_limit = 0;
+  params.max_class_size = static_cast<std::size_t>(-1);
+  return params;
+}
+
 TEST(Fraig, NaiveAndGuidedSweepsAgree) {
-  Aig aig = doubled(make_adder(4));
-  // Uncapped on both sides: the equality invariant only holds for complete
-  // sweeps (naive has no class-size cap).
-  FraigParams guided_params;
-  guided_params.conflict_limit = 0;
-  guided_params.max_class_size = static_cast<std::size_t>(-1);
-  FraigParams naive_params;
-  naive_params.use_simulation = false;
-  naive_params.conflict_limit = 0;
-  FraigStats guided_stats, naive_stats;
-  Aig guided = fraig(aig, guided_params, &guided_stats);
-  Aig naive = fraig(aig, naive_params, &naive_stats);
-  EXPECT_EQ(guided.num_ands(), naive.num_ands());
-  EXPECT_EQ(guided_stats.proved, naive_stats.proved);
-  EXPECT_LT(guided_stats.sat_calls, naive_stats.sat_calls)
-      << "simulation must prune the candidate pairs";
-  EXPECT_EQ(cec(aig, guided).status, CecStatus::kEquivalent);
-  EXPECT_EQ(cec(aig, naive).status, CecStatus::kEquivalent);
+  // Doubled circuits: two structurally different copies of one function,
+  // so every node has an equivalent partner strashing cannot see.
+  Aig circuits[] = {doubled(make_adder(4)), doubled(make_adder(6)),
+                    doubled(make_multiplier(4)), doubled(make_square(4)),
+                    doubled(make_arbiter(4))};
+  for (const Aig& aig : circuits) {
+    FraigStats guided_stats, naive_stats;
+    Aig guided = fraig(aig, complete_sweep(true), &guided_stats);
+    Aig naive = fraig(aig, complete_sweep(false), &naive_stats);
+    EXPECT_LT(guided.num_ands(), aig.num_ands());
+    EXPECT_LT(naive.num_ands(), aig.num_ands());
+    EXPECT_EQ(guided.num_ands(), naive.num_ands());
+    EXPECT_EQ(guided_stats.proved, naive_stats.proved);
+    EXPECT_LT(guided_stats.sat_calls, naive_stats.sat_calls)
+        << "simulation must prune the candidate pairs";
+    EXPECT_EQ(cec(aig, guided).status, CecStatus::kEquivalent);
+    EXPECT_EQ(cec(aig, naive).status, CecStatus::kEquivalent);
+  }
+}
+
+TEST(Fraig, GuidedSweepProvesWideDoubledAdder) {
+  // Past the naive sweep's quadratic reach: the guided sweep alone.
+  Aig aig = doubled(make_adder(24));
+  Aig swept = fraig(aig, complete_sweep(true));
+  EXPECT_LT(swept.num_ands(), aig.num_ands());
+  EXPECT_EQ(cec(aig, swept).status, CecStatus::kEquivalent);
 }
 
 TEST(Fraig, ParallelSimulationDoesNotChangeTheResult) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -12,6 +13,8 @@
 
 #include "aig/aig_io.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/control.hpp"
+#include "cec/cec.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 
@@ -136,6 +139,69 @@ TEST(SynthServer, CompletesAJobAndServesRepeatsFromCache) {
   EXPECT_FALSE(fresh.at("cache_hit").as_bool());
 
   EXPECT_EQ(fx.server->stats().result_cache_hits, 1u);
+}
+
+double median_ms(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+TEST(SynthServer, ServesOneShotQorProvenAndWarmRepeatsFromCache) {
+  // Serving through the warm substrate must not change answers: each served
+  // QoR bit-equals a one-shot Pipeline run, and each served circuit is
+  // proven equivalent. Repeats are result-cache hits, faster than cold.
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+  auto serve = [&](const Aig& aig, const std::string& id,
+                   std::vector<double>* ms) {
+    JobRequest req;
+    req.id = id;
+    req.circuit = write_aiger(aig);
+    req.seed = 1;
+    req.return_circuit = true;
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(client.submit(req).at("type").as_string(), "accepted");
+    Json result = client.await(id);
+    ms->push_back(std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+    EXPECT_EQ(result.at("type").as_string(), "result") << id;
+    return result;
+  };
+
+  Aig circuits[] = {make_adder(8), make_arbiter(6), make_square(6)};
+  std::vector<double> cold_ms;
+  std::vector<double> warm_ms;
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "circuit-" + std::to_string(i);
+    Json served = serve(circuits[i], name, &cold_ms);
+    EXPECT_FALSE(served.at("cache_hit").as_bool()) << name;
+
+    FlowContext ctx;
+    ctx.params = fx.config.base_params;
+    ctx.input = circuits[i];
+    ctx.seed = 1;
+    FlowQor local = Pipeline::emorphic(ctx.params).run(ctx).qor;
+    const Json& qor = served.at("qor");
+    EXPECT_EQ(qor.at("area").as_number(), local.area) << name;
+    EXPECT_EQ(qor.at("delay").as_number(), local.delay) << name;
+    EXPECT_EQ(qor.at("lev").as_int(), static_cast<std::int64_t>(local.lev))
+        << name;
+    EXPECT_EQ(cec(circuits[i], read_aiger(served.at("circuit").as_string()))
+                  .status,
+              CecStatus::kEquivalent)
+        << name;
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const std::string id =
+          "warm-" + std::to_string(round) + "-" + std::to_string(i);
+      EXPECT_TRUE(serve(circuits[i], id, &warm_ms).at("cache_hit").as_bool())
+          << id;
+    }
+  }
+  EXPECT_EQ(fx.server->stats().result_cache_hits, warm_ms.size());
+  EXPECT_LT(median_ms(warm_ms), median_ms(cold_ms));
 }
 
 TEST(SynthServer, NeverCachesARefutedResult) {

@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -15,26 +12,6 @@
 #include "benchgen/control.hpp"
 #include "flow/batch.hpp"
 #include "flow/warm_cache.hpp"
-
-// Count every heap allocation in this binary so the arena-reuse gate below
-// can assert the service's warm path stops churning the allocator. The
-// replacements are malloc/free based (a replaced new must pair with a
-// replaced delete); only the plain-alignment forms are counted — over-aligned
-// allocations are rare and under-counting them only makes the gate stricter.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace emorphic {
 namespace {
@@ -176,51 +153,6 @@ TEST(WarmCache, WarmReRunsStayIdentical) {
   }
   // The second pass re-visits structures the first one mapped.
   EXPECT_GT(after_second.qor_hits, after_first.qor_hits);
-}
-
-/// The service worker's steady state (ISSUE satellite): one long-lived
-/// FlowContext per worker, rebound to job after job — exactly what
-/// SynthServer::worker_loop does. Repeated identical jobs must (a) stay
-/// bit-identical, and (b) stop allocating once warm: the context's mapper
-/// workspaces (cut arenas, DP state), the shared matcher, and the QoR memo
-/// all persist, so a warm job re-walks warm storage.
-TEST(WarmCache, WorkerContextReuseIsFlatAndDeterministic) {
-  Aig input = make_adder(6);
-  Pipeline pipeline = Pipeline::emorphic();
-  FlowParams params = quick_params();
-  params.sa.num_threads = 1;  // single-threaded: allocation counts are
-                              // deterministic, so "flat" can be exact
-
-  WarmCache cache;
-  FlowContext ctx;  // the per-worker context, reused across jobs
-  std::atomic<bool> cancel{false};
-
-  std::vector<FlowQor> qors;
-  std::vector<std::uint64_t> allocs;
-  for (int job = 0; job < 5; ++job) {
-    ctx.params = params;
-    cache.prepare(ctx);
-    ctx.input = input;
-    ctx.seed = 1;
-    ctx.cancel = &cancel;
-    std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    FlowResult result = pipeline.run(ctx);
-    allocs.push_back(g_heap_allocs.load(std::memory_order_relaxed) - before);
-    qors.push_back(result.qor);
-  }
-
-  for (std::size_t i = 1; i < qors.size(); ++i) {
-    EXPECT_EQ(qors[0].area, qors[i].area) << "job " << i;
-    EXPECT_EQ(qors[0].delay, qors[i].delay) << "job " << i;
-    EXPECT_EQ(qors[0].lev, qors[i].lev) << "job " << i;
-  }
-
-  // Warm jobs allocate strictly less than the cold one (the workspaces and
-  // memo absorbed the bulk), and the count is flat once the memo saturates:
-  // jobs 3 and 4 re-run identical warm state, so their counts are equal.
-  EXPECT_LT(allocs[1], allocs[0]);
-  EXPECT_EQ(allocs[3], allocs[4]) << "steady-state allocation count drifts";
-  EXPECT_LE(allocs[4], allocs[1]);
 }
 
 TEST(WarmCache, ClearResetsEverything) {

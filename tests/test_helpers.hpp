@@ -36,6 +36,26 @@ inline Aig random_aig(unsigned num_pis, unsigned num_pos, unsigned num_ands,
   return aig;
 }
 
+/// Random AIG from `seed` whose 8 POs are the last 8 AND literals made,
+/// uncomplemented. The pinned seed-core saturation counts in
+/// tests/egraph/test_runner.cpp depend on this exact generator.
+inline Aig random_aig_tail_pos(unsigned num_pis, unsigned num_ands,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  Aig aig;
+  std::vector<Lit> pool;
+  for (unsigned i = 0; i < num_pis; ++i) pool.push_back(make_lit(aig.add_pi()));
+  for (unsigned k = 0; k < num_ands; ++k) {
+    Lit a = pool[rng.next_below(pool.size())];
+    Lit b = pool[rng.next_below(pool.size())];
+    if (rng.chance(0.5)) a = lit_not(a);
+    if (rng.chance(0.5)) b = lit_not(b);
+    pool.push_back(aig.make_and(a, b));
+  }
+  for (unsigned i = 0; i < 8; ++i) aig.add_po(pool[pool.size() - 1 - i]);
+  return aig;
+}
+
 /// Append logic that structural hashing keeps but that is semantically
 /// constant, over three literals of `aig`: n1 = (a&b)&(!a&c) and
 /// n3 = (a&c)&(!a&b) are 0, so n2 = !n1 & !n3 is 1. Adds the outputs n2,
