@@ -1,8 +1,9 @@
-// Timings for the two ResynRounds kernels the end-to-end benchmark
-// (perfbench/) cannot isolate: priority-cut enumeration, serial and
-// wave-parallel, and NPN canonization of 4-input functions. Timing only;
-// the bit-identical parallel == serial guarantee is a ctest case
-// (tests/aig/test_cut_parallel.cpp).
+// Timings for the kernels the end-to-end benchmark (perfbench/) cannot
+// isolate: the two ResynRounds kernels, priority-cut enumeration (serial and
+// wave-parallel) and NPN canonization of 4-input functions, and the SA
+// neighbour generation of the extraction kernel. Timing only; the
+// bit-identical guarantees are ctest cases (tests/aig/test_cut_parallel.cpp,
+// Extract.GoldenDigestOverEpfl in tests/extract).
 //
 //   $ ./bench/micro_kernels
 
@@ -12,6 +13,11 @@
 
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
+#include "benchgen/arith.hpp"
+#include "egraph/rules.hpp"
+#include "egraph/runner.hpp"
+#include "extract/extractor.hpp"
+#include "flow/conversion.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -70,6 +76,42 @@ void BM_NpnCanon(minibench::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_NpnCanon);
+
+/// One SA move of each chain kind over a warm view and scratch: a
+/// depth-proxy Algorithm 1 pass with p_random 0.15, and a size-proxy pass
+/// plus one dag_refine pass (chain 1's move). Items are e-nodes per move.
+void BM_BottomUpExtract(minibench::State& state) {
+  CircuitEGraph ce =
+      aig_to_egraph(make_multiplier(static_cast<unsigned>(state.range(0))));
+  RunnerParams limits;
+  limits.max_iterations = 3;
+  limits.max_enodes = 60000;
+  limits.time_limit_s = 1e9;
+  run_rewriting(ce.egraph, make_logic_rules(), limits);
+
+  const ExtractView view(ce.egraph);
+  ExtractScratch scratch;
+  const CostModel depth{CostKind::kDepth};
+  const CostModel size{CostKind::kSize};
+  Extraction current = greedy_extract(view, depth, scratch);
+  Rng rng(11);
+  BottomUpOptions options;
+  options.p_random = 0.15;
+  options.rng = &rng;
+  options.warm_start = &current;
+  for (auto _ : state) {
+    options.cost = &depth;
+    Extraction delay_move = bottom_up_extract(view, options, scratch);
+    options.cost = &size;
+    Extraction size_move =
+        dag_refine(view, bottom_up_extract(view, options, scratch), size,
+                   ce.roots, scratch, 1);
+    minibench::DoNotOptimize(delay_move.size() + size_move.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(view.num_nodes()));
+}
+BENCHMARK(BM_BottomUpExtract)->Arg(6)->Arg(8);
 
 }  // namespace
 

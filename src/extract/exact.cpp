@@ -4,44 +4,6 @@
 
 namespace emorphic {
 
-bool solution_is_well_founded(const EGraph& egraph, const Extraction& solution,
-                              const std::vector<SerializedRoot>& roots) {
-  enum class State : std::uint8_t { kUnseen, kOpen, kDone };
-  std::vector<State> state(egraph.num_classes_created(), State::kUnseen);
-
-  // Iterative DFS with an explicit "children pending" phase; an Open node
-  // reached again is a cycle.
-  struct Frame {
-    EClassId cls;
-    unsigned next_child;
-  };
-  for (const SerializedRoot& r : roots) {
-    EClassId root = egraph.find(r.id);
-    if (state[root] == State::kDone) continue;
-    std::vector<Frame> stack{{root, 0}};
-    if (state[root] == State::kOpen) return false;
-    state[root] = State::kOpen;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      EClassId c = frame.cls;
-      if (!solution.has(c)) return false;
-      const ENode& n = egraph.eclass(c).nodes[solution.choice(c)];
-      if (frame.next_child >= n.arity()) {
-        state[c] = State::kDone;
-        stack.pop_back();
-        continue;
-      }
-      EClassId child = egraph.find(n.children[frame.next_child++]);
-      if (state[child] == State::kOpen) return false;  // cycle
-      if (state[child] == State::kUnseen) {
-        state[child] = State::kOpen;
-        stack.push_back(Frame{child, 0});
-      }
-    }
-  }
-  return true;
-}
-
 std::optional<Extraction> exact_extract(const EGraph& egraph,
                                         const std::vector<SerializedRoot>& roots,
                                         const ExactParams& params) {
@@ -76,6 +38,8 @@ std::optional<Extraction> exact_extract(const EGraph& egraph,
     }
   }
 
+  const ExtractView view(egraph);
+  ExtractScratch scratch;
   std::vector<std::uint32_t> digits(universe.size(), 0);
   std::optional<Extraction> best;
   double best_cost = kInfCost;
@@ -84,8 +48,8 @@ std::optional<Extraction> exact_extract(const EGraph& egraph,
     for (std::size_t i = 0; i < universe.size(); ++i) {
       candidate.choose(universe[i], digits[i]);
     }
-    if (solution_is_well_founded(egraph, candidate, roots)) {
-      double cost = solution_cost(egraph, candidate, params.cost, roots);
+    if (solution_is_well_founded(view, candidate, roots, scratch)) {
+      double cost = solution_cost(view, candidate, params.cost, roots, scratch);
       if (cost < best_cost) {
         best_cost = cost;
         best = std::move(candidate);

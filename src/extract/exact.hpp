@@ -12,11 +12,6 @@
 
 namespace emorphic {
 
-/// Is `solution` a well-founded (acyclic) selection covering the cone of
-/// `roots`?
-bool solution_is_well_founded(const EGraph& egraph, const Extraction& solution,
-                              const std::vector<SerializedRoot>& roots);
-
 /// Configuration of the exhaustive extraction oracle.
 struct ExactParams {
   /// Cost model to minimize.

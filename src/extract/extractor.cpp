@@ -1,11 +1,9 @@
 #include "extract/extractor.hpp"
 
-#include "extract/exact.hpp"
-
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <unordered_map>
+
+#include "check/check.hpp"
 
 namespace emorphic {
 
@@ -16,27 +14,40 @@ namespace {
 // child edges — that is what guarantees extracted solutions are acyclic.
 constexpr double kEpsilonCost = 1.0 / 1024.0;
 
+constexpr std::uint32_t kNoDense = 0xffffffffu;
+
 double node_op_cost(const CostModel& cost, Op op) {
   double c = cost.op_cost(op);
   return c > 0.0 ? c : kEpsilonCost;
 }
 
-struct NodeCache {
-  double cost = kInfCost;
-  double child0 = kInfCost;  // child costs at evaluation time
-  double child1 = kInfCost;
-};
+using Node = ExtractView::Node;
 
-}  // namespace
+/// DFS states of the solution walks.
+enum : std::uint8_t { kUnseen, kOpen, kDone };
 
-Extraction bottom_up_extract(const EGraph& egraph, const BottomUpOptions& options,
-                             std::vector<double>* out_costs) {
+/// Upper bound on the stack of the solution walks below: the roots, plus
+/// at most two children pushed per class (a class pushes its children the
+/// first time it is examined undone, and never again). Reserving it keeps
+/// a warm scratch allocation-free.
+std::size_t dfs_bound(const ExtractView& view,
+                      const std::vector<SerializedRoot>& roots) {
+  return roots.size() + 2 * static_cast<std::size_t>(view.num_classes());
+}
+
+/// Algorithm 1 over a view. `free_classes` (per dense class, may be null)
+/// marks classes whose cost contribution is discounted to zero because the
+/// incumbent already pays for them — the marginal-cost trick behind
+/// dag_refine(). It may make selections cyclic; callers must validate.
+Extraction relax(const ExtractView& view, const BottomUpOptions& options,
+                 ExtractScratch& s, const std::uint8_t* free_classes) {
   assert(options.cost != nullptr);
   assert(options.p_random == 0.0 || options.rng != nullptr);
   const CostModel& cost = *options.cost;
+  const std::uint32_t n = view.num_classes();
+  const std::size_t slots = view.num_slots();
 
-  const std::size_t slots = egraph.num_classes_created();
-  std::vector<double> costs(slots, kInfCost);  // the paper's Costs_map
+  s.classes.assign(n, ExtractScratch::ClassCost{kInfCost, 0});
   Extraction solution(slots);
   if (options.warm_start != nullptr) {
     for (EClassId c = 0; c < options.warm_start->size() && c < slots; ++c) {
@@ -46,52 +57,64 @@ Extraction bottom_up_extract(const EGraph& egraph, const BottomUpOptions& option
     }
   }
 
-  auto child_cost = [&](const ENode& n, unsigned i) {
-    EClassId child = egraph.find(n.children[i]);
-    double c = costs[child];
+  double op_cost[kNumOps];
+  for (std::size_t op = 0; op < kNumOps; ++op) {
+    op_cost[op] = node_op_cost(cost, static_cast<Op>(op));
+  }
+  const bool sum = cost.kind == CostKind::kSize;
+  auto child_cost = [&](std::uint32_t child) {
+    double c = s.classes[child].cost;
     if (c == kInfCost) return kInfCost;
-    // Marginal-cost mode: already-selected classes are free (dag_refine).
-    if (options.free_classes != nullptr && (*options.free_classes)[child]) {
-      return 0.0;
-    }
+    if (free_classes != nullptr && free_classes[child]) return 0.0;
     return c;
   };
-  auto eval_node = [&](const ENode& n) -> double {
-    double base = node_op_cost(cost, n.op);
-    if (n.arity() == 0) return base;
-    double c0 = child_cost(n, 0);
+  auto child_costs = [&](const Node& v, double* c0, double* c1) {
+    const unsigned arity = op_arity(v.op);
+    *c0 = arity >= 1 ? child_cost(v.child[0]) : kInfCost;
+    *c1 = arity >= 2 ? child_cost(v.child[1]) : kInfCost;
+  };
+  auto eval_node = [&](const Node& v, double c0, double c1) -> double {
+    const double base = op_cost[op_index(v.op)];
+    const unsigned arity = op_arity(v.op);
+    if (arity == 0) return base;
     if (c0 == kInfCost) return kInfCost;
-    if (n.arity() == 1) return base + c0;
-    double c1 = child_cost(n, 1);
+    if (arity == 1) return base + c0;
     if (c1 == kInfCost) return kInfCost;
-    return cost.kind == CostKind::kSize ? base + c0 + c1
-                                        : base + std::max(c0, c1);
+    return sum ? base + c0 + c1 : base + std::max(c0, c1);
   };
 
-  std::vector<EClassId> ids = egraph.class_ids();
+  // Logical clock of the pruned pass's memo: advanced by every change of a
+  // class's cost as its parents see it.
+  std::uint64_t clock = 1;
 
   // Algorithm 1's per-e-node update rule (line 15): always adopt the first
   // finite cost; adopt an improvement unless the random skip fires.
-  auto try_update = [&](EClassId c, std::uint32_t node_index, double new_cost,
-                        bool* improved) {
-    double prev = costs[c];
-    if (new_cost >= prev) return;
+  auto try_update = [&](std::uint32_t d, std::uint32_t node_index,
+                        double new_cost) {
+    double prev = s.classes[d].cost;
+    if (new_cost >= prev) return false;
     if (prev != kInfCost && options.p_random > 0.0 &&
         options.rng->next_double() < options.p_random) {
-      return;  // exploration: deliberately keep the inferior choice
+      return false;  // exploration: deliberately keep the inferior choice
     }
-    solution.choose(c, node_index);
-    costs[c] = new_cost;
-    *improved = true;
+    solution.choose(view.slot(d), node_index);
+    s.classes[d].cost = new_cost;
+    // Stamp the change parents see: a free class's contribution only moves
+    // from unreachable to zero.
+    if (free_classes == nullptr || !free_classes[d] || prev == kInfCost) {
+      s.classes[d].changed = clock++;
+    }
+    return true;
   };
 
+  ExtractStats counts;
   // Safety valve: on cyclic e-graphs the min-plus relaxation converges, but
   // sum costs over heavily shared structure can cascade for a very long
   // time. Stopping early is sound — every choice made so far is
   // well-founded — it merely leaves some classes at a dearer (still valid)
   // selection.
   const std::size_t max_passes = 1024;
-  std::size_t relaxation_budget = 256 * ids.size() + 4096;
+  std::size_t relaxation_budget = 256 * static_cast<std::size_t>(n) + 4096;
 
   if (!options.prune) {
     // Baseline extraction (Fig. 6, "Original Search Space"): full sweeps over
@@ -100,122 +123,274 @@ Extraction bottom_up_extract(const EGraph& egraph, const BottomUpOptions& option
     std::size_t sweeps = 0;
     while (changed && sweeps++ < max_passes) {
       changed = false;
-      if (options.stats != nullptr) ++options.stats->passes;
-      for (EClassId c : ids) {
-        const auto& nodes = egraph.eclass(c).nodes;
-        for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-          double value = eval_node(nodes[i]);
-          if (options.stats != nullptr) ++options.stats->enodes_visited;
+      ++counts.passes;
+      for (std::uint32_t d = 0; d < n; ++d) {
+        const std::uint32_t begin = view.node_begin(d);
+        const std::uint32_t end = view.node_begin(d + 1);
+        for (std::uint32_t i = begin; i < end; ++i) {
+          const Node& v = view.node(i);
+          double c0, c1;
+          child_costs(v, &c0, &c1);
+          double value = eval_node(v, c0, c1);
+          ++counts.enodes_visited;
           if (value == kInfCost) continue;
-          bool improved = false;
-          try_update(c, i, value, &improved);
-          changed = changed || improved;
+          if (try_update(d, i - begin, value)) changed = true;
         }
       }
     }
-    if (out_costs != nullptr) *out_costs = std::move(costs);
-    return solution;
-  }
+  } else {
+    // Pruned extraction ("Reduced Search Space"): a worklist seeded with the
+    // leaf classes; per-e-node memoization skips any node whose children's
+    // costs are unchanged since its last evaluation.
+    //
+    // The memo compares clocks instead of costs: a class's cost only ever
+    // decreases, so "the children's costs equal those of the last
+    // evaluation" is "no child changed since that evaluation". memo[i] is
+    // the clock of node i's last finite evaluation (0: evaluate), and
+    // changed[c] the clock of class c's last change.
+    s.memo.assign(view.num_nodes(), 0);
+    s.queued.assign(n, 0);
+    if (s.queue.size() < n) s.queue.resize(n);
+    // FIFO keeps propagation breadth-first (roughly topological), which
+    // avoids the exponential recomputation cascades a LIFO order can cause
+    // on reconvergent graphs. A class is queued at most once, so a ring of
+    // n slots holds the whole queue.
+    std::size_t head = 0;
+    std::size_t count = 0;
+    auto push = [&](std::uint32_t d) {
+      std::size_t tail = head + count;
+      if (tail >= n) tail -= n;
+      s.queue[tail] = d;
+      s.queued[d] = 1;
+      ++count;
+    };
+    for (std::uint32_t d : view.leaves()) push(d);
 
-  // Pruned extraction ("Reduced Search Space"): a worklist seeded with the
-  // leaf classes; per-e-node memoization skips any node whose children's
-  // costs are unchanged since its last evaluation.
-  std::vector<std::vector<NodeCache>> cache(slots);
-  std::vector<bool> queued(slots, false);
-  // FIFO keeps propagation breadth-first (roughly topological), which
-  // avoids the exponential recomputation cascades a LIFO order can cause
-  // on reconvergent graphs.
-  std::deque<EClassId> queue;
-  for (EClassId c : ids) {
-    for (const ENode& n : egraph.eclass(c).nodes) {
-      if (n.arity() == 0) {
-        if (!queued[c]) {
-          queued[c] = true;
-          queue.push_back(c);
+    while (count > 0 && relaxation_budget-- > 0) {
+      const std::uint32_t d = s.queue[head];
+      if (++head == n) head = 0;
+      --count;
+      s.queued[d] = 0;
+      ++counts.passes;
+
+      const std::uint32_t begin = view.node_begin(d);
+      const std::uint32_t end = view.node_begin(d + 1);
+      bool improved = false;
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const Node& v = view.node(i);
+        const std::uint64_t stamp = s.memo[i];
+        const unsigned arity = op_arity(v.op);
+        if (stamp != 0 && (arity < 1 || s.classes[v.child[0]].changed < stamp) &&
+            (arity < 2 || s.classes[v.child[1]].changed < stamp)) {
+          // Children unchanged: this node cannot have gotten cheaper.
+          ++counts.enodes_skipped;
+          continue;
         }
-        break;
+        double c0, c1;
+        child_costs(v, &c0, &c1);
+        double value = eval_node(v, c0, c1);
+        ++counts.enodes_visited;
+        if (value == kInfCost) {
+          s.memo[i] = 0;
+          continue;
+        }
+        s.memo[i] = clock;
+        if (try_update(d, i - begin, value)) improved = true;
       }
-    }
-  }
-
-  while (!queue.empty() && relaxation_budget-- > 0) {
-    EClassId c = queue.front();
-    queue.pop_front();
-    queued[c] = false;
-    if (options.stats != nullptr) ++options.stats->passes;
-
-    const auto& nodes = egraph.eclass(c).nodes;
-    if (cache[c].empty()) cache[c].resize(nodes.size());
-    bool improved = false;
-    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-      const ENode& n = nodes[i];
-      NodeCache& memo = cache[c][i];
-      double c0 = n.arity() >= 1 ? child_cost(n, 0) : kInfCost;
-      double c1 = n.arity() >= 2 ? child_cost(n, 1) : kInfCost;
-      if (memo.cost != kInfCost && memo.child0 == c0 && memo.child1 == c1) {
-        // Children unchanged: this node cannot have gotten cheaper.
-        if (options.stats != nullptr) ++options.stats->enodes_skipped;
-        continue;
-      }
-      double value = eval_node(n);
-      if (options.stats != nullptr) ++options.stats->enodes_visited;
-      memo.child0 = c0;
-      memo.child1 = c1;
-      memo.cost = value;
-      if (value == kInfCost) continue;
-      try_update(c, i, value, &improved);
-    }
-    if (improved) {
-      // Line 18: extend the traversal queue with the parents of this class.
-      for (const auto& [pnode, pclass] : egraph.eclass(c).parents) {
-        (void)pnode;
-        EClassId p = egraph.find(pclass);
-        if (!queued[p]) {
-          queued[p] = true;
-          queue.push_back(p);
+      if (improved) {
+        // Line 18: extend the traversal queue with the parents of this class.
+        for (const std::uint32_t* p = view.parents_begin(d);
+             p != view.parents_end(d); ++p) {
+          if (!s.queued[*p]) push(*p);
         }
       }
     }
   }
 
-  if (out_costs != nullptr) *out_costs = std::move(costs);
+  if (options.stats != nullptr) {
+    options.stats->enodes_visited += counts.enodes_visited;
+    options.stats->enodes_skipped += counts.enodes_skipped;
+    options.stats->passes += counts.passes;
+  }
   return solution;
 }
 
-Extraction dag_refine(const EGraph& egraph, const Extraction& base,
+}  // namespace
+
+ExtractView::ExtractView(const EGraph& egraph) {
+  const std::size_t slots = egraph.num_classes_created();
+  slot_ = egraph.class_ids();
+  const std::uint32_t n = num_classes();
+  dense_.assign(slots, kNoDense);
+  for (std::uint32_t d = 0; d < n; ++d) dense_[slot_[d]] = d;
+  for (EClassId id = 0; id < slots; ++id) dense_[id] = dense_[egraph.find(id)];
+
+  std::size_t total_nodes = 0;
+  std::size_t total_edges = 0;
+  for (EClassId id : slot_) {
+    EClass cls = egraph.eclass(id);
+    total_nodes += cls.nodes.size();
+    total_edges += cls.parents.size();
+  }
+  node_begin_.reserve(n + 1);
+  nodes_.reserve(total_nodes);
+  parent_begin_.reserve(n + 1);
+  parents_.reserve(total_edges);
+  std::vector<std::uint32_t> listed_for(n, kNoDense);  // parent -> child class
+  for (std::uint32_t d = 0; d < n; ++d) {
+    EClass cls = egraph.eclass(slot_[d]);
+    node_begin_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+    bool leaf = false;
+    for (const ENode& en : cls.nodes) {
+      Node v{{kNoEClass, kNoEClass}, en.op};
+      if (en.op == Op::kVar) v.child[0] = en.symbol;
+      for (unsigned k = 0; k < en.arity(); ++k) {
+        v.child[k] = dense_[en.children[k]];
+      }
+      leaf = leaf || en.arity() == 0;
+      nodes_.push_back(v);
+    }
+    if (leaf) leaves_.push_back(d);
+
+    parent_begin_.push_back(static_cast<std::uint32_t>(parents_.size()));
+    for (const ParentEdge& edge : cls.parents) {
+      const std::uint32_t p = dense_[edge.cls];
+      if (listed_for[p] == d) continue;  // already listed for this class
+      listed_for[p] = d;
+      parents_.push_back(p);
+    }
+  }
+  node_begin_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+  parent_begin_.push_back(static_cast<std::uint32_t>(parents_.size()));
+  EM_CHECK_EXPENSIVE(check(egraph));
+}
+
+std::string ExtractView::check(const EGraph& egraph) const {
+  if (slot_ != egraph.class_ids()) return "ExtractView: class list differs";
+  if (dense_.size() != egraph.num_classes_created()) {
+    return "ExtractView: slot count differs";
+  }
+  const std::uint32_t n = num_classes();
+  for (EClassId id = 0; id < dense_.size(); ++id) {
+    if (dense_[id] >= n || slot_[dense_[id]] != egraph.find(id)) {
+      return "ExtractView: class " + std::to_string(id) +
+             " maps to the wrong dense id";
+    }
+  }
+  if (node_begin_.size() != n + 1 || parent_begin_.size() != n + 1) {
+    return "ExtractView: CSR offsets have the wrong length";
+  }
+  std::vector<std::uint32_t> want_parents;
+  std::vector<std::uint32_t> want_leaves;
+  std::vector<std::uint32_t> listed_for(n, kNoDense);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const std::string where = "ExtractView: class " + std::to_string(slot_[d]);
+    EClass cls = egraph.eclass(slot_[d]);
+    if (node_begin_[d + 1] - node_begin_[d] != cls.nodes.size()) {
+      return where + " has the wrong node count";
+    }
+    bool leaf = false;
+    for (std::uint32_t i = 0; i < cls.nodes.size(); ++i) {
+      const ENode& en = cls.nodes[i];
+      const Node& v = nodes_[node_begin_[d] + i];
+      if (v.op != en.op) return where + " node " + std::to_string(i) + ": op";
+      if (en.op == Op::kVar && v.symbol() != en.symbol) {
+        return where + " node " + std::to_string(i) + ": symbol";
+      }
+      for (unsigned k = 0; k < en.arity(); ++k) {
+        if (v.child[k] >= n || slot_[v.child[k]] != egraph.find(en.children[k])) {
+          return where + " node " + std::to_string(i) + ": child " +
+                 std::to_string(k);
+        }
+      }
+      leaf = leaf || en.arity() == 0;
+    }
+    if (leaf) want_leaves.push_back(d);
+    want_parents.clear();
+    for (const ParentEdge& edge : cls.parents) {
+      const std::uint32_t p = dense_[egraph.find(edge.cls)];
+      if (listed_for[p] != d) want_parents.push_back(p);
+      listed_for[p] = d;
+    }
+    if (!std::equal(want_parents.begin(), want_parents.end(), parents_begin(d),
+                    parents_end(d))) {
+      return where + " has the wrong parent list";
+    }
+  }
+  if (want_leaves != leaves_) return "ExtractView: leaf seed differs";
+  return "";
+}
+
+Extraction bottom_up_extract(const ExtractView& view,
+                             const BottomUpOptions& options,
+                             ExtractScratch& scratch,
+                             std::vector<double>* out_costs) {
+  Extraction solution = relax(view, options, scratch, nullptr);
+  if (out_costs != nullptr) {
+    out_costs->assign(view.num_slots(), kInfCost);
+    for (std::uint32_t d = 0; d < view.num_classes(); ++d) {
+      (*out_costs)[view.slot(d)] = scratch.classes[d].cost;
+    }
+  }
+  return solution;
+}
+
+Extraction bottom_up_extract(const EGraph& egraph, const BottomUpOptions& options,
+                             std::vector<double>* out_costs) {
+  ExtractScratch scratch;
+  return bottom_up_extract(ExtractView(egraph), options, scratch, out_costs);
+}
+
+Extraction greedy_extract(const ExtractView& view, const CostModel& cost,
+                          ExtractScratch& scratch, ExtractStats* stats,
+                          bool prune) {
+  BottomUpOptions options;
+  options.cost = &cost;
+  options.prune = prune;
+  options.stats = stats;
+  return relax(view, options, scratch, nullptr);
+}
+
+Extraction greedy_extract(const EGraph& egraph, const CostModel& cost,
+                          ExtractStats* stats, bool prune) {
+  ExtractScratch scratch;
+  return greedy_extract(ExtractView(egraph), cost, scratch, stats, prune);
+}
+
+Extraction dag_refine(const ExtractView& view, Extraction base,
                       const CostModel& cost,
                       const std::vector<SerializedRoot>& roots,
-                      unsigned passes) {
-  Extraction best = base;
+                      ExtractScratch& scratch, unsigned passes) {
+  Extraction best = std::move(base);
   // True DAG cost arbitrates: size semantics count every class once.
-  CostModel dag_cost{CostKind::kSize};
-  if (!solution_is_well_founded(egraph, best, roots)) return best;
-  double best_value = solution_cost(egraph, best, dag_cost, roots);
+  const CostModel dag_cost{CostKind::kSize};
+  if (!solution_is_well_founded(view, best, roots, scratch)) return best;
+  double best_value = solution_cost(view, best, dag_cost, roots, scratch);
 
   for (unsigned pass = 0; pass < passes; ++pass) {
     // Mark the classes the incumbent actually uses below the roots.
-    std::vector<bool> used(egraph.num_classes_created(), false);
-    std::vector<EClassId> stack;
-    for (const SerializedRoot& r : roots) stack.push_back(egraph.find(r.id));
+    std::vector<std::uint8_t>& used = scratch.used;
+    std::vector<std::uint32_t>& stack = scratch.stack;
+    used.assign(view.num_classes(), 0);
+    stack.clear();
+    stack.reserve(dfs_bound(view, roots));
+    for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
     while (!stack.empty()) {
-      EClassId c = egraph.find(stack.back());
+      const std::uint32_t d = stack.back();
       stack.pop_back();
-      if (used[c] || !best.has(c)) continue;
-      used[c] = true;
-      const ENode& n = egraph.eclass(c).nodes[best.choice(c)];
-      for (unsigned k = 0; k < n.arity(); ++k) {
-        stack.push_back(egraph.find(n.children[k]));
-      }
+      if (used[d] || !best.has(view.slot(d))) continue;
+      used[d] = 1;
+      const Node& v = view.chosen(best, d);
+      for (unsigned k = 0; k < op_arity(v.op); ++k) stack.push_back(v.child[k]);
     }
 
     BottomUpOptions options;
     options.cost = &cost;
-    options.free_classes = &used;
-    Extraction candidate = bottom_up_extract(egraph, options);
+    Extraction candidate = relax(view, options, scratch, used.data());
     // Zero-cost contributions void the acyclicity guarantee: validate, and
     // only adopt strict improvements of the true DAG cost.
-    if (!solution_is_well_founded(egraph, candidate, roots)) break;
-    double value = solution_cost(egraph, candidate, dag_cost, roots);
+    if (!solution_is_well_founded(view, candidate, roots, scratch)) break;
+    double value = solution_cost(view, candidate, dag_cost, roots, scratch);
     if (value >= best_value) break;
     best = std::move(candidate);
     best_value = value;
@@ -223,156 +398,225 @@ Extraction dag_refine(const EGraph& egraph, const Extraction& base,
   return best;
 }
 
-Extraction greedy_extract(const EGraph& egraph, const CostModel& cost,
-                          ExtractStats* stats, bool prune) {
-  BottomUpOptions options;
-  options.cost = &cost;
-  options.prune = prune;
-  options.stats = stats;
-  return bottom_up_extract(egraph, options);
+Extraction dag_refine(const EGraph& egraph, const Extraction& base,
+                      const CostModel& cost,
+                      const std::vector<SerializedRoot>& roots,
+                      unsigned passes) {
+  ExtractScratch scratch;
+  return dag_refine(ExtractView(egraph), base, cost, roots, scratch, passes);
 }
 
-Extraction random_extract(const EGraph& egraph, Rng& rng) {
+Extraction random_extract(const ExtractView& view, Rng& rng) {
   // Well-founded random choice: decide each class by picking uniformly at
   // random among its e-nodes whose children are already decided.
   // Kahn-style worklist (O(edges)): when a class is decided, parent e-nodes
   // lose one pending child; nodes reaching zero make their class decidable.
-  const std::size_t slots = egraph.num_classes_created();
-  Extraction solution(slots);
-  std::vector<bool> decided(slots, false);
+  const std::uint32_t n = view.num_classes();
+  Extraction solution(view.num_slots());
+  std::vector<std::uint8_t> decided(n, 0);
 
   struct NodeRef {
-    EClassId cls;
-    std::uint32_t index;
+    std::uint32_t cls;   // dense class of the user node
+    std::uint32_t node;  // flat index of the user node
   };
-  // pending[c][i]: undecided-children count of node i in class c.
-  std::vector<std::vector<std::uint32_t>> pending(slots);
-  std::vector<std::vector<NodeRef>> users(slots);  // child class -> user nodes
-  std::vector<EClassId> queue;
-
-  for (EClassId c : egraph.class_ids()) {
-    const auto& nodes = egraph.eclass(c).nodes;
-    pending[c].resize(nodes.size(), 0);
+  // pending[i]: undecided-children count of flat node i. users: per child
+  // class, its user nodes in (class, node, child) order (CSR).
+  std::vector<std::uint32_t> pending(view.num_nodes(), 0);
+  std::vector<std::uint32_t> user_begin(n + 1, 0);
+  for (std::uint32_t i = 0; i < view.num_nodes(); ++i) {
+    const Node& v = view.node(i);
+    pending[i] = op_arity(v.op);
+    for (unsigned k = 0; k < op_arity(v.op); ++k) ++user_begin[v.child[k] + 1];
+  }
+  for (std::uint32_t d = 0; d < n; ++d) user_begin[d + 1] += user_begin[d];
+  std::vector<NodeRef> users(user_begin[n]);
+  std::vector<std::uint32_t> fill(user_begin.begin(), user_begin.end() - 1);
+  std::vector<std::uint32_t> queue;
+  for (std::uint32_t d = 0; d < n; ++d) {
     bool has_ready = false;
-    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-      for (unsigned k = 0; k < nodes[i].arity(); ++k) {
-        EClassId child = egraph.find(nodes[i].children[k]);
-        ++pending[c][i];
-        users[child].push_back(NodeRef{c, i});
+    for (std::uint32_t i = view.node_begin(d); i < view.node_begin(d + 1); ++i) {
+      const Node& v = view.node(i);
+      for (unsigned k = 0; k < op_arity(v.op); ++k) {
+        users[fill[v.child[k]]++] = NodeRef{d, i};
       }
-      if (pending[c][i] == 0) has_ready = true;
+      if (pending[i] == 0) has_ready = true;
     }
-    if (has_ready) queue.push_back(c);
+    if (has_ready) queue.push_back(d);
   }
 
+  std::vector<std::uint32_t> ready;
   while (!queue.empty()) {
     // Pop a random queue element so tie-breaking order is also randomized.
     std::size_t pick = rng.next_below(queue.size());
-    EClassId c = queue[pick];
+    const std::uint32_t d = queue[pick];
     queue[pick] = queue.back();
     queue.pop_back();
-    if (decided[c]) continue;
-    std::vector<std::uint32_t> ready;
-    for (std::uint32_t i = 0; i < pending[c].size(); ++i) {
-      if (pending[c][i] == 0) ready.push_back(i);
+    if (decided[d]) continue;
+    ready.clear();
+    const std::uint32_t begin = view.node_begin(d);
+    for (std::uint32_t i = begin; i < view.node_begin(d + 1); ++i) {
+      if (pending[i] == 0) ready.push_back(i - begin);
     }
     if (ready.empty()) continue;  // stale queue entry
-    solution.choose(c, ready[rng.next_below(ready.size())]);
-    decided[c] = true;
-    for (const NodeRef& ref : users[c]) {
+    solution.choose(view.slot(d), ready[rng.next_below(ready.size())]);
+    decided[d] = 1;
+    for (std::uint32_t u = user_begin[d]; u < user_begin[d + 1]; ++u) {
+      const NodeRef& ref = users[u];
       if (decided[ref.cls]) continue;
-      if (--pending[ref.cls][ref.index] == 0) queue.push_back(ref.cls);
+      if (--pending[ref.node] == 0) queue.push_back(ref.cls);
     }
   }
   return solution;
 }
 
-double solution_cost(const EGraph& egraph, const Extraction& solution,
+Extraction random_extract(const EGraph& egraph, Rng& rng) {
+  return random_extract(ExtractView(egraph), rng);
+}
+
+bool solution_is_well_founded(const ExtractView& view,
+                              const Extraction& solution,
+                              const std::vector<SerializedRoot>& roots,
+                              ExtractScratch& scratch) {
+  std::vector<std::uint8_t>& state = scratch.state;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& stack = scratch.frames;
+  state.assign(view.num_classes(), kUnseen);
+  stack.reserve(view.num_classes());  // a class is Open at most once
+
+  // Iterative DFS with an explicit "children pending" phase (a frame is a
+  // class and its next child); an Open node reached again is a cycle.
+  for (const SerializedRoot& r : roots) {
+    const std::uint32_t root = view.dense(r.id);
+    if (state[root] == kDone) continue;
+    if (state[root] == kOpen) return false;
+    stack.clear();
+    stack.emplace_back(root, 0);
+    state[root] = kOpen;
+    while (!stack.empty()) {
+      const std::uint32_t d = stack.back().first;
+      if (!solution.has(view.slot(d))) return false;
+      const Node& v = view.chosen(solution, d);
+      if (stack.back().second >= op_arity(v.op)) {
+        state[d] = kDone;
+        stack.pop_back();
+        continue;
+      }
+      const std::uint32_t child = v.child[stack.back().second++];
+      if (state[child] == kOpen) return false;  // cycle
+      if (state[child] == kUnseen) {
+        state[child] = kOpen;
+        stack.emplace_back(child, 0);
+      }
+    }
+  }
+  return true;
+}
+
+bool solution_is_well_founded(const EGraph& egraph, const Extraction& solution,
+                              const std::vector<SerializedRoot>& roots) {
+  ExtractScratch scratch;
+  return solution_is_well_founded(ExtractView(egraph), solution, roots, scratch);
+}
+
+double solution_cost(const ExtractView& view, const Extraction& solution,
                      const CostModel& cost,
-                     const std::vector<SerializedRoot>& roots) {
+                     const std::vector<SerializedRoot>& roots,
+                     ExtractScratch& scratch) {
   // Iterative DFS over chosen nodes; size counts each class once (DAG cost),
   // depth memoizes the longest path.
-  enum class State : std::uint8_t { kUnseen, kOpen, kDone };
-  const std::size_t slots = egraph.num_classes_created();
-  std::vector<State> state(slots, State::kUnseen);
-  std::vector<double> depth(slots, 0.0);
+  std::vector<std::uint8_t>& state = scratch.state;
+  std::vector<double>& depth = scratch.depth;
+  std::vector<std::uint32_t>& stack = scratch.stack;
+  state.assign(view.num_classes(), kUnseen);
+  depth.assign(view.num_classes(), 0.0);
   double total_size = 0.0;
 
-  std::vector<EClassId> stack;
-  for (const SerializedRoot& r : roots) stack.push_back(egraph.find(r.id));
+  stack.clear();
+  stack.reserve(dfs_bound(view, roots));
+  for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
   while (!stack.empty()) {
-    EClassId c = egraph.find(stack.back());
-    if (state[c] == State::kDone) {
+    const std::uint32_t d = stack.back();
+    if (state[d] == kDone) {
       stack.pop_back();
       continue;
     }
-    assert(solution.has(c));
-    const ENode& n = egraph.eclass(c).nodes[solution.choice(c)];
-    if (state[c] == State::kUnseen) {
-      state[c] = State::kOpen;
+    assert(solution.has(view.slot(d)));
+    const Node& v = view.chosen(solution, d);
+    const unsigned arity = op_arity(v.op);
+    if (state[d] == kUnseen) {
+      state[d] = kOpen;
       bool pending = false;
-      for (unsigned k = 0; k < n.arity(); ++k) {
-        EClassId child = egraph.find(n.children[k]);
-        if (state[child] != State::kDone) {
-          assert(state[child] != State::kOpen && "cyclic extraction");
-          stack.push_back(child);
+      for (unsigned k = 0; k < arity; ++k) {
+        if (state[v.child[k]] != kDone) {
+          assert(state[v.child[k]] != kOpen && "cyclic extraction");
+          stack.push_back(v.child[k]);
           pending = true;
         }
       }
       if (pending) continue;
     }
     // Children done: finalize.
-    double node_cost = cost.op_cost(n.op);
+    double node_cost = cost.op_cost(v.op);
     double child_depth = 0.0;
-    for (unsigned k = 0; k < n.arity(); ++k) {
-      child_depth = std::max(child_depth, depth[egraph.find(n.children[k])]);
+    for (unsigned k = 0; k < arity; ++k) {
+      child_depth = std::max(child_depth, depth[v.child[k]]);
     }
-    depth[c] = node_cost + child_depth;
+    depth[d] = node_cost + child_depth;
     total_size += node_cost;
-    state[c] = State::kDone;
+    state[d] = kDone;
     stack.pop_back();
   }
 
   if (cost.kind == CostKind::kSize) return total_size;
   double max_depth = 0.0;
   for (const SerializedRoot& r : roots) {
-    max_depth = std::max(max_depth, depth[egraph.find(r.id)]);
+    max_depth = std::max(max_depth, depth[view.dense(r.id)]);
   }
   return max_depth;
 }
 
-Aig extraction_to_aig(const EGraph& egraph, const Extraction& solution,
+double solution_cost(const EGraph& egraph, const Extraction& solution,
+                     const CostModel& cost,
+                     const std::vector<SerializedRoot>& roots) {
+  ExtractScratch scratch;
+  return solution_cost(ExtractView(egraph), solution, cost, roots, scratch);
+}
+
+Aig extraction_to_aig(const ExtractView& view, const Extraction& solution,
                       const std::vector<SerializedRoot>& roots,
-                      const std::vector<std::string>& pi_names) {
+                      const std::vector<std::string>& pi_names,
+                      ExtractScratch& scratch) {
   Aig aig;
   for (const auto& name : pi_names) aig.add_pi(name);
 
-  const std::size_t slots = egraph.num_classes_created();
-  std::vector<Lit> built(slots, kLitFalse);
-  std::vector<std::uint8_t> done(slots, 0);
+  std::vector<Lit>& built = scratch.lits;
+  std::vector<std::uint8_t>& done = scratch.state;
+  std::vector<std::uint32_t>& stack = scratch.stack;
+  built.assign(view.num_classes(), kLitFalse);
+  done.assign(view.num_classes(), 0);
 
-  std::vector<EClassId> stack;
-  for (const SerializedRoot& r : roots) stack.push_back(egraph.find(r.id));
+  stack.clear();
+  stack.reserve(dfs_bound(view, roots));
+  for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
   while (!stack.empty()) {
-    EClassId c = egraph.find(stack.back());
-    if (done[c]) {
+    const std::uint32_t d = stack.back();
+    if (done[d]) {
       stack.pop_back();
       continue;
     }
-    assert(solution.has(c) && "extraction does not cover the output cone");
-    const ENode& n = egraph.eclass(c).nodes[solution.choice(c)];
+    assert(solution.has(view.slot(d)) &&
+           "extraction does not cover the output cone");
+    const Node& v = view.chosen(solution, d);
     bool pending = false;
-    for (unsigned k = 0; k < n.arity(); ++k) {
-      EClassId child = egraph.find(n.children[k]);
-      if (!done[child]) {
-        stack.push_back(child);
+    for (unsigned k = 0; k < op_arity(v.op); ++k) {
+      if (!done[v.child[k]]) {
+        stack.push_back(v.child[k]);
         pending = true;
       }
     }
     if (pending) continue;
 
     Lit lit = kLitFalse;
-    switch (n.op) {
+    switch (v.op) {
       case Op::kConst0:
         lit = kLitFalse;
         break;
@@ -380,34 +624,39 @@ Aig extraction_to_aig(const EGraph& egraph, const Extraction& solution,
         lit = kLitTrue;
         break;
       case Op::kVar:
-        lit = make_lit(aig.pis()[n.symbol]);
+        lit = make_lit(aig.pis()[v.symbol()]);
         break;
       case Op::kNot:
-        lit = lit_not(built[egraph.find(n.children[0])]);
+        lit = lit_not(built[v.child[0]]);
         break;
       case Op::kAnd:
-        lit = aig.make_and(built[egraph.find(n.children[0])],
-                           built[egraph.find(n.children[1])]);
+        lit = aig.make_and(built[v.child[0]], built[v.child[1]]);
         break;
       case Op::kOr:
-        lit = aig.make_or(built[egraph.find(n.children[0])],
-                          built[egraph.find(n.children[1])]);
+        lit = aig.make_or(built[v.child[0]], built[v.child[1]]);
         break;
       case Op::kXor:
-        lit = aig.make_xor(built[egraph.find(n.children[0])],
-                           built[egraph.find(n.children[1])]);
+        lit = aig.make_xor(built[v.child[0]], built[v.child[1]]);
         break;
     }
-    built[c] = lit;
-    done[c] = 1;
+    built[d] = lit;
+    done[d] = 1;
     stack.pop_back();
   }
 
   for (const SerializedRoot& r : roots) {
-    Lit lit = built[egraph.find(r.id)];
+    Lit lit = built[view.dense(r.id)];
     aig.add_po(lit_notcond(lit, r.complemented), r.name);
   }
   return aig;
+}
+
+Aig extraction_to_aig(const EGraph& egraph, const Extraction& solution,
+                      const std::vector<SerializedRoot>& roots,
+                      const std::vector<std::string>& pi_names) {
+  ExtractScratch scratch;
+  return extraction_to_aig(ExtractView(egraph), solution, roots, pi_names,
+                           scratch);
 }
 
 }  // namespace emorphic

@@ -16,6 +16,7 @@
 // them in one memo would return wrong answers; WarmCache enforces this by
 // construction.
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -26,28 +27,62 @@ namespace emorphic {
 
 class QorMemo {
  public:
-  /// Look `key` up; on hit copy the cached Qor into *out. Counts lifetime
-  /// hits/misses for cache-warmth telemetry.
-  bool lookup(std::uint64_t key, Qor* out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
+  /// The Qor for `key`: the memoized answer when there is one (a hit),
+  /// else `evaluate()`'s, which is then memoized (a miss). A miss first
+  /// claims the key, so concurrent callers with one key evaluate it once:
+  /// a caller that finds another's claim waits for its result and counts a
+  /// hit. That makes the hit and miss counts independent of thread timing.
+  /// If `evaluate` throws, its claim is withdrawn, the waiters wake (one of
+  /// them claims the key next) and the exception propagates. `*hit` tells
+  /// the caller which case it was.
+  template <typename Evaluate>
+  Qor get_or_evaluate(std::uint64_t key, Evaluate&& evaluate, bool* hit) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      published_.wait(lock, [&] {
+        auto it = map_.find(key);
+        return it == map_.end() || it->second.ready;  // no claim in flight
+      });
+      auto it = map_.find(key);
+      if (it != map_.end()) {
+        ++hits_;
+        *hit = true;
+        return it->second.qor;
+      }
+      map_.emplace(key, Entry{});
       ++misses_;
-      return false;
     }
-    ++hits_;
-    *out = it->second;
-    return true;
+    *hit = false;
+    Qor qor;
+    try {
+      qor = evaluate();
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = map_.find(key);
+        if (it != map_.end() && !it->second.ready) map_.erase(it);
+      }
+      published_.notify_all();
+      throw;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      map_.insert_or_assign(key, Entry{qor, true});
+    }
+    published_.notify_all();
+    return qor;
   }
 
-  void insert(std::uint64_t key, const Qor& qor) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.emplace(key, qor);
-  }
-
+  /// Memoized results (claims still being evaluated excluded).
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
+    return map_.size() - count_claims();
+  }
+
+  /// Keys claimed by an evaluation still in flight.
+  std::size_t in_flight() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_claims();
   }
 
   std::uint64_t hits() const {
@@ -60,6 +95,9 @@ class QorMemo {
     return misses_;
   }
 
+  /// Forget every result and reset the counters. Meant for idle memos: an
+  /// evaluation in flight still publishes afterwards, and a key cleared
+  /// under its claim may be evaluated twice.
   void clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     map_.clear();
@@ -68,8 +106,21 @@ class QorMemo {
   }
 
  private:
+  struct Entry {
+    Qor qor;
+    bool ready = false;  // false: claimed, evaluation in flight
+  };
+
+  std::size_t count_claims() const {
+    std::size_t claims = 0;
+    // lint:allow(unordered-iteration) order-independent count
+    for (const auto& [key, entry] : map_) claims += entry.ready ? 0 : 1;
+    return claims;
+  }
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Qor> map_;
+  std::condition_variable published_;  // a claim was resolved
+  std::unordered_map<std::uint64_t, Entry> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -1,9 +1,9 @@
 #include "extract/sa_extractor.hpp"
 
 #include <cmath>
+#include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "aig/signature.hpp"
 #include "extract/qor_memo.hpp"
@@ -11,22 +11,43 @@
 
 namespace emorphic {
 
-// The memo of evaluator results keyed by structural signature now lives in
-// extract/qor_memo.hpp so callers can share one across runs (WarmCache);
-// without an external memo, sa_extract still uses a fresh per-run instance.
-
 namespace {
+
+/// Evaluator calls and memo traffic of one chain (or the final polish).
+struct QorCounts {
+  std::size_t evaluations = 0;
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
+};
 
 struct ChainResult {
   Extraction solution;
   Qor qor;
   double cost = kInfCost;
-  std::size_t evaluations = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
+  QorCounts counts;
   ExtractStats stats;
   std::vector<SaTracePoint> trace;
 };
+
+/// Score one candidate, through the shared memo when there is one. Returns
+/// whether the memo answered (a hit) in *hit.
+Qor score(const QorEvaluator& evaluator, QorMemo* memo, const Aig& aig,
+          QorCounts& counts, bool* hit) {
+  *hit = false;
+  if (memo == nullptr) {
+    ++counts.evaluations;
+    return evaluator.evaluate(aig);
+  }
+  Qor qor = memo->get_or_evaluate(
+      structural_signature(aig), [&] { return evaluator.evaluate(aig); }, hit);
+  if (*hit) {
+    ++counts.cache_hits;
+  } else {
+    ++counts.evaluations;
+    ++counts.cache_misses;
+  }
+  return qor;
+}
 
 /// The paper's cooling schedule (Sec. IV-A). `n` is 1-based; `delta` is the
 /// |new_cost - old_cost| observed in the last move of the iteration: the
@@ -47,12 +68,12 @@ double next_temperature(double t, unsigned n, double delta) {
   return std::min(next, t);
 }
 
-ChainResult run_chain(unsigned thread_index, const EGraph& egraph,
+ChainResult run_chain(unsigned thread_index, const ExtractView& view,
                       const std::vector<SerializedRoot>& roots,
                       const std::vector<std::string>& pi_names,
                       const QorEvaluator& evaluator, const SaParams& params,
                       const SaHooks& hooks, std::mutex& hook_mutex,
-                      QorMemo* memo) {
+                      QorMemo* memo, ExtractScratch& scratch) {
   ChainResult result;
   Rng rng(params.seed * 0x9e3779b97f4a7c15ull + thread_index + 1);
 
@@ -61,45 +82,30 @@ ChainResult run_chain(unsigned thread_index, const EGraph& egraph,
   // chain also explores with the matching proxy cost: depth-seeded chains
   // chase delay structures, size-seeded chains chase sharing-friendly ones
   // — the blended QoR cost arbitrates between them.
-  Extraction current(egraph.num_classes_created());
+  Extraction current;
   CostModel proxy = params.proxy_cost;
   switch (thread_index % 3) {
     case 0:
-      current = greedy_extract(egraph, CostModel{CostKind::kDepth},
+      current = greedy_extract(view, CostModel{CostKind::kDepth}, scratch,
                                &result.stats, params.prune);
       break;
     case 1:
       proxy = CostModel{CostKind::kSize};
-      current = dag_refine(egraph,
-                           greedy_extract(egraph, CostModel{CostKind::kSize},
-                                          &result.stats, params.prune),
-                           proxy, roots);
+      current = dag_refine(view,
+                           greedy_extract(view, CostModel{CostKind::kSize},
+                                          scratch, &result.stats,
+                                          params.prune),
+                           proxy, roots, scratch);
       break;
     default:
-      current = random_extract(egraph, rng);
+      current = random_extract(view, rng);
       break;
   }
 
   bool last_was_hit = false;
   auto evaluate = [&](const Extraction& sol) {
-    Aig aig = extraction_to_aig(egraph, sol, roots, pi_names).cleanup();
-    last_was_hit = false;
-    if (memo != nullptr) {
-      std::uint64_t key = structural_signature(aig);
-      Qor cached;
-      if (memo->lookup(key, &cached)) {
-        ++result.cache_hits;
-        last_was_hit = true;
-        return cached;
-      }
-      Qor qor = evaluator.evaluate(aig);
-      ++result.evaluations;
-      ++result.cache_misses;
-      memo->insert(key, qor);
-      return qor;
-    }
-    ++result.evaluations;
-    return evaluator.evaluate(aig);
+    Aig aig = extraction_to_aig(view, sol, roots, pi_names, scratch).cleanup();
+    return score(evaluator, memo, aig, result.counts, &last_was_hit);
   };
 
   Qor current_qor = evaluate(current);
@@ -122,11 +128,12 @@ ChainResult run_chain(unsigned thread_index, const EGraph& egraph,
       options.prune = params.prune;
       options.warm_start = &current;
       options.stats = &result.stats;
-      Extraction candidate = bottom_up_extract(egraph, options);
+      Extraction candidate = bottom_up_extract(view, options, scratch);
       if (proxy.kind == CostKind::kSize) {
         // Size-oriented chains fight duplication with marginal-cost
         // refinement (tree costs overcount shared logic).
-        candidate = dag_refine(egraph, candidate, proxy, roots, 1);
+        candidate = dag_refine(view, std::move(candidate), proxy, roots,
+                               scratch, 1);
       }
 
       Qor qor = evaluate(candidate);
@@ -188,26 +195,39 @@ SaResult sa_extract(const EGraph& egraph,
     memo_ptr = hooks.qor_memo != nullptr ? hooks.qor_memo : &local_memo;
   }
 
+  // One compiled view serves every chain (it is read-only); each chain
+  // keeps its own scratch across all of its moves.
+  const ExtractView view(egraph);
+  std::vector<ExtractScratch> scratch(num_threads);
   std::vector<ChainResult> chains(num_threads);
+  std::vector<std::exception_ptr> errors(num_threads);
   {
     std::mutex hook_mutex;
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (unsigned t = 0; t < num_threads; ++t) {
       threads.emplace_back([&, t] {
-        chains[t] = run_chain(t, egraph, roots, pi_names, evaluator, params,
-                              hooks, hook_mutex, memo_ptr);
+        try {
+          chains[t] = run_chain(t, view, roots, pi_names, evaluator, params,
+                                hooks, hook_mutex, memo_ptr, scratch[t]);
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
       });
     }
     for (auto& th : threads) th.join();
   }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 
   SaResult result;
   result.best_cost = kInfCost;
+  QorCounts counts;
   for (auto& chain : chains) {
-    result.evaluations += chain.evaluations;
-    result.qor_cache_hits += chain.cache_hits;
-    result.qor_cache_misses += chain.cache_misses;
+    counts.evaluations += chain.counts.evaluations;
+    counts.cache_hits += chain.counts.cache_hits;
+    counts.cache_misses += chain.counts.cache_misses;
     result.extract_stats.enodes_visited += chain.stats.enodes_visited;
     result.extract_stats.enodes_skipped += chain.stats.enodes_skipped;
     result.extract_stats.passes += chain.stats.passes;
@@ -221,26 +241,24 @@ SaResult sa_extract(const EGraph& egraph,
     }
   }
   // Final DAG-aware polish of the winner: strictly-validated, adopted only
-  // when the evaluator agrees it is no worse.
-  Extraction polished =
-      dag_refine(egraph, result.best, CostModel{CostKind::kSize}, roots);
+  // when the evaluator agrees it is no worse. Its Qor goes through the memo
+  // like every move's, so a shared memo learns it too.
+  Extraction polished = dag_refine(view, result.best,
+                                   CostModel{CostKind::kSize}, roots,
+                                   scratch[0]);
   Aig polished_aig =
-      extraction_to_aig(egraph, polished, roots, pi_names).cleanup();
-  Qor polished_qor;
-  if (memo_ptr != nullptr &&
-      memo_ptr->lookup(structural_signature(polished_aig), &polished_qor)) {
-    ++result.qor_cache_hits;
-  } else {
-    polished_qor = evaluator.evaluate(polished_aig);
-    ++result.evaluations;
-    if (memo_ptr != nullptr) ++result.qor_cache_misses;
-  }
+      extraction_to_aig(view, polished, roots, pi_names, scratch[0]).cleanup();
+  bool hit = false;
+  Qor polished_qor = score(evaluator, memo_ptr, polished_aig, counts, &hit);
   double polished_cost = evaluator.cost(polished_qor);
   if (polished_cost < result.best_cost) {
     result.best = std::move(polished);
     result.best_qor = polished_qor;
     result.best_cost = polished_cost;
   }
+  result.evaluations = counts.evaluations;
+  result.qor_cache_hits = counts.cache_hits;
+  result.qor_cache_misses = counts.cache_misses;
   result.seconds = timer.seconds();
   return result;
 }

@@ -45,8 +45,11 @@ Aig egraph_to_aig(const CircuitEGraph& ce, const Extraction& solution) {
 }
 
 Aig egraph_to_aig_greedy(const CircuitEGraph& ce, CostKind kind) {
-  Extraction solution = greedy_extract(ce.egraph, CostModel{kind});
-  return egraph_to_aig(ce, solution);
+  const ExtractView view(ce.egraph);
+  ExtractScratch scratch;
+  Extraction solution = greedy_extract(view, CostModel{kind}, scratch);
+  return extraction_to_aig(view, solution, ce.roots, ce.pi_names, scratch)
+      .cleanup();
 }
 
 CircuitEGraph dsl_to_circuit_egraph(const std::string& text) {

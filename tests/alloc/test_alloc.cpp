@@ -17,6 +17,10 @@
 #include "aig/cut.hpp"
 #include "benchgen/arith.hpp"
 #include "egraph/egraph.hpp"
+#include "egraph/rules.hpp"
+#include "egraph/runner.hpp"
+#include "extract/extractor.hpp"
+#include "flow/conversion.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/warm_cache.hpp"
 #include "util/arena.hpp"
@@ -105,6 +109,59 @@ TEST(Alloc, CutEnumerationIsAllocationFreeWhenWarm) {
   expect_allocation_free_when_warm(2, 5, [&] {
     CutManager cuts(aig, CutParams{}, &arena);
   });
+}
+
+/// One SA chain's pattern: a view compiled once and one scratch reused by
+/// every move. Warm, an Algorithm 1 pass allocates only the Extraction it
+/// returns, a one-pass dag_refine only its candidate (the incumbent moves
+/// in), and the solution walks nothing at all.
+TEST(Alloc, ExtractionKernelReusesScratch) {
+  CircuitEGraph ce = aig_to_egraph(make_adder(6));
+  RunnerParams limits;
+  limits.max_iterations = 3;
+  limits.max_enodes = 6000;
+  limits.time_limit_s = 1e9;
+  run_rewriting(ce.egraph, make_logic_rules(), limits);
+
+  const ExtractView view(ce.egraph);
+  ExtractScratch scratch;
+  const CostModel depth{CostKind::kDepth};
+  const CostModel size{CostKind::kSize};
+  Extraction current = greedy_extract(view, depth, scratch);
+  Rng rng(3);
+  BottomUpOptions options;
+  options.p_random = 0.15;
+  options.rng = &rng;
+  options.warm_start = &current;
+
+  auto move = [&](const CostModel& proxy, std::uint64_t* pass_allocs,
+                  std::uint64_t* refine_allocs, std::uint64_t* walk_allocs) {
+    options.cost = &proxy;
+    std::uint64_t before = heap_allocs();
+    Extraction candidate = bottom_up_extract(view, options, scratch);
+    *pass_allocs = heap_allocs() - before;
+    before = heap_allocs();
+    Extraction refined =
+        dag_refine(view, std::move(candidate), size, ce.roots, scratch, 1);
+    *refine_allocs = heap_allocs() - before;
+    before = heap_allocs();
+    const bool ok = solution_is_well_founded(view, refined, ce.roots, scratch);
+    const double cost = solution_cost(view, refined, size, ce.roots, scratch);
+    *walk_allocs = heap_allocs() - before;
+    EXPECT_TRUE(ok);
+    EXPECT_GT(cost, 0.0);
+  };
+
+  std::uint64_t pass = 0, refine = 0, walk = 0;
+  move(depth, &pass, &refine, &walk);  // warm-up: sizes the scratch
+  for (int i = 0; i < 4; ++i) {
+    for (const CostModel* proxy : {&depth, &size}) {
+      move(*proxy, &pass, &refine, &walk);
+      EXPECT_EQ(pass, 1u) << "move " << i;
+      EXPECT_EQ(refine, 1u) << "move " << i;
+      EXPECT_EQ(walk, 0u) << "move " << i;
+    }
+  }
 }
 
 FlowParams quick_params() {

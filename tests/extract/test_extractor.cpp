@@ -161,5 +161,38 @@ TEST(Extractor, ConstantsExtract) {
   EXPECT_EQ(out.po(1), kLitTrue);
 }
 
+/// The view compiles the e-graph faithfully (dense ids resolve find(),
+/// merged classes share one record), and its self-check notices when the
+/// e-graph it was built from has since changed.
+TEST(ExtractView, CompilesTheEGraphAndDetectsDrift) {
+  EGraph eg;
+  EClassId a = eg.add_var(0);
+  EClassId b = eg.add_var(1);
+  EClassId ab = eg.add_and(a, b);
+  EClassId ba_or = eg.add_or(b, a);
+  eg.merge(ab, ba_or);  // not sound logic; only the structure matters here
+  eg.rebuild();
+
+  const ExtractView view(eg);
+  EXPECT_EQ(view.check(eg), "");
+  EXPECT_EQ(view.num_classes(), eg.num_classes());
+  EXPECT_EQ(view.num_nodes(), eg.num_enodes());
+  EXPECT_EQ(view.num_slots(), eg.num_classes_created());
+  EXPECT_EQ(view.dense(ab), view.dense(ba_or));
+  EXPECT_EQ(view.slot(view.dense(ba_or)), eg.find(ab));
+  const std::uint32_t d = view.dense(ab);
+  ASSERT_EQ(view.node_begin(d + 1) - view.node_begin(d), 2u);
+  for (std::uint32_t i = view.node_begin(d); i < view.node_begin(d + 1); ++i) {
+    EXPECT_EQ(view.node(i).child[0], view.dense(a));
+    EXPECT_EQ(view.node(i).child[1], view.dense(b));
+  }
+  EXPECT_EQ(view.leaves().size(), 2u);
+  EXPECT_EQ(view.parents_end(view.dense(a)) - view.parents_begin(view.dense(a)),
+            1);  // both parent e-nodes live in one class
+
+  eg.add_xor(a, b);
+  EXPECT_NE(view.check(eg), "");
+}
+
 }  // namespace
 }  // namespace emorphic

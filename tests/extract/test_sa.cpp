@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
+#include "extract/qor_memo.hpp"
 #include "flow/conversion.hpp"
 #include "flow/pipeline.hpp"
 
@@ -184,6 +192,149 @@ TEST(SaMapped, MemoizedQorEqualsRecomputedOnBenchgenCircuit) {
   // The memoized winner is still a valid extraction of the input.
   Aig best = egraph_to_aig(ce, memo.best);
   EXPECT_TRUE(testing::functionally_equal(adder, best));
+}
+
+/// Chains that reach one structure at once used to race between the
+/// memo's lookup and its insert, so the evaluation count moved with thread
+/// timing. A miss now claims its key before evaluating, so every count is
+/// exact, and every miss, the final polish's included, lands in the memo.
+TEST(SaMapped, MemoCountsAreIndependentOfThreadTiming) {
+  Aig adder = make_adder(5);
+  CircuitEGraph ce = aig_to_egraph(adder);
+  RunnerParams limits;
+  limits.max_iterations = 2;
+  limits.max_enodes = 2000;
+  limits.time_limit_s = 1e9;
+  run_rewriting(ce.egraph, make_logic_rules(), limits);
+
+  MapQorEvaluator eval(CellLibrary::asap7_like());
+  SaParams params;
+  params.num_threads = 4;  // chains 0 and 3 start from the same solution
+  params.iterations = 3;
+  params.moves_per_iteration = 6;
+  params.seed = 23;
+
+  SaResult first;
+  for (int run = 0; run < 20; ++run) {
+    QorMemo memo;
+    SaHooks hooks;
+    hooks.qor_memo = &memo;
+    SaResult r = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params,
+                            hooks);
+    EXPECT_EQ(memo.in_flight(), 0u) << "run " << run;
+    EXPECT_EQ(memo.size(), r.qor_cache_misses) << "run " << run;
+    EXPECT_EQ(r.evaluations, r.qor_cache_misses) << "run " << run;
+    if (run == 0) {
+      first = r;
+      EXPECT_GT(first.qor_cache_hits, 0u);
+      continue;
+    }
+    EXPECT_EQ(r.evaluations, first.evaluations) << "run " << run;
+    EXPECT_EQ(r.qor_cache_hits, first.qor_cache_hits) << "run " << run;
+    EXPECT_EQ(r.qor_cache_misses, first.qor_cache_misses) << "run " << run;
+    EXPECT_EQ(r.best.raw(), first.best.raw()) << "run " << run;
+    EXPECT_EQ(r.best_cost, first.best_cost) << "run " << run;
+  }
+}
+
+/// The claimant of a key throws while others wait on its claim: the claim
+/// is withdrawn, exactly one waiter claims the key next and evaluates it,
+/// and the rest are answered from its result.
+TEST(QorMemo, ThrowingEvaluatorWithdrawsItsClaim) {
+  QorMemo memo;
+  std::atomic<int> calls{0};
+  std::atomic<int> thrown{0};
+  std::atomic<int> answered{0};
+  auto evaluate = [&] {
+    if (calls.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("evaluator failed");
+    }
+    return Qor{1.0, 2.0};
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      bool hit = false;
+      try {
+        Qor qor = memo.get_or_evaluate(42, evaluate, &hit);
+        EXPECT_EQ(qor.area, 1.0);
+        EXPECT_EQ(qor.delay, 2.0);
+        ++answered;
+      } catch (const std::runtime_error&) {
+        ++thrown;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(thrown.load(), 1);
+  EXPECT_EQ(answered.load(), 3);
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo.in_flight(), 0u);
+  EXPECT_EQ(memo.hits(), 2u);
+  EXPECT_EQ(memo.misses(), 2u);
+}
+
+/// A throwing evaluator fails the whole extraction instead of terminating
+/// a chain thread, and leaves no claim behind: the same memo serves the
+/// next run.
+TEST_F(SaFixture, ThrowingEvaluatorFailsTheRunAndLeaksNoClaim) {
+  class FailingEvaluator : public QorEvaluator {
+   public:
+    Qor evaluate(const Aig&) const override {
+      throw std::runtime_error("evaluator failed");
+    }
+  };
+  QorMemo memo;
+  SaHooks hooks;
+  hooks.qor_memo = &memo;
+  SaParams params;
+  params.num_threads = 4;
+  params.iterations = 2;
+  params.moves_per_iteration = 2;
+  EXPECT_THROW(sa_extract(ce.egraph, ce.roots, ce.pi_names, FailingEvaluator{},
+                          params, hooks),
+               std::runtime_error);
+  EXPECT_EQ(memo.in_flight(), 0u);
+  EXPECT_EQ(memo.size(), 0u);
+
+  SaResult result = sa_extract(ce.egraph, ce.roots, ce.pi_names,
+                               ProxyEvaluator{}, params, hooks);
+  EXPECT_GT(result.evaluations, 0u);
+  EXPECT_EQ(memo.size(), result.qor_cache_misses);
+  EXPECT_EQ(memo.in_flight(), 0u);
+}
+
+/// Pins the winner of a 4-chain run bit for bit: its choices, cost and
+/// the summed neighbour-generation counters. Every chain's trajectory
+/// feeds the winner, so any change to extraction, the proxy costs or the
+/// RNG draws moves this digest.
+TEST(SaGolden, FourChainBestDigest) {
+  std::uint64_t h = 0;
+  for (const Aig& input : {make_adder(8), make_multiplier(4)}) {
+    CircuitEGraph ce = aig_to_egraph(input);
+    RunnerParams limits;
+    limits.max_iterations = 3;
+    limits.max_enodes = 6000;
+    limits.time_limit_s = 1e9;
+    run_rewriting(ce.egraph, make_logic_rules(), limits);
+
+    ProxyEvaluator eval;
+    SaParams params;
+    params.num_threads = 4;
+    params.seed = 5;
+    SaResult result = sa_extract(ce.egraph, ce.roots, ce.pi_names, eval, params);
+    h = splitmix64(h ^ result.best.size());
+    for (std::uint32_t choice : result.best.raw()) h = splitmix64(h ^ choice);
+    h = splitmix64(h ^ std::bit_cast<std::uint64_t>(result.best_cost));
+    h = splitmix64(h ^ result.extract_stats.enodes_visited);
+    h = splitmix64(h ^ result.extract_stats.enodes_skipped);
+    h = splitmix64(h ^ result.extract_stats.passes);
+    h = splitmix64(h ^ result.trace.size());
+    EXPECT_TRUE(testing::functionally_equal(input, egraph_to_aig(ce, result.best)));
+  }
+  EXPECT_EQ(h, 0x5992341d65853105ull);
 }
 
 TEST_F(SaFixture, ZeroCostDeltaKeepsTemperature) {
