@@ -1,9 +1,10 @@
 // Timings for the kernels the end-to-end benchmark (perfbench/) cannot
 // isolate: the two ResynRounds kernels, priority-cut enumeration (serial and
-// wave-parallel) and NPN canonization of 4-input functions, and the SA
-// neighbour generation of the extraction kernel. Timing only; the
-// bit-identical guarantees are ctest cases (tests/aig/test_cut_parallel.cpp,
-// Extract.GoldenDigestOverEpfl in tests/extract).
+// wave-parallel) and NPN canonization of 4-input functions, the SA
+// neighbour generation of the extraction kernel, and the covering DP under
+// both mapping backends. Timing only; the bit-identical guarantees are
+// ctest cases (tests/aig/test_cut_parallel.cpp, Extract.GoldenDigestOverEpfl
+// in tests/extract, Mapper.GoldenCoverDigestOverEpfl in tests/mapper).
 //
 //   $ ./bench/micro_kernels
 
@@ -18,6 +19,8 @@
 #include "egraph/runner.hpp"
 #include "extract/extractor.hpp"
 #include "flow/conversion.hpp"
+#include "mapper/lut_mapper.hpp"
+#include "mapper/tech_mapper.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -112,6 +115,38 @@ void BM_BottomUpExtract(minibench::State& state) {
                           static_cast<std::int64_t>(view.num_nodes()));
 }
 BENCHMARK(BM_BottomUpExtract)->Arg(6)->Arg(8);
+
+/// One cell map under the SA evaluator's settings (4 priority cuts, no area
+/// recovery) through a shared matcher and a warm workspace — the cost of
+/// one SA QoR evaluation. Items are AIG nodes per map.
+void BM_MapCells(minibench::State& state) {
+  const Aig aig = make_multiplier(static_cast<unsigned>(state.range(0)));
+  const Matcher matcher(CellLibrary::asap7_like());
+  MapperParams params;
+  params.num_cuts = 4;
+  params.area_recovery = false;
+  MapperWorkspace workspace;
+  for (auto _ : state) {
+    minibench::DoNotOptimize(map_qor(aig, matcher, params, &workspace).delay);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(aig.num_nodes()));
+}
+BENCHMARK(BM_MapCells)->Arg(8)->Arg(16);
+
+/// One 6-LUT map (default parameters, area recovery on) through a warm
+/// workspace. Items are AIG nodes per map.
+void BM_MapLuts(minibench::State& state) {
+  const Aig aig = make_multiplier(static_cast<unsigned>(state.range(0)));
+  MapperWorkspace workspace;
+  for (auto _ : state) {
+    minibench::DoNotOptimize(
+        map_to_luts(aig, LutMapperParams{}, &workspace).area());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(aig.num_nodes()));
+}
+BENCHMARK(BM_MapLuts)->Arg(8)->Arg(16);
 
 }  // namespace
 

@@ -266,7 +266,7 @@ ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
 
 ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const LutMapperParams& params,
-                                        LutWorkspace* workspace,
+                                        MapperWorkspace* workspace,
                                         ThreadPool* pool) {
   MappedNetlist choice = map_to_luts(caig, params, workspace, pool);
   MappedNetlist plain = map_to_luts(caig.aig, params, workspace, pool);

@@ -103,7 +103,7 @@ ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
 /// see aig/cut.hpp).
 ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const LutMapperParams& params,
-                                        LutWorkspace* workspace = nullptr,
+                                        MapperWorkspace* workspace = nullptr,
                                         ThreadPool* pool = nullptr);
 
 }  // namespace emorphic

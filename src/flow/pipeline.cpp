@@ -49,23 +49,9 @@ const char* to_string(FlowStopReason reason) {
 }
 
 FlowResult FlowContext::take_result() {
-  FlowResult result;
-  result.qor = qor;
-  result.final_aig = std::move(current);
-  result.netlist = std::move(netlist);
-  result.telemetry = std::move(telemetry);
-  result.rewrite_report = std::move(rewrite_report);
-  result.sa = std::move(sa);
-  result.fraig_stats = fraig_stats;
-  result.choice_stats = choice_stats;
-  result.partition_stats = partition_stats;
-  result.egraph_classes = egraph_classes;
-  result.egraph_enodes = egraph_enodes;
-  result.initial_enodes = initial_enodes;
-  result.verify_status = verify_status;
-  result.cancelled = stopped_early;
-  result.stop_reason = stop_signal.load(std::memory_order_relaxed);
-  return result;
+  final_aig = std::move(current);
+  stop_reason = stop_signal.load(std::memory_order_relaxed);
+  return std::move(static_cast<FlowResult&>(*this));
 }
 
 // --- ResynRounds ------------------------------------------------------------
@@ -379,12 +365,12 @@ void LutMapStage::run(FlowContext& ctx) const {
     // Choice-aware tail, mirroring ChoiceMapStage.
     ChoiceAig choice_aig = export_choices(ctx);
     ctx.netlist = map_with_choices_gated(choice_aig, lut_params,
-                                         &ctx.lut_workspace, ctx.pool)
+                                         &ctx.mapper_workspace, ctx.pool)
                       .netlist;
   } else {
     ctx.current = strash(ctx.current);
     ctx.netlist =
-        map_to_luts(ctx.current, lut_params, &ctx.lut_workspace, ctx.pool);
+        map_to_luts(ctx.current, lut_params, &ctx.mapper_workspace, ctx.pool);
   }
   // A LUT cover is not a cell netlist of ctx.current: a later TechMap
   // must remap instead of reusing it.
@@ -503,23 +489,11 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
   // context can be reused for several runs (take_result only moves the
   // previous run's results out).
   ctx.stopwatch.restart();
+  static_cast<FlowResult&>(ctx) = FlowResult();
   ctx.current = ctx.input;
   ctx.egraph.reset();
-  ctx.netlist.reset();
   ctx.netlist_is_current = false;
   ctx.sa_valid = false;
-  ctx.qor = FlowQor{};
-  ctx.rewrite_report = RunnerReport{};
-  ctx.sa = SaResult{};
-  ctx.fraig_stats = FraigStats{};
-  ctx.choice_stats = ChoiceExportStats{};
-  ctx.partition_stats = PartitionStats{};
-  ctx.egraph_classes = 0;
-  ctx.egraph_enodes = 0;
-  ctx.initial_enodes = 0;
-  ctx.verify_status = CecStatus::kUndecided;
-  ctx.telemetry = FlowTelemetry{};
-  ctx.stopped_early = false;
   ctx.stop_signal.store(FlowStopReason::kNone, std::memory_order_relaxed);
   if (ctx.observer != nullptr) ctx.observer->on_flow_begin(ctx);
 
@@ -545,7 +519,7 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
 
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     if (ctx.should_stop()) {
-      ctx.stopped_early = true;
+      ctx.cancelled = true;
       break;
     }
     const Stage& stage = *stages_[i];

@@ -258,8 +258,10 @@ class FlowObserver {
 
 /// Shared state threaded through the stages of one pipeline run. Configure
 /// the members under "configuration", hand it to Pipeline::run(ctx), and
-/// read the results back (or use the FlowResult returned by run).
-struct FlowContext {
+/// read the results back (or use the FlowResult returned by run). The
+/// results are the FlowResult base: stages write its fields directly, and
+/// `netlist` doubles as the working cover.
+struct FlowContext : FlowResult {
   // --- configuration -------------------------------------------------------
   FlowParams params;
   /// Per-run seed override for stochastic stages; 0 keeps params.sa.seed.
@@ -293,11 +295,10 @@ struct FlowContext {
   /// is thread-safe). Survives Pipeline::run's working-state reset — it is
   /// configuration-derived, and rebuilt only when the library changes.
   std::shared_ptr<const Matcher> matcher;
-  /// Reusable mapper scratch for this context's stages (stages run on one
-  /// thread; SA chains use their own thread-local workspaces).
+  /// Reusable mapper scratch for this context's cell and LUT mapping
+  /// stages (stages run on one thread; SA chains use their own
+  /// thread-local workspaces).
   MapperWorkspace mapper_workspace;
-  /// Reusable LUT-mapper scratch for the "lutmap" stage.
-  LutWorkspace lut_workspace;
 
   /// The shared matcher for params.library, building (or replacing) it if
   /// needed.
@@ -312,8 +313,6 @@ struct FlowContext {
   Aig input;    // original circuit, kept pristine for verification
   Aig current;  // the network being transformed
   std::optional<CircuitEGraph> egraph;
-  /// The mapped cover, cell or LUT (see FlowResult::netlist).
-  std::optional<MappedNetlist> netlist;
   /// True while `netlist` is a cell netlist of `current` (stages that
   /// change `current`, and the lutmap stage, clear it, so TechMap knows
   /// when a remap is needed).
@@ -322,23 +321,6 @@ struct FlowContext {
   /// falls back to greedy extraction otherwise).
   bool sa_valid = false;
 
-  // --- results -------------------------------------------------------------
-  FlowQor qor;
-  RunnerReport rewrite_report;
-  SaResult sa;
-  FraigStats fraig_stats;
-  ChoiceExportStats choice_stats;
-  PartitionStats partition_stats;
-  std::size_t egraph_classes = 0;
-  std::size_t egraph_enodes = 0;
-  std::size_t initial_enodes = 0;
-  CecStatus verify_status = CecStatus::kUndecided;
-  FlowTelemetry telemetry;
-  /// Set by Pipeline::run when it skipped stages (cancellation flag or time
-  /// budget fired between stages). A run whose every stage completed is not
-  /// "cancelled" — but `stop_signal` still records a budget that expired
-  /// during the final stage (FlowResult::stop_reason).
-  bool stopped_early = false;
   /// First stop signal observed by any should_stop() poll this run —
   /// including polls inside stages (SA moves, rewrite iterations), so a
   /// deadline that fires during the final stage is still reported. Atomic:
@@ -368,7 +350,8 @@ struct FlowContext {
                                         std::memory_order_relaxed);
   }
 
-  /// Move the result fields out. Pipeline::run re-initializes all working
+  /// Move the results out, with `current` as the final AIG and the stop
+  /// signal as the stop reason. Pipeline::run re-initializes all working
   /// state from the configuration members, so a context can be reused for
   /// further runs after this.
   FlowResult take_result();

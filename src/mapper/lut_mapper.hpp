@@ -10,14 +10,15 @@
 // width kMaxCutSize = 6, the `if -K 6` setting of the paper's baseline.
 //
 // The cover is a MappedNetlist without a cell library (mapper/netlist.hpp),
-// and the DP runs in the cell mapper's frame (mapper/cover_dp.hpp) with its
-// own selection kernel for the LUT cost model: unit area and unit delay
-// per LUT, so pass 1 is depth-optimal (LUT levels, area flow breaking
-// ties) and pass 2 recovers area under per-node required depths. No phase bookkeeping is needed — a LUT
-// absorbs input and output polarity into its table — so only positive
-// polarities are computed; a complemented primary output duplicates its
-// root LUT with the negated table (or adds a 1-input inverter LUT when
-// the root is a primary input).
+// and the selection is the cell mapper's covering DP (mapper/cover_dp.hpp)
+// with the LUT as its match provider: one identity match per cut at unit
+// area and unit delay, so pass 1 is depth-optimal (LUT levels, area flow
+// breaking ties) and pass 2 recovers area under per-node required depths.
+// A LUT absorbs input and output polarity into its table, so every match
+// produces the positive polarity; a complemented primary output duplicates
+// its root LUT with the negated table (or adds a 1-input inverter LUT when
+// the root is a primary input). The MapperWorkspace of the cell mapper
+// serves this backend too.
 //
 // The ChoiceAig overload maps choice-aware, exactly like the cell
 // mapper's: cut enumeration merges every ring member's cuts into its
@@ -27,16 +28,11 @@
 // (LutMapperParams::num_threads / an external ThreadPool) with
 // bit-identical results — see aig/cut.hpp.
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "aig/aig.hpp"
 #include "aig/choice.hpp"
 #include "aig/cut.hpp"
-#include "aig/truth.hpp"
 #include "mapper/netlist.hpp"
+#include "mapper/tech_mapper.hpp"
 
 namespace emorphic {
 
@@ -60,41 +56,12 @@ struct LutMapperParams {
   unsigned num_threads = 1;
 };
 
-class LutWorkspace;
-
-namespace detail {
-/// The shared LUT-mapping kernel behind every map_to_luts overload: plain
-/// when `choices` is null, choice-aware otherwise. Not a stable API — call
-/// map_to_luts.
-MappedNetlist map_luts_with_choices(const Aig& aig, const AigChoices* choices,
-                                    const LutMapperParams& params,
-                                    LutWorkspace* workspace, ThreadPool* pool);
-}  // namespace detail
-
-/// Reusable scratch for repeated map_to_luts calls: the per-node DP state,
-/// required depths, net ids, emission stack, and the cut arena. Not
-/// thread-safe: one workspace per thread.
-class LutWorkspace {
- public:
-  LutWorkspace();
-  ~LutWorkspace();
-  LutWorkspace(LutWorkspace&&) noexcept;
-  LutWorkspace& operator=(LutWorkspace&&) noexcept;
-
- private:
-  friend MappedNetlist detail::map_luts_with_choices(
-      const Aig& aig, const AigChoices* choices, const LutMapperParams& params,
-      LutWorkspace* workspace, ThreadPool* pool);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Map an AIG onto k-input LUTs; returns a LUT netlist (a MappedNetlist
 /// without a library: area() is the LUT count, delay() the LUT depth).
 /// Throws std::invalid_argument unless 2 <= params.lut_size <= kMaxCutSize
 /// and params.num_cuts >= 1.
 MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params = {},
-                          LutWorkspace* workspace = nullptr,
+                          MapperWorkspace* workspace = nullptr,
                           ThreadPool* pool = nullptr);
 
 /// Choice-aware LUT mapping: select the best cut per node across every
@@ -103,7 +70,7 @@ MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params = {},
 /// to the plain overload.
 MappedNetlist map_to_luts(const ChoiceAig& caig,
                           const LutMapperParams& params = {},
-                          LutWorkspace* workspace = nullptr,
+                          MapperWorkspace* workspace = nullptr,
                           ThreadPool* pool = nullptr);
 
 }  // namespace emorphic

@@ -1,13 +1,9 @@
 #include "mapper/tech_mapper.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "aig/cut.hpp"
 #include "check/check.hpp"
 #include "check/validators.hpp"
 #include "mapper/cover_dp.hpp"
@@ -16,85 +12,50 @@ namespace emorphic {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct PhaseMatch {
-  double arrival = kInf;
-  double area_flow = kInf;
-  std::int32_t cut = -1;          // cut index at the node
-  std::int32_t match = -1;        // index into the matcher's match list
-  bool via_inv = false;           // implemented as INV(other phase)
-  bool is_const = false;          // node is semantically constant: a tie net
-  bool const_val = false;         // ... of this value (in this phase)
-};
-
-struct NodeState {
-  PhaseMatch phase[2];
-};
-
-/// The one match-selection preference, lexicographic on (arrival, area
-/// flow). Pass 1 and the inverter phase-closing both use exactly this
-/// comparator, so the chosen cover never depends on how a compiler or FP
-/// contraction setting resolves an exact `==` tie-break.
-bool lex_improves(double arrival, double area_flow, const PhaseMatch& slot) {
-  if (arrival != slot.arrival) return arrival < slot.arrival;
-  return area_flow < slot.area_flow;
-}
-
-struct Want {
-  Var v;
-  int p;
-};
+using detail::kInf;
+using detail::PhaseMatch;
+using detail::Want;
 
 Tt pad4(const Cut& cut) {
   std::array<std::uint8_t, 6> identity{{0, 1, 2, 3, 4, 5}};
   return tt_expand(cut.tt, cut.size, 4, identity);
 }
 
-}  // namespace
+/// The cell backend of the covering DP: NPN matches from the shared
+/// matcher, inverters between phases, and area recovery on un-normalized
+/// flows.
+struct CellMatches {
+  static constexpr bool kNormalizedRecovery = false;
+  const Matcher& matcher;
+  double bridge_area;
+  double bridge_delay;
 
-struct MapperWorkspace::Impl {
-  std::vector<NodeState> state;
-  std::vector<std::uint32_t> refs;
-  std::vector<std::array<double, 2>> required;
-  std::vector<std::array<std::uint32_t, 2>> net;
-  std::vector<Want> stack;
-  CutArena cuts;
+  const std::vector<CellMatch>& cell_matches(const Cut& cut) const {
+    return matcher.match(pad4(cut), cut.size);
+  }
+  detail::Match view(const CellMatch& m) const {
+    const Cell& cell = matcher.library().cell(m.cell);
+    return {m.output_compl ? 1 : 0, cell.area, cell.delay, cell.num_inputs,
+            m.pin_leaf.data(), m.pin_compl};
+  }
+  template <class F>
+  void for_each_match(const Cut& cut, F&& f) const {
+    const std::vector<CellMatch>& matches = cell_matches(cut);
+    for (std::int32_t mi = 0; mi < static_cast<std::int32_t>(matches.size());
+         ++mi) {
+      f(mi, view(matches[mi]));
+    }
+  }
+  detail::Match match(const Cut& cut, std::int32_t mi) const {
+    return view(cell_matches(cut)[mi]);
+  }
 };
-
-MapperWorkspace::MapperWorkspace() : impl_(std::make_unique<Impl>()) {}
-MapperWorkspace::~MapperWorkspace() = default;
-MapperWorkspace::MapperWorkspace(MapperWorkspace&&) noexcept = default;
-MapperWorkspace& MapperWorkspace::operator=(MapperWorkspace&&) noexcept =
-    default;
-
-MappedNetlist map_to_cells(const Aig& aig, const CellLibrary& library,
-                           const MapperParams& params) {
-  Matcher matcher(library);
-  return map_to_cells(aig, matcher, params, nullptr);
-}
-
-MappedNetlist map_to_cells(const Aig& aig, const Matcher& matcher,
-                           const MapperParams& params,
-                           MapperWorkspace* workspace) {
-  return detail::map_with_choices(aig, nullptr, matcher, params, workspace);
-}
-
-MappedNetlist map_to_cells(const ChoiceAig& caig, const Matcher& matcher,
-                           const MapperParams& params,
-                           MapperWorkspace* workspace) {
-  return detail::map_with_choices(caig.aig, &caig.choices, matcher, params,
-                                  workspace);
-}
-
-namespace detail {
 
 // The only choice-specific behavior here is the traversal order of passes
 // 1 and 2 and the choice-aware cut enumeration, both in CoverDp.
-MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
-                               const Matcher& matcher,
-                               const MapperParams& params,
-                               MapperWorkspace* workspace) {
+MappedNetlist map_cells(const Aig& aig, const AigChoices* choices,
+                        const Matcher& matcher, const MapperParams& params,
+                        MapperWorkspace* workspace) {
   if (params.cut_size < 2 || params.cut_size > kMaxCellPins) {
     throw std::invalid_argument(
         "map_to_cells: cut_size must be in [2, kMaxCellPins = " +
@@ -107,203 +68,18 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
         "map_to_cells: num_cuts must be >= 1 (the trivial cut alone matches "
         "no cell)");
   }
-  std::optional<MapperWorkspace> local;
-  if (workspace == nullptr) local.emplace();
-  MapperWorkspace::Impl& ws =
-      workspace != nullptr ? *workspace->impl_ : *local->impl_;
   const CellLibrary& library = matcher.library();
-
-  CutParams cut_params;
-  cut_params.cut_size = params.cut_size;
-  cut_params.num_cuts = params.num_cuts;
-  const CoverDp dp(aig, choices, cut_params, &ws.cuts, nullptr, ws.refs);
-  const CutManager& cuts = dp.cuts();
-
   const Cell& inv = library.cell(library.inverter());
-  std::vector<NodeState>& state = ws.state;
-  state.assign(aig.num_nodes(), NodeState{});
-
-  // Constant node: both phases available "for free" as tie nets.
-  state[0].phase[0] = PhaseMatch{0.0, 0.0, -1, -1, false};
-  state[0].phase[1] = PhaseMatch{0.0, 0.0, -1, -1, false};
-
-  auto close_phases = [&](Var v) {
-    for (int p = 0; p < 2; ++p) {
-      const PhaseMatch& other = state[v].phase[1 - p];
-      if (other.arrival == kInf || other.via_inv) continue;
-      double arrival = other.arrival + inv.delay;
-      double flow = other.area_flow + inv.area;
-      PhaseMatch& mine = state[v].phase[p];
-      if (lex_improves(arrival, flow, mine)) {
-        mine = PhaseMatch{arrival, flow, -1, -1, true};
-      }
-    }
-  };
-
-  // --- Pass 1: delay-optimal matching in topological order ---------------
-  auto pass1_node = [&](Var v) {
-    if (aig.is_pi(v)) {
-      state[v].phase[0] = PhaseMatch{0.0, 0.0, -1, -1, false};
-      close_phases(v);
-      return;
-    }
-    const double refs = dp.refs(v);
-    const auto& node_cuts = cuts.cuts(v);
-    for (std::int32_t ci = 0; ci < static_cast<std::int32_t>(node_cuts.size());
-         ++ci) {
-      const Cut& cut = node_cuts[ci];
-      if (cut.is_trivial(v)) continue;
-      // Structural hashing removes syntactic constants, but a node can
-      // still be *semantically* constant (it matches no cell then). Both
-      // phases become free tie nets: phase p of constant c is tied to
-      // c XOR p, and (0, 0.0) wins every later comparison.
-      const Tt f = cut.tt & tt_mask(cut.size);
-      if (f == 0 || f == tt_mask(cut.size)) {
-        for (int p = 0; p < 2; ++p) {
-          PhaseMatch& slot = state[v].phase[p];
-          if (!slot.is_const) {
-            slot = PhaseMatch{0.0, 0.0, -1, -1, false, true,
-                              (f != 0) != (p == 1)};
-          }
-        }
-        continue;
-      }
-      const auto& matches = matcher.match(pad4(cut), cut.size);
-      for (std::int32_t mi = 0; mi < static_cast<std::int32_t>(matches.size());
-           ++mi) {
-        const CellMatch& m = matches[mi];
-        const Cell& cell = library.cell(m.cell);
-        double arrival = 0.0;
-        double flow = cell.area;
-        bool feasible = true;
-        for (unsigned j = 0; j < cell.num_inputs; ++j) {
-          Var leaf = cut.leaves[m.pin_leaf[j]];
-          int ph = (m.pin_compl >> j) & 1;
-          const PhaseMatch& lm = state[leaf].phase[ph];
-          if (lm.arrival == kInf) {
-            feasible = false;
-            break;
-          }
-          arrival = std::max(arrival, lm.arrival);
-          flow += lm.area_flow;
-        }
-        if (!feasible) continue;
-        arrival += cell.delay;
-        flow /= refs;
-        int p = m.output_compl ? 1 : 0;
-        PhaseMatch& slot = state[v].phase[p];
-        if (lex_improves(arrival, flow, slot)) {
-          slot = PhaseMatch{arrival, flow, ci, mi, false};
-        }
-      }
-    }
-    close_phases(v);
-    if (state[v].phase[0].arrival == kInf &&
-        state[v].phase[1].arrival == kInf) {
-      throw std::runtime_error(
-          "map_to_cells: node has no match; is the library NPN-complete for "
-          "2-input ANDs?");
-    }
-  };
-  dp.forward(pass1_node);
-
-  // --- Pass 2: required-time-aware area recovery -------------------------
-  // Cover of pass 1 defines the delay target; off-critical nodes re-select
-  // the cheapest match that still meets their required time.
-  std::vector<std::array<double, 2>>& required = ws.required;
-  required.assign(aig.num_nodes(), {kInf, kInf});
-  double target = 0.0;
-  for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
-    Lit po = aig.po(i);
-    int p = lit_is_compl(po) ? 1 : 0;
-    target = std::max(target, state[lit_var(po)].phase[p].arrival);
-  }
-  for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
-    Lit po = aig.po(i);
-    int p = lit_is_compl(po) ? 1 : 0;
-    auto& req = required[lit_var(po)][p];
-    req = std::min(req, target);
-  }
-
-  if (params.area_recovery) {
-    // Reverse topological order (CoverDp::reverse).
-    auto pass2_node = [&](Var v) {
-      if (!aig.is_and(v)) {
-        // PI: propagate requirement through the phase-closing inverter.
-        if (required[v][1] != kInf) {
-          required[v][0] = std::min(required[v][0], required[v][1] - inv.delay);
-        }
-        return;
-      }
-      // Inverter-bridged phases first, so a requirement arriving at the
-      // derived phase reaches the source phase before it is re-selected.
-      for (int p = 0; p < 2; ++p) {
-        if (state[v].phase[p].via_inv && required[v][p] != kInf) {
-          required[v][1 - p] =
-              std::min(required[v][1 - p], required[v][p] - inv.delay);
-        }
-      }
-      for (int p = 0; p < 2; ++p) {
-        double req = required[v][p];
-        if (req == kInf) continue;  // not in the cover
-        PhaseMatch& slot = state[v].phase[p];
-        if (slot.via_inv || slot.is_const) continue;
-        // Re-select: cheapest (area-flow) match meeting the requirement.
-        const auto& node_cuts = cuts.cuts(v);
-        double best_flow = slot.area_flow;
-        for (std::int32_t ci = 0;
-             ci < static_cast<std::int32_t>(node_cuts.size()); ++ci) {
-          const Cut& cut = node_cuts[ci];
-          if (cut.is_trivial(v)) continue;
-          const auto& matches = matcher.match(pad4(cut), cut.size);
-          for (std::int32_t mi = 0;
-               mi < static_cast<std::int32_t>(matches.size()); ++mi) {
-            const CellMatch& m = matches[mi];
-            if ((m.output_compl ? 1 : 0) != p) continue;
-            const Cell& cell = library.cell(m.cell);
-            double arrival = 0.0;
-            double flow = cell.area;
-            bool feasible = true;
-            for (unsigned j = 0; j < cell.num_inputs; ++j) {
-              Var leaf = cut.leaves[m.pin_leaf[j]];
-              int ph = (m.pin_compl >> j) & 1;
-              const PhaseMatch& lm = state[leaf].phase[ph];
-              if (lm.arrival == kInf) {
-                feasible = false;
-                break;
-              }
-              arrival = std::max(arrival, lm.arrival);
-              flow += lm.area_flow;
-            }
-            if (!feasible) continue;
-            arrival += cell.delay;
-            if (arrival > req) continue;
-            if (flow < best_flow) {
-              best_flow = flow;
-              slot = PhaseMatch{arrival, flow, ci, mi, false};
-            }
-          }
-        }
-        // Propagate requirements to the chosen match's leaves.
-        const Cut& cut = node_cuts[slot.cut];
-        const auto& matches = matcher.match(pad4(cut), cut.size);
-        const CellMatch& m = matches[slot.match];
-        const Cell& cell = library.cell(m.cell);
-        for (unsigned j = 0; j < cell.num_inputs; ++j) {
-          Var leaf = cut.leaves[m.pin_leaf[j]];
-          int ph = (m.pin_compl >> j) & 1;
-          required[leaf][ph] =
-              std::min(required[leaf][ph], req - cell.delay);
-        }
-      }
-    };
-    dp.reverse(pass2_node);
-  }
+  const CellMatches backend{matcher, inv.area, inv.delay};
+  detail::CoverDp dp(aig, choices, CutParams{params.cut_size, params.num_cuts},
+                     nullptr, workspace);
+  dp.select(backend, params.area_recovery);
+  const CutManager& cuts = dp.cuts();
 
   // --- Pass 3: netlist construction ---------------------------------------
   MappedNetlist netlist(&library);
   constexpr std::uint32_t kNoNet = 0xffffffffu;
-  std::vector<std::array<std::uint32_t, 2>>& net = ws.net;
+  std::vector<std::array<std::uint32_t, 2>>& net = dp.workspace().net;
   net.assign(aig.num_nodes(), {kNoNet, kNoNet});
   // Primary-input nets exist up front.
   for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
@@ -313,12 +89,13 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
   }
 
   // Iterative emission: a (var, phase) is emitted after its inputs.
-  std::vector<Want>& stack = ws.stack;
+  std::vector<Want>& stack = dp.workspace().stack;
   stack.clear();
-  auto need = [&](Var v, int p) {
-    if (net[v][p] == kNoNet) stack.push_back(Want{v, p});
-  };
-  for (Lit po : aig.pos()) need(lit_var(po), lit_is_compl(po) ? 1 : 0);
+  for (Lit po : aig.pos()) {
+    if (net[lit_var(po)][lit_is_compl(po)] == kNoNet) {
+      stack.push_back(Want{lit_var(po), lit_is_compl(po)});
+    }
+  }
 
   auto net_name_for = [&](Var v, int p) {
     std::string name = "n" + std::to_string(v);
@@ -338,7 +115,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
       stack.pop_back();
       continue;
     }
-    const PhaseMatch& slot = state[v].phase[p];
+    const PhaseMatch& slot = dp.slot(v, p);
     assert(slot.arrival != kInf);
     if (slot.is_const) {
       // Semantically constant node: tie the net to this phase's value.
@@ -347,7 +124,7 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
       stack.pop_back();
       continue;
     }
-    if (slot.via_inv || (aig.is_pi(v) && p == 1)) {
+    if (slot.via_inv) {
       int src = 1 - p;
       if (net[v][src] == kNoNet) {
         stack.push_back(Want{v, src});
@@ -361,26 +138,26 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
       continue;
     }
     const Cut& cut = cuts.cuts(v)[slot.cut];
-    const auto& matches = matcher.match(pad4(cut), cut.size);
-    const CellMatch& m = matches[slot.match];
-    const Cell& cell = library.cell(m.cell);
+    const CellMatch& cm = backend.cell_matches(cut)[slot.match];
+    const detail::Match m = backend.view(cm);
+    auto pin = [&](unsigned j) {
+      return Want{cut.leaves[m.pin_leaf[j]], (m.pin_compl >> j) & 1};
+    };
     bool pending = false;
-    for (unsigned j = 0; j < cell.num_inputs; ++j) {
-      Var leaf = cut.leaves[m.pin_leaf[j]];
-      int ph = (m.pin_compl >> j) & 1;
-      if (net[leaf][ph] == kNoNet) {
-        stack.push_back(Want{leaf, ph});
+    for (unsigned j = 0; j < m.num_pins; ++j) {
+      const Want in = pin(j);
+      if (net[in.v][in.p] == kNoNet) {
+        stack.push_back(in);
         pending = true;
       }
     }
     if (pending) continue;
     MappedGate gate;
-    gate.cell = m.cell;
-    gate.inputs.resize(cell.num_inputs);
-    for (unsigned j = 0; j < cell.num_inputs; ++j) {
-      Var leaf = cut.leaves[m.pin_leaf[j]];
-      int ph = (m.pin_compl >> j) & 1;
-      gate.inputs[j] = net[leaf][ph];
+    gate.cell = cm.cell;
+    gate.inputs.resize(m.num_pins);
+    for (unsigned j = 0; j < m.num_pins; ++j) {
+      const Want in = pin(j);
+      gate.inputs[j] = net[in.v][in.p];
     }
     gate.output = netlist.add_net(net_name_for(v, p));
     net[v][p] = gate.output;
@@ -390,14 +167,37 @@ MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
 
   for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
     Lit po = aig.po(i);
-    int p = lit_is_compl(po) ? 1 : 0;
-    netlist.add_po(net[lit_var(po)][p], aig.po_name(i));
+    netlist.add_po(net[lit_var(po)][lit_is_compl(po)], aig.po_name(i));
   }
   EM_CHECK_EXPENSIVE(check::check_netlist(netlist));
   return netlist;
 }
 
-}  // namespace detail
+}  // namespace
+
+MapperWorkspace::MapperWorkspace() : impl_(std::make_unique<Impl>()) {}
+MapperWorkspace::~MapperWorkspace() = default;
+MapperWorkspace::MapperWorkspace(MapperWorkspace&&) noexcept = default;
+MapperWorkspace& MapperWorkspace::operator=(MapperWorkspace&&) noexcept =
+    default;
+
+MappedNetlist map_to_cells(const Aig& aig, const CellLibrary& library,
+                           const MapperParams& params) {
+  Matcher matcher(library);
+  return map_to_cells(aig, matcher, params, nullptr);
+}
+
+MappedNetlist map_to_cells(const Aig& aig, const Matcher& matcher,
+                           const MapperParams& params,
+                           MapperWorkspace* workspace) {
+  return map_cells(aig, nullptr, matcher, params, workspace);
+}
+
+MappedNetlist map_to_cells(const ChoiceAig& caig, const Matcher& matcher,
+                           const MapperParams& params,
+                           MapperWorkspace* workspace) {
+  return map_cells(caig.aig, &caig.choices, matcher, params, workspace);
+}
 
 MappedQor map_qor(const Aig& aig, const CellLibrary& library,
                   const MapperParams& params) {

@@ -8,7 +8,8 @@
 //    bridged by inverters at cost — complemented AIG edges therefore map
 //    without any pre-lowering,
 //  * a delay-optimal first pass followed by required-time-aware area
-//    recovery (area-flow selection off the critical path),
+//    recovery (area-flow selection off the critical path) — the covering
+//    DP of mapper/cover_dp.hpp, which the k-LUT backend shares,
 //  * netlist construction (netlist.hpp) for the chosen cover.
 //
 // The ChoiceAig overload maps *choice-aware* (docs/mapping-internals.md):
@@ -49,23 +50,16 @@ struct MapperParams {
   bool area_recovery = true;
 };
 
-class MapperWorkspace;
-
 namespace detail {
-/// The shared mapping kernel behind every map_to_cells overload: plain when
-/// `choices` is null, choice-aware otherwise. Not a stable API — call
-/// map_to_cells.
-MappedNetlist map_with_choices(const Aig& aig, const AigChoices* choices,
-                               const Matcher& matcher,
-                               const MapperParams& params,
-                               MapperWorkspace* workspace);
+class CoverDp;
 }  // namespace detail
 
-/// Reusable scratch for repeated map_to_cells calls: the per-node DP state,
-/// required times, net ids, emission stack, and the cut arena. Buffers are
-/// resized (keeping capacity) per call, so mapping many same-scale candidate
-/// AIGs performs no steady-state allocation. Not thread-safe: one workspace
-/// per thread.
+/// Reusable scratch for repeated map_to_cells and map_to_luts calls (one
+/// type for both backends, which share the covering DP): the per-node DP
+/// state, required times, net ids, emission stack, and the cut arena.
+/// Buffers are resized (keeping capacity) per call, so mapping many
+/// same-scale candidate AIGs performs no steady-state allocation. Not
+/// thread-safe: one workspace per thread.
 class MapperWorkspace {
  public:
   MapperWorkspace();
@@ -74,12 +68,8 @@ class MapperWorkspace {
   MapperWorkspace& operator=(MapperWorkspace&&) noexcept;
 
  private:
-  friend MappedNetlist detail::map_with_choices(const Aig& aig,
-                                                const AigChoices* choices,
-                                                const Matcher& matcher,
-                                                const MapperParams& params,
-                                                MapperWorkspace* workspace);
-  struct Impl;
+  friend class detail::CoverDp;
+  struct Impl;  // mapper/cover_dp.hpp
   std::unique_ptr<Impl> impl_;
 };
 

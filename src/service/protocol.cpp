@@ -39,6 +39,21 @@ unsigned expect_unsigned(const Json& value, const std::string& key) {
   return expect_integer<unsigned>(value, key);
 }
 
+/// Upper bound on a request's thread counts (sa.num_threads,
+/// rewrite.match_threads). Each thread brings its own scratch, so an
+/// unbounded count would let one submit exhaust the server's memory or
+/// process ids.
+constexpr unsigned kMaxRequestThreads = 64;
+
+unsigned expect_thread_count(const Json& value, const std::string& key) {
+  const unsigned n = expect_unsigned(value, key);
+  if (n > kMaxRequestThreads) {
+    bad("field '" + key + "' must be <= " +
+        std::to_string(kMaxRequestThreads));
+  }
+  return n;
+}
+
 bool expect_bool(const Json& value, const std::string& key) {
   if (value.type() != Json::Type::kBool) {
     bad("field '" + key + "' must be a boolean");
@@ -186,7 +201,7 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
         } else if (skey == "moves_per_iteration") {
           params->sa.moves_per_iteration = expect_unsigned(sval, path);
         } else if (skey == "num_threads") {
-          params->sa.num_threads = expect_unsigned(sval, path);
+          params->sa.num_threads = expect_thread_count(sval, path);
         } else if (skey == "initial_temperature") {
           params->sa.initial_temperature = expect_number(sval, path);
         } else {
@@ -206,7 +221,7 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
         } else if (rkey == "time_limit_s") {
           params->rewrite.time_limit_s = expect_number(rval, path);
         } else if (rkey == "match_threads") {
-          params->rewrite.match_threads = expect_unsigned(rval, path);
+          params->rewrite.match_threads = expect_thread_count(rval, path);
         } else {
           bad("unknown params key '" + path + "'");
         }

@@ -187,13 +187,21 @@ TEST(LutMapper, ParallelEnumerationNeverChangesTheNetwork) {
 }
 
 TEST(LutMapper, WorkspaceReuseAcrossCalls) {
-  LutWorkspace workspace;
+  // Both backends share one covering DP, so one workspace serves both:
+  // alternating cell and LUT maps through it must give fresh-state covers.
+  MapperWorkspace workspace;
+  Matcher matcher(CellLibrary::asap7_like());
   Rng rng(55);
   for (int round = 0; round < 3; ++round) {
     Aig aig = testing::random_aig(6 + round, 3, 50 + 25 * round, rng);
     MappedNetlist fresh = map_to_luts(aig);
     MappedNetlist reused = map_to_luts(aig, LutMapperParams{}, &workspace);
     expect_same_network(fresh, reused);
+    MappedNetlist fresh_cells = map_to_cells(aig, matcher);
+    MappedNetlist reused_cells = map_to_cells(aig, matcher, {}, &workspace);
+    EXPECT_EQ(fresh_cells.to_blif("m"), reused_cells.to_blif("m")) << round;
+    EXPECT_EQ(fresh_cells.area(), reused_cells.area()) << round;
+    EXPECT_EQ(fresh_cells.delay(), reused_cells.delay()) << round;
   }
 }
 

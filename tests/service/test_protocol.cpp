@@ -225,9 +225,10 @@ TEST(ApplyFlowParams, RejectsUnknownAndIllTypedKeys) {
 
 TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
   // {override, field named in the error}: non-integral, negative and
-  // above-maximum values for integer fields of several widths, and mapping
-  // settings outside map_to_cells' range (these must die at submit, not as
-  // an internal error mid-flow).
+  // above-maximum values for integer fields of several widths, mapping
+  // settings outside map_to_cells' range, and thread counts above the
+  // service's cap (these must die at submit, not as an internal error or
+  // an exhausted server mid-flow).
   const std::pair<const char*, const char*> cases[] = {
       {R"({"rounds": 2.5})", "'rounds'"},
       {R"({"rounds": -1})", "'rounds'"},
@@ -241,6 +242,10 @@ TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
       {R"({"mapping": {"cut_size": 7}})", "'mapping.cut_size'"},
       {R"({"mapping": {"cut_size": 5}})", "'mapping.cut_size'"},
       {R"({"mapping": {"cut_size": 1}})", "'mapping.cut_size'"},
+      {R"({"sa": {"num_threads": 65}})", "'sa.num_threads'"},
+      {R"({"sa": {"num_threads": 4294967295}})", "'sa.num_threads'"},
+      {R"({"rewrite": {"match_threads": 65}})", "'rewrite.match_threads'"},
+      {R"({"rewrite": {"match_threads": 1e6}})", "'rewrite.match_threads'"},
   };
   for (const auto& [text, field] : cases) {
     FlowParams params;
@@ -256,11 +261,13 @@ TEST(ApplyFlowParams, RejectsNumbersTheFieldTypeCannotHold) {
   FlowParams params;
   apply_flow_params(&params, Json::parse(R"({"rounds": 4294967295,
       "rewrite": {"max_enodes": 1e12},
-      "mapping": {"cut_size": 4, "num_cuts": 1}})"));
+      "mapping": {"cut_size": 4, "num_cuts": 1},
+      "sa": {"num_threads": 64}})"));
   EXPECT_EQ(params.rounds, 4294967295u);
   EXPECT_EQ(params.rewrite.max_enodes, 1000000000000u);
   EXPECT_EQ(params.mapping.cut_size, 4u);
   EXPECT_EQ(params.mapping.num_cuts, 1u);
+  EXPECT_EQ(params.sa.num_threads, 64u);
 }
 
 TEST(ApplyFlowParams, ValidatesPartitionKeys) {
