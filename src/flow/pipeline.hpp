@@ -260,7 +260,10 @@ class FlowObserver {
 /// the members under "configuration", hand it to Pipeline::run(ctx), and
 /// read the results back (or use the FlowResult returned by run). The
 /// results are the FlowResult base: stages write its fields directly, and
-/// `netlist` doubles as the working cover.
+/// `netlist` doubles as the working cover. Two base fields are filled only
+/// by take_result, so mid-run (in a stage or an observer) they read their
+/// reset values: `final_aig` stays empty — read `current`, the working
+/// AIG — and `stop_reason` stays kNone — read `stop_signal`.
 struct FlowContext : FlowResult {
   // --- configuration -------------------------------------------------------
   FlowParams params;
