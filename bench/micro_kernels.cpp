@@ -1,10 +1,12 @@
 // Timings for the kernels the end-to-end benchmark (perfbench/) cannot
 // isolate: the two ResynRounds kernels, priority-cut enumeration (serial and
-// wave-parallel) and NPN canonization of 4-input functions, the SA
-// neighbour generation of the extraction kernel, and the covering DP under
-// both mapping backends. Timing only; the bit-identical guarantees are
-// ctest cases (tests/aig/test_cut_parallel.cpp, Extract.GoldenDigestOverEpfl
-// in tests/extract, Mapper.GoldenCoverDigestOverEpfl in tests/mapper).
+// wave-parallel) and NPN canonization of 4-input functions, the e-matching
+// search per rule class, the SA neighbour generation of the extraction
+// kernel, and the covering DP under both mapping backends. Timing only; the
+// bit-identical guarantees are ctest cases (tests/aig/test_cut_parallel.cpp,
+// Runner.GoldenMatchDigestOverEpfl in tests/egraph,
+// Extract.GoldenDigestOverEpfl in tests/extract,
+// Mapper.GoldenCoverDigestOverEpfl in tests/mapper).
 //
 //   $ ./bench/micro_kernels
 
@@ -15,6 +17,7 @@
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/epfl.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
 #include "extract/extractor.hpp"
@@ -79,6 +82,57 @@ void BM_NpnCanon(minibench::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_NpnCanon);
+
+/// The ten EPFL e-graphs after four rewrite iterations under perfbench's
+/// rewrite caps (5 iterations, 60000 e-nodes or 40000 above 3000 ANDs,
+/// 4000 matches per rule): the frozen state the fifth search sees.
+const std::vector<CircuitEGraph>& rewritten_epfl() {
+  static const std::vector<CircuitEGraph> egraphs = [] {
+    std::vector<CircuitEGraph> out;
+    for (const std::string& name : epfl_names()) {
+      const Aig aig = make_epfl(name);
+      RunnerParams limits;
+      limits.max_iterations = 4;
+      limits.max_enodes = aig.num_ands() > 3000 ? 40000 : 60000;
+      limits.max_matches_per_rule = 4000;
+      limits.time_limit_s = 1e9;
+      out.push_back(aig_to_egraph(aig));
+      run_rewriting(out.back().egraph, make_logic_rules(), limits);
+    }
+    return out;
+  }();
+  return egraphs;
+}
+
+/// One serial search phase of one rule class over the ten rewritten EPFL
+/// e-graphs, one line per class (each includes the per-search operator
+/// index build). Items are e-nodes searched.
+const bool kMatchRulesRegistered = [] {
+  for (RuleClass& rule_class : make_rule_classes()) {
+    minibench::make_registrar(
+        (std::string("BM_MatchRules/") + rule_class.class_name).c_str(),
+        [rules = std::move(rule_class.rules)](minibench::State& state) {
+          RunnerParams params;
+          params.max_matches_per_rule = 4000;
+          std::int64_t enodes = 0;
+          for (const CircuitEGraph& ce : rewritten_epfl()) {
+            enodes += static_cast<std::int64_t>(ce.egraph.num_enodes());
+          }
+          for (auto _ : state) {
+            std::size_t matches = 0;
+            for (const CircuitEGraph& ce : rewritten_epfl()) {
+              for (const RuleMatches& list :
+                   search_rules(ce.egraph, rules, params)) {
+                matches += list.size();
+              }
+            }
+            minibench::DoNotOptimize(matches);
+          }
+          state.SetItemsProcessed(state.iterations() * enodes);
+        });
+  }
+  return true;
+}();
 
 /// One SA move of each chain kind over a warm view and scratch: a
 /// depth-proxy Algorithm 1 pass with p_random 0.15, and a size-proxy pass

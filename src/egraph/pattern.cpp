@@ -1,8 +1,12 @@
 #include "egraph/pattern.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <unordered_map>
+#include <stdexcept>
+
+#include "check/check.hpp"
 
 namespace emorphic {
 
@@ -42,18 +46,25 @@ Pattern Pattern::compile(const Pat& pat, std::vector<std::string>& var_names) {
         flat.is_var = true;
         auto it = std::find(var_names.begin(), var_names.end(), n.var_name);
         if (it == var_names.end()) {
+          if (var_names.size() == 64) {
+            throw std::invalid_argument(
+                "pattern has more than 64 variables");
+          }
           flat.var = static_cast<std::uint32_t>(var_names.size());
           var_names.push_back(n.var_name);
         } else {
           flat.var = static_cast<std::uint32_t>(it - var_names.begin());
         }
+        flat.var_mask = std::uint64_t{1} << flat.var;
       } else {
         flat.op = n.op;
         flat.structure = 1;
         for (std::size_t i = 0; i < n.children.size(); ++i) {
           flat.children[i] = (*this)(n.children[i]);
-          flat.structure = static_cast<std::uint16_t>(
-              flat.structure + out.nodes_[flat.children[i]].structure);
+          const Node& child = out.nodes_[flat.children[i]];
+          flat.structure =
+              static_cast<std::uint16_t>(flat.structure + child.structure);
+          flat.var_mask |= child.var_mask;
         }
       }
       out.nodes_.push_back(flat);
@@ -62,6 +73,10 @@ Pattern Pattern::compile(const Pat& pat, std::vector<std::string>& var_names) {
   };
   out.root_ = Rec{out, var_names}(pat);
   out.num_vars_ = static_cast<std::uint32_t>(var_names.size());
+  for (std::int32_t i = 0; i < out.root_; ++i) {
+    Node& n = out.nodes_[i];
+    n.memoize = !n.is_var && n.structure >= 2;
+  }
   return out;
 }
 
@@ -97,32 +112,47 @@ void OpPresence::build(const EGraph& egraph, const std::vector<EClassId>& ids) {
   }
 }
 
-namespace {
-
-class Matcher {
+/// Backtracking e-matcher for one pattern. Matching proceeds through a
+/// stack of pending (pattern node, class) obligations; a match is complete
+/// when every obligation above `base_` is discharged. Complete matches go to
+/// `out` — or, while a memo entry is being filled, the bindings of the
+/// memoized subtree's variables go to the memo's pending rows.
+class PatternMatcher {
  public:
-  Matcher(const EGraph& egraph, const Pattern& pattern, std::vector<Subst>& out,
-          std::size_t limit, const OpPresence* presence)
+  PatternMatcher(const EGraph& egraph, const Pattern& pattern,
+                 std::vector<Subst>& out, std::size_t limit,
+                 const OpPresence* presence, MatchMemo* memo)
       : egraph_(egraph),
         pattern_(pattern),
         out_(out),
         limit_(limit),
-        presence_(presence) {}
+        presence_(presence),
+        memo_(memo) {
+    if (memo_ != nullptr && memo_->pattern_ != &pattern_) {
+      EM_ASSERT(memo_->pattern_ == nullptr,
+                "MatchMemo reused for a second pattern");
+      memo_->pattern_ = &pattern_;
+      memo_->slots_.resize(pattern_.nodes().size());
+    }
+  }
 
   void run(EClassId root) {
     Subst subst(pattern_.num_vars(), kNoEClass);
     match(pattern_.root(), root, subst);
   }
 
+  std::size_t steps() const { return steps_; }
+
  private:
   bool full() const { return out_.size() >= limit_; }
 
-  /// Try to match pattern node `pi` against class `cls` under `subst`;
-  /// emits every consistent completed substitution into out_ (via cont_
-  /// stack). Uses explicit recursion with copy-on-branch substitutions:
-  /// match counts are capped, so the copies stay cheap.
+  /// Try to match pattern node `pi` against class `cls` under `subst`,
+  /// continuing with the pending obligations after every success. Explicit
+  /// recursion with copy-on-emit substitutions: match counts are capped, so
+  /// the copies stay cheap.
   void match(std::int32_t pi, EClassId cls, Subst& subst) {
     if (full()) return;
+    ++steps_;
     cls = egraph_.find(cls);
     const Pattern::Node& pn = pattern_.nodes()[pi];
     // Feasibility pruning: bail before touching the class's node list when
@@ -135,13 +165,23 @@ class Matcher {
     if (pn.is_var) {
       if (subst[pn.var] == kNoEClass) {
         subst[pn.var] = cls;
-        emit_or_continue(subst);
+        descend(subst);
         subst[pn.var] = kNoEClass;
       } else if (subst[pn.var] == cls) {
-        emit_or_continue(subst);
+        descend(subst);
       }
       return;
     }
+    if (pn.memoize && memo_ != nullptr) {
+      replay(pi, cls, subst);
+      return;
+    }
+    search(pi, cls, subst);
+  }
+
+  /// Match operator node `pi` against each e-node of class `cls` (canonical).
+  void search(std::int32_t pi, EClassId cls, Subst& subst) {
+    const Pattern::Node& pn = pattern_.nodes()[pi];
     // Push-time feasibility: a (pattern child, class) obligation is doomed
     // when the class lacks the child's operator, or the child is a variable
     // already bound to a different class. (Bindings made by an ancestor stay
@@ -168,7 +208,7 @@ class Matcher {
       if (enode.op != pn.op) continue;
       switch (op_arity(pn.op)) {
         case 0:
-          emit_or_continue(subst);
+          descend(subst);
           break;
         case 1: {
           EClassId c0 = egraph_.find(enode.children[0]);
@@ -190,8 +230,9 @@ class Matcher {
             // factor first, so its bindings filter the expensive sibling.
             // Ties go to the more structured pattern child, which binds its
             // variables through structural constraints. The order depends
-            // only on the pattern and the frozen e-graph state, so match
-            // emission order stays deterministic.
+            // only on the pattern and the frozen e-graph state — never on
+            // the bindings — so match emission order stays deterministic
+            // and a memo entry replays in the order a search would emit.
             std::size_t w0 = fanout(p0, m0);
             std::size_t w1 = fanout(p1, m1);
             bool first0 = w0 != w1 ? w0 < w1
@@ -217,16 +258,93 @@ class Matcher {
     }
   }
 
-  // Pending (pattern node, class) obligations; matching proceeds when all
-  // obligations are discharged.
+  /// Visit memoized node `pi` at class `cls`: continue with every stored
+  /// binding of its variables that agrees with `subst`, in stored order.
+  void replay(std::int32_t pi, EClassId cls, Subst& subst) {
+    std::vector<std::uint32_t>& slots = memo_->slots_[pi];
+    if (slots.empty()) slots.assign(egraph_.num_classes_created(), 0);
+    const MatchMemo::Span span = slots[cls] != 0
+                                     ? memo_->spans_[slots[cls] - 1]
+                                     : fill(pi, cls, subst);
+    const std::uint64_t mask = pattern_.nodes()[pi].var_mask;
+    const std::size_t width = static_cast<std::size_t>(std::popcount(mask));
+    for (std::size_t r = 0; r < span.count; ++r) {
+      if (full()) return;
+      // Re-read per row: a continuation may fill more entries and grow rows_.
+      const EClassId* row = memo_->rows_.data() + span.begin + r * width;
+      std::uint64_t bound = 0;
+      bool agrees = true;
+      std::size_t j = 0;
+      for (std::uint64_t m = mask; m != 0; m &= m - 1, ++j) {
+        const int v = std::countr_zero(m);
+        if (subst[v] == kNoEClass) {
+          subst[v] = row[j];
+          bound |= m & -m;
+        } else if (subst[v] != row[j]) {
+          agrees = false;
+          break;
+        }
+      }
+      if (agrees) descend(subst);
+      for (std::uint64_t m = bound; m != 0; m &= m - 1) {
+        subst[std::countr_zero(m)] = kNoEClass;
+      }
+    }
+  }
+
+  /// Search node `pi` at class `cls` with its variables unbound and store
+  /// the ordered bindings as its memo entry. Runs on this matcher's own
+  /// stacks: the subtree's variables are unbound for the duration (nothing
+  /// else reads them), and completion is detected at the current frame
+  /// depth.
+  MatchMemo::Span fill(std::int32_t pi, EClassId cls, Subst& subst) {
+    const std::uint64_t mask = pattern_.nodes()[pi].var_mask;
+    std::array<EClassId, 64> saved;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      saved[v] = subst[v];
+      subst[v] = kNoEClass;
+    }
+    const Fill outer = fill_;
+    const std::size_t outer_base = base_;
+    std::vector<EClassId>& pending = memo_->pending_;
+    fill_ = {true, mask, pending.size(), 0};
+    base_ = frames_.size();
+    search(pi, cls, subst);
+    const MatchMemo::Span span{memo_->rows_.size(), fill_.count};
+    memo_->rows_.insert(memo_->rows_.end(),
+                        pending.begin() + static_cast<std::ptrdiff_t>(fill_.start),
+                        pending.end());
+    pending.resize(fill_.start);
+    memo_->spans_.push_back(span);
+    memo_->slots_[pi][cls] = static_cast<std::uint32_t>(memo_->spans_.size());
+    fill_ = outer;
+    base_ = outer_base;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      subst[v] = saved[v];
+    }
+    return span;
+  }
+
+  // A pending (pattern node, class) obligation.
   struct Frame {
     std::int32_t pattern_node;
     EClassId cls;
   };
 
+  // The memo entry being filled: the variables it records, where its rows
+  // start in the memo's pending buffer, and how many it has.
+  struct Fill {
+    bool active = false;
+    std::uint64_t mask = 0;
+    std::size_t start = 0;
+    std::size_t count = 0;
+  };
+
   void descend(Subst& subst) {
-    if (frames_.empty()) {
-      out_.push_back(subst);
+    if (frames_.size() == base_) {
+      emit(subst);
       return;
     }
     Frame f = frames_.back();
@@ -235,22 +353,49 @@ class Matcher {
     frames_.push_back(f);
   }
 
-  void emit_or_continue(Subst& subst) { descend(subst); }
+  void emit(const Subst& subst) {
+    if (!fill_.active) {
+      out_.push_back(subst);
+      return;
+    }
+    for (std::uint64_t m = fill_.mask; m != 0; m &= m - 1) {
+      memo_->pending_.push_back(subst[std::countr_zero(m)]);
+    }
+    ++fill_.count;
+  }
 
   const EGraph& egraph_;
   const Pattern& pattern_;
   std::vector<Subst>& out_;
   std::size_t limit_;
   const OpPresence* presence_;
+  MatchMemo* memo_;
   std::vector<Frame> frames_;
+  std::size_t base_ = 0;  // frame depth at which a match is complete
+  Fill fill_;
+  std::size_t steps_ = 0;
 };
-
-}  // namespace
 
 void match_in_class(const EGraph& egraph, const Pattern& pattern, EClassId root,
                     std::vector<Subst>& out, std::size_t limit,
-                    const OpPresence* presence) {
-  Matcher(egraph, pattern, out, limit, presence).run(root);
+                    const OpPresence* presence, MatchMemo* memo,
+                    std::size_t* steps) {
+  [[maybe_unused]] const std::size_t before = out.size();
+  PatternMatcher matcher(egraph, pattern, out, limit, presence, memo);
+  matcher.run(root);
+  if (steps != nullptr) *steps += matcher.steps();
+  // The memo must be invisible: the same call without it emits the same
+  // ordered list.
+  EM_CHECK_EXPENSIVE([&]() -> std::string {
+    if (memo == nullptr) return {};
+    std::vector<Subst> plain(out.begin(), out.begin() + before);
+    PatternMatcher(egraph, pattern, plain, limit, presence, nullptr).run(root);
+    if (plain == out) return {};
+    return "match_in_class: memoized matches differ from the plain search at "
+           "class " + std::to_string(root) + " (" +
+           std::to_string(out.size() - before) + " vs " +
+           std::to_string(plain.size() - before) + ")";
+  }());
 }
 
 EClassId instantiate(EGraph& egraph, const Pattern& pattern, const Subst& subst) {

@@ -66,11 +66,17 @@ class Pattern {
     /// first: structure binds variables through cheap equality constraints,
     /// which turns the shallow sibling into a filter instead of a fan-out.
     std::uint16_t structure = 0;
+    /// Bit v set: pattern variable v occurs in this subtree.
+    std::uint64_t var_mask = 0;
+    /// A non-root operator subtree with an operator below it: the matcher
+    /// memoizes its matches per class (see MatchMemo).
+    bool memoize = false;
   };
 
   /// Compile a Pat tree. `var_names` collects/receives the variable
   /// numbering; share one vector between the LHS and RHS of a rule so that
-  /// substitutions line up.
+  /// substitutions line up. Throws std::invalid_argument when the numbering
+  /// grows past 64 variables (variable masks are one word).
   static Pattern compile(const Pat& pat, std::vector<std::string>& var_names);
 
   /// The flattened nodes, children-first.
@@ -130,6 +136,39 @@ class OpPresence {
   std::vector<std::array<std::uint16_t, kNumOps>> counts_;
 };
 
+/// Per-class match lists of one pattern's memoized subtrees
+/// (Pattern::Node::memoize), shared by every root class one rule's search
+/// visits. The first visit of (subtree, class) runs the subtree's search
+/// with no variable bound and stores the ordered bindings of its variables;
+/// every later visit replays them, filtered by the variables already bound.
+/// A pattern whose variables occur in a cycle (the consensus rules) reaches
+/// the same subtree at the same class from many parents; the memo does that
+/// search once. The replay is exact: the join order depends only on the
+/// pattern and the frozen e-graph, and bound variables only prune, so a
+/// constrained search emits exactly the filtered unconstrained sequence.
+/// Valid for one pattern over one frozen e-graph: use a fresh memo when
+/// either changes. Not thread-safe; give each thread its own.
+class MatchMemo {
+ public:
+  /// Number of (subtree, class) entries held.
+  std::size_t entries() const { return spans_.size(); }
+
+ private:
+  friend class PatternMatcher;
+  struct Span {
+    std::size_t begin = 0;  // first binding in rows_
+    std::size_t count = 0;  // number of rows
+  };
+  const Pattern* pattern_ = nullptr;
+  // Per pattern node, per class id: 1 + index into spans_, 0 = not filled.
+  // A node's table is allocated on its first visit.
+  std::vector<std::vector<std::uint32_t>> slots_;
+  std::vector<Span> spans_;
+  // One row per stored match: the node's variables in index order.
+  std::vector<EClassId> rows_;
+  std::vector<EClassId> pending_;  // rows of the entries being filled
+};
+
 /// Find up to `limit` substitutions that make `pattern` equal to a term in
 /// class `root`. Appends to `out`. `presence` (optional) enables O(1)
 /// feasibility pruning and fanout-based join ordering at every pattern
@@ -137,10 +176,15 @@ class OpPresence {
 /// the order matches are emitted in (the join order differs from the
 /// presence-less estimate), so callers that compare `limit`-truncated
 /// prefixes must pass the same `presence` on both sides — the runner always
-/// passes one, whatever its index/threading configuration.
+/// passes one, whatever its index/threading configuration. `memo`
+/// (optional) shares subtree searches across calls for the same pattern and
+/// e-graph; the emitted sequence is the same with or without it. `steps`
+/// (optional) is incremented once per pattern-node visit, a memo replay
+/// counting as one.
 void match_in_class(const EGraph& egraph, const Pattern& pattern, EClassId root,
                     std::vector<Subst>& out, std::size_t limit,
-                    const OpPresence* presence = nullptr);
+                    const OpPresence* presence = nullptr,
+                    MatchMemo* memo = nullptr, std::size_t* steps = nullptr);
 
 /// Instantiate `pattern` under `subst` by adding e-nodes; returns the class.
 EClassId instantiate(EGraph& egraph, const Pattern& pattern, const Subst& subst);

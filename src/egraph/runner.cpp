@@ -34,9 +34,6 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
 
 namespace {
 
-/// One rule's matches for one iteration: (matched class, substitution).
-using MatchList = std::vector<std::pair<EClassId, Subst>>;
-
 /// Head-operator index: for each operator, the canonical classes containing
 /// at least one e-node with that operator, plus the per-class presence masks
 /// the matcher prunes with. Built once per iteration in one O(total e-nodes)
@@ -57,21 +54,97 @@ struct RuleIndex {
   }
 };
 
-/// Serial reference path: match `pattern` against `candidates` in order,
-/// stopping once `limit` substitutions are collected.
-void match_serial(const EGraph& egraph, const Pattern& pattern,
-                  const std::vector<EClassId>& candidates, std::size_t limit,
-                  const OpPresence* presence, MatchList& out) {
+/// Match `pattern` against `candidates[begin, end)` in order through one
+/// memo, appending to `out` until it holds `limit` matches.
+void match_range(const EGraph& egraph, const Pattern& pattern,
+                 const std::vector<EClassId>& candidates, std::size_t begin,
+                 std::size_t end, std::size_t limit, const OpPresence& presence,
+                 RuleMatches& out, std::size_t& steps) {
+  MatchMemo memo;
   std::vector<Subst> substs;
-  for (EClassId id : candidates) {
+  for (std::size_t c = begin; c < end && out.size() < limit; ++c) {
     substs.clear();
-    match_in_class(egraph, pattern, id, substs, limit - out.size(), presence);
-    for (Subst& s : substs) out.emplace_back(id, std::move(s));
-    if (out.size() >= limit) break;
+    match_in_class(egraph, pattern, candidates[c], substs, limit - out.size(),
+                   &presence, &memo, &steps);
+    for (Subst& s : substs) out.emplace_back(candidates[c], std::move(s));
   }
 }
 
 }  // namespace
+
+std::vector<RuleMatches> search_rules(const EGraph& egraph,
+                                      const std::vector<Rewrite>& rules,
+                                      const RunnerParams& params,
+                                      ThreadPool* pool,
+                                      std::vector<std::size_t>* steps) {
+  // The per-class operator statistics serve the matcher's pruning and join
+  // ordering in *both* modes (so emission order — and thereby the capped
+  // match prefix — is identical); use_rule_index only controls whether
+  // rules restrict their root candidates to the per-operator buckets.
+  const std::vector<EClassId> ids = egraph.class_ids();
+  OpPresence presence;
+  presence.build(egraph, ids);
+  RuleIndex index;
+  if (params.use_rule_index) index.build(presence, ids);
+  auto candidates_for = [&](const Pattern& lhs) -> const std::vector<EClassId>& {
+    if (params.use_rule_index) {
+      if (std::optional<Op> op = lhs.root_op()) {
+        return index.by_op[op_index(*op)];
+      }
+    }
+    return ids;
+  };
+
+  const std::size_t limit = params.max_matches_per_rule;
+  std::vector<RuleMatches> lists(rules.size());
+  std::vector<std::size_t> rule_steps(rules.size(), 0);
+  if (pool == nullptr) {
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      const std::vector<EClassId>& candidates = candidates_for(rules[r].lhs);
+      match_range(egraph, rules[r].lhs, candidates, 0, candidates.size(),
+                  limit, presence, lists[r], rule_steps[r]);
+    }
+  } else {
+    // Fan (rule, class-range) shards over the pool, each with its own memo.
+    // Shard results are concatenated in candidate order and truncated to the
+    // per-rule cap, reproducing the serial prefix exactly.
+    struct Shard {
+      std::size_t rule;
+      std::size_t begin;
+      std::size_t end;
+      RuleMatches matches;
+      std::size_t steps = 0;
+    };
+    std::vector<Shard> shards;
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      const std::vector<EClassId>& candidates = candidates_for(rules[r].lhs);
+      std::size_t span =
+          (candidates.size() + pool->size() - 1) / pool->size();  // >= 1
+      for (std::size_t begin = 0; begin < candidates.size(); begin += span) {
+        shards.push_back(
+            {r, begin, std::min(begin + span, candidates.size()), {}});
+      }
+    }
+    pool->parallel_for(shards.size(), [&](std::size_t i) {
+      Shard& shard = shards[i];
+      const Pattern& lhs = rules[shard.rule].lhs;
+      match_range(egraph, lhs, candidates_for(lhs), shard.begin, shard.end,
+                  limit, presence, shard.matches, shard.steps);
+    });
+    for (Shard& shard : shards) {
+      RuleMatches& into = lists[shard.rule];
+      rule_steps[shard.rule] += shard.steps;
+      for (auto& match : shard.matches) {
+        if (into.size() >= limit) break;
+        into.push_back(std::move(match));
+      }
+    }
+  }
+  if (steps != nullptr) {
+    for (std::size_t r = 0; r < rules.size(); ++r) (*steps)[r] += rule_steps[r];
+  }
+  return lists;
+}
 
 RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
                            const RunnerParams& params,
@@ -79,6 +152,7 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
   RunnerReport report;
   report.rule_matches.assign(rules.size(), 0);
   report.rule_applications.assign(rules.size(), 0);
+  report.rule_search_steps.assign(rules.size(), 0);
   Timer total;
 
   // The match phase requires a clean e-graph (read-only concurrent finds);
@@ -91,8 +165,6 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
 
-  RuleIndex index;
-
   for (std::size_t iter = 0; iter < params.max_iterations; ++iter) {
     Timer iter_timer;
     IterationStats stats;
@@ -103,80 +175,13 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     // rule application order cannot influence what is found (the
     // phase-ordering freedom equality saturation is prized for). The match
     // list per rule is the first `max_matches_per_rule` substitutions in
-    // class order — identical for the serial and threaded paths.
-    // The per-class operator statistics serve the matcher's pruning and join
-    // ordering in *both* modes (so emission order — and thereby the capped
-    // match prefix — is identical); use_rule_index only controls whether
-    // rules restrict their root candidates to the per-operator buckets.
-    std::vector<EClassId> ids = egraph.class_ids();
-    OpPresence op_stats;
-    op_stats.build(egraph, ids);
-    const OpPresence* presence = &op_stats;
-    if (params.use_rule_index) index.build(op_stats, ids);
-
-    auto candidates_for = [&](const Pattern& lhs) -> const std::vector<EClassId>& {
-      if (params.use_rule_index) {
-        if (std::optional<Op> op = lhs.root_op()) {
-          return index.by_op[op_index(*op)];
-        }
-      }
-      return ids;
-    };
-
-    // The time limit is polled between iterations only (never mid-search):
-    // both the serial and the threaded path always gather the full capped
-    // match set, which is what keeps results independent of match_threads.
-    std::vector<MatchList> all_matches(rules.size());
-    if (!pool.has_value()) {
-      for (std::size_t r = 0; r < rules.size(); ++r) {
-        match_serial(egraph, rules[r].lhs, candidates_for(rules[r].lhs),
-                     params.max_matches_per_rule, presence, all_matches[r]);
-      }
-    } else {
-      // Fan (rule, class-range) shards over the pool. Shard results are
-      // concatenated in candidate order and truncated to the per-rule cap,
-      // reproducing the serial prefix exactly.
-      struct Shard {
-        std::size_t rule;
-        std::size_t begin;
-        std::size_t end;
-        MatchList matches;
-      };
-      std::vector<Shard> shards;
-      for (std::size_t r = 0; r < rules.size(); ++r) {
-        const std::vector<EClassId>& candidates =
-            candidates_for(rules[r].lhs);
-        std::size_t span =
-            (candidates.size() + threads - 1) / threads;  // >= 1 per shard
-        for (std::size_t begin = 0; begin < candidates.size(); begin += span) {
-          shards.push_back(
-              {r, begin, std::min(begin + span, candidates.size()), {}});
-        }
-      }
-      pool->parallel_for(shards.size(), [&](std::size_t i) {
-        Shard& shard = shards[i];
-        const Pattern& lhs = rules[shard.rule].lhs;
-        const std::vector<EClassId>& candidates = candidates_for(lhs);
-        std::vector<Subst> substs;
-        for (std::size_t c = shard.begin; c < shard.end; ++c) {
-          substs.clear();
-          match_in_class(egraph, lhs, candidates[c], substs,
-                         params.max_matches_per_rule - shard.matches.size(),
-                         presence);
-          for (Subst& s : substs) {
-            shard.matches.emplace_back(candidates[c], std::move(s));
-          }
-          if (shard.matches.size() >= params.max_matches_per_rule) break;
-        }
-      });
-      for (Shard& shard : shards) {
-        MatchList& into = all_matches[shard.rule];
-        for (auto& match : shard.matches) {
-          if (into.size() >= params.max_matches_per_rule) break;
-          into.push_back(std::move(match));
-        }
-      }
-    }
+    // class order — identical for the serial and threaded paths. The time
+    // limit is polled between iterations only (never mid-search), which is
+    // what keeps results independent of match_threads.
+    std::vector<RuleMatches> all_matches =
+        search_rules(egraph, rules, params, pool ? &*pool : nullptr,
+                     &report.rule_search_steps);
+    if (hooks.on_search) hooks.on_search(all_matches);
     for (std::size_t r = 0; r < rules.size(); ++r) {
       stats.matches += all_matches[r].size();
       report.rule_matches[r] += all_matches[r].size();

@@ -12,7 +12,8 @@
 //   1. search — e-matching against a frozen e-graph. Rules are indexed by
 //      their head operator, so a rule only visits classes that contain at
 //      least one e-node with that operator; the search is read-only and can
-//      be threaded across e-classes (`RunnerParams::match_threads`).
+//      be threaded across e-classes (`RunnerParams::match_threads`). Each
+//      rule's search shares one MatchMemo across its classes.
 //   2. apply — all collected matches are instantiated and merged serially.
 //   3. rebuild — one deferred congruence restoration for the whole batch.
 // The match lists are identical whatever the thread count and whether the
@@ -21,11 +22,14 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "egraph/pattern.hpp"
 
 namespace emorphic {
+
+class ThreadPool;
 
 /// Resource limits and search configuration for one saturation run.
 struct RunnerParams {
@@ -78,16 +82,39 @@ struct RunnerReport {
   /// Per-rule totals across all iterations (parallel to the rule vector).
   std::vector<std::size_t> rule_matches;
   std::vector<std::size_t> rule_applications;
+  /// Per-rule matcher pattern-node visits across all iterations, a memo
+  /// replay counting as one: the machine-independent cost of the search.
+  /// Each thread's shard keeps its own memo, so the count depends on
+  /// `match_threads` (the matches do not).
+  std::vector<std::size_t> rule_search_steps;
 };
+
+/// One rule's matches for one iteration: (matched class, substitution).
+using RuleMatches = std::vector<std::pair<EClassId, Subst>>;
 
 /// Progress callbacks for a rewriting run (all optional).
 struct RunnerHooks {
+  /// Called after every search phase with each rule's ordered match list,
+  /// before any of them is applied.
+  std::function<void(const std::vector<RuleMatches>&)> on_search;
   /// Called after every completed iteration with its stats; return false to
   /// stop early (reported as StopReason::kCancelled). This is how the flow
   /// pipeline forwards iteration telemetry to FlowObserver and implements
   /// cancellation / time budgets.
   std::function<bool(const IterationStats&)> on_iteration;
 };
+
+/// The search phase of one iteration: each rule's first
+/// `params.max_matches_per_rule` matches in candidate-class order, against
+/// the clean e-graph `egraph`. Shards over `pool` when it is given (its
+/// thread count, not `params.match_threads`, sets the split); the lists are
+/// the same either way. Adds each rule's search steps to `steps` when given
+/// (sized like `rules`).
+std::vector<RuleMatches> search_rules(const EGraph& egraph,
+                                      const std::vector<Rewrite>& rules,
+                                      const RunnerParams& params,
+                                      ThreadPool* pool = nullptr,
+                                      std::vector<std::size_t>* steps = nullptr);
 
 /// Run equality saturation over `egraph` with the given rules and limits.
 RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,

@@ -9,6 +9,7 @@
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
 #include "util/rng.hpp"
+#include "../test_helpers.hpp"
 
 namespace emorphic {
 namespace {
@@ -147,35 +148,6 @@ TEST(EGraphCore, HashConsInsertFindErase) {
 
 // --- rule index vs. full scan ------------------------------------------------
 
-EGraph build_structured_egraph(unsigned vars, unsigned nodes,
-                               std::uint64_t seed) {
-  Rng rng(seed);
-  EGraph eg;
-  std::vector<EClassId> pool;
-  pool.push_back(eg.add_const0());
-  pool.push_back(eg.add_const1());
-  for (std::uint32_t i = 0; i < vars; ++i) pool.push_back(eg.add_var(i));
-  for (unsigned i = 0; i < nodes; ++i) {
-    EClassId a = pool[rng.next_below(pool.size())];
-    EClassId b = pool[rng.next_below(pool.size())];
-    switch (rng.next_below(4)) {
-      case 0:
-        pool.push_back(eg.add_and(a, b));
-        break;
-      case 1:
-        pool.push_back(eg.add_or(a, b));
-        break;
-      case 2:
-        pool.push_back(eg.add_xor(a, b));
-        break;
-      default:
-        pool.push_back(eg.add_not(a));
-        break;
-    }
-  }
-  return eg;
-}
-
 RunnerReport saturate(EGraph& eg, bool use_index, unsigned threads) {
   RunnerParams params;
   params.max_iterations = 3;
@@ -206,8 +178,8 @@ void expect_identical_runs(const RunnerReport& a, const EGraph& ega,
 
 TEST(EGraphCore, IndexedMatchingEqualsFullScan) {
   for (std::uint64_t seed : {3u, 17u, 29u}) {
-    EGraph indexed = build_structured_egraph(12, 150, seed);
-    EGraph fullscan = build_structured_egraph(12, 150, seed);
+    EGraph indexed = testing::build_structured_egraph(12, 150, seed);
+    EGraph fullscan = testing::build_structured_egraph(12, 150, seed);
     RunnerReport ri = saturate(indexed, /*use_index=*/true, 1);
     RunnerReport rf = saturate(fullscan, /*use_index=*/false, 1);
     expect_identical_runs(ri, indexed, rf, fullscan);
@@ -220,8 +192,8 @@ TEST(EGraphCore, IndexedMatchingEqualsFullScan) {
 
 TEST(EGraphCore, ParallelMatchingIsDeterministic) {
   for (std::uint64_t seed : {5u, 23u}) {
-    EGraph serial = build_structured_egraph(12, 150, seed);
-    EGraph threaded = build_structured_egraph(12, 150, seed);
+    EGraph serial = testing::build_structured_egraph(12, 150, seed);
+    EGraph threaded = testing::build_structured_egraph(12, 150, seed);
     RunnerReport rs = saturate(serial, /*use_index=*/true, 1);
     RunnerReport rt = saturate(threaded, /*use_index=*/true, 4);
     expect_identical_runs(rs, serial, rt, threaded);
@@ -233,8 +205,8 @@ TEST(EGraphCore, ParallelMatchingIsDeterministic) {
 TEST(EGraphCore, ParallelMatchingRepeatsBitIdentically) {
   // Two threaded runs of the same workload agree with each other (no
   // scheduling nondeterminism leaks into the result).
-  EGraph a = build_structured_egraph(10, 120, 77);
-  EGraph b = build_structured_egraph(10, 120, 77);
+  EGraph a = testing::build_structured_egraph(10, 120, 77);
+  EGraph b = testing::build_structured_egraph(10, 120, 77);
   RunnerReport ra = saturate(a, /*use_index=*/true, 4);
   RunnerReport rb = saturate(b, /*use_index=*/true, 4);
   expect_identical_runs(ra, a, rb, b);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace emorphic {
 namespace {
 
@@ -123,9 +125,17 @@ TEST(Pattern, MatchLimitRespected) {
   eg.rebuild();
   std::vector<std::string> names;
   Pattern p = Pattern::compile(Pat::and_(Pat::v("x"), Pat::v("y")), names);
-  std::vector<Subst> matches;
-  match_in_class(eg, p, eg.find(root), matches, 5);
-  EXPECT_LE(matches.size(), 5u);
+  std::vector<Subst> all;
+  match_in_class(eg, p, eg.find(root), all, 1000);
+  ASSERT_EQ(all.size(), 18u);  // nine AND forms, both child orders
+  // A capped search emits exactly the uncapped list's prefix.
+  for (std::size_t limit : {1u, 5u, 17u, 18u, 19u}) {
+    std::vector<Subst> matches;
+    match_in_class(eg, p, eg.find(root), matches, limit);
+    std::size_t expect = std::min(limit, all.size());
+    EXPECT_EQ(matches, std::vector<Subst>(all.begin(), all.begin() + expect))
+        << limit;
+  }
 }
 
 TEST(Pattern, InstantiateBuildsRhs) {

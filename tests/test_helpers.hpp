@@ -1,6 +1,6 @@
 #pragma once
-// Shared helpers for the test suite: random AIG generation, pattern
-// evaluation over truth tables, functional fingerprints.
+// Shared helpers for the test suite: random AIG and e-graph generation,
+// pattern evaluation over truth tables, functional fingerprints.
 
 #include <vector>
 
@@ -34,6 +34,38 @@ inline Aig random_aig(unsigned num_pis, unsigned num_pos, unsigned num_ands,
     aig.add_po(po);
   }
   return aig;
+}
+
+/// Random e-graph over `vars` variables and both constants with `nodes`
+/// AND/OR/XOR/NOT e-nodes, each over two random earlier classes (one for
+/// NOT), so every operator a rule's head can name occurs.
+inline EGraph build_structured_egraph(unsigned vars, unsigned nodes,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  EGraph eg;
+  std::vector<EClassId> pool;
+  pool.push_back(eg.add_const0());
+  pool.push_back(eg.add_const1());
+  for (std::uint32_t i = 0; i < vars; ++i) pool.push_back(eg.add_var(i));
+  for (unsigned i = 0; i < nodes; ++i) {
+    EClassId a = pool[rng.next_below(pool.size())];
+    EClassId b = pool[rng.next_below(pool.size())];
+    switch (rng.next_below(4)) {
+      case 0:
+        pool.push_back(eg.add_and(a, b));
+        break;
+      case 1:
+        pool.push_back(eg.add_or(a, b));
+        break;
+      case 2:
+        pool.push_back(eg.add_xor(a, b));
+        break;
+      default:
+        pool.push_back(eg.add_not(a));
+        break;
+    }
+  }
+  return eg;
 }
 
 /// Random AIG from `seed` whose 8 POs are the last 8 AND literals made,
