@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "check/check.hpp"
@@ -113,10 +114,8 @@ void OpPresence::build(const EGraph& egraph, const std::vector<EClassId>& ids) {
 }
 
 /// Backtracking e-matcher for one pattern. Matching proceeds through a
-/// stack of pending (pattern node, class) obligations; a match is complete
-/// when every obligation above `base_` is discharged. Complete matches go to
-/// `out` — or, while a memo entry is being filled, the bindings of the
-/// memoized subtree's variables go to the memo's pending rows.
+/// stack of pending (pattern node, class) obligations; a match is complete,
+/// and goes to `out`, when every obligation is discharged.
 class PatternMatcher {
  public:
   PatternMatcher(const EGraph& egraph, const Pattern& pattern,
@@ -128,14 +127,14 @@ class PatternMatcher {
         limit_(limit),
         presence_(presence),
         memo_(memo) {
-    if (memo_ != nullptr && memo_->pattern_ != &pattern_) {
-      EM_ASSERT(memo_->pattern_ == nullptr,
+    if (memo_ != nullptr) {
+      EM_ASSERT(memo_->pattern_ == nullptr || memo_->pattern_ == &pattern_,
                 "MatchMemo reused for a second pattern");
       memo_->pattern_ = &pattern_;
-      memo_->slots_.resize(pattern_.nodes().size());
     }
   }
 
+  /// Match the whole pattern against class `root`.
   void run(EClassId root) {
     Subst subst(pattern_.num_vars(), kNoEClass);
     match(pattern_.root(), root, subst);
@@ -157,7 +156,8 @@ class PatternMatcher {
     const Pattern::Node& pn = pattern_.nodes()[pi];
     // Feasibility pruning: bail before touching the class's node list when
     // it provably holds no e-node with the required operator. Applies at
-    // every recursion depth, which is what tames deep patterns.
+    // every recursion depth, so a deep subtree fails at the first class that
+    // cannot hold it instead of near the leaves.
     if (!pn.is_var && presence_ != nullptr &&
         !presence_->may_contain(cls, pn.op)) {
       return;
@@ -261,11 +261,7 @@ class PatternMatcher {
   /// Visit memoized node `pi` at class `cls`: continue with every stored
   /// binding of its variables that agrees with `subst`, in stored order.
   void replay(std::int32_t pi, EClassId cls, Subst& subst) {
-    std::vector<std::uint32_t>& slots = memo_->slots_[pi];
-    if (slots.empty()) slots.assign(egraph_.num_classes_created(), 0);
-    const MatchMemo::Span span = slots[cls] != 0
-                                     ? memo_->spans_[slots[cls] - 1]
-                                     : fill(pi, cls, subst);
+    const MatchMemo::Span span = entry(pi, cls);
     const std::uint64_t mask = pattern_.nodes()[pi].var_mask;
     const std::size_t width = static_cast<std::size_t>(std::popcount(mask));
     for (std::size_t r = 0; r < span.count; ++r) {
@@ -292,38 +288,31 @@ class PatternMatcher {
     }
   }
 
-  /// Search node `pi` at class `cls` with its variables unbound and store
-  /// the ordered bindings as its memo entry. Runs on this matcher's own
-  /// stacks: the subtree's variables are unbound for the duration (nothing
-  /// else reads them), and completion is detected at the current frame
-  /// depth.
-  MatchMemo::Span fill(std::int32_t pi, EClassId cls, Subst& subst) {
+  /// The memo entry of node `pi` at class `cls`. On first use a nested
+  /// matcher searches the node with no variable bound, and the bindings of
+  /// the node's variables in each of its matches become the entry's rows.
+  MatchMemo::Span entry(std::int32_t pi, EClassId cls) {
+    std::vector<std::vector<std::uint32_t>>& slots = memo_->slots_;
+    if (slots.empty()) slots.resize(pattern_.nodes().size());
+    if (slots[pi].empty()) slots[pi].assign(egraph_.num_classes_created(), 0);
+    if (slots[pi][cls] != 0) return memo_->spans_[slots[pi][cls] - 1];
+
+    std::vector<Subst> found;
+    PatternMatcher nested(egraph_, pattern_, found,
+                          std::numeric_limits<std::size_t>::max(), presence_,
+                          memo_);
+    Subst unbound(pattern_.num_vars(), kNoEClass);
+    nested.search(pi, cls, unbound);
+    steps_ += nested.steps_;
+    const MatchMemo::Span span{memo_->rows_.size(), found.size()};
     const std::uint64_t mask = pattern_.nodes()[pi].var_mask;
-    std::array<EClassId, 64> saved;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const int v = std::countr_zero(m);
-      saved[v] = subst[v];
-      subst[v] = kNoEClass;
+    for (const Subst& s : found) {
+      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        memo_->rows_.push_back(s[std::countr_zero(m)]);
+      }
     }
-    const Fill outer = fill_;
-    const std::size_t outer_base = base_;
-    std::vector<EClassId>& pending = memo_->pending_;
-    fill_ = {true, mask, pending.size(), 0};
-    base_ = frames_.size();
-    search(pi, cls, subst);
-    const MatchMemo::Span span{memo_->rows_.size(), fill_.count};
-    memo_->rows_.insert(memo_->rows_.end(),
-                        pending.begin() + static_cast<std::ptrdiff_t>(fill_.start),
-                        pending.end());
-    pending.resize(fill_.start);
     memo_->spans_.push_back(span);
-    memo_->slots_[pi][cls] = static_cast<std::uint32_t>(memo_->spans_.size());
-    fill_ = outer;
-    base_ = outer_base;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const int v = std::countr_zero(m);
-      subst[v] = saved[v];
-    }
+    slots[pi][cls] = static_cast<std::uint32_t>(memo_->spans_.size());
     return span;
   }
 
@@ -333,35 +322,15 @@ class PatternMatcher {
     EClassId cls;
   };
 
-  // The memo entry being filled: the variables it records, where its rows
-  // start in the memo's pending buffer, and how many it has.
-  struct Fill {
-    bool active = false;
-    std::uint64_t mask = 0;
-    std::size_t start = 0;
-    std::size_t count = 0;
-  };
-
   void descend(Subst& subst) {
-    if (frames_.size() == base_) {
-      emit(subst);
+    if (frames_.empty()) {
+      out_.push_back(subst);
       return;
     }
     Frame f = frames_.back();
     frames_.pop_back();
     match(f.pattern_node, f.cls, subst);
     frames_.push_back(f);
-  }
-
-  void emit(const Subst& subst) {
-    if (!fill_.active) {
-      out_.push_back(subst);
-      return;
-    }
-    for (std::uint64_t m = fill_.mask; m != 0; m &= m - 1) {
-      memo_->pending_.push_back(subst[std::countr_zero(m)]);
-    }
-    ++fill_.count;
   }
 
   const EGraph& egraph_;
@@ -371,8 +340,6 @@ class PatternMatcher {
   const OpPresence* presence_;
   MatchMemo* memo_;
   std::vector<Frame> frames_;
-  std::size_t base_ = 0;  // frame depth at which a match is complete
-  Fill fill_;
   std::size_t steps_ = 0;
 };
 

@@ -161,12 +161,12 @@ class MatchMemo {
   };
   const Pattern* pattern_ = nullptr;
   // Per pattern node, per class id: 1 + index into spans_, 0 = not filled.
-  // A node's table is allocated on its first visit.
+  // Allocated on the first visit of a memoized node, a node's table on its
+  // own first visit.
   std::vector<std::vector<std::uint32_t>> slots_;
   std::vector<Span> spans_;
   // One row per stored match: the node's variables in index order.
   std::vector<EClassId> rows_;
-  std::vector<EClassId> pending_;  // rows of the entries being filled
 };
 
 /// Find up to `limit` substitutions that make `pattern` equal to a term in

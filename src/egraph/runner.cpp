@@ -35,15 +35,13 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
 namespace {
 
 /// Head-operator index: for each operator, the canonical classes containing
-/// at least one e-node with that operator, plus the per-class presence masks
-/// the matcher prunes with. Built once per iteration in one O(total e-nodes)
-/// pass; rules whose LHS root is an operator then only visit their candidate
-/// bucket instead of every class.
+/// at least one e-node with that operator. Built once per search from the
+/// per-class operator counts; rules whose LHS root is an operator then only
+/// visit their candidate bucket instead of every class.
 struct RuleIndex {
   std::array<std::vector<EClassId>, kNumOps> by_op;
 
   void build(const OpPresence& presence, const std::vector<EClassId>& ids) {
-    for (auto& bucket : by_op) bucket.clear();
     for (EClassId id : ids) {
       for (std::size_t op = 0; op < kNumOps; ++op) {
         if (presence.count(id, static_cast<Op>(op)) != 0) {
