@@ -1,9 +1,11 @@
 // Timings for the kernels the end-to-end benchmark (perfbench/) cannot
-// isolate: the two ResynRounds kernels, priority-cut enumeration (serial and
-// wave-parallel) and NPN canonization of 4-input functions, the e-matching
-// search per rule class, the SA neighbour generation of the extraction
-// kernel, and the covering DP under both mapping backends. Timing only; the
-// bit-identical guarantees are ctest cases (tests/aig/test_cut_parallel.cpp,
+// isolate: the two ResynRounds kernels, priority-cut enumeration and NPN
+// canonization of 4-input functions, the e-matching search (per rule class,
+// and all rules serial against a 4-thread pool), the SA neighbour
+// generation of the extraction kernel, and the covering DP under both
+// mapping backends. Timing only; the bit-identical guarantees are ctest
+// cases (Cut.GoldenDigestOverEpfl in tests/aig,
+// MatchMemo.ThreadedSearchEqualsSerial and
 // Runner.GoldenMatchDigestOverEpfl in tests/egraph,
 // Extract.GoldenDigestOverEpfl in tests/extract,
 // Mapper.GoldenCoverDigestOverEpfl in tests/mapper).
@@ -58,18 +60,6 @@ void BM_CutEnumSerial(minibench::State& state) {
 }
 BENCHMARK(BM_CutEnumSerial)->Arg(4000)->Arg(20000);
 
-void BM_CutEnumParallel4(minibench::State& state) {
-  Aig aig = make_random_aig(24, static_cast<unsigned>(state.range(0)), 7);
-  CutArena arena;
-  ThreadPool pool(4);
-  for (auto _ : state) {
-    CutManager cuts(aig, CutParams{6, 8}, &arena, &pool);
-    minibench::DoNotOptimize(cuts.cuts(aig.num_nodes() - 1).size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CutEnumParallel4)->Arg(4000)->Arg(20000);
-
 void BM_NpnCanon(minibench::State& state) {
   Rng rng(13);
   std::vector<Tt> tts;
@@ -104,35 +94,56 @@ const std::vector<CircuitEGraph>& rewritten_epfl() {
   return egraphs;
 }
 
-/// One serial search phase of one rule class over the ten rewritten EPFL
-/// e-graphs, one line per class (each includes the per-search operator
-/// index build). Items are e-nodes searched.
+/// One search phase of `rules` over the ten rewritten EPFL e-graphs (each
+/// includes the per-search operator index build), on the calling thread
+/// (`pool` null) or one rule per task on `pool`. Items are e-nodes
+/// searched.
+void search_rewritten_epfl(minibench::State& state,
+                           const std::vector<Rewrite>& rules,
+                           ThreadPool* pool) {
+  RunnerParams params;
+  params.max_matches_per_rule = 4000;
+  std::int64_t enodes = 0;
+  for (const CircuitEGraph& ce : rewritten_epfl()) {
+    enodes += static_cast<std::int64_t>(ce.egraph.num_enodes());
+  }
+  for (auto _ : state) {
+    std::size_t matches = 0;
+    for (const CircuitEGraph& ce : rewritten_epfl()) {
+      for (const RuleMatches& list :
+           search_rules(ce.egraph, rules, params, pool)) {
+        matches += list.size();
+      }
+    }
+    minibench::DoNotOptimize(matches);
+  }
+  state.SetItemsProcessed(state.iterations() * enodes);
+}
+
+/// One serial search per rule class, one line per class.
 const bool kMatchRulesRegistered = [] {
   for (RuleClass& rule_class : make_rule_classes()) {
     minibench::make_registrar(
         (std::string("BM_MatchRules/") + rule_class.class_name).c_str(),
         [rules = std::move(rule_class.rules)](minibench::State& state) {
-          RunnerParams params;
-          params.max_matches_per_rule = 4000;
-          std::int64_t enodes = 0;
-          for (const CircuitEGraph& ce : rewritten_epfl()) {
-            enodes += static_cast<std::int64_t>(ce.egraph.num_enodes());
-          }
-          for (auto _ : state) {
-            std::size_t matches = 0;
-            for (const CircuitEGraph& ce : rewritten_epfl()) {
-              for (const RuleMatches& list :
-                   search_rules(ce.egraph, rules, params)) {
-                matches += list.size();
-              }
-            }
-            minibench::DoNotOptimize(matches);
-          }
-          state.SetItemsProcessed(state.iterations() * enodes);
+          search_rewritten_epfl(state, rules, nullptr);
         });
   }
   return true;
 }();
+
+/// Every logic rule, serially and on a 4-thread pool: the
+/// `RunnerParams::match_threads` path.
+void BM_SearchRulesSerial(minibench::State& state) {
+  search_rewritten_epfl(state, make_logic_rules(), nullptr);
+}
+BENCHMARK(BM_SearchRulesSerial);
+
+void BM_SearchRulesThreaded4(minibench::State& state) {
+  ThreadPool pool(4);
+  search_rewritten_epfl(state, make_logic_rules(), &pool);
+}
+BENCHMARK(BM_SearchRulesThreaded4);
 
 /// One SA move of each chain kind over a warm view and scratch: a
 /// depth-proxy Algorithm 1 pass with p_random 0.15, and a size-proxy pass

@@ -34,6 +34,15 @@ break that promise, plus a layering rule and a dead-code rule:
                         header's `#pragma once` line with the reason it
                         exists (e.g. a test-only seam).
 
+  thread-in-library     A ThreadPool or std::thread held by value (an object,
+                        a container element, an optional) or a std::thread /
+                        std::jthread / std::async call, in src/ outside
+                        util/thread_pool.*. Threads are spent only where they
+                        measurably pay (docs/architecture.md, "Parallelism"),
+                        so every site that starts one carries a waiver naming
+                        the knob it serves; pointers and references to a
+                        caller's pool are free.
+
 Waiver syntax (same line or the line directly above):
 
     // lint:allow(<rule>) <reason>
@@ -52,7 +61,7 @@ import re
 import sys
 
 RULES = ("unordered-iteration", "nondeterministic-seed", "stdout-in-library",
-         "include-layering", "orphan-header")
+         "include-layering", "orphan-header", "thread-in-library")
 
 # Where an include keeps a src/ header alive (tests deliberately excluded).
 INCLUDER_DIRS = ("src", "bench", "examples", "perfbench/src")
@@ -80,6 +89,18 @@ SEED_PATTERNS = (
 # The layers below flow/ and the upper layers they must never include.
 LOWER_LAYERS = ("aig", "sat", "egraph", "cec", "opt", "extract", "mapper")
 UPPER_INCLUDE_RE = re.compile(r'#include\s+"((?:flow|service|core|ml)/[^"]*)"')
+
+# A thread or pool by value, or a call that starts a thread. `std::thread::`
+# (hardware_concurrency, id), `ThreadPool*`/`&` and the forward declaration
+# start nothing.
+THREAD_PATTERNS = (
+    (re.compile(r"\bstd::j?thread\b(?!\s*(?:::|[&*]))"),
+     "std::thread in library code"),
+    (re.compile(r"\bstd::async\s*\("), "std::async in library code"),
+    (re.compile(r"(?<![\w:])(?<!class )ThreadPool\b(?!\s*(?:::|[&*;]))"),
+     "ThreadPool by value in library code"),
+)
+THREAD_EXEMPT = ("src/util/thread_pool.hpp", "src/util/thread_pool.cpp")
 
 STDOUT_PATTERNS = (
     (re.compile(r"\bstd::cout\b"), "std::cout in library code"),
@@ -180,6 +201,11 @@ def lint_file(f: File, names: set[str], check_stdout: bool) -> None:
             for pattern, why in STDOUT_PATTERNS:
                 if pattern.search(line):
                     f.report(idx, "stdout-in-library", why)
+        if f.rel not in THREAD_EXEMPT:
+            for pattern, why in THREAD_PATTERNS:
+                if pattern.search(line):
+                    f.report(idx, "thread-in-library",
+                             f"{why}: waive it naming the knob it serves")
 
 
 def main() -> int:

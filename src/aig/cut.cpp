@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "aig/choice.hpp"
 #include "check/check.hpp"
 #include "check/validators.hpp"
-#include "util/thread_pool.hpp"
 
 namespace emorphic {
 
 namespace {
-
-/// Waves narrower than this run on the calling thread: dispatching a
-/// handful of nodes through the pool costs more than computing them.
-/// Purely a throughput threshold — the cut lists are identical either way.
-constexpr std::size_t kMinParallelWave = 16;
 
 /// Bit (leaf & 63) per leaf: a subset's signature is a subset of its
 /// superset's, but distinct leaves 64 apart share a bit.
@@ -79,19 +72,15 @@ bool Cut::subset_of(const Cut& other) const {
   return true;
 }
 
-CutManager::CutManager(const Aig& aig, const CutParams& params, CutArena* arena,
-                       ThreadPool* pool)
-    : CutManager(aig, static_cast<const AigChoices*>(nullptr), params, arena,
-                 pool) {}
+CutManager::CutManager(const Aig& aig, const CutParams& params, CutArena* arena)
+    : CutManager(aig, static_cast<const AigChoices*>(nullptr), params, arena) {}
 
 CutManager::CutManager(const Aig& aig, const AigChoices& choices,
-                       const CutParams& params, CutArena* arena,
-                       ThreadPool* pool)
-    : CutManager(aig, &choices, params, arena, pool) {}
+                       const CutParams& params, CutArena* arena)
+    : CutManager(aig, &choices, params, arena) {}
 
 CutManager::CutManager(const Aig& aig, const AigChoices* choices,
-                       const CutParams& params, CutArena* arena,
-                       ThreadPool* pool)
+                       const CutParams& params, CutArena* arena)
     : aig_(aig),
       params_(params),
       choices_(choices),
@@ -111,8 +100,8 @@ CutManager::CutManager(const Aig& aig, const AigChoices* choices,
         "finalize()?)");
   }
   // Recycle the arena: grow the header vector if needed, then start a new
-  // epoch — every header is dropped and the element stores rewind keeping
-  // their blocks, so a warmed-up arena enumerates without a single malloc.
+  // epoch — every header is dropped and the element store rewinds keeping
+  // its blocks, so a warmed-up arena enumerates without a single malloc.
   if (arena_->slots.size() < n) arena_->slots.resize(n);
   arena_->reset_epoch();
   arena_->levels.assign(n, 0);
@@ -125,128 +114,30 @@ CutManager::CutManager(const Aig& aig, const AigChoices* choices,
   // Constant node: a single empty cut whose function is constant 0.
   arena_->store.push_back(arena_->slots[0], Cut{});
 
-  const std::size_t threads =
-      pool != nullptr ? pool->size() : params_.num_threads;
-  if (threads <= 1) {
-    enumerate_serial();
-  } else {
-    enumerate_parallel(pool);
-  }
-  EM_CHECK_EXPENSIVE(check::check_cuts(*this));
-}
-
-void CutManager::process_node(Var v, CutScratch& scratch,
-                              SpanStore<Cut>& store) {
-  if (v == 0) return;
-  if (aig_.is_pi(v)) {
-    store.push_back(arena_->slots[v], trivial_cut(v));
-    return;
-  }
-  compute(v, scratch, store);
-  if (choices_ != nullptr && choices_->has_ring(v)) {
-    merge_choice_cuts(v, store);
-  }
-}
-
-void CutManager::enumerate_serial() {
   // With choices, a representative's merged list must be complete before
   // any node consumes it, and a ring member can carry a *larger* index
   // than its representative — so the traversal follows the annotation's
   // schedule (members before representative) instead of index order.
   if (choices_ != nullptr) {
-    for (Var v : choices_->order()) {
-      process_node(v, arena_->scratch, arena_->store);
-    }
+    for (Var v : choices_->order()) process_node(v);
   } else {
-    for (Var v = 1; v < aig_.num_nodes(); ++v) {
-      process_node(v, arena_->scratch, arena_->store);
-    }
+    for (Var v = 1; v < aig_.num_nodes(); ++v) process_node(v);
   }
+  EM_CHECK_EXPENSIVE(check::check_cuts(*this));
 }
 
-void CutManager::enumerate_parallel(ThreadPool* external_pool) {
-  const std::size_t n = aig_.num_nodes();
-
-  // Wave index = earliest parallel step at which a node's inputs are all
-  // complete: 1 + max over fanin waves, and — for a choice-class
-  // representative — over every ring member's wave too, so member cut
-  // lists exist before merge_choice_cuts reads them. Computed along the
-  // serial traversal order, whose invariant (dependencies first) makes the
-  // single forward sweep sufficient.
-  std::vector<std::uint32_t>& wave = arena_->waves;
-  wave.assign(n, 0);
-  std::uint32_t num_waves = 0;
-  auto wave_of = [&](Var v) -> std::uint32_t {
-    if (v == 0 || !aig_.is_and(v)) return 0;
-    std::uint32_t w = 1 + std::max(wave[lit_var(aig_.fanin0(v))],
-                                   wave[lit_var(aig_.fanin1(v))]);
-    if (choices_ != nullptr && choices_->has_ring(v)) {
-      for (Var m : choices_->ring(v)) w = std::max(w, wave[m] + 1);
-    }
-    return w;
-  };
-
-  // PIs (wave 0) are trivial; seed them inline and bucket the AND nodes by
-  // wave, preserving the serial traversal order inside each bucket. Each
-  // node's result depends only on earlier-wave slots and every node writes
-  // only its own slot, so intra-wave order is irrelevant to the outcome —
-  // contiguous deterministic slices merely keep the chunking simple.
-  std::vector<std::vector<Var>>& buckets = arena_->wave_nodes;
-  auto bucket_node = [&](Var v) {
-    if (v == 0) return;
-    if (aig_.is_pi(v)) {
-      process_node(v, arena_->scratch, arena_->store);
-      return;
-    }
-    std::uint32_t w = wave_of(v);
-    wave[v] = w;
-    num_waves = std::max(num_waves, w + 1);
-    if (buckets.size() < num_waves) buckets.resize(num_waves);
-    buckets[w - 1].push_back(v);  // wave w >= 1 for AND nodes
-  };
-  for (std::vector<Var>& b : buckets) b.clear();
-  if (choices_ != nullptr) {
-    for (Var v : choices_->order()) bucket_node(v);
-  } else {
-    for (Var v = 1; v < aig_.num_nodes(); ++v) bucket_node(v);
+void CutManager::process_node(Var v) {
+  if (v == 0) return;
+  if (aig_.is_pi(v)) {
+    arena_->store.push_back(arena_->slots[v], trivial_cut(v));
+    return;
   }
-
-  std::optional<ThreadPool> own_pool;
-  if (external_pool == nullptr) own_pool.emplace(params_.num_threads);
-  ThreadPool& pool = external_pool != nullptr ? *external_pool : *own_pool;
-  const std::size_t workers = std::max<std::size_t>(1, pool.size());
-  if (arena_->worker_scratch.size() < workers) {
-    arena_->worker_scratch.resize(workers);
-  }
-  if (arena_->worker_stores.size() < workers) {
-    arena_->worker_stores.resize(workers);
-  }
-
-  for (std::uint32_t w = 0; w < num_waves; ++w) {
-    const std::vector<Var>& nodes = buckets[w];
-    if (nodes.empty()) continue;
-    if (nodes.size() < kMinParallelWave) {
-      for (Var v : nodes) process_node(v, arena_->scratch, arena_->store);
-      continue;
-    }
-    const std::size_t chunks = std::min(workers, nodes.size());
-    pool.parallel_for(chunks, [&](std::size_t ci) {
-      const std::size_t lo = nodes.size() * ci / chunks;
-      const std::size_t hi = nodes.size() * (ci + 1) / chunks;
-      // Per-worker scratch AND per-worker span store: each chunk allocates
-      // cut storage from its own bump arena, so no bump pointer is shared
-      // across threads. Slot headers are written once, by the one worker
-      // that owns the node.
-      CutScratch& scratch = arena_->worker_scratch[ci];
-      SpanStore<Cut>& store = arena_->worker_stores[ci];
-      for (std::size_t i = lo; i < hi; ++i) {
-        process_node(nodes[i], scratch, store);
-      }
-    });
-  }
+  compute(v);
+  if (choices_ != nullptr && choices_->has_ring(v)) merge_choice_cuts(v);
 }
 
-void CutManager::merge_choice_cuts(Var rep, SpanStore<Cut>& store) {
+void CutManager::merge_choice_cuts(Var rep) {
+  SpanStore<Cut>& store = arena_->store;
   ArenaSpan<Cut>& slot = arena_->slots[rep];
   // One up-front reservation bounds the list at its 2*num_cuts+1 maximum,
   // so the pushes below never grow (and thus never retire arena storage).
@@ -288,18 +179,14 @@ void CutManager::merge_choice_cuts(Var rep, SpanStore<Cut>& store) {
   store.push_back(slot, trivial);
 }
 
-void CutManager::compute(Var v, CutScratch& scratch,
-                         SpanStore<Cut>& store) {
+void CutManager::compute(Var v) {
   const Lit f0 = aig_.fanin0(v);
   const Lit f1 = aig_.fanin1(v);
   const auto& cuts0 = arena_->slots[lit_var(f0)];
   const auto& cuts1 = arena_->slots[lit_var(f1)];
   const unsigned k = params_.cut_size;
 
-  // The caller hands a per-worker scratch: in the wave-parallel pass
-  // several nodes compute concurrently and must not share one merge
-  // workspace. All shared state touched here is read-only (earlier-wave
-  // slots, levels) except the node's own slot.
+  CutScratch& scratch = arena_->scratch;
   std::vector<std::uint64_t>& sigs1 = scratch.sigs;
   sigs1.clear();
   for (const Cut& b : cuts1) sigs1.push_back(leaf_signature(b));
@@ -359,6 +246,7 @@ void CutManager::compute(Var v, CutScratch& scratch,
   // the merged support, complement per the AIG edge, and conjoin. The span
   // is reserved exact-fit; the trivial cut is always kept (last) so mapping
   // can fall back on it.
+  SpanStore<Cut>& store = arena_->store;
   ArenaSpan<Cut>& slot = arena_->slots[v];
   store.reserve(slot, kept + 1);
   for (std::size_t c = 0; c < kept; ++c) {

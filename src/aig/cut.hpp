@@ -24,15 +24,9 @@
 // `if` mapper gets from `dch` choices — and the mapper picks the best
 // match over the whole class (see docs/mapping-internals.md).
 //
-// Enumeration can run in parallel (CutParams::num_threads > 1, or an
-// external ThreadPool): nodes are partitioned into dependency waves —
-// topological levels over fanin edges, extended with ring edges when a
-// choice annotation is present, so a representative's wave follows every
-// ring member's — and each wave is enumerated across the workers with
-// per-worker merge scratch. A node's cut list is a pure function of its
-// fanin (and ring-member) lists, and every node writes only its own slot,
-// so the parallel result is *bit-identical* to the serial pass for any
-// thread count (tests/aig/test_cut_parallel.cpp holds this to the letter).
+// Enumeration runs on one thread: a dependency level holds too little work
+// per node to pay for handing it to a pool (docs/mapping-internals.md,
+// "Enumeration is serial").
 
 #include <array>
 #include <cstdint>
@@ -45,7 +39,6 @@
 namespace emorphic {
 
 class AigChoices;
-class ThreadPool;
 
 namespace check {
 struct CheckProbe;  // corruption-seeding seam for validator tests
@@ -72,11 +65,6 @@ struct Cut {
 struct CutParams {
   unsigned cut_size = 6;   // K: maximum number of leaves
   unsigned num_cuts = 8;   // C: priority cuts kept per node (plus trivial)
-  /// Worker threads for wave-parallel enumeration; <= 1 runs the serial
-  /// pass. Ignored when the CutManager constructor receives an external
-  /// ThreadPool (its size wins). Any value produces bit-identical cut
-  /// lists — this is a throughput knob, never a result knob.
-  unsigned num_threads = 1;
 };
 
 /// One merged cut while its node's list is being built. The truth table is
@@ -90,8 +78,8 @@ struct CutCandidate {
   std::uint32_t b = 0;    // index into the fanin1 cut list
 };
 
-/// Workspace for building one node's cut list. One per worker in the
-/// wave-parallel pass, reused across nodes and enumerations.
+/// Workspace for building one node's cut list, reused across nodes and
+/// enumerations.
 struct CutScratch {
   std::vector<CutCandidate> candidates;  // undominated candidates so far
   std::vector<std::uint64_t> sigs;       // leaf signatures of fanin1's cuts
@@ -107,29 +95,15 @@ struct CutScratch {
 /// CutManagers: one arena per concurrently-live manager.
 struct CutArena {
   std::vector<ArenaSpan<Cut>> slots;     // per-node cut lists (headers)
-  /// Element storage for the serial pass (and PI/constant seeding).
-  SpanStore<Cut> store;
-  /// Per-worker element stores for the wave-parallel pass: each worker
-  /// allocates spans only from its own store, so the bump pointers are
-  /// race-free. The chunking is deterministic, so after warm-up every
-  /// store's epoch is the same size and no store mallocs.
-  std::vector<SpanStore<Cut>> worker_stores;
+  SpanStore<Cut> store;                  // element storage of every list
   CutScratch scratch;                    // merge workspace for one node
   std::vector<std::uint32_t> levels;     // cut priority ordering
-  /// Per-worker merge workspaces for the wave-parallel pass (one per pool
-  /// worker, reused across enumerations like `scratch` is).
-  std::vector<CutScratch> worker_scratch;
-  /// Wave schedule scratch (parallel pass only): per-node wave index and
-  /// the nodes of each wave, bucketed in traversal order.
-  std::vector<std::uint32_t> waves;
-  std::vector<std::vector<Var>> wave_nodes;
 
   /// Start a new enumeration epoch: drop every span header and rewind the
   /// stores, keeping all capacity.
   void reset_epoch() {
     for (ArenaSpan<Cut>& s : slots) s = ArenaSpan<Cut>{};
     store.reset();
-    for (SpanStore<Cut>& ws : worker_stores) ws.reset();
   }
 };
 
@@ -137,12 +111,9 @@ struct CutArena {
 /// Throws std::invalid_argument unless 2 <= cut_size <= kMaxCutSize.
 class CutManager {
  public:
-  /// Plain enumeration. With params.num_threads > 1 (or a non-null `pool`)
-  /// the waves run across workers — an own pool is spun up when none is
-  /// supplied; pass a shared one to amortize thread startup over repeated
-  /// enumerations. The cut lists are bit-identical either way.
+  /// Plain enumeration.
   CutManager(const Aig& aig, const CutParams& params,
-             CutArena* arena = nullptr, ThreadPool* pool = nullptr);
+             CutArena* arena = nullptr);
 
   /// Choice-aware enumeration: traverse in `choices.order()` (which must be
   /// finalized) and merge every ring member's cuts into its
@@ -150,17 +121,13 @@ class CutManager {
   /// Every cut of a representative then expresses the representative's
   /// positive function, whatever variant it was enumerated in. Throws
   /// std::invalid_argument when the annotation does not fit the AIG.
-  /// Parallelism follows the plain constructor's contract (ring edges join
-  /// the wave partial order, so member lists are complete before their
-  /// representative merges them).
   CutManager(const Aig& aig, const AigChoices& choices,
-             const CutParams& params, CutArena* arena = nullptr,
-             ThreadPool* pool = nullptr);
+             const CutParams& params, CutArena* arena = nullptr);
 
   /// One constructor for both: choice-aware when `choices` is non-null,
   /// plain otherwise.
   CutManager(const Aig& aig, const AigChoices* choices,
-             const CutParams& params, CutArena* arena, ThreadPool* pool);
+             const CutParams& params, CutArena* arena);
 
   // arena_ may point at the own_ member, so compiler-generated copies/moves
   // would dangle.
@@ -183,11 +150,9 @@ class CutManager {
  private:
   friend struct check::CheckProbe;
 
-  void process_node(Var v, CutScratch& scratch, SpanStore<Cut>& store);
-  void enumerate_serial();
-  void enumerate_parallel(ThreadPool* pool);
-  void compute(Var v, CutScratch& scratch, SpanStore<Cut>& store);
-  void merge_choice_cuts(Var rep, SpanStore<Cut>& store);
+  void process_node(Var v);
+  void compute(Var v);
+  void merge_choice_cuts(Var rep);
 
   const Aig& aig_;
   CutParams params_;

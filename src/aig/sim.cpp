@@ -1,10 +1,8 @@
 #include "aig/sim.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "aig/truth.hpp"
-#include "util/thread_pool.hpp"
 
 namespace emorphic {
 
@@ -30,47 +28,27 @@ std::vector<std::uint64_t> simulate_words(
 
 std::vector<std::uint64_t> simulate_words_multi(
     const Aig& aig, const std::vector<std::uint64_t>& pi_words,
-    unsigned num_words, ThreadPool* pool) {
+    unsigned num_words) {
   assert(pi_words.size() ==
          static_cast<std::size_t>(aig.num_pis()) * num_words);
   const std::size_t w_total = num_words;
   std::vector<std::uint64_t> value(
       static_cast<std::size_t>(aig.num_nodes()) * w_total, 0);
-  auto simulate_range = [&](std::size_t w0, std::size_t w1) {
-    for (Var v = 1; v < aig.num_nodes(); ++v) {
-      std::uint64_t* out = &value[static_cast<std::size_t>(v) * w_total];
-      if (aig.is_pi(v)) {
-        const std::uint64_t* in =
-            &pi_words[static_cast<std::size_t>(aig.pi_index(v)) * w_total];
-        for (std::size_t w = w0; w < w1; ++w) out[w] = in[w];
-        continue;
-      }
-      Lit f0 = aig.fanin0(v);
-      Lit f1 = aig.fanin1(v);
-      const std::uint64_t* a = &value[static_cast<std::size_t>(lit_var(f0)) * w_total];
-      const std::uint64_t* b = &value[static_cast<std::size_t>(lit_var(f1)) * w_total];
-      std::uint64_t ma = lit_is_compl(f0) ? ~0ull : 0ull;
-      std::uint64_t mb = lit_is_compl(f1) ? ~0ull : 0ull;
-      for (std::size_t w = w0; w < w1; ++w) out[w] = (a[w] ^ ma) & (b[w] ^ mb);
+  for (Var v = 1; v < aig.num_nodes(); ++v) {
+    std::uint64_t* out = &value[static_cast<std::size_t>(v) * w_total];
+    if (aig.is_pi(v)) {
+      const std::uint64_t* in =
+          &pi_words[static_cast<std::size_t>(aig.pi_index(v)) * w_total];
+      for (std::size_t w = 0; w < w_total; ++w) out[w] = in[w];
+      continue;
     }
-  };
-  // Chunk in cache-line multiples (8 words = 64 bytes) so concurrent
-  // workers never interleave writes within one node's row — finer stripes
-  // would false-share every row and can run slower than serial.
-  constexpr std::size_t kLineWords = 8;
-  if (pool != nullptr && pool->size() > 1 && w_total > kLineWords) {
-    std::size_t chunks = std::min<std::size_t>(
-        pool->size(), (w_total + kLineWords - 1) / kLineWords);
-    std::size_t per_chunk = (w_total + chunks - 1) / chunks;
-    per_chunk = (per_chunk + kLineWords - 1) / kLineWords * kLineWords;
-    chunks = (w_total + per_chunk - 1) / per_chunk;
-    pool->parallel_for(chunks, [&](std::size_t c) {
-      std::size_t w0 = c * per_chunk;
-      std::size_t w1 = std::min(w_total, w0 + per_chunk);
-      if (w0 < w1) simulate_range(w0, w1);
-    });
-  } else {
-    simulate_range(0, w_total);
+    Lit f0 = aig.fanin0(v);
+    Lit f1 = aig.fanin1(v);
+    const std::uint64_t* a = &value[static_cast<std::size_t>(lit_var(f0)) * w_total];
+    const std::uint64_t* b = &value[static_cast<std::size_t>(lit_var(f1)) * w_total];
+    std::uint64_t ma = lit_is_compl(f0) ? ~0ull : 0ull;
+    std::uint64_t mb = lit_is_compl(f1) ? ~0ull : 0ull;
+    for (std::size_t w = 0; w < w_total; ++w) out[w] = (a[w] ^ ma) & (b[w] ^ mb);
   }
   return value;
 }

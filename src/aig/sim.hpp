@@ -13,21 +13,16 @@
 
 namespace emorphic {
 
-class ThreadPool;
-
 /// Simulate with one 64-bit word per PI; returns one word per variable.
 std::vector<std::uint64_t> simulate_words(const Aig& aig,
                                           const std::vector<std::uint64_t>& pi_words);
 
 /// Multi-word simulation, node-major result: value of variable `v` under
 /// word `w` is `result[v * num_words + w]`. `pi_words` uses the same layout
-/// over PI indices (`pi_words[pi * num_words + w]`). Each 64-pattern word
-/// column is independent, so with a `pool` the word range is fanned out
-/// across its workers (the fraig engine's parallel random simulation); the
-/// result is bit-identical however many workers run.
+/// over PI indices (`pi_words[pi * num_words + w]`).
 std::vector<std::uint64_t> simulate_words_multi(
     const Aig& aig, const std::vector<std::uint64_t>& pi_words,
-    unsigned num_words, ThreadPool* pool = nullptr);
+    unsigned num_words);
 
 /// Expand one concrete input assignment into a 64-pattern word per PI:
 /// bit 0 replays the assignment exactly, bits 1..63 are random neighbors

@@ -52,22 +52,6 @@ struct RuleIndex {
   }
 };
 
-/// Match `pattern` against `candidates[begin, end)` in order through one
-/// memo, appending to `out` until it holds `limit` matches.
-void match_range(const EGraph& egraph, const Pattern& pattern,
-                 const std::vector<EClassId>& candidates, std::size_t begin,
-                 std::size_t end, std::size_t limit, const OpPresence& presence,
-                 RuleMatches& out, std::size_t& steps) {
-  MatchMemo memo;
-  std::vector<Subst> substs;
-  for (std::size_t c = begin; c < end && out.size() < limit; ++c) {
-    substs.clear();
-    match_in_class(egraph, pattern, candidates[c], substs, limit - out.size(),
-                   &presence, &memo, &steps);
-    for (Subst& s : substs) out.emplace_back(candidates[c], std::move(s));
-  }
-}
-
 }  // namespace
 
 std::vector<RuleMatches> search_rules(const EGraph& egraph,
@@ -93,53 +77,31 @@ std::vector<RuleMatches> search_rules(const EGraph& egraph,
     return ids;
   };
 
+  // Each rule searches its whole candidate list, in order, through one
+  // memo, so the list and step count of a rule are the same on any thread.
+  // Both are built in locals: neighbouring rules' slots share cache lines.
   const std::size_t limit = params.max_matches_per_rule;
   std::vector<RuleMatches> lists(rules.size());
-  std::vector<std::size_t> rule_steps(rules.size(), 0);
+  auto search_rule = [&](std::size_t r) {
+    const Pattern& lhs = rules[r].lhs;
+    MatchMemo memo;
+    RuleMatches out;
+    std::size_t visits = 0;
+    std::vector<Subst> substs;
+    for (EClassId id : candidates_for(lhs)) {
+      if (out.size() >= limit) break;
+      substs.clear();
+      match_in_class(egraph, lhs, id, substs, limit - out.size(), &presence,
+                     &memo, &visits);
+      for (Subst& s : substs) out.emplace_back(id, std::move(s));
+    }
+    lists[r] = std::move(out);
+    if (steps != nullptr) (*steps)[r] += visits;
+  };
   if (pool == nullptr) {
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      const std::vector<EClassId>& candidates = candidates_for(rules[r].lhs);
-      match_range(egraph, rules[r].lhs, candidates, 0, candidates.size(),
-                  limit, presence, lists[r], rule_steps[r]);
-    }
+    for (std::size_t r = 0; r < rules.size(); ++r) search_rule(r);
   } else {
-    // Fan (rule, class-range) shards over the pool, each with its own memo.
-    // Shard results are concatenated in candidate order and truncated to the
-    // per-rule cap, reproducing the serial prefix exactly.
-    struct Shard {
-      std::size_t rule;
-      std::size_t begin;
-      std::size_t end;
-      RuleMatches matches;
-      std::size_t steps = 0;
-    };
-    std::vector<Shard> shards;
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      const std::vector<EClassId>& candidates = candidates_for(rules[r].lhs);
-      std::size_t span =
-          (candidates.size() + pool->size() - 1) / pool->size();  // >= 1
-      for (std::size_t begin = 0; begin < candidates.size(); begin += span) {
-        shards.push_back(
-            {r, begin, std::min(begin + span, candidates.size()), {}});
-      }
-    }
-    pool->parallel_for(shards.size(), [&](std::size_t i) {
-      Shard& shard = shards[i];
-      const Pattern& lhs = rules[shard.rule].lhs;
-      match_range(egraph, lhs, candidates_for(lhs), shard.begin, shard.end,
-                  limit, presence, shard.matches, shard.steps);
-    });
-    for (Shard& shard : shards) {
-      RuleMatches& into = lists[shard.rule];
-      rule_steps[shard.rule] += shard.steps;
-      for (auto& match : shard.matches) {
-        if (into.size() >= limit) break;
-        into.push_back(std::move(match));
-      }
-    }
-  }
-  if (steps != nullptr) {
-    for (std::size_t r = 0; r < rules.size(); ++r) (*steps)[r] += rule_steps[r];
+    pool->parallel_for(rules.size(), search_rule);
   }
   return lists;
 }
@@ -157,9 +119,12 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
   // a no-op when the caller already rebuilt.
   egraph.rebuild();
 
-  unsigned threads = params.match_threads != 0
-                         ? params.match_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
+  // One rule per task, so more threads than rules would idle.
+  const std::size_t threads = std::min<std::size_t>(
+      rules.size(), params.match_threads != 0
+                        ? params.match_threads
+                        : std::max(1u, std::thread::hardware_concurrency()));
+  // lint:allow(thread-in-library) RunnerParams::match_threads
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
 

@@ -12,7 +12,7 @@
 //   1. search — e-matching against a frozen e-graph. Rules are indexed by
 //      their head operator, so a rule only visits classes that contain at
 //      least one e-node with that operator; the search is read-only and can
-//      be threaded across e-classes (`RunnerParams::match_threads`). Each
+//      be threaded across rules (`RunnerParams::match_threads`). Each
 //      rule's search shares one MatchMemo across its classes.
 //   2. apply — all collected matches are instantiated and merged serially.
 //   3. rebuild — one deferred congruence restoration for the whole batch.
@@ -44,8 +44,9 @@ struct RunnerParams {
   /// Cap on matches gathered per rule per iteration: keeps pathological
   /// rules (associativity on deep chains) from starving the others.
   std::size_t max_matches_per_rule = 20000;
-  /// Worker threads for the read-only match phase: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are independent of this setting.
+  /// Worker threads for the read-only match phase, one rule's search per
+  /// task (at most one thread per rule): 1 = serial (default), 0 = hardware
+  /// concurrency. Results and search steps are independent of it.
   unsigned match_threads = 1;
   /// Consult the head-operator rule index so each rule only visits candidate
   /// classes. Off = scan every class per rule (the pre-index behavior; kept
@@ -84,8 +85,8 @@ struct RunnerReport {
   std::vector<std::size_t> rule_applications;
   /// Per-rule matcher pattern-node visits across all iterations, a memo
   /// replay counting as one: the machine-independent cost of the search.
-  /// Each thread's shard keeps its own memo, so the count depends on
-  /// `match_threads` (the matches do not).
+  /// A rule's whole search runs on one thread through one memo, so the
+  /// count does not depend on `match_threads`.
   std::vector<std::size_t> rule_search_steps;
 };
 
@@ -106,10 +107,9 @@ struct RunnerHooks {
 
 /// The search phase of one iteration: each rule's first
 /// `params.max_matches_per_rule` matches in candidate-class order, against
-/// the clean e-graph `egraph`. Shards over `pool` when it is given (its
-/// thread count, not `params.match_threads`, sets the split); the lists are
-/// the same either way. Adds each rule's search steps to `steps` when given
-/// (sized like `rules`).
+/// the clean e-graph `egraph`. Runs one rule per task on `pool` when it is
+/// given; the lists and step counts are the same either way. Adds each
+/// rule's search steps to `steps` when given (sized like `rules`).
 std::vector<RuleMatches> search_rules(const EGraph& egraph,
                                       const std::vector<Rewrite>& rules,
                                       const RunnerParams& params,

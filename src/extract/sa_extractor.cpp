@@ -203,6 +203,7 @@ SaResult sa_extract(const EGraph& egraph,
   std::vector<std::exception_ptr> errors(num_threads);
   {
     std::mutex hook_mutex;
+    // lint:allow(thread-in-library) SaParams::num_threads, one SA chain each
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
     for (unsigned t = 0; t < num_threads; ++t) {

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace emorphic {
 
@@ -38,6 +39,7 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
   workers = static_cast<unsigned>(
       std::min<std::size_t>(workers, inputs.size()));
 
+  // lint:allow(thread-in-library) BatchParams::num_threads
   ThreadPool pool(workers);
   pool.parallel_for(inputs.size(), [&](std::size_t i) {
     FlowContext ctx;

@@ -266,10 +266,9 @@ ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
 
 ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const LutMapperParams& params,
-                                        MapperWorkspace* workspace,
-                                        ThreadPool* pool) {
-  MappedNetlist choice = map_to_luts(caig, params, workspace, pool);
-  MappedNetlist plain = map_to_luts(caig.aig, params, workspace, pool);
+                                        MapperWorkspace* workspace) {
+  MappedNetlist choice = map_to_luts(caig, params, workspace);
+  MappedNetlist plain = map_to_luts(caig.aig, params, workspace);
   return pareto_gate(std::move(choice), std::move(plain));
 }
 

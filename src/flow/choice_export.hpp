@@ -98,12 +98,9 @@ ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const MapperParams& params = {},
                                         MapperWorkspace* workspace = nullptr);
 
-/// The same gate over the k-LUT backend (LUT count and LUT depth). The
-/// optional pool parallelizes cut enumeration only (bit-identical results,
-/// see aig/cut.hpp).
+/// The same gate over the k-LUT backend (LUT count and LUT depth).
 ChoiceMapOutcome map_with_choices_gated(const ChoiceAig& caig,
                                         const LutMapperParams& params,
-                                        MapperWorkspace* workspace = nullptr,
-                                        ThreadPool* pool = nullptr);
+                                        MapperWorkspace* workspace = nullptr);
 
 }  // namespace emorphic

@@ -364,13 +364,12 @@ void LutMapStage::run(FlowContext& ctx) const {
   if (params.use_choicemap && ctx.egraph.has_value()) {
     // Choice-aware tail, mirroring ChoiceMapStage.
     ChoiceAig choice_aig = export_choices(ctx);
-    ctx.netlist = map_with_choices_gated(choice_aig, lut_params,
-                                         &ctx.mapper_workspace, ctx.pool)
-                      .netlist;
+    ctx.netlist =
+        map_with_choices_gated(choice_aig, lut_params, &ctx.mapper_workspace)
+            .netlist;
   } else {
     ctx.current = strash(ctx.current);
-    ctx.netlist =
-        map_to_luts(ctx.current, lut_params, &ctx.mapper_workspace, ctx.pool);
+    ctx.netlist = map_to_luts(ctx.current, lut_params, &ctx.mapper_workspace);
   }
   // A LUT cover is not a cell netlist of ctx.current: a later TechMap
   // must remap instead of reusing it.

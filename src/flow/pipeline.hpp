@@ -33,7 +33,6 @@
 #include "opt/partition.hpp"
 #include "opt/resyn.hpp"
 #include "opt/sop_balance.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace emorphic {
@@ -94,7 +93,7 @@ struct FlowParams {
   bool verify = true;             // cec the result against the input
   CecParams cec_params;
   /// SAT-sweeping configuration for the "fraig" stage (sim rounds, conflict
-  /// limit, max class size, threads — see opt/fraig.hpp).
+  /// limit, max class size — see opt/fraig.hpp).
   FraigParams fraig;
   /// Opt-in fraig placement for the prebuilt flows: `fraig_pre` sweeps the
   /// input before any optimization, `fraig_post` sweeps the optimized
@@ -274,10 +273,6 @@ struct FlowContext : FlowResult {
   /// params.library (the paper's quality-prioritized mode).
   const QorEvaluator* evaluator = nullptr;
   FlowObserver* observer = nullptr;
-  /// Shared worker pool, reserved for stages that fan work out. The batch
-  /// driver keeps this null for its own pool: stages must not block on the
-  /// pool that is running the pipeline itself.
-  ThreadPool* pool = nullptr;
   /// External cancellation flag, polled between stages, between rewrite
   /// iterations, and between SA moves.
   std::atomic<bool>* cancel = nullptr;

@@ -94,12 +94,12 @@ namespace detail {
 class CoverDp {
  public:
   CoverDp(const Aig& aig, const AigChoices* choices, const CutParams& params,
-          ThreadPool* pool, MapperWorkspace* workspace)
+          MapperWorkspace* workspace)
       : aig_(aig),
         choices_(choices),
         ws_(workspace != nullptr ? *workspace->impl_
                                  : *local_.emplace().impl_),
-        cuts_(aig, choices, params, &ws_.cuts, pool) {
+        cuts_(aig, choices, params, &ws_.cuts) {
     // Fanout edges inside the PO-reachable cone only. Dead logic never
     // materializes in a cover, so its fanouts must not dilute the flow of
     // shared live nodes — and with choices this is what keeps the estimate

@@ -39,7 +39,7 @@ struct LutMatches {
 
 MappedNetlist map_luts(const Aig& aig, const AigChoices* choices,
                        const LutMapperParams& params,
-                       MapperWorkspace* workspace, ThreadPool* pool) {
+                       MapperWorkspace* workspace) {
   if (params.lut_size < 2 || params.lut_size > kMaxCutSize) {
     throw std::invalid_argument(
         "map_to_luts: lut_size must be in [2, kMaxCutSize = " +
@@ -52,10 +52,8 @@ MappedNetlist map_luts(const Aig& aig, const AigChoices* choices,
         "map_to_luts: num_cuts must be >= 1 (the trivial cut alone covers "
         "no node)");
   }
-  detail::CoverDp dp(
-      aig, choices,
-      CutParams{params.lut_size, params.num_cuts, params.num_threads}, pool,
-      workspace);
+  detail::CoverDp dp(aig, choices, CutParams{params.lut_size, params.num_cuts},
+                     workspace);
   dp.select(LutMatches{}, params.area_recovery);
   const CutManager& cuts = dp.cuts();
   auto slot = [&](Var v) -> const PhaseMatch& { return dp.slot(v, 0); };
@@ -186,13 +184,13 @@ MappedNetlist map_luts(const Aig& aig, const AigChoices* choices,
 }  // namespace
 
 MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params,
-                          MapperWorkspace* workspace, ThreadPool* pool) {
-  return map_luts(aig, nullptr, params, workspace, pool);
+                          MapperWorkspace* workspace) {
+  return map_luts(aig, nullptr, params, workspace);
 }
 
 MappedNetlist map_to_luts(const ChoiceAig& caig, const LutMapperParams& params,
-                          MapperWorkspace* workspace, ThreadPool* pool) {
-  return map_luts(caig.aig, &caig.choices, params, workspace, pool);
+                          MapperWorkspace* workspace) {
+  return map_luts(caig.aig, &caig.choices, params, workspace);
 }
 
 }  // namespace emorphic

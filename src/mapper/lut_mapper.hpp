@@ -24,9 +24,7 @@
 // mapper's: cut enumeration merges every ring member's cuts into its
 // representative (aig/cut.hpp) and the DP then picks the best cut across
 // all structural variants. On a ring-free annotation it is bit-identical
-// to the plain overload. Cut enumeration itself can run wave-parallel
-// (LutMapperParams::num_threads / an external ThreadPool) with
-// bit-identical results — see aig/cut.hpp.
+// to the plain overload.
 
 #include "aig/aig.hpp"
 #include "aig/choice.hpp"
@@ -35,8 +33,6 @@
 #include "mapper/tech_mapper.hpp"
 
 namespace emorphic {
-
-class ThreadPool;
 
 /// Mapping effort knobs shared by every map_to_luts overload.
 struct LutMapperParams {
@@ -50,10 +46,6 @@ struct LutMapperParams {
   /// Run the required-depth area-recovery pass after the depth-optimal
   /// pass.
   bool area_recovery = true;
-  /// Worker threads for the wave-parallel cut enumeration; <= 1 is serial.
-  /// Ignored when map_to_luts receives an external ThreadPool. Never
-  /// changes the mapped network, only its construction speed.
-  unsigned num_threads = 1;
 };
 
 /// Map an AIG onto k-input LUTs; returns a LUT netlist (a MappedNetlist
@@ -61,8 +53,7 @@ struct LutMapperParams {
 /// Throws std::invalid_argument unless 2 <= params.lut_size <= kMaxCutSize
 /// and params.num_cuts >= 1.
 MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params = {},
-                          MapperWorkspace* workspace = nullptr,
-                          ThreadPool* pool = nullptr);
+                          MapperWorkspace* workspace = nullptr);
 
 /// Choice-aware LUT mapping: select the best cut per node across every
 /// structural variant recorded in the choice annotation. The annotation
@@ -70,7 +61,6 @@ MappedNetlist map_to_luts(const Aig& aig, const LutMapperParams& params = {},
 /// to the plain overload.
 MappedNetlist map_to_luts(const ChoiceAig& caig,
                           const LutMapperParams& params = {},
-                          MapperWorkspace* workspace = nullptr,
-                          ThreadPool* pool = nullptr);
+                          MapperWorkspace* workspace = nullptr);
 
 }  // namespace emorphic

@@ -72,7 +72,7 @@ MappedNetlist map_cells(const Aig& aig, const AigChoices* choices,
   const Cell& inv = library.cell(library.inverter());
   const CellMatches backend{matcher, inv.area, inv.delay};
   detail::CoverDp dp(aig, choices, CutParams{params.cut_size, params.num_cuts},
-                     nullptr, workspace);
+                     workspace);
   dp.select(backend, params.area_recovery);
   const CutManager& cuts = dp.cuts();
 

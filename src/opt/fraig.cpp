@@ -1,7 +1,7 @@
 #include "opt/fraig.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -9,7 +9,6 @@
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace emorphic {
 
@@ -183,9 +182,6 @@ std::vector<Lit> identity_replacement(const Aig& aig) {
 
 Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
   Rng rng(params.seed);
-  std::optional<ThreadPool> pool;
-  if (params.num_threads > 1) pool.emplace(params.num_threads);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
 
   const unsigned w = std::max(1u, params.sim_words);
   auto random_values = [&] {
@@ -193,7 +189,7 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
         static_cast<std::size_t>(aig.num_pis()) * w);
     for (std::uint64_t& word : pi_words) word = rng.next();
     stats.sim_words += w;
-    return simulate_words_multi(aig, pi_words, w, pool_ptr);
+    return simulate_words_multi(aig, pi_words, w);
   };
 
   Partition part = initial_partition(aig, random_values(), w);

@@ -45,9 +45,6 @@ struct FraigParams {
   /// classes are usually simulation artifacts on degenerate inputs and
   /// would cost a quadratic number of queries.
   std::size_t max_class_size = 64;
-  /// Worker threads for the random-simulation phases; 1 = serial. The SAT
-  /// sweep itself is sequential (one incremental solver).
-  unsigned num_threads = 1;
   /// Seed for simulation patterns and counterexample neighbors. With
   /// unbounded proofs (conflict_limit = 0) and no skipped classes the merge
   /// set is proof-derived and seed-independent; a finite conflict budget or

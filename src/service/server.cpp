@@ -81,6 +81,7 @@ void SynthServer::start() {
   for (unsigned w = 0; w < workers; ++w) {
     worker_threads_.emplace_back(&SynthServer::worker_loop, this);
   }
+  // lint:allow(thread-in-library) the service's accept loop
   listener_thread_ = std::thread(&SynthServer::listener_loop, this);
 }
 
@@ -176,6 +177,7 @@ void SynthServer::listener_loop() {
       }
     }
     sessions_.emplace_back(
+        // lint:allow(thread-in-library) one reader per client connection
         session, std::thread(&SynthServer::session_loop, this, session));
   }
 }

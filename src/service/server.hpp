@@ -184,10 +184,13 @@ class SynthServer {
   std::atomic<bool> stopping_{false};
 
   BoundedQueue<std::shared_ptr<Job>> queue_;
+  // lint:allow(thread-in-library) the service's accept loop
   std::thread listener_thread_;
+  // lint:allow(thread-in-library) ServerConfig::workers job workers
   std::vector<std::thread> worker_threads_;
 
   std::mutex sessions_mutex_;
+  // lint:allow(thread-in-library) one reader per client connection
   std::vector<std::pair<std::shared_ptr<Session>, std::thread>> sessions_;
 
   /// In-flight jobs per (session, id) — the cancel path and the

@@ -50,9 +50,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (on_worker_thread()) {
-    // Nested parallel_for (e.g. CutManager::enumerate_parallel under a
-    // pooled run_batch worker): the serial fallback keeps the result
-    // identical and cannot deadlock.
+    // Nested parallel_for (a task fanning out on the pool that runs it):
+    // the serial fallback keeps the result identical and cannot deadlock.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -1,7 +1,8 @@
 #pragma once
-// Fixed-size worker pool used for the multithreaded parallel SA extraction
-// (Sec. III-B.3): several annealing chains run concurrently, each producing a
-// candidate solution, and the best QoR wins.
+// Fixed-size worker pool: the batch driver runs one circuit per task
+// (run_batch, and the windows of a partitioned run through it), and the
+// saturation runner one rule's search per task (RunnerParams::match_threads).
+// docs/architecture.md ("Parallelism") lists every thread knob.
 
 #include <condition_variable>
 #include <cstddef>

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
-#include "util/thread_pool.hpp"
 
 namespace emorphic {
 namespace {
@@ -92,19 +91,6 @@ TEST(Sim, MultiWordMatchesPerWordSimulation) {
       ASSERT_EQ(multi[static_cast<std::size_t>(v) * w + k], single[v]);
     }
   }
-}
-
-TEST(Sim, MultiWordParallelEqualsSerial) {
-  Rng rng(8);
-  Aig aig = testing::random_aig(10, 4, 120, rng);
-  const unsigned w = 13;
-  std::vector<std::uint64_t> pi_words(
-      static_cast<std::size_t>(aig.num_pis()) * w);
-  for (auto& word : pi_words) word = rng.next();
-  auto serial = simulate_words_multi(aig, pi_words, w);
-  ThreadPool pool(4);
-  auto parallel = simulate_words_multi(aig, pi_words, w, &pool);
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(Sim, ExpandPatternReplaysExactAssignmentInBitZero) {

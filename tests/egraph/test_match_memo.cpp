@@ -145,6 +145,8 @@ TEST(MatchMemo, ThreadedSearchEqualsSerial) {
       std::vector<RuleMatches> threaded =
           search_rules(eg, rules, params, &pool, &threaded_steps);
       EXPECT_EQ(threaded, serial) << "seed " << seed << " cap " << cap;
+      EXPECT_EQ(threaded_steps, serial_steps)
+          << "seed " << seed << " cap " << cap;
       for (std::size_t r = 0; r < rules.size(); ++r) {
         EXPECT_GT(serial_steps[r], 0u) << rules[r].name;
       }

@@ -24,7 +24,6 @@
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
 #include "flow/choice_export.hpp"
-#include "util/thread_pool.hpp"
 
 namespace emorphic {
 namespace {
@@ -170,20 +169,6 @@ TEST(LutMapper, ZeroNumCutsThrowsOnBothOverloads) {
   params.num_cuts = 0;
   EXPECT_THROW(map_to_luts(aig, params), std::invalid_argument);
   EXPECT_THROW(map_to_luts(caig, params), std::invalid_argument);
-}
-
-TEST(LutMapper, ParallelEnumerationNeverChangesTheNetwork) {
-  Rng rng(44);
-  Aig aig = testing::random_aig(8, 4, 160, rng);
-  MappedNetlist serial = map_to_luts(aig);
-  LutMapperParams params;
-  params.num_threads = 4;
-  MappedNetlist parallel = map_to_luts(aig, params);
-  expect_same_network(serial, parallel);
-
-  ThreadPool pool(4);
-  MappedNetlist pooled = map_to_luts(aig, LutMapperParams{}, nullptr, &pool);
-  expect_same_network(serial, pooled);
 }
 
 TEST(LutMapper, WorkspaceReuseAcrossCalls) {

@@ -110,18 +110,6 @@ TEST(Fraig, GuidedSweepProvesWideDoubledAdder) {
   EXPECT_EQ(cec(aig, swept).status, CecStatus::kEquivalent);
 }
 
-TEST(Fraig, ParallelSimulationDoesNotChangeTheResult) {
-  Aig aig = doubled(make_adder(8));
-  FraigParams serial;
-  FraigParams threaded = serial;
-  threaded.num_threads = 4;
-  FraigStats s1, s2;
-  Aig r1 = fraig(aig, serial, &s1);
-  Aig r2 = fraig(aig, threaded, &s2);
-  EXPECT_EQ(r1.num_ands(), r2.num_ands());
-  EXPECT_EQ(s1.proved, s2.proved);
-}
-
 TEST(Fraig, ConflictLimitLeavesPairsUndecidedButSound) {
   Aig aig = doubled(make_multiplier(4));
   FraigParams params;
