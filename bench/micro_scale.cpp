@@ -58,6 +58,16 @@ FlowParams scale_params() {
   return p;
 }
 
+/// The windowed flow over `aig` under a fresh context (seed 0, so the
+/// windows derive their seeds from sa.seed).
+PartitionResult partition(const Aig& aig, const FlowParams& params,
+                          const PartitionParams& run = {}) {
+  FlowContext ctx;
+  ctx.current = aig;
+  ctx.params = params;
+  return partition_optimize(ctx, run);
+}
+
 bool sim_equal(const Aig& a, const Aig& b) {
   Rng rng(42);
   return sim_probably_equal(a, b, rng, 32);
@@ -102,7 +112,7 @@ bool run_scaling(const char* json_path) {
                              kBigTarget}) {
     Aig aig = tile_to_ands(tile_base(), target);
     Timer timer;
-    PartitionResult r = partition_optimize(aig, scale_params());
+    PartitionResult r = partition(aig, scale_params());
     double seconds = timer.seconds();
 
     bool completed = r.stats.completed;
@@ -207,7 +217,7 @@ bool run_scaling(const char* json_path) {
     Aig aig = tile_to_ands(tile_base(), 100000);
     FlowParams params = scale_params();
 
-    PartitionResult straight = partition_optimize(aig, params);
+    PartitionResult straight = partition(aig, params);
     std::string want = write_aiger_binary(straight.optimized);
 
     const char* ckpt = "BENCH_scale.ckpt";
@@ -215,10 +225,10 @@ bool run_scaling(const char* json_path) {
     params.checkpoint_path = ckpt;
     PartitionParams killed;
     killed.stop_after_chunks = 1;
-    (void)partition_optimize(aig, params, killed);
+    (void)partition(aig, params, killed);
 
     Timer timer;
-    PartitionResult resumed = partition_optimize(aig, params);
+    PartitionResult resumed = partition(aig, params);
     double seconds = timer.seconds();
     std::remove(ckpt);
 

@@ -3,7 +3,8 @@
 
 The repo's results must be bit-reproducible across runs, machines, and
 thread counts; this lint catches the three C++ patterns that historically
-break that promise, plus a layering rule and a dead-code rule:
+break that promise, plus a layering rule, two dead-code rules and a
+thread-site rule:
 
   unordered-iteration   Range-for over a std::unordered_map/set declared in
                         the same file. Hash-table iteration order is
@@ -43,6 +44,15 @@ break that promise, plus a layering rule and a dead-code rule:
                         the knob it serves; pointers and references to a
                         caller's pool are free.
 
+  unreferenced-declaration
+                        A namespace-scope function declared in src/**/*.hpp
+                        that no file under src/, bench/, examples/,
+                        perfbench/src/ or tests/ names outside its own
+                        .hpp/.cpp pair (a use elsewhere in its own header
+                        counts). Dead, or used only by its own .cpp, where
+                        it belongs in an anonymous namespace. Waive the
+                        declaration's line with the reason it is public.
+
 Waiver syntax (same line or the line directly above):
 
     // lint:allow(<rule>) <reason>
@@ -61,10 +71,15 @@ import re
 import sys
 
 RULES = ("unordered-iteration", "nondeterministic-seed", "stdout-in-library",
-         "include-layering", "orphan-header", "thread-in-library")
+         "include-layering", "orphan-header", "thread-in-library",
+         "unreferenced-declaration")
 
 # Where an include keeps a src/ header alive (tests deliberately excluded).
 INCLUDER_DIRS = ("src", "bench", "examples", "perfbench/src")
+# Where a use keeps a declared function alive (tests count: a test seam
+# declared in a header is public on purpose).
+REFERENCE_DIRS = INCLUDER_DIRS + ("tests",)
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
 
 WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)\s*(.*)$")
 
@@ -168,6 +183,123 @@ class File:
         self.findings.append((idx, rule, message))
 
 
+def strip_comments(lines: list[str]) -> list[str]:
+    """Code lines with string literals blanked and // and /* */ comments
+    removed (line structure kept, so indices still match the file)."""
+    out = []
+    in_block = False
+    for line in lines:
+        line = strip_strings(line)
+        kept = []
+        i = 0
+        while i < len(line):
+            if in_block:
+                end = line.find("*/", i)
+                if end < 0:
+                    i = len(line)
+                else:
+                    in_block = False
+                    i = end + 2
+            elif line.startswith("/*", i):
+                in_block = True
+                i += 2
+            elif line.startswith("//", i):
+                break
+            else:
+                kept.append(line[i])
+                i += 1
+        out.append("".join(kept))
+    return out
+
+
+NOT_A_FUNCTION_RE = re.compile(
+    r"^(?:using|typedef|struct|class|enum|union|namespace|friend|"
+    r"static_assert|extern\s+\"|template\s*<\s*>)\b")
+NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
+
+
+def drop_template_heads(text: str) -> str:
+    """Remove `template <...>` heads (nested angle brackets included)."""
+    while True:
+        m = re.search(r"\btemplate\s*<", text)
+        if not m:
+            return text
+        depth, i = 1, m.end()
+        while i < len(text) and depth:
+            depth += {"<": 1, ">": -1}.get(text[i], 0)
+            i += 1
+        text = text[:m.start()] + " " + text[i:]
+
+
+def declared_function(statement: str) -> str | None:
+    """The name a namespace-scope statement declares as a function, if any."""
+    text = re.sub(r"\[\[[^\]]*\]\]", " ", drop_template_heads(statement))
+    text = " ".join(text.split())
+    if not text or NOT_A_FUNCTION_RE.match(text):
+        return None
+    depth = 0
+    for i, c in enumerate(text):
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+        elif c == "=" and depth == 0:
+            return None  # a variable with an initializer
+        elif c == "(" and depth == 0:
+            m = NAME_BEFORE_PAREN_RE.search(text[:i])
+            # A return type must precede the name; operators are used
+            # implicitly, so they never count as unreferenced.
+            if not m or not text[:m.start()].strip() or \
+                    text[:m.start()].rstrip().endswith("::") or \
+                    m.group(1) == "operator" or "operator" in text[:i]:
+                return None
+            return m.group(1)
+    return None
+
+
+def namespace_functions(code: list[str]) -> list[tuple[int, str]]:
+    """(line index, name) of every function declared or defined at namespace
+    scope in a header's comment-free code lines."""
+    found = []
+    scopes: list[bool] = []  # True for a namespace (or extern "C") brace
+    statement, start = "", None
+    in_directive = False
+    for idx, line in enumerate(code):
+        stripped = line.strip()
+        if in_directive or stripped.startswith("#"):
+            in_directive = stripped.endswith("\\")
+            continue
+        for c in line:
+            at_namespace_scope = all(scopes)
+            if c == "{":
+                is_namespace = at_namespace_scope and bool(re.match(
+                    r"^\s*(?:inline\s+)?(?:namespace\b[\w:\s]*|"
+                    r"extern\s+\"C\"\s*)$", statement))
+                if at_namespace_scope and not is_namespace:
+                    name = declared_function(statement)
+                    if name is not None:
+                        found.append((start, name))
+                scopes.append(is_namespace)
+                statement, start = "", None
+            elif c == "}":
+                if scopes:
+                    scopes.pop()
+                statement, start = "", None
+            elif c == ";":
+                if at_namespace_scope:
+                    name = declared_function(statement)
+                    if name is not None:
+                        found.append((start, name))
+                statement, start = "", None
+            elif at_namespace_scope:
+                if start is None and not c.isspace():
+                    start = idx
+                statement += c
+        if all(scopes):
+            statement += " "
+    return found
+
+
 def unordered_names(lines: list[str]) -> set[str]:
     names = set()
     for line in lines:
@@ -221,7 +353,7 @@ def main() -> int:
         return 2
 
     files = [File(path, root) for path in sorted(src.rglob("*"))
-             if path.suffix in (".cpp", ".hpp", ".h", ".cc")]
+             if path.suffix in SOURCE_SUFFIXES]
     names_by_rel = {f.rel: {n for n in unordered_names(f.lines)
                             if len(n) >= 3}
                     for f in files}
@@ -230,7 +362,7 @@ def main() -> int:
     included: set[str] = set()
     for d in INCLUDER_DIRS:
         for path in sorted((root / d).rglob("*")):
-            if path.suffix not in (".cpp", ".hpp", ".h", ".cc"):
+            if path.suffix not in SOURCE_SUFFIXES:
                 continue
             for line in path.read_text(encoding="utf-8").splitlines():
                 m = re.match(r'\s*#include\s+"([^"]+)"', line)
@@ -243,6 +375,38 @@ def main() -> int:
     # interesting cases, while a global pool flags ordered locals that
     # happen to share a name with some unrelated file's hash map.
     include_re = re.compile(r'#include\s+"([^"]+)"')
+
+    # Word counts of every file that can keep a declared function alive,
+    # comments excluded.
+    word_re = re.compile(r"[A-Za-z_]\w*")
+    words_by_rel: dict[str, dict[str, int]] = {}
+    for d in REFERENCE_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES:
+                continue
+            counts: dict[str, int] = {}
+            text = path.read_text(encoding="utf-8").splitlines()
+            for line in strip_comments(text):
+                for word in word_re.findall(line):
+                    counts[word] = counts.get(word, 0) + 1
+            words_by_rel[path.relative_to(root).as_posix()] = counts
+
+    def unreferenced(f: File) -> list[tuple[int, str]]:
+        code = strip_comments(f.lines)
+        declared = namespace_functions(code)
+        pair = {f.rel, f.rel[:-len(".hpp")] + ".cpp"}
+        out = []
+        for idx, name in declared:
+            own = words_by_rel.get(f.rel, {}).get(name, 0)
+            declarations = sum(1 for _, n in declared if n == name)
+            if own > declarations:
+                continue  # used elsewhere in its own header
+            if any(counts.get(name, 0)
+                   for rel, counts in words_by_rel.items()
+                   if rel not in pair):
+                continue
+            out.append((idx, name))
+        return out
 
     total = 0
     for f in files:
@@ -259,6 +423,11 @@ def main() -> int:
             f.report(idx, "orphan-header",
                      f"no file under {', '.join(INCLUDER_DIRS)} includes "
                      f"\"{header}\"")
+        if f.rel.endswith(".hpp"):
+            for idx, name in unreferenced(f):
+                f.report(idx, "unreferenced-declaration",
+                         f"'{name}' is named by no file outside its own "
+                         ".hpp/.cpp pair: delete it, or make it file-local")
         for idx in sorted(f.waivers[k][2] for k in f.waivers):
             if idx not in f.used_waivers and idx in f.waivers \
                     and f.waivers[idx][2] == idx:

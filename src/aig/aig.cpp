@@ -130,13 +130,6 @@ std::vector<std::uint8_t> Aig::po_reachable() const {
   return mark;
 }
 
-std::vector<Var> Aig::topo_order() const {
-  std::vector<Var> order;
-  order.reserve(nodes_.size() - 1);
-  for (Var v = 1; v < nodes_.size(); ++v) order.push_back(v);
-  return order;
-}
-
 Aig Aig::cleanup() const {
   Aig out = Aig::like(*this);
   // old variable -> new literal (identity on complementation handled below)

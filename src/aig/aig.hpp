@@ -59,12 +59,9 @@ class Aig {
 
   // Derived connectives, all lowered onto AND/NOT.
   Lit make_or(Lit a, Lit b) { return lit_not(make_and(lit_not(a), lit_not(b))); }
-  Lit make_nand(Lit a, Lit b) { return lit_not(make_and(a, b)); }
-  Lit make_nor(Lit a, Lit b) { return make_and(lit_not(a), lit_not(b)); }
   Lit make_xor(Lit a, Lit b) {
     return make_or(make_and(a, lit_not(b)), make_and(lit_not(a), b));
   }
-  Lit make_xnor(Lit a, Lit b) { return lit_not(make_xor(a, b)); }
   /// if s then t else e
   Lit make_mux(Lit s, Lit t, Lit e) {
     return make_or(make_and(s, t), make_and(lit_not(s), e));
@@ -126,10 +123,6 @@ class Aig {
   /// i.e. v is live logic. Shared by the mapper's area-flow reference
   /// estimate and the choice export's compaction.
   std::vector<std::uint8_t> po_reachable() const;
-
-  /// Variables in topological order (which is just index order).
-  /// Provided for readability at call sites.
-  std::vector<Var> topo_order() const;
 
   /// Dead-node elimination: rebuild keeping only the cone of the POs.
   /// Also re-strashes, so it doubles as ABC's `st`(rash) on an AIG.

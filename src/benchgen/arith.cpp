@@ -55,6 +55,9 @@ Word ripple_sub(Aig& aig, const Word& a, const Word& b, Lit* no_borrow) {
   return diff;
 }
 
+namespace {
+
+/// Array multiplication, full 2n-bit product.
 Word array_multiply(Aig& aig, const Word& a, const Word& b) {
   const unsigned n = static_cast<unsigned>(a.size());
   const unsigned m = static_cast<unsigned>(b.size());
@@ -70,6 +73,7 @@ Word array_multiply(Aig& aig, const Word& a, const Word& b) {
   return acc;
 }
 
+/// 2:1 word multiplexer: sel ? t : e.
 Word word_mux(Aig& aig, Lit sel, const Word& t, const Word& e) {
   assert(t.size() == e.size());
   Word out(t.size());
@@ -79,22 +83,25 @@ Word word_mux(Aig& aig, Lit sel, const Word& t, const Word& e) {
   return out;
 }
 
-Word shift_left(Aig& aig, const Word& a, unsigned amount) {
-  (void)aig;
+/// Logical left shift by a constant.
+Word shift_left(const Word& a, unsigned amount) {
   Word out(a.size(), kLitFalse);
   for (std::size_t i = amount; i < a.size(); ++i) out[i] = a[i - amount];
   return out;
 }
 
+/// Variable left shift (barrel), shift amount is a word.
 Word barrel_shift_left(Aig& aig, const Word& a, const Word& amount) {
   Word cur = a;
   for (unsigned k = 0; k < amount.size(); ++k) {
     unsigned step = 1u << k;
     if (step >= cur.size()) break;
-    cur = word_mux(aig, amount[k], shift_left(aig, cur, step), cur);
+    cur = word_mux(aig, amount[k], shift_left(cur, step), cur);
   }
   return cur;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Benchmarks
@@ -142,7 +149,7 @@ Aig make_divisor(unsigned bits) {
   Word quotient(bits, kLitFalse);
   for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
     // r = (r << 1) | a_i
-    Word shifted = shift_left(aig, r, 1);
+    Word shifted = shift_left(r, 1);
     shifted[0] = a[i];
     Lit ge = kLitFalse;
     Word diff = ripple_sub(aig, shifted, bx, &ge);
@@ -170,7 +177,7 @@ Aig make_sqrt(unsigned bits) {
 
   for (int i = static_cast<int>(half) - 1; i >= 0; --i) {
     // trial = (root << (i+1)) + (1 << 2i)
-    Word trial = shift_left(aig, root, static_cast<unsigned>(i) + 1);
+    Word trial = shift_left(root, static_cast<unsigned>(i) + 1);
     trial[2 * i] = kLitTrue;  // bit 2i of (root << (i+1)) is provably 0 here
     Lit ge = kLitFalse;
     Word diff = ripple_sub(aig, rem, trial, &ge);
@@ -282,7 +289,7 @@ Aig make_hyp(unsigned bits) {
   for (unsigned i = 0; i < sbits; ++i) rem[i] = sum[i];
   Word root(w, kLitFalse);
   for (int i = static_cast<int>(half) - 1; i >= 0; --i) {
-    Word trial = shift_left(aig, root, static_cast<unsigned>(i) + 1);
+    Word trial = shift_left(root, static_cast<unsigned>(i) + 1);
     trial[2 * i] = kLitTrue;  // bit 2i of (root << (i+1)) is provably 0 here
     Lit ge = kLitFalse;
     Word diff = ripple_sub(aig, rem, trial, &ge);

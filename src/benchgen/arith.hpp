@@ -28,14 +28,6 @@ Word ripple_add(Aig& aig, const Word& a, const Word& b, Lit carry_in,
                 Lit* carry_out);
 /// a - b (two's complement); *no_borrow is 1 when a >= b.
 Word ripple_sub(Aig& aig, const Word& a, const Word& b, Lit* no_borrow);
-/// Array multiplication, full 2n-bit product.
-Word array_multiply(Aig& aig, const Word& a, const Word& b);
-/// 2:1 word multiplexer: sel ? t : e.
-Word word_mux(Aig& aig, Lit sel, const Word& t, const Word& e);
-/// Logical left shift by a constant.
-Word shift_left(Aig& aig, const Word& a, unsigned amount);
-/// Variable left shift (barrel), shift amount is a word.
-Word barrel_shift_left(Aig& aig, const Word& a, const Word& amount);
 
 // --- benchmark circuits -----------------------------------------------------
 Aig make_adder(unsigned bits);        // EPFL "adder"

@@ -8,6 +8,11 @@
 
 namespace emorphic {
 
+namespace {
+
+/// Combine two circuits with the same number of PIs into one AIG sharing
+/// the PI nodes (names from `a`), with `a`'s POs (suffix "_x") followed by
+/// `b`'s (suffix "_y").
 Aig union_shared_pis(const Aig& a, const Aig& b) {
   if (a.num_pis() != b.num_pis()) {
     throw std::invalid_argument("union_shared_pis: PI count mismatch");
@@ -38,6 +43,8 @@ Aig union_shared_pis(const Aig& a, const Aig& b) {
   append_copy(b, "_y");
   return out;
 }
+
+}  // namespace
 
 Aig doubled(const Aig& base) {
   return union_shared_pis(base, sop_balance(strash(base)));

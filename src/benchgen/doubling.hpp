@@ -8,13 +8,10 @@
 
 namespace emorphic {
 
-/// Combine two circuits with the same number of PIs into one AIG sharing
-/// the PI nodes (names from `a`), with `a`'s POs (suffix "_x") followed by
-/// `b`'s (suffix "_y").
-Aig union_shared_pis(const Aig& a, const Aig& b);
-
-/// `base` unioned with its sop-balanced restructuring: functionally equal
-/// PO pairs, structurally distinct cones.
+/// `base` and its sop-balanced restructuring in one AIG sharing the PI
+/// nodes: `base`'s POs (suffix "_x") followed by the restructured copy's
+/// (suffix "_y"), functionally equal PO pairs with structurally distinct
+/// cones.
 Aig doubled(const Aig& base);
 
 }  // namespace emorphic

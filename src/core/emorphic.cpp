@@ -30,16 +30,13 @@ MlCostModel train_on_input(const Aig& input, const FlowParams& flow) {
 }  // namespace
 
 FlowResult optimize(const Aig& input, const EmorphicOptions& options) {
-  // Only the cost model and the SA thread budget depend on the mode; a null
-  // evaluator is the quality-prioritized MapQorEvaluator.
+  // Only the cost model depends on the mode; a null evaluator is the
+  // quality-prioritized MapQorEvaluator.
   FlowContext ctx;
   ctx.params = options.flow;
   ctx.input = input;
   std::optional<MlCostModel> trained;
   if (options.mode == CostModelMode::kRuntimePrioritized) {
-    if (options.runtime_sa_threads > 0) {
-      ctx.params.sa.num_threads = options.runtime_sa_threads;
-    }
     ctx.evaluator = options.ml_model != nullptr
                         ? options.ml_model
                         : &trained.emplace(train_on_input(input, ctx.params));

@@ -38,18 +38,16 @@ enum class CostModelMode {
 };
 
 struct EmorphicOptions {
+  /// The flow settings, in either mode. The SA chain count is
+  /// flow.sa.num_threads: the paper compensates the runtime-prioritized
+  /// mode's weaker cost signal with 6 chains instead of 4 (Sec. IV-A), so
+  /// set it to 6 to reproduce that.
   FlowParams flow;
   CostModelMode mode = CostModelMode::kQualityPrioritized;
   /// Pre-trained model for runtime-prioritized mode. When null, a model is
   /// trained on the fly from structural variants of the input circuit
   /// (a miniature of the paper's OpenABC-D fine-tuning).
   const MlCostModel* ml_model = nullptr;
-  /// SA thread count for runtime-prioritized mode; 0 honors
-  /// flow.sa.num_threads. The paper compensates the weaker cost signal with
-  /// 6 threads instead of 4 (Sec. IV-A) — set 6 here to reproduce that.
-  /// (Earlier versions bumped to 6 silently; batch callers have the same
-  /// knob as BatchParams::sa_threads.)
-  unsigned runtime_sa_threads = 0;
 };
 
 /// Run the full E-morphic flow, Pipeline::emorphic(options.flow), on

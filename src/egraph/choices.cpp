@@ -34,16 +34,4 @@ std::vector<std::uint32_t> choice_candidates(const EGraph& egraph,
   return candidates;
 }
 
-std::size_t choice_potential(const EGraph& egraph) {
-  std::size_t total = 0;
-  for (EClassId c : egraph.class_ids()) {
-    std::size_t binary = 0;
-    for (const ENode& n : egraph.eclass(c).nodes) {
-      if (n.arity() == 2) ++binary;
-    }
-    if (binary > 1) total += binary - 1;
-  }
-  return total;
-}
-
 }  // namespace emorphic

@@ -34,9 +34,4 @@ std::vector<std::uint32_t> choice_candidates(const EGraph& egraph,
                                              std::uint32_t chosen_index,
                                              std::uint32_t cap);
 
-/// Total number of binary-operator e-nodes beyond the first per class —
-/// an upper bound on how many alternatives an export over `egraph` could
-/// ever materialize (diagnostics / bench reporting).
-std::size_t choice_potential(const EGraph& egraph);
-
 }  // namespace emorphic

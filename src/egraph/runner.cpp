@@ -27,11 +27,6 @@ const char* stop_reason_name(StopReason reason) {
   return "?";
 }
 
-RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
-                           const RunnerParams& params) {
-  return run_rewriting(egraph, rules, params, RunnerHooks{});
-}
-
 namespace {
 
 /// Head-operator index: for each operator, the canonical classes containing
@@ -151,6 +146,9 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     }
 
     // Phase 2: apply. Instantiating the RHS only ever adds information.
+    // The node budget also caps the ids ever created, so the phase can stop
+    // early without the live e-node count reaching it.
+    bool apply_capped = false;
     for (std::size_t r = 0; r < rules.size(); ++r) {
       for (auto& [cls, subst] : all_matches[r]) {
         EClassId rhs = instantiate(egraph, rules[r].rhs, subst);
@@ -161,7 +159,8 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
         }
         if (egraph.num_classes_created() > params.max_enodes) break;
       }
-      if (egraph.num_classes_created() > params.max_enodes) break;
+      apply_capped = egraph.num_classes_created() > params.max_enodes;
+      if (apply_capped) break;
     }
 
     // Phase 3: rebuild (one deferred congruence restoration per iteration).
@@ -186,7 +185,11 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     }
     if (stats.enodes_after == enodes_before &&
         stats.classes_after == classes_before) {
-      report.stop_reason = StopReason::kSaturated;
+      // Unchanged because the budget cut the apply phase short is not
+      // saturation.
+      report.stop_reason = apply_capped && stats.matches > 0
+                               ? StopReason::kNodeLimit
+                               : StopReason::kSaturated;
       break;
     }
     report.stop_reason = StopReason::kIterLimit;

@@ -116,13 +116,10 @@ std::vector<RuleMatches> search_rules(const EGraph& egraph,
                                       ThreadPool* pool = nullptr,
                                       std::vector<std::size_t>* steps = nullptr);
 
-/// Run equality saturation over `egraph` with the given rules and limits.
-RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
-                           const RunnerParams& params);
-
-/// Overload with progress hooks.
+/// Run equality saturation over `egraph` with the given rules and limits,
+/// reporting progress through `hooks`.
 RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
                            const RunnerParams& params,
-                           const RunnerHooks& hooks);
+                           const RunnerHooks& hooks = {});
 
 }  // namespace emorphic

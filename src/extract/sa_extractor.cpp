@@ -175,13 +175,6 @@ ChainResult run_chain(unsigned thread_index, const ExtractView& view,
 SaResult sa_extract(const EGraph& egraph,
                     const std::vector<SerializedRoot>& roots,
                     const std::vector<std::string>& pi_names,
-                    const QorEvaluator& evaluator, const SaParams& params) {
-  return sa_extract(egraph, roots, pi_names, evaluator, params, SaHooks{});
-}
-
-SaResult sa_extract(const EGraph& egraph,
-                    const std::vector<SerializedRoot>& roots,
-                    const std::vector<std::string>& pi_names,
                     const QorEvaluator& evaluator, const SaParams& params,
                     const SaHooks& hooks) {
   Timer timer;

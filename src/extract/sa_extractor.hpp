@@ -133,17 +133,12 @@ struct SaHooks {
   QorMemo* qor_memo = nullptr;
 };
 
-/// Run parallel simulated-annealing extraction over a (rewritten) e-graph.
-SaResult sa_extract(const EGraph& egraph,
-                    const std::vector<SerializedRoot>& roots,
-                    const std::vector<std::string>& pi_names,
-                    const QorEvaluator& evaluator, const SaParams& params);
-
-/// Overload with progress hooks.
+/// Run parallel simulated-annealing extraction over a (rewritten) e-graph,
+/// polling and reporting through `hooks`.
 SaResult sa_extract(const EGraph& egraph,
                     const std::vector<SerializedRoot>& roots,
                     const std::vector<std::string>& pi_names,
                     const QorEvaluator& evaluator, const SaParams& params,
-                    const SaHooks& hooks);
+                    const SaHooks& hooks = {});
 
 }  // namespace emorphic

@@ -19,20 +19,14 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
     return result;
   }
 
-  FlowParams shared = params;
-  if (batch.sa_threads > 0) shared.sa.num_threads = batch.sa_threads;
-  if (batch.match_threads > 0) {
-    shared.rewrite.match_threads = batch.match_threads;
-  }
-
   // One thread-safe matcher serves every worker: the library is canonized
   // once per batch and the match cache warms across circuits. With a
   // WarmCache it is canonized once per *process* instead, and the QoR memo
   // carries over between batches too.
   std::shared_ptr<const Matcher> matcher =
       batch.warm_cache != nullptr
-          ? batch.warm_cache->matcher_for(*shared.library)
-          : std::make_shared<const Matcher>(*shared.library);
+          ? batch.warm_cache->matcher_for(*params.library)
+          : std::make_shared<const Matcher>(*params.library);
 
   unsigned workers = batch.num_threads;
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
@@ -43,14 +37,13 @@ BatchResult run_batch(std::span<const Aig> inputs, const Pipeline& pipeline,
   ThreadPool pool(workers);
   pool.parallel_for(inputs.size(), [&](std::size_t i) {
     FlowContext ctx;
-    ctx.params = shared;
+    ctx.params = params;
     ctx.matcher = matcher;
     if (batch.warm_cache != nullptr) batch.warm_cache->prepare(ctx);
     ctx.input = inputs[i];
     ctx.seed = derive_seed(batch.base_seed, i);
     ctx.observer = observer;
     ctx.cancel = batch.cancel;
-    ctx.time_budget_s = batch.time_budget_s;
     ctx.batch_index = i;
     result.results[i] = pipeline.run(ctx);
   });

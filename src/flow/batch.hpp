@@ -17,25 +17,15 @@ namespace emorphic {
 
 struct BatchParams {
   /// Worker threads fanning circuits out; 0 = hardware concurrency. Inner
-  /// SA threads multiply with this, so batches of many circuits usually
-  /// pair num_threads = cores with sa_threads = 1.
+  /// SA and match threads (FlowParams::sa.num_threads,
+  /// FlowParams::rewrite.match_threads) multiply with this, so batches of
+  /// many circuits usually pair num_threads = cores with both at 1.
   unsigned num_threads = 0;
   /// Per-circuit seeds are derived deterministically from this
   /// (derive_seed(base_seed, circuit index), util/rng.hpp), so the same
   /// batch always produces the same FlowQor per circuit, whatever the
   /// worker count.
   std::uint64_t base_seed = 1;
-  /// Override of FlowParams.sa.num_threads per circuit; 0 keeps the
-  /// pipeline's setting. This is the explicit home of the thread bump the
-  /// optimize() facade used to apply silently in runtime-prioritized mode.
-  unsigned sa_threads = 0;
-  /// Override of FlowParams.rewrite.match_threads per circuit; 0 keeps the
-  /// pipeline's setting. Like SA threads, inner match threads multiply with
-  /// num_threads, so large batches usually keep this at 1.
-  unsigned match_threads = 0;
-  /// Wall-clock budget per circuit; 0 = unlimited. Over-budget circuits
-  /// stop between stages and report FlowResult::cancelled.
-  double time_budget_s = 0.0;
   /// Shared cancellation flag for the whole batch (polled per stage/move).
   std::atomic<bool>* cancel = nullptr;
   /// Optional long-lived cache substrate (flow/warm_cache.hpp). When set,

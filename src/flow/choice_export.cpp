@@ -160,9 +160,7 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
   // then two assumption-only queries per member — exactly fraig's proving
   // pattern, on a warm incremental solver.
   std::vector<PendingAlt> accepted;
-  if (!params.verify) {
-    accepted = std::move(pending_alts);
-  } else if (!pending_alts.empty()) {
+  if (!pending_alts.empty()) {
     sat::Solver solver;
     std::vector<sat::SatVar> sat_map = sat::encode_aig(solver, aig);
     for (const PendingAlt& alt : pending_alts) {

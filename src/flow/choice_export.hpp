@@ -38,13 +38,10 @@ struct ChoiceExportParams {
   /// Larger rings expose more variants to the mapper at the price of more
   /// cut merging and more verification queries.
   std::uint32_t ring_cap = 4;
-  /// SAT-verify every ring member against its representative before it may
-  /// join the annotation. Keep this on unless the e-graph is trusted by
-  /// construction AND mapped results are verified downstream anyway.
-  bool verify = true;
-  /// Conflict budget per verification query; 0 = prove unboundedly. A
-  /// member whose proof exceeds the budget is rejected (soundness over
-  /// choice count).
+  /// Conflict budget per query of the SAT check every ring member passes
+  /// against its representative before it may join the annotation; 0 =
+  /// prove unboundedly. A member whose proof exceeds the budget is rejected
+  /// (soundness over choice count).
   std::uint64_t verify_conflict_limit = 100000;
 };
 

@@ -118,8 +118,11 @@ std::size_t load_checkpoint(const std::string& path, std::uint64_t fingerprint,
 
 }  // namespace
 
-PartitionResult partition_optimize(const Aig& input, const FlowParams& params,
+PartitionResult partition_optimize(const FlowContext& ctx,
                                    const PartitionParams& run) {
+  const Aig& input = ctx.current;
+  const FlowParams& params = ctx.params;
+  const std::uint64_t seed = ctx.seed != 0 ? ctx.seed : params.sa.seed;
   PartitionResult out;
   PartitionStats& st = out.stats;
   st.ands_before = input.num_ands();
@@ -138,7 +141,7 @@ PartitionResult partition_optimize(const Aig& input, const FlowParams& params,
   if (!params.checkpoint_path.empty()) {
     done_chunks = load_checkpoint(
         params.checkpoint_path,
-        checkpoint_fingerprint(input, params, run.seed, windows.size()),
+        checkpoint_fingerprint(input, params, seed, windows.size()),
         windows.size(), status, adopted);
     st.chunks_resumed = done_chunks;
   }
@@ -149,17 +152,16 @@ PartitionResult partition_optimize(const Aig& input, const FlowParams& params,
   window_pipeline.add(std::make_unique<EgraphConversionStage>());  // greedy
   if (params.fraig_post) window_pipeline.add(std::make_unique<FraigStage>());
   // The windows' Rewrite stages must not checkpoint: this flow owns the
-  // file and records window results, not saturations.
+  // file and records window results, not saturations. The windows are the
+  // parallelism; inner match threads would multiply with the batch workers.
   FlowParams window_params = params;
   window_params.checkpoint_path.clear();
+  window_params.rewrite.match_threads = 1;
 
-  auto cancelled = [&run] {
-    return run.cancel != nullptr && run.cancel->load(std::memory_order_relaxed);
-  };
   std::size_t fresh_chunks = 0;
   for (std::size_t c = done_chunks; c < num_chunks; ++c) {
     // An early stop leaves completed false; the checkpoint holds progress.
-    if (cancelled()) return out;
+    if (ctx.should_stop()) return out;
     if (run.stop_after_chunks != 0 && fresh_chunks >= run.stop_after_chunks) {
       return out;
     }
@@ -172,14 +174,12 @@ PartitionResult partition_optimize(const Aig& input, const FlowParams& params,
     }
     BatchParams batch;
     batch.num_threads = run.num_threads;
-    batch.base_seed = derive_seed(run.seed, c);
-    batch.sa_threads = 1;
-    // The windows are the parallelism; inner match threads would multiply
-    // with the batch workers.
-    batch.match_threads = 1;
-    batch.cancel = run.cancel;
+    batch.base_seed = derive_seed(seed, c);
+    batch.cancel = ctx.cancel;
     BatchResult br = run_batch(subs, window_pipeline, window_params, batch);
-    if (cancelled()) return out;  // partial results: discard the chunk
+    // A stop during the chunk discards it: a cancelled batch holds partial
+    // results, and an expired deadline should not wait for the gates below.
+    if (ctx.should_stop()) return out;
 
     SnapshotWriter record;
     record.varint(c);

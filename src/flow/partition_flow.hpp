@@ -8,27 +8,21 @@
 // appended to the "EMPC" checkpoint; a resumed run replays them and ends
 // with the same netlist as a straight run (docs/architecture.md).
 
-#include <atomic>
-#include <cstdint>
-
 #include "flow/pipeline.hpp"
 #include "opt/partition.hpp"
 
 namespace emorphic {
 
-/// The run settings FlowParams does not carry.
+/// Test seams of the windowed flow; production passes the defaults.
 struct PartitionParams {
-  /// Base seed; per-chunk batch seeds derive from it deterministically.
-  std::uint64_t seed = 1;
   /// Worker threads for the nested run_batch; 0 = hardware concurrency.
-  /// Never affects results (the batch driver's determinism contract).
+  /// Never affects results (the batch driver's determinism contract), which
+  /// is what tests/flow/test_partition_flow.cpp pins by varying it.
   unsigned num_threads = 0;
-  /// Test seam: stop (with stats.completed == false) after freshly
-  /// processing this many chunks; 0 = run to completion. Used to exercise
-  /// the resume path deterministically.
+  /// Stop (with stats.completed == false) after freshly processing this
+  /// many chunks; 0 = run to completion. Used to exercise the resume path
+  /// deterministically.
   unsigned stop_after_chunks = 0;
-  /// External cancellation, polled between chunks.
-  std::atomic<bool>* cancel = nullptr;
 };
 
 struct PartitionResult {
@@ -36,14 +30,18 @@ struct PartitionResult {
   PartitionStats stats;
 };
 
-/// The windowed flow of the file header. Reads `params.window_size`,
-/// `rewrite` (match_threads forced to 1: the windows are the parallelism),
-/// `fraig_post`/`fraig` (a per-window SAT sweep), `cec_params` (the window
-/// gate, time_limit_s forced to 0 so adoption is deterministic; undecided
-/// rejects) and `checkpoint_path` (empty: no checkpoint). Throws
+/// The windowed flow of the file header over `ctx.current`, configured by
+/// `ctx.params`: `window_size`, `rewrite` (match_threads forced to 1: the
+/// windows are the parallelism), `fraig_post`/`fraig` (a per-window SAT
+/// sweep), `cec_params` (the window gate, time_limit_s forced to 0 so
+/// adoption is deterministic; undecided rejects) and `checkpoint_path`
+/// (empty: no checkpoint). Per-chunk seeds derive from `ctx.seed`, or
+/// `params.sa.seed` when that is 0. `ctx.should_stop()` (cancel flag or
+/// time budget) is polled before and after every chunk; a stop leaves
+/// stats.completed false and discards the unfinished chunk. Throws
 /// SnapshotError for a mismatched checkpoint, std::invalid_argument for
 /// window_size == 0.
-PartitionResult partition_optimize(const Aig& input, const FlowParams& params,
+PartitionResult partition_optimize(const FlowContext& ctx,
                                    const PartitionParams& run = {});
 
 }  // namespace emorphic

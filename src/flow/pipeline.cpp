@@ -21,6 +21,9 @@ double flow_cost(const FlowParams& params, double delay, double area) {
   return delay + params.area_weight * area;
 }
 
+/// Whether SaExtract ran this run: its winner always has class slots.
+bool sa_ran(const FlowContext& ctx) { return ctx.sa.best.size() > 0; }
+
 /// One "(st; if -g)(st; dch; ...)" tech-independent round. Alternating the
 /// pass order across rounds explores different structures, mirroring how
 /// ABC's choice-based rounds see multiple networks.
@@ -90,7 +93,6 @@ void ResynRoundsStage::run(FlowContext& ctx) const {
 
   ctx.current = std::move(best);
   ctx.netlist = std::move(best_netlist);
-  ctx.netlist_is_current = true;
 }
 
 // --- EgraphConversion -------------------------------------------------------
@@ -101,13 +103,12 @@ void EgraphConversionStage::run(FlowContext& ctx) const {
     ctx.initial_enodes = ctx.egraph->egraph.num_enodes();
     return;
   }
-  if (ctx.sa_valid) {
+  if (sa_ran(ctx)) {
     ctx.current = egraph_to_aig(*ctx.egraph, ctx.sa.best);
   } else {
     ctx.current = egraph_to_aig_greedy(*ctx.egraph, CostKind::kDepth);
   }
   ctx.netlist.reset();
-  ctx.netlist_is_current = false;
 }
 
 // --- Rewrite ----------------------------------------------------------------
@@ -257,7 +258,6 @@ void SaExtractStage::run(FlowContext& ctx) const {
   }
   ctx.sa = sa_extract(ctx.egraph->egraph, ctx.egraph->roots,
                       ctx.egraph->pi_names, *evaluator, sa_params, hooks);
-  ctx.sa_valid = true;
 }
 
 // --- TechMap ----------------------------------------------------------------
@@ -282,12 +282,11 @@ void TechMapStage::run(FlowContext& ctx) const {
     }
     ctx.current = std::move(final_aig);
     ctx.netlist = std::move(mapped);
-    ctx.netlist_is_current = true;
-  } else if (!ctx.netlist.has_value() || !ctx.netlist_is_current) {
+  } else if (!ctx.netlist.has_value() || ctx.netlist->is_lut()) {
+    // A cell netlist is a cover of ctx.current (the FlowContext contract).
     ctx.current = strash(ctx.current);
     ctx.netlist = map_to_cells(ctx.current, matcher, params.mapping,
                                &ctx.mapper_workspace);
-    ctx.netlist_is_current = true;
   }
   ctx.qor.area = ctx.netlist->area();
   ctx.qor.delay = ctx.netlist->delay();
@@ -312,7 +311,6 @@ void FraigStage::run(FlowContext& ctx) const {
   if (ctx.seed != 0) params.seed ^= ctx.seed;
   ctx.current = fraig(ctx.current, params, &ctx.fraig_stats);
   ctx.netlist.reset();
-  ctx.netlist_is_current = false;
 }
 
 // --- choicemap --------------------------------------------------------------
@@ -328,7 +326,7 @@ namespace {
 /// cover, never hurt it.
 ChoiceAig export_choices(FlowContext& ctx) {
   Extraction solution =
-      ctx.sa_valid
+      sa_ran(ctx)
           ? ctx.sa.best
           : greedy_extract(ctx.egraph->egraph, CostModel{CostKind::kDepth});
   ChoiceAig choice_aig = egraph_to_choice_aig(
@@ -349,7 +347,6 @@ void ChoiceMapStage::run(FlowContext& ctx) const {
       map_with_choices_gated(choice_aig, *ctx.shared_matcher(),
                              ctx.params.mapping, &ctx.mapper_workspace);
   ctx.netlist = std::move(outcome.netlist);
-  ctx.netlist_is_current = true;
   ctx.qor.area = ctx.netlist->area();
   ctx.qor.delay = ctx.netlist->delay();
   ctx.qor.lev = ctx.current.num_levels();
@@ -371,9 +368,8 @@ void LutMapStage::run(FlowContext& ctx) const {
     ctx.current = strash(ctx.current);
     ctx.netlist = map_to_luts(ctx.current, lut_params, &ctx.mapper_workspace);
   }
-  // A LUT cover is not a cell netlist of ctx.current: a later TechMap
-  // must remap instead of reusing it.
-  ctx.netlist_is_current = false;
+  // A LUT cover is not a cell netlist: a later TechMap remaps instead of
+  // reusing it.
   ctx.qor.area = ctx.netlist->area();    // LUT count
   ctx.qor.delay = ctx.netlist->delay();  // LUT levels
   ctx.qor.lev = ctx.current.num_levels();
@@ -382,21 +378,14 @@ void LutMapStage::run(FlowContext& ctx) const {
 // --- partition --------------------------------------------------------------
 
 void PartitionStage::run(FlowContext& ctx) const {
-  PartitionParams run;
-  run.seed = ctx.seed != 0 ? ctx.seed : ctx.params.sa.seed;
-  run.cancel = ctx.cancel;
-  PartitionResult result = partition_optimize(ctx.current, ctx.params, run);
+  PartitionResult result = partition_optimize(ctx);
   ctx.partition_stats = result.stats;
-  if (!result.stats.completed) {
-    // Cancelled between chunks: the checkpoint holds the progress; leave
-    // the working network untouched so downstream stages (and the caller)
-    // see a consistent circuit.
-    ctx.note_stop(FlowStopReason::kCancelled);
-    return;
-  }
+  // Stopped between chunks (the poll recorded the stop signal): the
+  // checkpoint holds the progress; leave the working network untouched so
+  // downstream stages (and the caller) see a consistent circuit.
+  if (!result.stats.completed) return;
   ctx.current = std::move(result.optimized);
   ctx.netlist.reset();
-  ctx.netlist_is_current = false;
   ctx.qor.lev = ctx.current.num_levels();
 }
 
@@ -491,8 +480,6 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
   static_cast<FlowResult&>(ctx) = FlowResult();
   ctx.current = ctx.input;
   ctx.egraph.reset();
-  ctx.netlist_is_current = false;
-  ctx.sa_valid = false;
   ctx.stop_signal.store(FlowStopReason::kNone, std::memory_order_relaxed);
   if (ctx.observer != nullptr) ctx.observer->on_flow_begin(ctx);
 

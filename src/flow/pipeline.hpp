@@ -308,16 +308,15 @@ struct FlowContext : FlowResult {
   }
 
   // --- working state (stage inputs/outputs) --------------------------------
+  // Contract for every stage, custom ones included: a stage that rewrites
+  // `current` also resets or replaces `netlist`. A cell netlist (not
+  // is_lut()) is therefore always a cover of `current`, which is how
+  // TechMap knows when it can skip the remap. SaExtract ran exactly when
+  // `sa.best` has class slots (the backward EgraphConversion falls back to
+  // greedy extraction otherwise).
   Aig input;    // original circuit, kept pristine for verification
   Aig current;  // the network being transformed
   std::optional<CircuitEGraph> egraph;
-  /// True while `netlist` is a cell netlist of `current` (stages that
-  /// change `current`, and the lutmap stage, clear it, so TechMap knows
-  /// when a remap is needed).
-  bool netlist_is_current = false;
-  /// True once SaExtract populated `sa` (EgraphConversion's backward pass
-  /// falls back to greedy extraction otherwise).
-  bool sa_valid = false;
 
   /// First stop signal observed by any should_stop() poll this run —
   /// including polls inside stages (SA moves, rewrite iterations), so a
@@ -472,8 +471,8 @@ class ChoiceMapStage : public Stage {
 };
 
 /// k-LUT technology mapping of ctx.current (mapper/lut_mapper.hpp): the
-/// FPGA-flavored final stage. The LUT cover replaces ctx.netlist (with
-/// netlist_is_current cleared, so a later TechMap remaps) and the flow QoR
+/// FPGA-flavored final stage. The LUT cover replaces ctx.netlist (a LUT
+/// netlist, so a later TechMap remaps onto cells) and the flow QoR
 /// becomes LUT count (area) and LUT depth (delay). When ctx.egraph exists
 /// and params.use_choicemap is set, the stage subsumes the backward
 /// conversion like choicemap does: ctx.current becomes the committed
@@ -489,10 +488,11 @@ class LutMapStage : public Stage {
 };
 
 /// Windowed saturation of ctx.current: partition_optimize
-/// (flow/partition_flow.hpp) seeded by ctx.seed, or sa.seed when that is 0.
-/// Stats land in FlowResult::partition_stats. When the external cancel flag
-/// stops the nested batch between chunks, ctx.current is left untouched
-/// (progress persists in the checkpoint file). Registered as "partition".
+/// (flow/partition_flow.hpp) under this context, so it is seeded by
+/// ctx.seed (or sa.seed when that is 0) and polls ctx.should_stop() between
+/// chunks. Stats land in FlowResult::partition_stats. When the cancel flag
+/// or the time budget stops it, ctx.current is left untouched (progress
+/// persists in the checkpoint file). Registered as "partition".
 class PartitionStage : public Stage {
  public:
   const char* name() const override { return "partition"; }

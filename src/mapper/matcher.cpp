@@ -81,13 +81,4 @@ const std::vector<CellMatch>& Matcher::match(Tt tt,
   return *it->second;
 }
 
-std::size_t Matcher::cache_size() const {
-  std::size_t total = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
 }  // namespace emorphic

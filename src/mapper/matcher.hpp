@@ -54,9 +54,6 @@ class Matcher {
 
   const CellLibrary& library() const { return library_; }
 
-  /// Number of distinct (function, leaf count) pairs matched so far.
-  std::size_t cache_size() const;
-
  private:
   /// canonical tt -> matches expressed against the canonical form
   struct CellEntry {

@@ -361,7 +361,6 @@ class SpanStore {
   /// Elements' worth of storage retired by growth/release since the last
   /// compact()/reset().
   std::size_t waste() const { return waste_; }
-  std::size_t arena_capacity_bytes() const { return arena_.capacity(); }
 
  private:
   void grow(ArenaSpan<T>& span, std::size_t min_capacity) {

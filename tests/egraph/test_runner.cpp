@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "benchgen/epfl.hpp"
 #include "egraph/rules.hpp"
 #include "extract/extractor.hpp"
 #include "flow/conversion.hpp"
@@ -55,6 +56,25 @@ TEST(Runner, NodeLimitStops) {
   limits.max_iterations = 50;
   limits.max_enodes = 500;
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
+  EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
+}
+
+TEST(Runner, NodeLimitInTheApplyPhaseIsNotSaturation) {
+  // The budget also caps the ids the apply phase creates. On hyp the fifth
+  // iteration passes it at its first match, so nothing is applied and the
+  // e-graph is unchanged with its live e-nodes still under the budget. The
+  // run stopped at the node limit; it did not saturate.
+  CircuitEGraph ce = aig_to_egraph(make_epfl("hyp"));
+  RunnerParams limits;
+  limits.max_iterations = 5;
+  limits.max_enodes = 20000;
+  limits.max_matches_per_rule = 500;
+  limits.time_limit_s = 1e9;
+  RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
+  ASSERT_EQ(report.iterations.size(), 5u);
+  EXPECT_EQ(report.iterations.back().matches, 8034u);
+  EXPECT_EQ(report.iterations.back().applied, 0u);
+  EXPECT_EQ(ce.egraph.num_enodes(), 19144u);
   EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
 }
 

@@ -190,7 +190,10 @@ TEST(CheckpointEnvelope, FormatsRefuseEachOthersFiles) {
   FlowParams windows = checkpoint_params();
   windows.window_size = 20;
   windows.checkpoint_path = temp_path("envelope_empc");
-  ASSERT_TRUE(partition_optimize(input, windows).stats.completed);
+  FlowContext windowed;
+  windowed.current = input;
+  windowed.params = windows;
+  ASSERT_TRUE(partition_optimize(windowed).stats.completed);
 
   // The windowed flow's EMPC file on the Rewrite stage's path...
   FlowParams swapped = rewrite;
@@ -199,10 +202,9 @@ TEST(CheckpointEnvelope, FormatsRefuseEachOthersFiles) {
       [&] { (void)Pipeline::emorphic().run(input, swapped); },
       "rewrite checkpoint: wrong magic (expected \"EMCK\")");
   // ...and the Rewrite stage's EMCK file handed to the windowed flow.
-  FlowParams swapped_windows = windows;
-  swapped_windows.checkpoint_path = rewrite.checkpoint_path;
+  windowed.params.checkpoint_path = rewrite.checkpoint_path;
   expect_format_error(
-      [&] { (void)partition_optimize(input, swapped_windows); },
+      [&] { (void)partition_optimize(windowed); },
       "partition checkpoint: wrong magic (expected \"EMPC\")");
   std::remove(rewrite.checkpoint_path.c_str());
   std::remove(windows.checkpoint_path.c_str());

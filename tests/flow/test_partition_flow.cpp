@@ -10,11 +10,15 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "../test_helpers.hpp"
 #include "aig/aig_io.hpp"
+#include "benchgen/arith.hpp"
+#include "benchgen/doubling.hpp"
+#include "benchgen/scale.hpp"
 #include "cec/cec.hpp"
 #include "egraph/snapshot.hpp"
 
@@ -32,10 +36,16 @@ FlowParams window_params(std::uint32_t window_size) {
   return p;
 }
 
-PartitionParams seeded(std::uint64_t seed) {
-  PartitionParams run;
-  run.seed = seed;
-  return run;
+/// The windowed flow over `aig` under a context holding `params` and
+/// `seed`, as PartitionStage runs it.
+PartitionResult partition(const Aig& aig, const FlowParams& params,
+                          std::uint64_t seed,
+                          const PartitionParams& run = {}) {
+  FlowContext ctx;
+  ctx.current = aig;
+  ctx.params = params;
+  ctx.seed = seed;
+  return partition_optimize(ctx, run);
 }
 
 std::string temp_path(const std::string& name) {
@@ -47,7 +57,7 @@ std::string temp_path(const std::string& name) {
 TEST(PartitionFlow, OptimizePreservesFunction) {
   Rng rng(55);
   Aig aig = testing::random_aig(8, 4, 200, rng);
-  PartitionResult r = partition_optimize(aig, window_params(25), seeded(5));
+  PartitionResult r = partition(aig, window_params(25), 5);
   ASSERT_TRUE(r.stats.completed);
   EXPECT_EQ(r.stats.num_windows, r.stats.windows_adopted +
                                      r.stats.windows_rejected_qor +
@@ -63,18 +73,17 @@ TEST(PartitionFlow, OptimizeDegenerateWindowSizes) {
   Aig aig = testing::random_aig(6, 3, 60, rng);
   // Per-node windows: nothing shrinks below one AND, but the flow must
   // complete and preserve the function.
-  PartitionResult ones = partition_optimize(aig, window_params(1), seeded(3));
+  PartitionResult ones = partition(aig, window_params(1), 3);
   ASSERT_TRUE(ones.stats.completed);
   EXPECT_EQ(cec(aig, ones.optimized).status, CecStatus::kEquivalent);
   // One whole-circuit window.
-  PartitionResult whole = partition_optimize(
-      aig, window_params(static_cast<std::uint32_t>(aig.num_ands()) + 1),
-      seeded(3));
+  PartitionResult whole = partition(
+      aig, window_params(static_cast<std::uint32_t>(aig.num_ands()) + 1), 3);
   ASSERT_TRUE(whole.stats.completed);
   EXPECT_EQ(whole.stats.num_windows, 1u);
   EXPECT_EQ(cec(aig, whole.optimized).status, CecStatus::kEquivalent);
   // A zero window size is a caller error.
-  EXPECT_THROW(partition_optimize(aig, window_params(0)),
+  EXPECT_THROW(partition(aig, window_params(0), 1),
                std::invalid_argument);
 }
 
@@ -87,9 +96,9 @@ TEST(PartitionFlow, BitIdenticalAcrossThreadCounts) {
   std::string reference;
   PartitionStats ref_stats;
   for (unsigned threads : {1u, 2u, 4u, 8u, 32u}) {
-    PartitionParams run = seeded(7);
+    PartitionParams run;
     run.num_threads = threads;
-    PartitionResult r = partition_optimize(aig, window_params(30), run);
+    PartitionResult r = partition(aig, window_params(30), 7, run);
     ASSERT_TRUE(r.stats.completed) << threads << " threads";
     std::string bytes = write_aiger_binary(r.optimized);
     if (reference.empty()) {
@@ -109,8 +118,8 @@ TEST(PartitionFlow, SeedChangesAreIsolatedToResults) {
   // Different seeds may optimize differently but must both be equivalent.
   Rng rng(58);
   Aig aig = testing::random_aig(8, 4, 200, rng);
-  PartitionResult a = partition_optimize(aig, window_params(25), seeded(1));
-  PartitionResult b = partition_optimize(aig, window_params(25), seeded(2));
+  PartitionResult a = partition(aig, window_params(25), 1);
+  PartitionResult b = partition(aig, window_params(25), 2);
   ASSERT_TRUE(a.stats.completed && b.stats.completed);
   EXPECT_EQ(cec(aig, a.optimized).status, CecStatus::kEquivalent);
   EXPECT_EQ(cec(aig, b.optimized).status, CecStatus::kEquivalent);
@@ -124,18 +133,18 @@ TEST(PartitionFlow, ResumeMatchesUninterruptedRun) {
   Aig aig = testing::random_aig(8, 4, 260, rng);
   FlowParams params = window_params(8);  // > 16 windows -> >= 2 chunks
 
-  PartitionResult straight = partition_optimize(aig, params, seeded(9));
+  PartitionResult straight = partition(aig, params, 9);
   ASSERT_TRUE(straight.stats.completed);
   ASSERT_GE(straight.stats.chunks_total, 2u);
   std::string want = write_aiger_binary(straight.optimized);
 
   params.checkpoint_path = temp_path("resume");
-  PartitionParams first = seeded(9);
+  PartitionParams first;
   first.stop_after_chunks = 1;
-  PartitionResult partial = partition_optimize(aig, params, first);
+  PartitionResult partial = partition(aig, params, 9, first);
   EXPECT_FALSE(partial.stats.completed);
 
-  PartitionResult resumed = partition_optimize(aig, params, seeded(9));
+  PartitionResult resumed = partition(aig, params, 9);
   ASSERT_TRUE(resumed.stats.completed);
   EXPECT_EQ(resumed.stats.chunks_resumed, 1u);
   EXPECT_EQ(write_aiger_binary(resumed.optimized), want);
@@ -147,9 +156,9 @@ TEST(PartitionFlow, ResumeFromCompleteCheckpointRecomputesNothing) {
   Aig aig = testing::random_aig(8, 4, 200, rng);
   FlowParams params = window_params(10);
   params.checkpoint_path = temp_path("complete");
-  PartitionResult first = partition_optimize(aig, params, seeded(11));
+  PartitionResult first = partition(aig, params, 11);
   ASSERT_TRUE(first.stats.completed);
-  PartitionResult again = partition_optimize(aig, params, seeded(11));
+  PartitionResult again = partition(aig, params, 11);
   ASSERT_TRUE(again.stats.completed);
   EXPECT_EQ(again.stats.chunks_resumed, again.stats.chunks_total);
   EXPECT_EQ(write_aiger_binary(again.optimized),
@@ -162,14 +171,14 @@ TEST(PartitionFlow, CheckpointFingerprintMismatchThrows) {
   Aig aig = testing::random_aig(8, 4, 200, rng);
   FlowParams params = window_params(10);
   params.checkpoint_path = temp_path("fingerprint");
-  PartitionParams run = seeded(13);
+  PartitionParams run;
   run.stop_after_chunks = 1;
-  (void)partition_optimize(aig, params, run);
+  (void)partition(aig, params, 13, run);
   // Same circuit, different seed: the recorded windows no longer apply.
-  EXPECT_THROW(partition_optimize(aig, params, seeded(14)), SnapshotError);
+  EXPECT_THROW(partition(aig, params, 14), SnapshotError);
   // Different circuit under the original seed: also refused.
   Aig changed = testing::random_aig(8, 4, 200, rng);
-  EXPECT_THROW(partition_optimize(changed, params, run), SnapshotError);
+  EXPECT_THROW(partition(changed, params, 13, run), SnapshotError);
   std::remove(params.checkpoint_path.c_str());
 }
 
@@ -180,7 +189,7 @@ TEST(PartitionFlow, UnwritableCheckpointPathThrowsNamingIt) {
   params.checkpoint_path =
       ::testing::TempDir() + "emorphic_no_such_dir/windows.empc";
   try {
-    (void)partition_optimize(aig, params, seeded(11));
+    (void)partition(aig, params, 11);
     FAIL() << "expected SnapshotError";
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find(params.checkpoint_path),
@@ -195,13 +204,13 @@ TEST(PartitionFlow, TornCheckpointTailIsTruncatedAndRecomputed) {
   FlowParams params = window_params(8);
   std::string want;
   {
-    PartitionResult straight = partition_optimize(aig, params, seeded(15));
+    PartitionResult straight = partition(aig, params, 15);
     ASSERT_TRUE(straight.stats.completed);
     want = write_aiger_binary(straight.optimized);
   }
   const std::string path = temp_path("torn");
   params.checkpoint_path = path;
-  ASSERT_TRUE(partition_optimize(aig, params, seeded(15)).stats.completed);
+  ASSERT_TRUE(partition(aig, params, 15).stats.completed);
 
   // Tear the file mid-record (drop the last 3 bytes), as a crash during
   // append would. The resumed run must truncate to the valid prefix and
@@ -217,7 +226,7 @@ TEST(PartitionFlow, TornCheckpointTailIsTruncatedAndRecomputed) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size() - 3));
   }
-  PartitionResult resumed = partition_optimize(aig, params, seeded(15));
+  PartitionResult resumed = partition(aig, params, 15);
   ASSERT_TRUE(resumed.stats.completed);
   EXPECT_LT(resumed.stats.chunks_resumed, resumed.stats.chunks_total);
   EXPECT_EQ(write_aiger_binary(resumed.optimized), want);
@@ -227,7 +236,7 @@ TEST(PartitionFlow, TornCheckpointTailIsTruncatedAndRecomputed) {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out.write("garbage", 7);
   }
-  PartitionResult cleaned = partition_optimize(aig, params, seeded(15));
+  PartitionResult cleaned = partition(aig, params, 15);
   ASSERT_TRUE(cleaned.stats.completed);
   EXPECT_EQ(write_aiger_binary(cleaned.optimized), want);
   std::remove(path.c_str());
@@ -237,11 +246,37 @@ TEST(PartitionFlow, CancelStopsBetweenChunks) {
   Rng rng(63);
   Aig aig = testing::random_aig(8, 4, 200, rng);
   std::atomic<bool> cancel{true};
-  PartitionParams run = seeded(17);
-  run.cancel = &cancel;
-  PartitionResult r = partition_optimize(aig, window_params(10), run);
+  FlowContext ctx;
+  ctx.current = aig;
+  ctx.params = window_params(10);
+  ctx.seed = 17;
+  ctx.cancel = &cancel;
+  PartitionResult r = partition_optimize(ctx);
   EXPECT_FALSE(r.stats.completed);
   EXPECT_EQ(r.optimized.num_pos(), 0u);
+  EXPECT_EQ(ctx.stop_signal.load(), FlowStopReason::kCancelled);
+}
+
+TEST(PartitionFlow, DeadlineStopsBetweenChunks) {
+  // A served partition job's deadline is the context's time budget: the
+  // stage polls it between chunks, so an expired budget stops the run
+  // after the chunk in flight, not after the whole stage.
+  Aig input = tile_to_ands(doubled(make_adder(6)), 12000);  // 41 windows
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<PartitionStage>());
+  FlowContext ctx;
+  ctx.input = input;
+  ctx.params = window_params(300);
+  ctx.params.rewrite.max_iterations = 3;
+  ctx.params.rewrite.max_enodes = 12000;
+  ctx.time_budget_s = 0.05;  // one chunk takes about 0.3 s on 4 cores
+  FlowResult r = pipeline.run(ctx);
+  ASSERT_EQ(r.telemetry.stages.size(), 1u);  // the stage started in budget
+  EXPECT_FALSE(r.cancelled);                  // and no stage was skipped
+  EXPECT_GE(r.partition_stats.chunks_total, 3u);
+  EXPECT_FALSE(r.partition_stats.completed);
+  EXPECT_EQ(r.stop_reason, FlowStopReason::kDeadline);
+  EXPECT_EQ(write_aiger_binary(r.final_aig), write_aiger_binary(input));
 }
 
 }  // namespace

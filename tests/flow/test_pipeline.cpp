@@ -324,12 +324,12 @@ TEST(RunBatch, DeterministicAcrossRunsAndWorkerCounts) {
   circuits.push_back(make_adder(6));
 
   FlowParams params = quick_params();
+  params.sa.num_threads = 1;
   Pipeline pipeline = Pipeline::emorphic();
 
   BatchParams two_workers;
   two_workers.base_seed = 7;
   two_workers.num_threads = 2;
-  two_workers.sa_threads = 1;
   BatchResult first = run_batch(circuits, pipeline, params, two_workers);
   BatchResult second = run_batch(circuits, pipeline, params, two_workers);
   BatchParams one_worker = two_workers;
@@ -359,9 +359,9 @@ TEST(RunBatch, SeedsDifferPerCircuit) {
   circuits.push_back(make_adder(6));
 
   FlowParams params = quick_params();
+  params.sa.num_threads = 1;
   BatchParams batch;
   batch.base_seed = 3;
-  batch.sa_threads = 1;
   BatchResult result = run_batch(circuits, Pipeline::emorphic(), params, batch);
   ASSERT_EQ(result.results.size(), 2u);
   // The SA traces of the two runs should diverge (same circuit, different
@@ -391,10 +391,11 @@ TEST(RunBatch, ObserverSeesAllCircuits) {
   circuits.push_back(make_adder(4));
   circuits.push_back(make_adder(5));
   BatchObserver observer;
+  FlowParams params = quick_params();
+  params.sa.num_threads = 1;
   BatchParams batch;
   batch.num_threads = 2;
-  batch.sa_threads = 1;
-  run_batch(circuits, Pipeline::baseline(), quick_params(), batch, &observer);
+  run_batch(circuits, Pipeline::baseline(), params, batch, &observer);
   std::sort(observer.indices.begin(), observer.indices.end());
   EXPECT_EQ(observer.indices, (std::vector<std::size_t>{0, 1}));
 }
@@ -455,8 +456,8 @@ TEST(Optimize, RuntimePrioritizedHonorsConfiguredSaThreads) {
   }
   EXPECT_LT(max_thread, 2u);
 
-  // The paper's bump is an explicit knob now.
-  options.runtime_sa_threads = 3;
+  // The paper's bump is the same setting raised.
+  options.flow.sa.num_threads = 3;
   FlowResult bumped = optimize(make_adder(5), options);
   max_thread = 0;
   for (const SaTracePoint& pt : bumped.sa.trace) {
