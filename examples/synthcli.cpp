@@ -20,6 +20,7 @@
 #include "aig/aig_io.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
+#include "flow/pipeline.hpp"  // recipe_names()
 #include "service/client.hpp"
 
 using namespace emorphic;
@@ -28,6 +29,10 @@ using namespace emorphic::service;
 namespace {
 
 int usage(const char* argv0) {
+  std::string recipes;
+  for (const std::string& name : recipe_names()) {
+    recipes += (recipes.empty() ? "" : ", ") + name;
+  }
   std::fprintf(
       stderr,
       "usage: %s (--socket PATH | --tcp-port PORT) COMMAND [options]\n"
@@ -39,14 +44,15 @@ int usage(const char* argv0) {
       "submit/cancel-demo options:\n"
       "  --gen NAME:BITS   generated circuit (adder, mult, square, arbiter)\n"
       "  --file PATH       circuit file (AIGER 'aag' or .eqn)\n"
-      "  --flow NAME       flow to run (default emorphic)\n"
+      "  --flow NAME       flow to run (default emorphic); the daemon serves\n"
+      "                    every recipe: %s\n"
       "  --seed N          per-job seed (default 1)\n"
       "  --deadline S      end-to-end deadline in seconds\n"
       "  --params JSON     FlowParams overrides, e.g. '{\"rounds\":2}'\n"
       "  --id ID           job id (default job-1)\n"
       "  --progress        stream per-stage progress\n"
       "  --return-circuit  print the optimized AIGER to stdout\n",
-      argv0);
+      argv0, recipes.c_str());
   return 2;
 }
 

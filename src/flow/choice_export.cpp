@@ -157,30 +157,22 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
 
   // --- Phase 3: SAT-verify every tentative member ---------------------------
   // One Tseitin encoding of the whole network (alternative cones included),
-  // then two assumption-only queries per member — exactly fraig's proving
-  // pattern, on a warm incremental solver.
+  // then fraig's two-query pair proof per member, on a warm incremental
+  // solver.
   std::vector<PendingAlt> accepted;
   if (!pending_alts.empty()) {
     sat::Solver solver;
     std::vector<sat::SatVar> sat_map = sat::encode_aig(solver, aig);
     for (const PendingAlt& alt : pending_alts) {
-      sat::SatLit a = sat::sat_lit(sat_map[alt.rep], false);
-      sat::SatLit b = sat::sat_lit(sat_map[alt.member], alt.phase);
-      ++st.verify_sat_calls;
-      sat::SatResult r1 = solver.solve({a, sat::sat_neg(b)},
-                                       params.verify_conflict_limit);
-      if (r1 != sat::SatResult::kUnsat) {
+      sat::PairVerdict verdict = sat::prove_pair(
+          solver, sat::sat_lit(sat_map[alt.rep]),
+          sat::sat_lit(sat_map[alt.member], alt.phase),
+          params.verify_conflict_limit, st.verify_sat_calls);
+      if (verdict == sat::PairVerdict::kEqual) {
+        accepted.push_back(alt);
+      } else {
         ++st.alts_rejected;
-        continue;
       }
-      ++st.verify_sat_calls;
-      sat::SatResult r2 = solver.solve({sat::sat_neg(a), b},
-                                       params.verify_conflict_limit);
-      if (r2 != sat::SatResult::kUnsat) {
-        ++st.alts_rejected;
-        continue;
-      }
-      accepted.push_back(alt);
     }
   }
 

@@ -1,7 +1,6 @@
 #include "flow/pipeline.hpp"
 
-#include <map>
-#include <mutex>
+#include <array>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -23,6 +22,20 @@ double flow_cost(const FlowParams& params, double delay, double area) {
 
 /// Whether SaExtract ran this run: its winner always has class slots.
 bool sa_ran(const FlowContext& ctx) { return ctx.sa.best.size() > 0; }
+
+LutMapperParams lut_params(const FlowParams& params) {
+  LutMapperParams lut;
+  lut.lut_size = params.lut_size;
+  return lut;
+}
+
+/// Publish the cover's QoR: µm² and ps for a cell netlist, LUT count and
+/// LUT levels for a LUT cover.
+void set_mapped_qor(FlowContext& ctx) {
+  ctx.qor.area = ctx.netlist->area();
+  ctx.qor.delay = ctx.netlist->delay();
+  ctx.qor.lev = ctx.current.num_levels();
+}
 
 /// One "(st; if -g)(st; dch; ...)" tech-independent round. Alternating the
 /// pass order across rounds explores different structures, mirroring how
@@ -187,11 +200,9 @@ void RewriteStage::run(FlowContext& ctx) const {
     rules = &default_rules;
   }
 
-  // Saturation checkpointing is the whole-circuit mode's resume path; the
-  // partitioned flow checkpoints at window granularity instead and owns
-  // the file.
-  const bool checkpointing =
-      !ctx.params.checkpoint_path.empty() && !ctx.params.partition;
+  // The partitioned flow owns the file at window granularity and hands
+  // its windows an empty checkpoint_path.
+  const bool checkpointing = !ctx.params.checkpoint_path.empty();
   RunnerParams rewrite = ctx.params.rewrite;
   std::uint64_t fingerprint = 0;
   std::uint64_t iterations_done = 0;
@@ -288,9 +299,7 @@ void TechMapStage::run(FlowContext& ctx) const {
     ctx.netlist = map_to_cells(ctx.current, matcher, params.mapping,
                                &ctx.mapper_workspace);
   }
-  ctx.qor.area = ctx.netlist->area();
-  ctx.qor.delay = ctx.netlist->delay();
-  ctx.qor.lev = ctx.current.num_levels();
+  set_mapped_qor(ctx);
 }
 
 // --- Cec --------------------------------------------------------------------
@@ -315,16 +324,18 @@ void FraigStage::run(FlowContext& ctx) const {
 
 // --- choicemap --------------------------------------------------------------
 
-namespace {
-
-/// The choice-export prologue of the choicemap and lutmap stages: the
-/// committed extraction (the SA winner, else a greedy depth extraction)
-/// defines the representative cone, and the rings carry everything else
-/// the saturation discovered. ctx.current becomes the plain extraction
-/// (what verification and downstream stages see); the returned annotation
-/// is what the stage maps, Pareto-gated so the rings can only improve the
-/// cover, never hurt it.
-ChoiceAig export_choices(FlowContext& ctx) {
+void ChoiceMapStage::run(FlowContext& ctx) const {
+  if (!ctx.egraph.has_value()) {
+    throw std::runtime_error(std::string(name()) +
+                             " stage needs an e-graph: add EgraphConversion "
+                             "first");
+  }
+  // The committed extraction (the SA winner, else a greedy depth
+  // extraction) defines the representative cone; the rings carry
+  // everything else the saturation discovered. ctx.current becomes the
+  // plain extraction (what verification and downstream stages see); the
+  // annotation is what gets mapped, Pareto-gated so the rings can only
+  // improve the cover, never hurt it.
   Extraction solution =
       sa_ran(ctx)
           ? ctx.sa.best
@@ -332,47 +343,25 @@ ChoiceAig export_choices(FlowContext& ctx) {
   ChoiceAig choice_aig = egraph_to_choice_aig(
       *ctx.egraph, solution, ctx.params.choice_export, &ctx.choice_stats);
   ctx.current = egraph_to_aig(*ctx.egraph, solution);
-  return choice_aig;
-}
-
-}  // namespace
-
-void ChoiceMapStage::run(FlowContext& ctx) const {
-  if (!ctx.egraph.has_value()) {
-    throw std::runtime_error(
-        "choicemap stage needs an e-graph: add EgraphConversion first");
-  }
-  ChoiceAig choice_aig = export_choices(ctx);
   ChoiceMapOutcome outcome =
-      map_with_choices_gated(choice_aig, *ctx.shared_matcher(),
-                             ctx.params.mapping, &ctx.mapper_workspace);
+      backend_ == Backend::kCells
+          ? map_with_choices_gated(choice_aig, *ctx.shared_matcher(),
+                                   ctx.params.mapping, &ctx.mapper_workspace)
+          : map_with_choices_gated(choice_aig, lut_params(ctx.params),
+                                   &ctx.mapper_workspace);
   ctx.netlist = std::move(outcome.netlist);
-  ctx.qor.area = ctx.netlist->area();
-  ctx.qor.delay = ctx.netlist->delay();
-  ctx.qor.lev = ctx.current.num_levels();
+  set_mapped_qor(ctx);
 }
 
 // --- lutmap -----------------------------------------------------------------
 
 void LutMapStage::run(FlowContext& ctx) const {
-  const FlowParams& params = ctx.params;
-  LutMapperParams lut_params;
-  lut_params.lut_size = params.lut_size;
-  if (params.use_choicemap && ctx.egraph.has_value()) {
-    // Choice-aware tail, mirroring ChoiceMapStage.
-    ChoiceAig choice_aig = export_choices(ctx);
-    ctx.netlist =
-        map_with_choices_gated(choice_aig, lut_params, &ctx.mapper_workspace)
-            .netlist;
-  } else {
-    ctx.current = strash(ctx.current);
-    ctx.netlist = map_to_luts(ctx.current, lut_params, &ctx.mapper_workspace);
-  }
+  ctx.current = strash(ctx.current);
   // A LUT cover is not a cell netlist: a later TechMap remaps instead of
   // reusing it.
-  ctx.qor.area = ctx.netlist->area();    // LUT count
-  ctx.qor.delay = ctx.netlist->delay();  // LUT levels
-  ctx.qor.lev = ctx.current.num_levels();
+  ctx.netlist =
+      map_to_luts(ctx.current, lut_params(ctx.params), &ctx.mapper_workspace);
+  set_mapped_qor(ctx);
 }
 
 // --- partition --------------------------------------------------------------
@@ -389,70 +378,100 @@ void PartitionStage::run(FlowContext& ctx) const {
   ctx.qor.lev = ctx.current.num_levels();
 }
 
-// --- stage registry ---------------------------------------------------------
+// --- stages and recipes by name ---------------------------------------------
 
 namespace {
 
-std::mutex& registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
+using StageMaker = StagePtr (*)();
+
+template <class S, auto... kArgs>
+StagePtr make() {
+  return std::make_unique<S>(kArgs...);
 }
 
-std::map<std::string, StageFactory>& registry() {
-  // Built-ins are seeded on first access so registration order cannot race
-  // with static initialization in other translation units.
-  static std::map<std::string, StageFactory> stages = [] {
-    std::map<std::string, StageFactory> map;
-    map["ResynRounds"] = [] { return StagePtr(new ResynRoundsStage()); };
-    map["EgraphConversion"] = [] {
-      return StagePtr(new EgraphConversionStage());
-    };
-    map["Rewrite"] = [] { return StagePtr(new RewriteStage()); };
-    map["SaExtract"] = [] { return StagePtr(new SaExtractStage()); };
-    map["TechMap"] = [] { return StagePtr(new TechMapStage()); };
-    map["Cec"] = [] { return StagePtr(new CecStage()); };
-    map["fraig"] = [] { return StagePtr(new FraigStage()); };
-    map["choicemap"] = [] { return StagePtr(new ChoiceMapStage()); };
-    map["lutmap"] = [] { return StagePtr(new LutMapStage()); };
-    map["partition"] = [] { return StagePtr(new PartitionStage()); };
-    return map;
-  }();
-  return stages;
+struct NamedStage {
+  std::string_view name;
+  StageMaker make;
+};
+
+/// Every built-in stage, default-configured, by name.
+constexpr NamedStage kStages[] = {
+    {"ResynRounds", make<ResynRoundsStage>},
+    {"EgraphConversion", make<EgraphConversionStage>},
+    {"Rewrite", make<RewriteStage>},
+    {"SaExtract", make<SaExtractStage>},
+    {"TechMap", make<TechMapStage>},
+    {"Cec", make<CecStage>},
+    {"fraig", make<FraigStage>},
+    {"choicemap", make<ChoiceMapStage>},
+    {"choicemap-lut", make<ChoiceMapStage, ChoiceMapStage::Backend::kLuts>},
+    {"lutmap", make<LutMapStage>},
+    {"partition", make<PartitionStage>},
+};
+
+constexpr StageMaker kResynButLast =
+    make<ResynRoundsStage, ResynRoundsStage::Rounds::kAllButLast>;
+constexpr StageMaker kConvert = make<EgraphConversionStage>;
+constexpr StageMaker kRewrite = make<RewriteStage>;
+constexpr StageMaker kSaExtract = make<SaExtractStage>;
+constexpr StageMaker kCec = make<CecStage>;
+
+/// A named flow: its stages in order; a list shorter than the array ends
+/// at the first null entry.
+struct Recipe {
+  std::string_view name;
+  std::array<StageMaker, 7> stages;
+};
+
+constexpr Recipe kRecipes[] = {
+    {"baseline", {make<ResynRoundsStage>, make<TechMapStage>}},
+    {"baseline-lut", {make<ResynRoundsStage>, make<LutMapStage>}},
+    {"emorphic",
+     {kResynButLast, kConvert, kRewrite, kSaExtract, kConvert,
+      make<TechMapStage, /*resynth_gate=*/true>, kCec}},
+    {"emorphic-choice",
+     {kResynButLast, kConvert, kRewrite, kSaExtract, make<ChoiceMapStage>,
+      kCec}},
+    {"emorphic-lut",
+     {kResynButLast, kConvert, kRewrite, kSaExtract, kConvert,
+      make<LutMapStage>, kCec}},
+    {"emorphic-choice-lut",
+     {kResynButLast, kConvert, kRewrite, kSaExtract,
+      make<ChoiceMapStage, ChoiceMapStage::Backend::kLuts>, kCec}},
+    {"partition", {make<PartitionStage>, kCec}},
+};
+
+template <class Table>
+std::vector<std::string> names_of(const Table& table) {
+  std::vector<std::string> names;
+  for (const auto& entry : table) names.emplace_back(entry.name);
+  return names;
+}
+
+template <class Table>
+[[noreturn]] void throw_unknown(const char* what, std::string_view name,
+                                const Table& table) {
+  std::string known;
+  for (const std::string& n : names_of(table)) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  throw std::invalid_argument("unknown " + std::string(what) + " '" +
+                              std::string(name) + "' (known: " + known + ")");
 }
 
 }  // namespace
 
-bool register_stage(const std::string& name, StageFactory factory) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  return registry().insert_or_assign(name, std::move(factory)).second;
-}
-
 StagePtr make_stage(const std::string& name) {
-  StageFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    auto it = registry().find(name);
-    if (it != registry().end()) factory = it->second;
+  for (const NamedStage& stage : kStages) {
+    if (stage.name == name) return stage.make();
   }
-  if (!factory) {
-    std::string known;
-    for (const std::string& n : registered_stage_names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown stage '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return factory();
+  throw_unknown("stage", name, kStages);
 }
 
-std::vector<std::string> registered_stage_names() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
-  return names;
-}
+std::vector<std::string> builtin_stage_names() { return names_of(kStages); }
+
+std::vector<std::string> recipe_names() { return names_of(kRecipes); }
 
 // --- Pipeline ---------------------------------------------------------------
 
@@ -461,8 +480,8 @@ Pipeline& Pipeline::add(StagePtr stage) {
   return *this;
 }
 
-Pipeline& Pipeline::add(const std::string& registered_name) {
-  return add(make_stage(registered_name));
+Pipeline& Pipeline::add(const std::string& stage_name) {
+  return add(make_stage(stage_name));
 }
 
 std::vector<std::string> Pipeline::stage_names() const {
@@ -542,58 +561,27 @@ FlowResult Pipeline::run(const Aig& input, const FlowParams& params,
   return run(ctx);
 }
 
-Pipeline Pipeline::baseline(const FlowParams& params) {
-  Pipeline pipeline;
-  if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
-  pipeline.add(StagePtr(new ResynRoundsStage(ResynRoundsStage::Rounds::kAll)));
-  if (params.fraig_post) pipeline.add(StagePtr(new FraigStage()));
-  if (params.use_lutmap) {
-    pipeline.add(StagePtr(new LutMapStage()));
-  } else {
-    pipeline.add(StagePtr(new TechMapStage(/*resynth_gate=*/false)));
+Pipeline Pipeline::recipe(std::string_view name) {
+  for (const Recipe& recipe : kRecipes) {
+    if (recipe.name != name) continue;
+    Pipeline pipeline;
+    for (StageMaker maker : recipe.stages) {
+      if (maker == nullptr) break;
+      pipeline.add(maker());
+    }
+    return pipeline;
   }
-  return pipeline;
+  throw_unknown("recipe", name, kRecipes);
+}
+
+Pipeline Pipeline::baseline(const FlowParams& /*params*/) {
+  return recipe("baseline");
 }
 
 Pipeline Pipeline::emorphic(const FlowParams& params) {
-  if (params.partition) {
-    // The scaling mode: the whole-circuit conversion/rewrite/extract body
-    // cannot hold a million-gate design in one e-graph, so the partition
-    // stage runs the same saturation per window and stitches. The final
-    // Cec stage (gated by params.verify, like every flow) proves the
-    // stitched circuit against the input end to end.
-    Pipeline pipeline;
-    if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
-    pipeline.add(StagePtr(new PartitionStage()));
-    pipeline.add(StagePtr(new CecStage()));
-    return pipeline;
-  }
-  Pipeline pipeline;
-  if (params.fraig_pre) pipeline.add(StagePtr(new FraigStage()));
-  pipeline.add(
-      StagePtr(new ResynRoundsStage(ResynRoundsStage::Rounds::kAllButLast)));
-  pipeline.add(StagePtr(new EgraphConversionStage()));  // forward
-  pipeline.add(StagePtr(new RewriteStage()));
-  pipeline.add(StagePtr(new SaExtractStage()));
-  if (params.use_choicemap) {
-    // Choice-aware tail: one stage lowers the SA winner plus the verified
-    // alternative rings and maps across all of them. fraig_post has no
-    // network to sweep here (the stage rebuilds ctx.current from the
-    // e-graph), so it is ignored in this configuration. With use_lutmap
-    // the same shape holds, with LUTs as the backend.
-    pipeline.add(params.use_lutmap ? StagePtr(new LutMapStage())
-                                   : StagePtr(new ChoiceMapStage()));
-  } else {
-    pipeline.add(StagePtr(new EgraphConversionStage()));  // backward
-    if (params.fraig_post) pipeline.add(StagePtr(new FraigStage()));
-    if (params.use_lutmap) {
-      pipeline.add(StagePtr(new LutMapStage()));
-    } else {
-      pipeline.add(StagePtr(new TechMapStage(/*resynth_gate=*/true)));
-    }
-  }
-  pipeline.add(StagePtr(new CecStage()));
-  return pipeline;
+  // The one flag alias of a recipe left: perfbench selects its partitioned
+  // workload through FlowParams::partition.
+  return recipe(params.partition ? "partition" : "emorphic");
 }
 
 }  // namespace emorphic

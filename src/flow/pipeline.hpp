@@ -11,12 +11,12 @@
 //
 // Stages are stateless and re-entrant: all mutable state lives in the
 // FlowContext, so one Pipeline instance can drive many circuits concurrently
-// (see flow/batch.hpp). Custom stages register under a name in the stage
-// registry (`register_stage`) and can then be assembled by name.
+// (see flow/batch.hpp). The built-in stages are available by name
+// (`make_stage`), the prebuilt flows are named recipes (`Pipeline::recipe`),
+// and custom stages join a pipeline as instances (`Pipeline::add`).
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -95,35 +95,16 @@ struct FlowParams {
   /// SAT-sweeping configuration for the "fraig" stage (sim rounds, conflict
   /// limit, max class size — see opt/fraig.hpp).
   FraigParams fraig;
-  /// Opt-in fraig placement for the prebuilt flows: `fraig_pre` sweeps the
-  /// input before any optimization, `fraig_post` sweeps the optimized
-  /// network right before the final mapping. Honored by the
-  /// `Pipeline::baseline(params)` / `Pipeline::emorphic(params)` factories
-  /// (and therefore by any `run_batch` over those pipelines).
-  bool fraig_pre = false;
+  /// Run a "fraig" sweep inside every window of the "partition" stage.
   bool fraig_post = false;
-  /// Choice export configuration for the "choicemap" stage: ring cap and
-  /// SAT verification of every exported ring member (see
-  /// flow/choice_export.hpp).
+  /// Choice export configuration for the "choicemap" and "choicemap-lut"
+  /// stages: ring cap and the SAT budget every exported ring member is
+  /// verified under (see flow/choice_export.hpp).
   ChoiceExportParams choice_export;
-  /// Opt into choice-aware mapping in `Pipeline::emorphic(params)`: the
-  /// backward EgraphConversion + final TechMap pair is replaced by the
-  /// "choicemap" stage, which lowers the whole e-graph — the SA winner
-  /// plus a ring of verified alternatives per class — and maps across all
-  /// variants. `fraig_post` is ignored in this configuration (the network
-  /// it would sweep is rebuilt from the e-graph inside the stage).
-  bool use_choicemap = false;
-  /// Opt into the k-LUT mapping backend (mapper/lut_mapper.hpp): the
-  /// `baseline(params)`/`emorphic(params)` factories then end in the
-  /// "lutmap" stage instead of the final cell mapping, and the flow's QoR
-  /// reads LUT count (area) and LUT depth (delay). Combined with
-  /// `use_choicemap`, lutmap consumes the e-graph directly and maps
-  /// choice-aware across the verified rings (Pareto-gated, like
-  /// choicemap).
-  bool use_lutmap = false;
-  /// LUT input cap K for the lutmap stage; must lie in [2, kMaxCutSize]
-  /// — the stage (via map_to_luts) throws std::invalid_argument outside
-  /// that range, and the service rejects it as BAD_PARAMS at submit time.
+  /// LUT input cap K for the "lutmap" and "choicemap-lut" stages; must lie
+  /// in [2, kMaxCutSize] — the stage (via map_to_luts) throws
+  /// std::invalid_argument outside that range, and the service rejects it
+  /// as BAD_PARAMS at submit time.
   unsigned lut_size = 6;
   /// Paranoia mode: re-validate every live structure (working AIG, e-graph,
   /// mapped netlist) with the deep validators of check/validators.hpp at
@@ -132,19 +113,14 @@ struct FlowParams {
   /// with a check::CheckError naming the stage and the offending
   /// node/class. Costs one full structure walk per stage; off by default.
   bool paranoia = false;
-  /// Opt into windowed (partitioned) saturation in `Pipeline::emorphic
-  /// (params)`: the whole-circuit conversion/rewrite/extract body is
-  /// replaced by the "partition" stage (flow/partition_flow.hpp), which
-  /// decomposes the circuit into bounded fanin-cone windows, saturates
-  /// each on the batch workers, CEC-gates every adopted window and
-  /// stitches them back. The scaling mode for circuits too large for one
-  /// e-graph. `fraig_post` becomes the per-window SAT sweep; mapping
-  /// stages are skipped (the partitioned flow reports structure QoR).
+  /// Makes `Pipeline::emorphic(params)` return the "partition" recipe, the
+  /// one flag alias of a recipe name left (perfbench's scale_partition
+  /// workload selects its flow through it). Nothing else reads it.
   bool partition = false;
   /// Maximum AND nodes per window for the partition stage.
   std::uint32_t window_size = 1000;
   /// Checkpoint file for crash-safe resume; empty disables checkpointing.
-  /// With `partition`, holds per-chunk window results ("EMPC"); otherwise
+  /// The partition stage keeps per-chunk window results in it ("EMPC");
   /// the Rewrite stage snapshots the e-graph after every saturation
   /// iteration ("EMCK") and resumes from it bit-identically. CLI/test
   /// surface only — the synthesis service deliberately does not expose it
@@ -359,7 +335,7 @@ struct FlowContext : FlowResult {
 class Stage {
  public:
   virtual ~Stage() = default;
-  /// Stable display/registry name (also the telemetry key).
+  /// Stable name: the make_stage key and the telemetry key.
   virtual const char* name() const = 0;
   /// Execute the stage: read/write ctx's working state and result fields.
   virtual void run(FlowContext& ctx) const = 0;
@@ -367,7 +343,7 @@ class Stage {
 
 using StagePtr = std::unique_ptr<Stage>;
 
-// --- built-in stages (registry names match the class stem) ------------------
+// --- built-in stages (names match the class stem) --------------------------
 
 /// Gated ABC-style "(st; if -g)(st; dch; map)" rounds: a candidate round is
 /// adopted only when its mapped cost improves on the incumbent. Leaves the
@@ -444,8 +420,8 @@ class CecStage : public Stage {
 
 /// SAT sweeping of ctx.current (see opt/fraig.hpp): merges
 /// proven-equivalent nodes, invalidating any mapped netlist. Configured by
-/// FlowParams::fraig; stats land in FlowResult::fraig_stats. Registered
-/// under the ABC-style lowercase name "fraig".
+/// FlowParams::fraig; stats land in FlowResult::fraig_stats. Named
+/// ABC-style in lowercase: "fraig".
 class FraigStage : public Stage {
  public:
   const char* name() const override { return "fraig"; }
@@ -456,30 +432,35 @@ class FraigStage : public Stage {
 /// into the mapper): exports the e-graph as a choice-annotated AIG under
 /// the SA winner (greedy depth extraction when SaExtract did not run),
 /// with a SAT-verified ring of alternative structures per class, and maps
-/// across all variants (flow/choice_export.hpp, choice-aware
-/// map_to_cells). The cross-variant cover is Pareto-gated against the
-/// plain mapping of the committed extraction (map_with_choices_gated), so
-/// the stage is monotone: choices can only improve the netlist. Subsumes
-/// the backward EgraphConversion *and* the final TechMap: ctx.current
-/// becomes the plain extraction, ctx.netlist the gated choice-aware
-/// mapping of it. Configured by FlowParams::choice_export; stats land in
-/// FlowResult::choice_stats. Registered as "choicemap".
+/// across all variants (flow/choice_export.hpp). The cross-variant cover is
+/// Pareto-gated against the plain mapping of the committed extraction
+/// (map_with_choices_gated), so the stage is monotone: choices can only
+/// improve the cover. Subsumes the backward EgraphConversion *and* the
+/// final mapping: ctx.current becomes the plain extraction, ctx.netlist the
+/// gated choice-aware cover of it. The cell backend is "choicemap"; the
+/// k-LUT backend is "choicemap-lut" (FlowParams::lut_size; QoR is LUT count
+/// and LUT depth, as for "lutmap"). Configured by FlowParams::choice_export;
+/// stats land in FlowResult::choice_stats.
 class ChoiceMapStage : public Stage {
  public:
-  const char* name() const override { return "choicemap"; }
+  enum class Backend { kCells, kLuts };
+  explicit ChoiceMapStage(Backend backend = Backend::kCells)
+      : backend_(backend) {}
+  const char* name() const override {
+    return backend_ == Backend::kCells ? "choicemap" : "choicemap-lut";
+  }
   void run(FlowContext& ctx) const override;
+
+ private:
+  Backend backend_;
 };
 
 /// k-LUT technology mapping of ctx.current (mapper/lut_mapper.hpp): the
 /// FPGA-flavored final stage. The LUT cover replaces ctx.netlist (a LUT
 /// netlist, so a later TechMap remaps onto cells) and the flow QoR
-/// becomes LUT count (area) and LUT depth (delay). When ctx.egraph exists
-/// and params.use_choicemap is set, the stage subsumes the backward
-/// conversion like choicemap does: ctx.current becomes the committed
-/// extraction and the cover is the Pareto-gated choice-aware LUT mapping
-/// across the verified rings (map_with_choices_gated). Configured by
-/// FlowParams::lut_size; registered as "lutmap". Every cover is CEC-proven
-/// against the stage input by the stage-equivalence gate
+/// becomes LUT count (area) and LUT depth (delay). Configured by
+/// FlowParams::lut_size. Every cover is CEC-proven against the stage input
+/// by the stage-equivalence gate
 /// (tests/integration/test_stage_equivalence.cpp).
 class LutMapStage : public Stage {
  public:
@@ -492,26 +473,24 @@ class LutMapStage : public Stage {
 /// ctx.seed (or sa.seed when that is 0) and polls ctx.should_stop() between
 /// chunks. Stats land in FlowResult::partition_stats. When the cancel flag
 /// or the time budget stops it, ctx.current is left untouched (progress
-/// persists in the checkpoint file). Registered as "partition".
+/// persists in the checkpoint file).
 class PartitionStage : public Stage {
  public:
   const char* name() const override { return "partition"; }
   void run(FlowContext& ctx) const override;
 };
 
-// --- stage registry ---------------------------------------------------------
+// --- stages and recipes by name ---------------------------------------------
 
-using StageFactory = std::function<StagePtr()>;
-
-/// Register a factory under `name` (overwrites an existing entry); returns
-/// true when the name was new. The built-in stages are pre-registered.
-bool register_stage(const std::string& name, StageFactory factory);
-
-/// Instantiate a registered stage; throws std::invalid_argument (listing the
-/// known names) when `name` is unknown.
+/// A fresh default-configured built-in stage by its name(); throws
+/// std::invalid_argument (listing the known names) when `name` is unknown.
 StagePtr make_stage(const std::string& name);
 
-std::vector<std::string> registered_stage_names();
+/// The name of every built-in stage, in table order.
+std::vector<std::string> builtin_stage_names();
+
+/// The name of every flow recipe (see Pipeline::recipe), in table order.
+std::vector<std::string> recipe_names();
 
 // --- the pipeline -----------------------------------------------------------
 
@@ -523,8 +502,8 @@ class Pipeline {
 
   /// Append a stage instance; returns *this for chaining.
   Pipeline& add(StagePtr stage);
-  /// Append a stage by registry name (see register_stage).
-  Pipeline& add(const std::string& registered_name);
+  /// Append a built-in stage by name (see make_stage).
+  Pipeline& add(const std::string& stage_name);
 
   /// Number of stages.
   std::size_t size() const { return stages_.size(); }
@@ -544,22 +523,21 @@ class Pipeline {
   FlowResult run(const Aig& input, const FlowParams& params = {},
                  FlowObserver* observer = nullptr) const;
 
-  // The prebuilt flows. Both apply the opt-in placements of `params`
-  // (default FlowParams select none): `params.fraig_pre` inserts a "fraig"
-  // stage before everything, `params.fraig_post` right before the final
-  // TechMap, and `params.use_choicemap` (emorphic only) swaps the backward
-  // EgraphConversion + TechMap pair for the choice-aware "choicemap"
-  // stage. `params.use_lutmap` swaps the final cell mapping for the
-  // "lutmap" stage (combined with use_choicemap, one lutmap stage consumes
-  // the e-graph choice-aware), and `params.partition` (emorphic only)
-  // replaces the whole-circuit body by the "partition" stage.
+  /// A named flow recipe: a fixed stage list, in the style of ABC's named
+  /// scripts (docs/stages.md lists them). "emorphic" is the paper's Fig. 5
+  /// flow: ResynRounds (all but the last round); EgraphConversion (fwd);
+  /// Rewrite; SaExtract; EgraphConversion (bwd); TechMap (resynth-gated
+  /// final round); Cec. "baseline" is the conventional delay-oriented flow
+  /// of [22]: ResynRounds; TechMap. The "-choice" and "-lut" variants swap
+  /// the tail for choice-aware and k-LUT mapping, and "partition" is
+  /// windowed saturation: partition; Cec. Throws std::invalid_argument
+  /// (listing recipe_names()) when `name` is unknown.
+  static Pipeline recipe(std::string_view name);
 
-  /// The conventional delay-oriented flow of [22]: ResynRounds; TechMap.
+  /// The "baseline" recipe.
   static Pipeline baseline(const FlowParams& params = {});
 
-  /// The paper's Fig. 5 flow: ResynRounds (all but the last round);
-  /// EgraphConversion (fwd); Rewrite; SaExtract; EgraphConversion (bwd);
-  /// TechMap (resynth-gated final round); Cec.
+  /// The "emorphic" recipe, or "partition" when `params.partition` is set.
   static Pipeline emorphic(const FlowParams& params = {});
 
  private:

@@ -14,7 +14,7 @@ namespace emorphic {
 
 namespace {
 
-using sat::SatResult;
+using sat::PairVerdict;
 using sat::Solver;
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
@@ -140,40 +140,6 @@ std::size_t refine_classes(Partition& part,
   return splits;
 }
 
-enum class PairVerdict { kProved, kRefuted, kUndecided };
-
-/// Prove or refute `la == lb` on the encoded network with two
-/// assumption-only queries: (la & !lb) and (!la & lb) must both be UNSAT.
-/// On refutation, `cex` receives the distinguishing PI assignment.
-PairVerdict prove_pair(Solver& solver, const std::vector<sat::SatVar>& smap,
-                       const Aig& aig, Lit la, Lit lb,
-                       const FraigParams& params, std::vector<bool>& cex,
-                       FraigStats& stats) {
-  sat::SatLit sa = sat::lit_to_sat(smap, la);
-  sat::SatLit sb = sat::lit_to_sat(smap, lb);
-  auto extract_cex = [&] {
-    cex.resize(aig.num_pis());
-    for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
-      cex[i] = solver.model_value(smap[aig.pis()[i]]);
-    }
-  };
-  ++stats.sat_calls;
-  SatResult r = solver.solve({sa, sat::sat_neg(sb)}, params.conflict_limit);
-  if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
-  if (r == SatResult::kSat) {
-    extract_cex();
-    return PairVerdict::kRefuted;
-  }
-  ++stats.sat_calls;
-  r = solver.solve({sat::sat_neg(sa), sb}, params.conflict_limit);
-  if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
-  if (r == SatResult::kSat) {
-    extract_cex();
-    return PairVerdict::kRefuted;
-  }
-  return PairVerdict::kProved;
-}
-
 std::vector<Lit> identity_replacement(const Aig& aig) {
   std::vector<Lit> replacement(aig.num_nodes());
   for (Var v = 0; v < aig.num_nodes(); ++v) replacement[v] = make_lit(v);
@@ -205,7 +171,6 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
   Solver solver;
   std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig);
   std::vector<Lit> replacement = identity_replacement(aig);
-  std::vector<bool> cex;
 
   for (std::size_t c = 0; c < part.classes.size(); ++c) {
     if (part.classes[c].size() < 2) continue;
@@ -225,10 +190,11 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
         continue;
       }
       bool relphase = part.phase[m] != part.phase[rep];
-      PairVerdict verdict =
-          prove_pair(solver, smap, aig, make_lit(rep), make_lit(m, relphase),
-                     params, cex, stats);
-      if (verdict == PairVerdict::kProved) {
+      PairVerdict verdict = sat::prove_pair(
+          solver, sat::lit_to_sat(smap, make_lit(rep)),
+          sat::lit_to_sat(smap, make_lit(m, relphase)), params.conflict_limit,
+          stats.sat_calls);
+      if (verdict == PairVerdict::kEqual) {
         ++stats.proved;
         replacement[m] = make_lit(rep, relphase);
         part.class_of[m] = -1;
@@ -242,6 +208,10 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
         // Replay the counterexample (bit 0 exact, bits 1..63 neighbors):
         // it provably evicts `m` from this class, and splits any other
         // not-yet-processed class it distinguishes.
+        std::vector<bool> cex(aig.num_pis());
+        for (std::uint32_t k = 0; k < aig.num_pis(); ++k) {
+          cex[k] = solver.model_value(smap[aig.pis()[k]]);
+        }
         ++stats.refuted;
         ++stats.cex_replays;
         ++stats.sim_words;
@@ -259,17 +229,17 @@ Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
   Solver solver;
   std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig);
   std::vector<Lit> replacement = identity_replacement(aig);
-  std::vector<bool> cex;
   for (Var m = 1; m < aig.num_nodes(); ++m) {
     if (!aig.is_and(m)) continue;
     for (Var r = 0; r < m && replacement[m] == make_lit(m); ++r) {
       if (replacement[r] != make_lit(r)) continue;  // merged away already
       for (int phase = 0; phase < 2 && replacement[m] == make_lit(m);
            ++phase) {
-        PairVerdict verdict =
-            prove_pair(solver, smap, aig, make_lit(r),
-                       make_lit(m, phase != 0), params, cex, stats);
-        if (verdict == PairVerdict::kProved) {
+        PairVerdict verdict = sat::prove_pair(
+            solver, sat::lit_to_sat(smap, make_lit(r)),
+            sat::lit_to_sat(smap, make_lit(m, phase != 0)),
+            params.conflict_limit, stats.sat_calls);
+        if (verdict == PairVerdict::kEqual) {
           ++stats.proved;
           replacement[m] = make_lit(r, phase != 0);
         } else if (verdict == PairVerdict::kUndecided) {

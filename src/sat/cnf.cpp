@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace emorphic::sat {
 
@@ -71,6 +72,17 @@ SatLit encode_miter(Solver& solver, const Aig& a, const Aig& b) {
   }
   solver.add_clause(std::move(clause));
   return miter;
+}
+
+PairVerdict prove_pair(Solver& solver, SatLit a, SatLit b,
+                       std::uint64_t conflict_limit, std::size_t& queries) {
+  for (const auto& [x, y] : {std::pair{a, sat_neg(b)}, {sat_neg(a), b}}) {
+    ++queries;
+    SatResult r = solver.solve({x, y}, conflict_limit);
+    if (r == SatResult::kSat) return PairVerdict::kDifferent;
+    if (r == SatResult::kUndecided) return PairVerdict::kUndecided;
+  }
+  return PairVerdict::kEqual;
 }
 
 }  // namespace emorphic::sat

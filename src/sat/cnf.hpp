@@ -1,7 +1,10 @@
 #pragma once
-// Tseitin encoding of AIGs into CNF and miter construction for
-// combinational equivalence checking.
+// Tseitin encoding of AIGs into CNF, miter construction for combinational
+// equivalence checking, and the two-query proof of a candidate equivalent
+// pair that SAT sweeping and choice verification share.
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -22,5 +25,15 @@ inline SatLit lit_to_sat(const std::vector<SatVar>& map, Lit lit) {
 /// one solver (shared PI variables): returns one SAT literal that is
 /// satisfiable iff some output pair differs.
 SatLit encode_miter(Solver& solver, const Aig& a, const Aig& b);
+
+enum class PairVerdict { kEqual, kDifferent, kUndecided };
+
+/// Decide `a == b` on the CNF already in `solver` with two assumption-only
+/// queries, (a & !b) then (!a & b), each under `conflict_limit`: both UNSAT
+/// proves the pair. Stops at the first query that is not UNSAT; after
+/// kDifferent the solver's model is a distinguishing assignment. Adds the
+/// number of queries made (1 or 2) to `queries`.
+PairVerdict prove_pair(Solver& solver, SatLit a, SatLit b,
+                       std::uint64_t conflict_limit, std::size_t& queries);
 
 }  // namespace emorphic::sat

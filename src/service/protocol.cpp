@@ -161,14 +161,8 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
       params->area_weight = expect_number(value, key);
     } else if (key == "verify") {
       params->verify = expect_bool(value, key);
-    } else if (key == "fraig_pre") {
-      params->fraig_pre = expect_bool(value, key);
     } else if (key == "fraig_post") {
       params->fraig_post = expect_bool(value, key);
-    } else if (key == "use_choicemap") {
-      params->use_choicemap = expect_bool(value, key);
-    } else if (key == "use_lutmap") {
-      params->use_lutmap = expect_bool(value, key);
     } else if (key == "lut_size") {
       unsigned k = expect_unsigned(value, key);
       // Validated here so a bad request dies as a typed BAD_PARAMS at
@@ -179,12 +173,9 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
             "]");
       }
       params->lut_size = k;
-    } else if (key == "partition") {
-      // Windowed saturation (flow/partition_flow.hpp) for circuits too
-      // large for whole-circuit conversion. checkpoint_path is deliberately
-      // NOT exposed: clients must not name server-side filesystem paths.
-      params->partition = expect_bool(value, key);
     } else if (key == "window_size") {
+      // For the "partition" flow. checkpoint_path is deliberately NOT
+      // exposed: clients must not name server-side filesystem paths.
       unsigned w = expect_unsigned(value, key);
       if (w < 1) bad("field 'window_size' must be >= 1");
       params->window_size = w;

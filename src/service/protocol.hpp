@@ -62,18 +62,19 @@ struct JobRequest {
 };
 
 /// Apply a params-override object onto `params`. Accepted keys:
-///   rounds, area_weight, verify, fraig_pre, fraig_post, use_choicemap,
-///   use_lutmap, lut_size
+///   rounds, area_weight, verify, fraig_post, lut_size, window_size,
+///   paranoia
 ///   sa:      {iterations, moves_per_iteration, num_threads,
 ///             initial_temperature}
 ///   rewrite: {max_iterations, max_enodes, time_limit_s, match_threads}
 ///   mapping: {cut_size, num_cuts, area_recovery}
-/// Throws std::invalid_argument on an unknown key, an ill-typed value, or
-/// an out-of-range lut_size (the LUT backend's [2, kMaxCutSize] contract),
-/// naming the offender — the server maps this to ErrorCode::kBadParams.
-/// Any accepted key lands in the params fingerprint via the overrides
-/// object itself, so e.g. a use_lutmap job can never alias a cell-mapped
-/// job in the flow-result cache.
+/// The stage list is the flow name's (a recipe, see Pipeline::recipe), not
+/// a parameter. Throws std::invalid_argument on an unknown key, an
+/// ill-typed value, or an out-of-range value (e.g. lut_size outside the LUT
+/// backend's [2, kMaxCutSize] contract), naming the offender — the server
+/// maps this to ErrorCode::kBadParams. Any accepted key lands in the params
+/// fingerprint via the overrides object itself, so e.g. jobs with different
+/// lut_size values never alias in the flow-result cache.
 void apply_flow_params(FlowParams* params, const Json& overrides);
 
 /// Fingerprint of everything besides (input, seed) that shapes a job's

@@ -56,8 +56,11 @@ SynthServer::SynthServer(ServerConfig config, WarmCache* cache)
                        : nullptr),
       cache_(cache != nullptr ? cache : owned_cache_.get()),
       queue_(config_.queue_capacity) {
-  flows_["emorphic"] = [](const FlowParams& p) { return Pipeline::emorphic(p); };
-  flows_["baseline"] = [](const FlowParams& p) { return Pipeline::baseline(p); };
+  for (const std::string& name : recipe_names()) {
+    flows_[name] = [name](const FlowParams&) {
+      return Pipeline::recipe(name);
+    };
+  }
 }
 
 SynthServer::~SynthServer() { stop(); }
@@ -286,8 +289,13 @@ void SynthServer::handle_submit(const std::shared_ptr<Session>& session,
   auto flow_it = flows_.find(request.flow);
   if (flow_it == flows_.end()) {
     stat_malformed_.fetch_add(1, std::memory_order_relaxed);
+    std::string known;
+    for (const auto& [name, factory] : flows_) {
+      known += (known.empty() ? "" : ", ") + name;
+    }
     send(session, make_error(ErrorCode::kUnknownFlow,
-                             "no flow registered as '" + request.flow + "'",
+                             "no flow registered as '" + request.flow +
+                                 "' (registered: " + known + ")",
                              request.id));
     return;
   }

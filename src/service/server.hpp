@@ -72,9 +72,7 @@ struct ServerStats {
   std::uint64_t result_cache_hits = 0;
 };
 
-/// A pipeline recipe: builds the Pipeline a job runs, given the job's
-/// resolved parameters (so param-dependent stage lists — fraig_pre,
-/// use_choicemap — take effect per request).
+/// Builds the Pipeline a job runs, given the job's resolved parameters.
 using FlowFactory = std::function<Pipeline(const FlowParams&)>;
 
 class SynthServer {
@@ -90,8 +88,8 @@ class SynthServer {
   SynthServer(const SynthServer&) = delete;
   SynthServer& operator=(const SynthServer&) = delete;
 
-  /// Register a flow under `name` ("emorphic" and "baseline" are
-  /// pre-registered). Call before start().
+  /// Register a flow under `name` (every Pipeline::recipe is
+  /// pre-registered under its recipe name). Call before start().
   void add_flow(const std::string& name, FlowFactory factory);
 
   /// Bind, listen, and spin up workers. Throws std::runtime_error when the

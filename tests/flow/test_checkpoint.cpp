@@ -215,10 +215,9 @@ TEST(CheckpointEnvelope, FormatsRefuseEachOthersFiles) {
 TEST(PartitionFlow, EmorphicPartitionPipelinePreservesFunction) {
   Aig input = make_multiplier(6);
   FlowParams params = checkpoint_params();
-  params.partition = true;
   params.window_size = 40;
   params.verify = true;  // end-to-end Cec gate over the stitched circuit
-  FlowResult result = Pipeline::emorphic(params).run(input, params);
+  FlowResult result = Pipeline::recipe("partition").run(input, params);
   ASSERT_FALSE(result.cancelled);
   ASSERT_TRUE(result.partition_stats.completed);
   EXPECT_GT(result.partition_stats.num_windows, 1u);
@@ -228,16 +227,16 @@ TEST(PartitionFlow, EmorphicPartitionPipelinePreservesFunction) {
 }
 
 TEST(PartitionFlow, PartitionOwnsTheCheckpointFile) {
-  // With partition mode on, FlowParams::checkpoint_path is the window-level
-  // "EMPC" checkpoint; the Rewrite-stage "EMCK" machinery must keep its
-  // hands off even though the inner window flows run Rewrite stages.
+  // In the partition recipe, FlowParams::checkpoint_path is the
+  // window-level "EMPC" checkpoint; the Rewrite-stage "EMCK" machinery must
+  // keep its hands off even though the inner window flows run Rewrite
+  // stages.
   Aig input = make_adder(6);
   FlowParams params = checkpoint_params();
-  params.partition = true;
   params.window_size = 20;
   std::string path = temp_path("empc_owner");
   params.checkpoint_path = path;
-  FlowResult result = Pipeline::emorphic(params).run(input, params);
+  FlowResult result = Pipeline::recipe("partition").run(input, params);
   ASSERT_TRUE(result.partition_stats.completed);
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
@@ -250,14 +249,13 @@ TEST(PartitionFlow, PartitionOwnsTheCheckpointFile) {
 TEST(PartitionFlow, CancelledPartitionReportsCancelled) {
   Aig input = make_adder(6);
   FlowParams params = checkpoint_params();
-  params.partition = true;
   params.window_size = 20;
   std::atomic<bool> cancel{true};
   FlowContext ctx;
   ctx.params = params;
   ctx.input = input;
   ctx.cancel = &cancel;
-  FlowResult result = Pipeline::emorphic(params).run(ctx);
+  FlowResult result = Pipeline::recipe("partition").run(ctx);
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
   EXPECT_FALSE(result.partition_stats.completed);

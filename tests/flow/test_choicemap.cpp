@@ -6,8 +6,8 @@
 //    SAT verification;
 //  * choice-aware mapping of a choice-free AIG reproduces plain
 //    map_to_cells exactly (bit-identical netlist);
-//  * the registered stage slots into pipelines and the prebuilt
-//    use_choicemap flow stays cec-equivalent end to end.
+//  * the stage slots into pipelines and the "emorphic-choice" recipe
+//    stays cec-equivalent end to end.
 
 #include "flow/choice_export.hpp"
 
@@ -148,10 +148,10 @@ TEST(ChoiceExport, GatedCoverNeverWorseAndSometimesSmaller) {
   EXPECT_TRUE(any_rings);
 }
 
-TEST(ChoicemapStage, RegisteredAndRunsInAPipeline) {
-  std::vector<std::string> registered = registered_stage_names();
-  EXPECT_NE(std::find(registered.begin(), registered.end(), "choicemap"),
-            registered.end());
+TEST(ChoicemapStage, BuiltinAndRunsInAPipeline) {
+  std::vector<std::string> builtin = builtin_stage_names();
+  EXPECT_NE(std::find(builtin.begin(), builtin.end(), "choicemap"),
+            builtin.end());
 
   Pipeline p;
   p.add("EgraphConversion").add("Rewrite").add("SaExtract").add("choicemap");
@@ -175,15 +175,16 @@ TEST(ChoicemapStage, RegisteredAndRunsInAPipeline) {
 }
 
 TEST(ChoicemapStage, StageWithoutEgraphThrows) {
-  Pipeline p;
-  p.add("choicemap");
   FlowParams params;
-  EXPECT_THROW(p.run(make_adder(3), params), std::runtime_error);
+  for (const char* stage : {"choicemap", "choicemap-lut"}) {
+    Pipeline p;
+    p.add(stage);
+    EXPECT_THROW(p.run(make_adder(3), params), std::runtime_error) << stage;
+  }
 }
 
 TEST(ChoicemapStage, EmorphicFlowWithChoicemapVerifies) {
   FlowParams params;
-  params.use_choicemap = true;
   params.rounds = 2;
   params.rewrite.max_iterations = 2;
   params.rewrite.max_enodes = 8000;
@@ -191,7 +192,7 @@ TEST(ChoicemapStage, EmorphicFlowWithChoicemapVerifies) {
   params.sa.iterations = 2;
   params.sa.moves_per_iteration = 4;
 
-  Pipeline pipeline = Pipeline::emorphic(params);
+  Pipeline pipeline = Pipeline::recipe("emorphic-choice");
   std::vector<std::string> names = pipeline.stage_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "choicemap"), names.end());
   EXPECT_EQ(std::find(names.begin(), names.end(), "TechMap"), names.end());
@@ -203,9 +204,8 @@ TEST(ChoicemapStage, EmorphicFlowWithChoicemapVerifies) {
   EXPECT_EQ(cec(aig, result.netlist->to_aig()).status, CecStatus::kEquivalent);
 }
 
-TEST(ChoicemapStage, BatchInheritsChoicemapDeterministically) {
+TEST(ChoicemapStage, BatchRunsChoicemapDeterministically) {
   FlowParams params;
-  params.use_choicemap = true;
   params.verify = false;
   params.rounds = 1;
   params.rewrite.max_iterations = 2;
@@ -220,11 +220,10 @@ TEST(ChoicemapStage, BatchInheritsChoicemapDeterministically) {
 
   BatchParams batch;
   batch.num_threads = 2;
-  BatchResult first = run_batch(circuits, Pipeline::emorphic(params), params,
-                                batch);
+  const Pipeline pipeline = Pipeline::recipe("emorphic-choice");
+  BatchResult first = run_batch(circuits, pipeline, params, batch);
   batch.num_threads = 1;
-  BatchResult second = run_batch(circuits, Pipeline::emorphic(params), params,
-                                 batch);
+  BatchResult second = run_batch(circuits, pipeline, params, batch);
   ASSERT_EQ(first.results.size(), 2u);
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     EXPECT_EQ(cec(circuits[i], first.results[i].final_aig).status,

@@ -1,5 +1,6 @@
-// Tests for the composable Pipeline API: stage registry, stage ordering and
-// context threading, observer event counts, cancellation (between stages and
+// Tests for the composable Pipeline API: stages and recipes by name (with the
+// recipes' pinned stage lists and QoR), stage ordering and context
+// threading, observer event counts, cancellation (between stages and
 // mid-SA), time budgets, and run_batch determinism.
 
 #include "flow/pipeline.hpp"
@@ -9,14 +10,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 #include <string_view>
 #include <thread>
 
 #include "../test_helpers.hpp"
+#include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "core/emorphic.hpp"  // optimize() facade
+#include "egraph/snapshot.hpp"  // fingerprint_fold
 #include "flow/batch.hpp"
 
 namespace emorphic {
@@ -65,10 +69,11 @@ class CountingObserver : public FlowObserver {
   std::vector<std::string> order;
 };
 
-TEST(Pipeline, RegistryKnowsBuiltinStages) {
-  std::vector<std::string> names = registered_stage_names();
-  for (const char* expected : {"ResynRounds", "EgraphConversion", "Rewrite",
-                               "SaExtract", "TechMap", "Cec", "fraig"}) {
+TEST(Pipeline, BuiltinStagesByName) {
+  std::vector<std::string> names = builtin_stage_names();
+  for (const char* expected :
+       {"ResynRounds", "EgraphConversion", "Rewrite", "SaExtract", "TechMap",
+        "Cec", "fraig", "choicemap", "choicemap-lut", "lutmap", "partition"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing built-in stage " << expected;
   }
@@ -78,17 +83,114 @@ TEST(Pipeline, RegistryKnowsBuiltinStages) {
   EXPECT_THROW(make_stage("NoSuchStage"), std::invalid_argument);
 }
 
-TEST(Pipeline, RegistryAcceptsCustomStages) {
+TEST(Pipeline, CustomStagesJoinAsInstances) {
   class NopStage : public Stage {
    public:
     const char* name() const override { return "Nop"; }
     void run(FlowContext&) const override {}
   };
-  register_stage("TestNop", [] { return StagePtr(new NopStage()); });
   Pipeline pipeline;
-  pipeline.add("TestNop").add("TechMap");
+  pipeline.add(std::make_unique<NopStage>()).add("TechMap");
+  EXPECT_EQ(pipeline.stage_names(),
+            (std::vector<std::string>{"Nop", "TechMap"}));
   FlowResult result = pipeline.run(make_adder(4), quick_params());
   EXPECT_GT(result.qor.area, 0.0);
+}
+
+TEST(Recipes, UnknownRecipeThrowsListingTheKnownOnes) {
+  try {
+    (void)Pipeline::recipe("no-such-recipe");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    for (const std::string& name : recipe_names()) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Recipes, FactoriesAreRecipeAliases) {
+  FlowParams params;
+  EXPECT_EQ(Pipeline::baseline(params).stage_names(),
+            Pipeline::recipe("baseline").stage_names());
+  EXPECT_EQ(Pipeline::emorphic(params).stage_names(),
+            Pipeline::recipe("emorphic").stage_names());
+  params.partition = true;
+  EXPECT_EQ(Pipeline::emorphic(params).stage_names(),
+            Pipeline::recipe("partition").stage_names());
+}
+
+/// Fold a finished flow's QoR (without the wall-clock seconds), the
+/// structure of its final AIG and its choice-verification SAT calls.
+std::uint64_t flow_digest(const FlowResult& r) {
+  auto bits = [](double d) {
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+  };
+  std::uint64_t h = 0;
+  h = fingerprint_fold(h, bits(r.qor.area));
+  h = fingerprint_fold(h, bits(r.qor.delay));
+  h = fingerprint_fold(h, r.qor.lev);
+  h = fingerprint_fold(h, structural_signature(r.final_aig));
+  h = fingerprint_fold(h, r.choice_stats.verify_sat_calls);
+  return h;
+}
+
+TEST(Recipes, GoldenStageListsAndQorDigests) {
+  // Each recipe's stage list, and its digest on make_adder(5), equal what
+  // the FlowParams flag combination it replaced built at the commit before
+  // the recipe table (use_lutmap, use_choicemap, partition on
+  // Pipeline::baseline/emorphic). The one intended difference: the
+  // choice-aware LUT tail is now named "choicemap-lut" (it was "lutmap").
+  // Three saturation iterations are what give adder5 a verified choice
+  // ring, so the choice recipes run real ring SAT calls.
+  const std::vector<std::string> kPrefix = {"ResynRounds", "EgraphConversion",
+                                            "Rewrite", "SaExtract"};
+  auto emorphic_with = [&](std::vector<std::string> tail) {
+    std::vector<std::string> names = kPrefix;
+    names.insert(names.end(), tail.begin(), tail.end());
+    return names;
+  };
+  struct Golden {
+    const char* recipe;
+    std::vector<std::string> stages;
+    std::uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {"baseline", {"ResynRounds", "TechMap"}, 0x6139191ff5f8af0aull},
+      {"baseline-lut", {"ResynRounds", "lutmap"}, 0xfa05a25370673439ull},
+      {"emorphic", emorphic_with({"EgraphConversion", "TechMap", "Cec"}),
+       0xdaa6b62385d544fdull},
+      {"emorphic-choice", emorphic_with({"choicemap", "Cec"}),
+       0xf2341329ba4a3d4cull},
+      {"emorphic-lut", emorphic_with({"EgraphConversion", "lutmap", "Cec"}),
+       0x57aa57e999dde966ull},
+      {"emorphic-choice-lut", emorphic_with({"choicemap-lut", "Cec"}),
+       0xcb08ebfdc6e04c47ull},
+      {"partition", {"partition", "Cec"}, 0xb7d1a52af711ceaaull},
+  };
+  std::vector<std::string> pinned;
+  for (const Golden& g : kGolden) pinned.emplace_back(g.recipe);
+  EXPECT_EQ(recipe_names(), pinned);
+
+  FlowParams params;
+  params.rounds = 2;
+  params.rewrite.max_iterations = 3;
+  params.rewrite.max_enodes = 8000;
+  params.rewrite.time_limit_s = 1e9;  // no wall-clock stop
+  params.sa.num_threads = 2;
+  params.sa.iterations = 2;
+  params.sa.moves_per_iteration = 4;
+  params.window_size = 25;  // several partition windows
+  const Aig input = make_adder(5);
+  for (const Golden& g : kGolden) {
+    Pipeline pipeline = Pipeline::recipe(g.recipe);
+    EXPECT_EQ(pipeline.stage_names(), g.stages) << g.recipe;
+    FlowResult result = pipeline.run(input, params);
+    EXPECT_EQ(flow_digest(result), g.digest)
+        << g.recipe << ": 0x" << std::hex << flow_digest(result);
+  }
 }
 
 TEST(Pipeline, StageOrderingAndContextThreading) {
@@ -402,13 +504,11 @@ TEST(RunBatch, ObserverSeesAllCircuits) {
 
 TEST(Optimize, ReturnsTheWholeFlowResult) {
   // optimize() runs Pipeline::emorphic(options.flow) and hands back its
-  // FlowResult unabridged: the LUT cover, telemetry and stop state too.
+  // FlowResult unabridged: the cover, telemetry and stop state too.
   EmorphicOptions options;
   options.flow = quick_params();
-  options.flow.use_lutmap = true;
   FlowResult result = optimize(make_adder(5), options);
   ASSERT_TRUE(result.netlist.has_value());
-  EXPECT_TRUE(result.netlist->is_lut());
   EXPECT_EQ(result.telemetry.stages.size(),
             Pipeline::emorphic(options.flow).size());
   EXPECT_FALSE(result.cancelled);

@@ -1,12 +1,12 @@
-// The repo's end-to-end functional-correctness gate: every registered
-// pipeline stage, run on a spread of benchgen circuits and seeds, must
-// produce an AIG that SAT-backed cec proves equivalent to its input — and
-// so must every netlist a stage or prebuilt flow delivers.
+// The repo's end-to-end functional-correctness gate: every built-in
+// pipeline stage and every flow recipe, run on a spread of benchgen
+// circuits, must produce an AIG that SAT-backed cec proves equivalent to
+// its input — and so must every netlist a stage or recipe delivers.
 //
 // Each stage gets a minimal pipeline harness (some stages only make sense
 // with a conversion prefix/suffix around them). The test fails loudly when
-// a newly registered stage has no harness entry — adding a stage without
-// adding it to this gate is not allowed.
+// a newly added built-in stage has no harness entry — adding a stage
+// without adding it to this gate is not allowed.
 
 #include <gtest/gtest.h>
 
@@ -79,6 +79,14 @@ std::map<std::string, Pipeline> stage_harnesses() {
   }
   {
     Pipeline p;
+    p.add("EgraphConversion");
+    p.add("Rewrite");
+    p.add("SaExtract");
+    p.add("choicemap-lut");  // the same rings, mapped onto k-LUTs
+    harness.emplace("choicemap-lut", std::move(p));
+  }
+  {
+    Pipeline p;
     p.add("lutmap");  // plain k-LUT cover of ctx.current
     harness.emplace("lutmap", std::move(p));
   }
@@ -128,12 +136,12 @@ std::vector<std::pair<std::string, Aig>> gate_circuits() {
   return circuits;
 }
 
-TEST(StageEquivalence, EveryRegisteredStageHasAHarness) {
+TEST(StageEquivalence, EveryBuiltinStageHasAHarness) {
   std::map<std::string, Pipeline> harness = stage_harnesses();
-  for (const std::string& name : registered_stage_names()) {
+  for (const std::string& name : builtin_stage_names()) {
     EXPECT_TRUE(harness.count(name) != 0)
         << "stage '" << name
-        << "' is registered but has no entry in the stage-equivalence gate "
+        << "' is built in but has no entry in the stage-equivalence gate "
            "(tests/integration/test_stage_equivalence.cpp) — add one";
   }
 }
@@ -155,8 +163,8 @@ TEST(StageEquivalence, EveryStagePreservesCircuitFunction) {
         ASSERT_EQ(check.status, CecStatus::kEquivalent)
             << "stage '" << stage_name << "' broke circuit '" << circuit_name
             << "' (seed " << seed << ")";
-        // The cell netlist is what ships, not final_aig: prove it too
-        // (ResynRounds, TechMap and choicemap leave one).
+        // The cover is what ships, not final_aig: prove it too
+        // (ResynRounds, TechMap and the choice/LUT mappers leave one).
         if (result.netlist.has_value()) {
           ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
                     CecStatus::kEquivalent)
@@ -169,21 +177,23 @@ TEST(StageEquivalence, EveryStagePreservesCircuitFunction) {
   }
 }
 
-TEST(StageEquivalence, PrebuiltFlowNetlistsAreEquivalentEndToEnd) {
-  // The delivered product of the baseline and E-morphic flows is the cell
-  // netlist; the flow's own Cec stage proves only final_aig.
+TEST(StageEquivalence, EveryRecipeIsEquivalentEndToEnd) {
+  // A recipe's delivered product is its cover (a cell netlist or a LUT
+  // cover), and the flow's own Cec stage proves only final_aig: prove both.
   FlowParams params = fast_params();
-  const std::map<std::string, Pipeline> flows{
-      {"baseline", Pipeline::baseline(params)},
-      {"emorphic", Pipeline::emorphic(params)}};
-  for (auto& [circuit_name, aig] : gate_circuits()) {
-    for (const auto& [flow, pipeline] : flows) {
+  for (const std::string& recipe : recipe_names()) {
+    Pipeline pipeline = Pipeline::recipe(recipe);
+    for (auto& [circuit_name, aig] : gate_circuits()) {
       FlowResult result = pipeline.run(aig, params);
-      ASSERT_TRUE(result.netlist.has_value()) << flow;
-      ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
-                CecStatus::kEquivalent)
-          << flow << " flow shipped a non-equivalent netlist for '"
-          << circuit_name << "'";
+      ASSERT_EQ(cec(aig, result.final_aig).status, CecStatus::kEquivalent)
+          << "recipe '" << recipe << "' broke circuit '" << circuit_name
+          << "'";
+      if (result.netlist.has_value()) {
+        ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
+                  CecStatus::kEquivalent)
+            << "recipe '" << recipe << "' shipped a non-equivalent cover for '"
+            << circuit_name << "'";
+      }
     }
   }
 }
@@ -215,38 +225,37 @@ TEST(StageEquivalence, ChoicemapNetlistIsEquivalentEndToEnd) {
   }
 }
 
-TEST(StageEquivalence, LutmapNetlistIsEquivalentEndToEnd) {
-  // Same rationale as the choicemap netlist gate: lutmap's real product is
-  // the LUT cover, so the gate proves the cover itself — re-expressed as
-  // an AIG via MappedNetlist::to_aig — equivalent to the pipeline input, on
-  // both the plain tail and the choice-aware tail.
+TEST(StageEquivalence, LutCoversAreEquivalentEndToEnd) {
+  // Same rationale as the choicemap netlist gate: a LUT stage's real
+  // product is the LUT cover, so the gate proves the cover itself —
+  // re-expressed as an AIG via MappedNetlist::to_aig — equivalent to the
+  // pipeline input, for the plain lutmap and the choice-aware
+  // choicemap-lut.
   FlowParams params = fast_params();
   Pipeline plain;
   plain.add("lutmap");
-
-  FlowParams choice_params = params;
-  choice_params.use_choicemap = true;  // routes lutmap through the rings
   Pipeline choicy;
   choicy.add("EgraphConversion");
   choicy.add("Rewrite");
   choicy.add("SaExtract");
-  choicy.add("lutmap");
+  choicy.add("choicemap-lut");
 
   for (auto& [circuit_name, aig] : gate_circuits()) {
     for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7}}) {
-      for (bool choices : {false, true}) {
+      for (const Pipeline* p : {&plain, &choicy}) {
         FlowContext ctx;
-        ctx.params = choices ? choice_params : params;
+        ctx.params = params;
         ctx.input = aig;
         ctx.seed = seed;
-        FlowResult result = (choices ? choicy : plain).run(ctx);
+        FlowResult result = p->run(ctx);
+        const std::string stage = p->stage_names().back();
         ASSERT_TRUE(result.netlist.has_value());
         ASSERT_TRUE(result.netlist->is_lut())
-            << "lutmap must leave its LUT cover, not a stale cell netlist";
+            << stage << " must leave its LUT cover, not a cell netlist";
         ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
                   CecStatus::kEquivalent)
-            << "lutmap produced a non-equivalent cover on '" << circuit_name
-            << "' (seed " << seed << ", choices=" << choices << ")";
+            << stage << " produced a non-equivalent cover on '"
+            << circuit_name << "' (seed " << seed << ")";
       }
     }
   }
@@ -268,55 +277,21 @@ TEST(StageEquivalence, LutmapRejectsInvalidLutSizeAtTheGate) {
   }
 }
 
-TEST(StageEquivalence, LutmapPrebuiltFlowsStayEquivalent) {
-  // The use_lutmap wiring of the prebuilt flows: baseline and emorphic
-  // (with and without use_choicemap) must all end in an equivalent cover.
-  Aig aig = make_adder(5);
-  for (bool choicemap : {false, true}) {
-    FlowParams params = fast_params();
-    params.use_lutmap = true;
-    params.use_choicemap = choicemap;
-    for (const Pipeline& pipeline :
-         {Pipeline::baseline(params), Pipeline::emorphic(params)}) {
-      FlowResult result = pipeline.run(aig, params);
-      ASSERT_TRUE(result.netlist.has_value());
-      ASSERT_TRUE(result.netlist->is_lut());
-      ASSERT_EQ(cec(aig, result.netlist->to_aig()).status,
-                CecStatus::kEquivalent)
-          << "use_choicemap=" << choicemap;
-      ASSERT_EQ(cec(aig, result.final_aig).status, CecStatus::kEquivalent);
-    }
-  }
-}
-
 TEST(StageEquivalence, PartitionFlowStitchStaysEquivalent) {
-  // The prebuilt partition-mode pipeline (fraig_pre + partition + Cec):
-  // every gate circuit must stitch back SAT-provably equivalent, across
-  // multiple windows.
+  // The "partition" recipe (partition + Cec), with the per-window fraig
+  // sweep: every gate circuit must stitch back SAT-provably equivalent,
+  // across multiple windows.
   FlowParams params = fast_params();
-  params.partition = true;
   params.window_size = 20;
+  params.fraig_post = true;
   params.verify = true;
   for (auto& [circuit_name, aig] : gate_circuits()) {
-    FlowResult result = Pipeline::emorphic(params).run(aig, params);
+    FlowResult result = Pipeline::recipe("partition").run(aig, params);
     ASSERT_TRUE(result.partition_stats.completed) << circuit_name;
     EXPECT_GT(result.partition_stats.num_windows, 1u) << circuit_name;
     ASSERT_EQ(result.verify_status, CecStatus::kEquivalent) << circuit_name;
     ASSERT_EQ(cec(aig, result.final_aig).status, CecStatus::kEquivalent)
         << "partition flow broke circuit '" << circuit_name << "'";
-  }
-}
-
-TEST(StageEquivalence, FraigWiredFlowsStayEquivalent) {
-  // The opt-in pre/post fraig placements in the prebuilt flows.
-  FlowParams params = fast_params();
-  params.fraig_pre = true;
-  params.fraig_post = true;
-  Aig aig = make_adder(5);
-  for (const Pipeline& pipeline :
-       {Pipeline::baseline(params), Pipeline::emorphic(params)}) {
-    FlowResult result = pipeline.run(aig, params);
-    ASSERT_EQ(cec(aig, result.final_aig).status, CecStatus::kEquivalent);
   }
 }
 

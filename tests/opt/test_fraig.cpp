@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "benchgen/doubling.hpp"
 #include "cec/cec.hpp"
+#include "egraph/snapshot.hpp"  // fingerprint_fold
 
 namespace emorphic {
 namespace {
@@ -100,6 +102,43 @@ TEST(Fraig, NaiveAndGuidedSweepsAgree) {
     EXPECT_EQ(cec(aig, guided).status, CecStatus::kEquivalent);
     EXPECT_EQ(cec(aig, naive).status, CecStatus::kEquivalent);
   }
+}
+
+TEST(Fraig, GoldenSweepCounters) {
+  // SAT calls, verdicts and the swept structure of guided and naive sweeps,
+  // with and without a binding conflict budget, folded into one digest.
+  // The third mode simulates only 64 patterns, so SAT refutes pairs and
+  // their counterexamples are replayed. Derived before fraig's pair proof
+  // moved to sat::prove_pair.
+  const std::pair<Aig, bool> circuits[] = {  // {circuit, also sweep naively}
+      {doubled(make_adder(4)), true},
+      {doubled(make_adder(6)), false},
+      {doubled(make_multiplier(4)), false},
+      {doubled(make_arbiter(4)), false}};
+  std::uint64_t h = 0;
+  for (const auto& [aig, naive_too] : circuits) {
+    for (std::uint64_t limit : {std::uint64_t{1}, std::uint64_t{10000}}) {
+      for (int mode : {0, 1, 2}) {  // guided, naive, guided on 64 patterns
+        const bool guided = mode != 1;
+        if (!guided && !naive_too) continue;
+        FraigParams params;
+        params.conflict_limit = limit;
+        params.use_simulation = guided;
+        if (mode == 2) {
+          params.sim_words = 1;
+          params.sim_rounds = 0;
+        }
+        FraigStats stats;
+        Aig swept = fraig(aig, params, &stats);
+        h = fingerprint_fold(h, stats.sat_calls);
+        h = fingerprint_fold(h, stats.proved);
+        h = fingerprint_fold(h, stats.refuted);
+        h = fingerprint_fold(h, stats.undecided);
+        h = fingerprint_fold(h, structural_signature(swept));
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x7e68f729d97de8efull) << std::hex << h;
 }
 
 TEST(Fraig, GuidedSweepProvesWideDoubledAdder) {

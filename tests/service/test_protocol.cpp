@@ -178,8 +178,7 @@ TEST(JobRequest, RejectsSeedsOutsideTheIntegerRange) {
 TEST(ApplyFlowParams, AppliesEveryDocumentedKey) {
   Json overrides = Json::parse(R"({
     "rounds": 3, "area_weight": 0.25, "verify": false,
-    "fraig_pre": true, "fraig_post": true, "use_choicemap": true,
-    "partition": true, "window_size": 512,
+    "fraig_post": true, "lut_size": 4, "window_size": 512, "paranoia": true,
     "sa": {"iterations": 7, "moves_per_iteration": 5, "num_threads": 3,
            "initial_temperature": 500.0},
     "rewrite": {"max_iterations": 9, "max_enodes": 1234,
@@ -191,11 +190,10 @@ TEST(ApplyFlowParams, AppliesEveryDocumentedKey) {
   EXPECT_EQ(params.rounds, 3u);
   EXPECT_DOUBLE_EQ(params.area_weight, 0.25);
   EXPECT_FALSE(params.verify);
-  EXPECT_TRUE(params.fraig_pre);
   EXPECT_TRUE(params.fraig_post);
-  EXPECT_TRUE(params.use_choicemap);
-  EXPECT_TRUE(params.partition);
+  EXPECT_EQ(params.lut_size, 4u);
   EXPECT_EQ(params.window_size, 512u);
+  EXPECT_TRUE(params.paranoia);
   EXPECT_EQ(params.sa.iterations, 7u);
   EXPECT_EQ(params.sa.moves_per_iteration, 5u);
   EXPECT_EQ(params.sa.num_threads, 3u);
@@ -213,6 +211,14 @@ TEST(ApplyFlowParams, RejectsUnknownAndIllTypedKeys) {
   FlowParams params;
   Json unknown = Json::parse(R"({"bogus": 1})");
   EXPECT_THROW(apply_flow_params(&params, unknown), std::invalid_argument);
+  // Stage lists are chosen by flow (recipe) name, not by flags.
+  for (const char* flag : {"fraig_pre", "use_choicemap", "use_lutmap",
+                           "partition"}) {
+    Json removed = Json::object();
+    removed[flag] = true;
+    EXPECT_THROW(apply_flow_params(&params, removed), std::invalid_argument)
+        << flag;
+  }
   Json nested = Json::parse(R"({"sa": {"bogus": 1}})");
   EXPECT_THROW(apply_flow_params(&params, nested), std::invalid_argument);
   Json ill_typed = Json::parse(R"({"rounds": "many"})");

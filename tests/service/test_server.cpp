@@ -222,15 +222,15 @@ TEST(SynthServer, NeverCachesARefutedResult) {
   EXPECT_EQ(fx.server->stats().result_cache_hits, 0u);
 }
 
-TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
-  // The lutmap knobs travel the whole protocol path: per-request overrides
-  // rebuild the flow around the LUT backend, and the overrides object is
-  // part of the cache fingerprint, so a LUT-mapped job can never alias a
-  // cell-mapped job in the warm cache.
+TEST(SynthServer, LutRecipeSelectsTheLutBackendWithItsOwnCacheKey) {
+  // The LUT recipe travels the whole protocol path: the flow name selects
+  // the LUT backend, and flow name and overrides are both part of the cache
+  // fingerprint, so a LUT-mapped job can never alias a cell-mapped job in
+  // the warm cache.
   ServerFixture fx;
   SynthClient client = fx.connect();
 
-  // Cell-mapped baseline primes the cache.
+  // Cell-mapped emorphic primes the cache.
   ASSERT_EQ(client.submit(adder_request("cell-1")).at("type").as_string(),
             "accepted");
   Json cell = client.await("cell-1");
@@ -238,10 +238,14 @@ TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
   EXPECT_FALSE(cell.at("cache_hit").as_bool());
 
   // Same circuit + seed through the LUT backend: distinct key, no alias.
-  JobRequest lut = adder_request("lut-1");
-  lut.params["use_lutmap"] = true;
-  lut.params["lut_size"] = 4;
-  ASSERT_EQ(client.submit(lut).at("type").as_string(), "accepted");
+  auto lut_request = [](const std::string& id, int k) {
+    JobRequest req = adder_request(id);
+    req.flow = "emorphic-lut";
+    req.params["lut_size"] = k;
+    return req;
+  };
+  ASSERT_EQ(client.submit(lut_request("lut-1", 4)).at("type").as_string(),
+            "accepted");
   Json lut_result = client.await("lut-1");
   ASSERT_EQ(lut_result.at("type").as_string(), "result");
   EXPECT_FALSE(lut_result.at("cache_hit").as_bool());
@@ -249,11 +253,9 @@ TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
   EXPECT_GT(lut_result.at("qor").at("area").as_number(), 0.0);
   EXPECT_GT(lut_result.at("qor").at("delay").as_number(), 0.0);
 
-  // An identical lutmap submission is a cache hit.
-  JobRequest repeat = adder_request("lut-2");
-  repeat.params["use_lutmap"] = true;
-  repeat.params["lut_size"] = 4;
-  ASSERT_EQ(client.submit(repeat).at("type").as_string(), "accepted");
+  // An identical LUT submission is a cache hit.
+  ASSERT_EQ(client.submit(lut_request("lut-2", 4)).at("type").as_string(),
+            "accepted");
   Json cached = client.await("lut-2");
   ASSERT_EQ(cached.at("type").as_string(), "result");
   EXPECT_TRUE(cached.at("cache_hit").as_bool());
@@ -261,16 +263,14 @@ TEST(SynthServer, LutmapParamsSelectTheLutBackendWithItsOwnCacheKey) {
             lut_result.at("qor").at("area").as_number());
 
   // A different K is again its own cache entry.
-  JobRequest other_k = adder_request("lut-3");
-  other_k.params["use_lutmap"] = true;
-  other_k.params["lut_size"] = 6;
-  ASSERT_EQ(client.submit(other_k).at("type").as_string(), "accepted");
+  ASSERT_EQ(client.submit(lut_request("lut-3", 6)).at("type").as_string(),
+            "accepted");
   EXPECT_FALSE(client.await("lut-3").at("cache_hit").as_bool());
 
   EXPECT_EQ(fx.server->stats().result_cache_hits, 1u);
 }
 
-TEST(SynthServer, LutmapParamAbuseGetsTypedBadParams) {
+TEST(SynthServer, LutParamAbuseGetsTypedBadParams) {
   ServerFixture fx;
   SynthClient client = fx.connect();
 
@@ -278,23 +278,26 @@ TEST(SynthServer, LutmapParamAbuseGetsTypedBadParams) {
   // submit time, before any flow runs.
   for (int bad : {1, 9}) {
     JobRequest req = adder_request("bad-k-" + std::to_string(bad));
-    req.params["use_lutmap"] = true;
+    req.flow = "emorphic-lut";
     req.params["lut_size"] = bad;
     EXPECT_EQ(client.submit(req).at("code").as_string(), "BAD_PARAMS")
         << "lut_size=" << bad;
   }
 
   // Ill-typed values die the same way.
-  JobRequest bad_bool = adder_request("bad-bool");
-  bad_bool.params["use_lutmap"] = "yes";
-  EXPECT_EQ(client.submit(bad_bool).at("code").as_string(), "BAD_PARAMS");
   JobRequest bad_num = adder_request("bad-num");
   bad_num.params["lut_size"] = "six";
   EXPECT_EQ(client.submit(bad_num).at("code").as_string(), "BAD_PARAMS");
 
-  // The server still serves real lutmap work afterwards.
+  // The flags that once chose the stage list are unknown keys now: the
+  // flow name is the recipe.
+  JobRequest flag = adder_request("flag");
+  flag.params["use_lutmap"] = true;
+  EXPECT_EQ(client.submit(flag).at("code").as_string(), "BAD_PARAMS");
+
+  // The server still serves real LUT work afterwards.
   JobRequest ok = adder_request("ok");
-  ok.params["use_lutmap"] = true;
+  ok.flow = "emorphic-lut";
   ASSERT_EQ(client.submit(ok).at("type").as_string(), "accepted");
   EXPECT_EQ(client.await("ok").at("type").as_string(), "result");
 }
@@ -343,10 +346,18 @@ TEST(SynthServer, RejectsMalformedTrafficAndKeepsServing) {
   bad_params.params["warp_factor"] = 9;
   EXPECT_EQ(client.submit(bad_params).at("code").as_string(), "BAD_PARAMS");
 
-  // Unknown flow.
+  // Unknown flow: the reply lists every registered flow, each recipe and
+  // the fixture's own test flows included.
   JobRequest bad_flow = adder_request("job-flow");
   bad_flow.flow = "no-such-flow";
-  EXPECT_EQ(client.submit(bad_flow).at("code").as_string(), "UNKNOWN_FLOW");
+  Json unknown = client.submit(bad_flow);
+  EXPECT_EQ(unknown.at("code").as_string(), "UNKNOWN_FLOW");
+  const std::string listing = unknown.at("message").as_string();
+  std::vector<std::string> flows = recipe_names();
+  flows.insert(flows.end(), {"slowtest", "refutedtest"});
+  for (const std::string& flow : flows) {
+    EXPECT_NE(listing.find(flow), std::string::npos) << listing;
+  }
 
   // After all that abuse the server still completes real work.
   ASSERT_EQ(client.submit(adder_request("job-ok")).at("type").as_string(),
