@@ -20,7 +20,6 @@
 #include "egraph/runner.hpp"
 #include "egraph/serialize.hpp"
 #include "extract/sa_extractor.hpp"
-#include "flow/batch.hpp"
 #include "flow/conversion.hpp"
 #include "flow/pipeline.hpp"
 #include "mapper/genlib.hpp"

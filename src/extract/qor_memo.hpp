@@ -8,8 +8,8 @@
 // so memoization never alters the annealing trajectory. Promoting it to a
 // public type lets the cache outlive a single extraction: the WarmCache
 // substrate (flow/warm_cache.hpp) shares one memo across every flow the
-// batch driver or the synthesis service runs, so a repeated circuit's SA
-// phase skips technology mapping almost entirely.
+// synthesis service runs, so a repeated circuit's SA phase skips technology
+// mapping almost entirely.
 //
 // Sharing discipline: one memo serves ONE (deterministic) evaluator over ONE
 // cell library. The structural signature does not encode either, so mixing

@@ -181,7 +181,7 @@ SaResult sa_extract(const EGraph& egraph,
   unsigned num_threads = std::max(1u, params.num_threads);
 
   // An external memo (hooks.qor_memo) survives this run — that is the
-  // cache-warmth seam the batch driver and the synthesis service share.
+  // cache-warmth seam of the synthesis service.
   QorMemo local_memo;
   QorMemo* memo_ptr = nullptr;
   if (params.memoize_qor) {

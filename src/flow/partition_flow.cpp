@@ -4,14 +4,15 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "aig/aig_io.hpp"
 #include "aig/signature.hpp"
 #include "egraph/snapshot.hpp"
-#include "flow/batch.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace emorphic {
 
@@ -153,10 +154,15 @@ PartitionResult partition_optimize(const FlowContext& ctx,
   if (params.fraig_post) window_pipeline.add(std::make_unique<FraigStage>());
   // The windows' Rewrite stages must not checkpoint: this flow owns the
   // file and records window results, not saturations. The windows are the
-  // parallelism; inner match threads would multiply with the batch workers.
+  // parallelism; inner match threads would multiply with the pool's.
   FlowParams window_params = params;
   window_params.checkpoint_path.clear();
   window_params.rewrite.match_threads = 1;
+
+  unsigned workers = run.num_threads;
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  // lint:allow(thread-in-library) PartitionParams::num_threads
+  ThreadPool pool(std::min<std::size_t>(workers, kChunkWindows));
 
   std::size_t fresh_chunks = 0;
   for (std::size_t c = done_chunks; c < num_chunks; ++c) {
@@ -167,31 +173,33 @@ PartitionResult partition_optimize(const FlowContext& ctx,
     }
     const std::size_t lo = c * kChunkWindows;
     const std::size_t hi = std::min(lo + kChunkWindows, windows.size());
-    std::vector<Aig> subs;
-    subs.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      subs.push_back(extract_window(input, windows[i]));
-    }
-    BatchParams batch;
-    batch.num_threads = run.num_threads;
-    batch.base_seed = derive_seed(seed, c);
-    batch.cancel = ctx.cancel;
-    BatchResult br = run_batch(subs, window_pipeline, window_params, batch);
-    // A stop during the chunk discards it: a cancelled batch holds partial
-    // results, and an expired deadline should not wait for the gates below.
-    if (ctx.should_stop()) return out;
-
-    SnapshotWriter record;
-    record.varint(c);
-    record.varint(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
+    // One task per window, start to finish; each writes only its own
+    // status, adopted and record entry slots.
+    std::vector<std::string> entries(hi - lo);
+    pool.parallel_for(hi - lo, [&](std::size_t k) {
+      const std::size_t i = lo + k;
+      if (ctx.should_stop()) return;  // the chunk is discarded below
+      FlowContext wctx;
+      wctx.params = window_params;
+      wctx.input = extract_window(input, windows[i]);
+      wctx.seed = derive_seed(derive_seed(seed, c), k);
+      wctx.cancel = ctx.cancel;
+      // The caller's remaining budget: a window's deadline never falls
+      // before the caller's, so a window stopped by it is always in a
+      // discarded chunk.
+      if (ctx.time_budget_s > 0.0) {
+        wctx.time_budget_s =
+            std::max(ctx.time_budget_s - ctx.stopwatch.seconds(), 1e-9);
+      }
       // Normalize through the binary AIGER round trip: a window replayed
       // from the checkpoint is parsed from these bytes, so the fresh path
       // must adopt the exact same structure for resumed and uninterrupted
       // runs to stitch identically.
-      std::string bytes = write_aiger_binary(br.results[i - lo].final_aig);
+      std::string bytes =
+          write_aiger_binary(window_pipeline.run(wctx).final_aig);
+      if (ctx.should_stop()) return;
       Aig norm = read_aiger_binary(bytes);
-      const Aig& orig = subs[i - lo];
+      const Aig& orig = wctx.input;
       std::uint8_t s = kRejectedQor;
       bool smaller = norm.num_ands() < orig.num_ands() ||
                      (norm.num_ands() == orig.num_ands() &&
@@ -205,14 +213,24 @@ PartitionResult partition_optimize(const FlowContext& ctx,
       }
       status[i] = s;
       adopted[i].reset();  // the replay may have parsed part of this chunk
-      record.varint(i);
-      record.u8(s);
+      SnapshotWriter entry;
+      entry.varint(i);
+      entry.u8(s);
       if (s == kAdopted) {
-        record.varint(bytes.size());
-        record.bytes(bytes);
+        entry.varint(bytes.size());
+        entry.bytes(bytes);
         adopted[i] = std::move(norm);
       }
-    }
+      entries[k] = entry.take();
+    });
+    // A stop during the chunk discards it: its windows may have been cut
+    // short or skipped.
+    if (ctx.should_stop()) return out;
+
+    SnapshotWriter record;
+    record.varint(c);
+    record.varint(hi - lo);
+    for (const std::string& entry : entries) record.bytes(entry);
     if (!params.checkpoint_path.empty()) {
       append_checkpoint(params.checkpoint_path, record.str());
     }

@@ -1,12 +1,13 @@
 #pragma once
 // The windowed (partitioned) flow, the scaling mode for circuits too large
 // for one e-graph: cut the circuit into fanin-cone windows
-// (opt/partition.hpp), saturate and extract each window on the batch pool,
-// adopt a window only if it is smaller and SAT-proven equivalent, and
-// stitch. Seeds derive from the chunk index, never from scheduling, so the
-// result is bit-identical at any thread count. Each chunk's results are
-// appended to the "EMPC" checkpoint; a resumed run replays them and ends
-// with the same netlist as a straight run (docs/architecture.md).
+// (opt/partition.hpp), run each window start to finish (saturate, extract,
+// gate) as one worker-pool task, adopt a window only if it is smaller and
+// SAT-proven equivalent, and stitch. Seeds derive from the chunk and window
+// index, never from scheduling, so the result is bit-identical at any
+// thread count. Each chunk's results are appended to the "EMPC" checkpoint;
+// a resumed run replays them and ends with the same netlist as a straight
+// run (docs/architecture.md).
 
 #include "flow/pipeline.hpp"
 #include "opt/partition.hpp"
@@ -15,9 +16,10 @@ namespace emorphic {
 
 /// Test seams of the windowed flow; production passes the defaults.
 struct PartitionParams {
-  /// Worker threads for the nested run_batch; 0 = hardware concurrency.
-  /// Never affects results (the batch driver's determinism contract), which
-  /// is what tests/flow/test_partition_flow.cpp pins by varying it.
+  /// Worker threads of the window pool, capped at the windows of one chunk;
+  /// 0 = hardware concurrency. Never affects results (seeds derive from the
+  /// chunk and window index), which is what
+  /// tests/flow/test_partition_flow.cpp pins by varying it.
   unsigned num_threads = 0;
   /// Stop (with stats.completed == false) after freshly processing this
   /// many chunks; 0 = run to completion. Used to exercise the resume path
@@ -35,10 +37,11 @@ struct PartitionResult {
 /// windows are the parallelism), `fraig_post`/`fraig` (a per-window SAT
 /// sweep), `cec_params` (the window gate, time_limit_s forced to 0 so
 /// adoption is deterministic; undecided rejects) and `checkpoint_path`
-/// (empty: no checkpoint). Per-chunk seeds derive from `ctx.seed`, or
-/// `params.sa.seed` when that is 0. `ctx.should_stop()` (cancel flag or
-/// time budget) is polled before and after every chunk; a stop leaves
-/// stats.completed false and discards the unfinished chunk. Throws
+/// (empty: no checkpoint). Per-window seeds derive from `ctx.seed`, or
+/// `params.sa.seed` when that is 0, and the chunk and window index. Every
+/// window shares `ctx.cancel` and gets the caller's remaining time budget;
+/// `ctx.should_stop()` is also polled before and after every chunk. A stop
+/// leaves stats.completed false and discards the unfinished chunk. Throws
 /// SnapshotError for a mismatched checkpoint, std::invalid_argument for
 /// window_size == 0.
 PartitionResult partition_optimize(const FlowContext& ctx,

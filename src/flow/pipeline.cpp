@@ -313,10 +313,10 @@ void CecStage::run(FlowContext& ctx) const {
 
 void FraigStage::run(FlowContext& ctx) const {
   FraigParams params = ctx.params.fraig;
-  // Fold the per-run seed in so batch circuits draw distinct simulation
-  // patterns. run_batch derives ctx.seed deterministically per circuit, so
-  // batch results stay reproducible; under a finite conflict budget the
-  // seed can affect which borderline pairs prove in time (never soundness).
+  // Fold the per-run seed in so partition windows draw distinct simulation
+  // patterns. Each window's ctx.seed is derived deterministically, so
+  // results stay reproducible; under a finite conflict budget the seed can
+  // affect which borderline pairs prove in time (never soundness).
   if (ctx.seed != 0) params.seed ^= ctx.seed;
   ctx.current = fraig(ctx.current, params, &ctx.fraig_stats);
   ctx.netlist.reset();

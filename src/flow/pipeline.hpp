@@ -10,10 +10,10 @@
 // from the rewriting runner (per iteration) and the SA extractor (per move).
 //
 // Stages are stateless and re-entrant: all mutable state lives in the
-// FlowContext, so one Pipeline instance can drive many circuits concurrently
-// (see flow/batch.hpp). The built-in stages are available by name
-// (`make_stage`), the prebuilt flows are named recipes (`Pipeline::recipe`),
-// and custom stages join a pipeline as instances (`Pipeline::add`).
+// FlowContext, so one Pipeline instance can drive many circuits
+// concurrently. The built-in stages are available by name (`make_stage`),
+// the prebuilt flows are named recipes (`Pipeline::recipe`), and custom
+// stages join a pipeline as instances (`Pipeline::add`).
 
 #include <atomic>
 #include <cstdint>
@@ -50,8 +50,8 @@ class MapQorEvaluator : public QorEvaluator {
       : MapQorEvaluator(std::make_shared<const Matcher>(library),
                         area_weight) {}
 
-  /// Share a prebuilt matcher (e.g. FlowContext::shared_matcher(), or
-  /// run_batch's per-batch instance) instead of canonizing the library anew.
+  /// Share a prebuilt matcher (e.g. FlowContext::shared_matcher(), or a
+  /// WarmCache's) instead of canonizing the library anew.
   explicit MapQorEvaluator(std::shared_ptr<const Matcher> matcher,
                            double area_weight = 0.5)
       : QorEvaluator(area_weight), matcher_(std::move(matcher)) {
@@ -208,9 +208,8 @@ struct FlowContext;
 class QorMemo;  // extract/qor_memo.hpp
 
 /// Callback interface for flow progress. All methods have empty default
-/// bodies — override what you need. When a pipeline runs inside run_batch,
-/// one observer instance sees events from several circuits concurrently
-/// (disambiguate with FlowContext::batch_index) and must be thread-safe.
+/// bodies — override what you need. An observer shared by contexts that run
+/// concurrently sees their events interleaved and must be thread-safe.
 class FlowObserver {
  public:
   virtual ~FlowObserver() = default;
@@ -243,7 +242,7 @@ struct FlowContext : FlowResult {
   // --- configuration -------------------------------------------------------
   FlowParams params;
   /// Per-run seed override for stochastic stages; 0 keeps params.sa.seed.
-  /// run_batch derives a deterministic nonzero seed per circuit from it.
+  /// The partition stage derives a deterministic seed per window from it.
   std::uint64_t seed = 0;
   /// Cost-model override for SaExtract; null uses MapQorEvaluator over
   /// params.library (the paper's quality-prioritized mode).
@@ -257,17 +256,15 @@ struct FlowContext : FlowResult {
   /// technology mapping. Install one per cell library and per evaluator —
   /// the memo caches raw evaluator output, so mixing evaluators (or
   /// libraries) in one memo would serve wrong answers. `WarmCache::prepare`
-  /// wires this for the batch driver and the synthesis service.
+  /// wires this for the synthesis service.
   QorMemo* qor_memo = nullptr;
   /// Wall-clock budget for the whole run; 0 = unlimited.
   double time_budget_s = 0.0;
-  /// Index of this circuit within a run_batch call (0 otherwise).
-  std::size_t batch_index = 0;
   /// Shared NPN matcher over params.library, used by every mapping stage
   /// and the default SA evaluator. Lazily built by shared_matcher();
-  /// run_batch pre-seeds it so all workers share one instance (the matcher
-  /// is thread-safe). Survives Pipeline::run's working-state reset — it is
-  /// configuration-derived, and rebuilt only when the library changes.
+  /// WarmCache::prepare pre-seeds it so concurrent runs share one (the
+  /// matcher is thread-safe). Survives Pipeline::run's working-state reset:
+  /// it is configuration-derived, and rebuilt only when the library changes.
   std::shared_ptr<const Matcher> matcher;
   /// Reusable mapper scratch for this context's cell and LUT mapping
   /// stages (stages run on one thread; SA chains use their own

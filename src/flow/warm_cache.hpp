@@ -1,8 +1,6 @@
 #pragma once
-// The warm-cache substrate a long-running synthesis process keeps alive
-// across flow runs — extracted from what run_batch used to pre-seed inline
-// (one shared NPN matcher per batch), so the CLI batch driver and the
-// synthesis service (src/service/) now share one implementation.
+// The warm-cache substrate a long-running synthesis process (the synthesis
+// service, src/service/) keeps alive across flow runs.
 //
 // Three layers, coldest to warmest:
 //
@@ -16,9 +14,8 @@
 //     the same substructures — skip technology mapping entirely.
 //  3. the flow-result cache: complete FlowQor + final AIG keyed by
 //     (input signature, seed, params fingerprint). A repeated request is
-//     answered without running the flow at all. Opt-in per lookup — the
-//     service uses it; run_batch deliberately does not (a batch is usually
-//     distinct circuits, and callers expect fresh telemetry).
+//     answered without running the flow at all. Opt-in per lookup: the
+//     service consults it, prepare() does not install it.
 //
 // Sharing any layer never changes results: the matcher is a pure function
 // of the library, the QoR memo caches a deterministic evaluator's own

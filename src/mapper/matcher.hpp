@@ -9,7 +9,7 @@
 // One Matcher instance is meant to be shared: the precomputed cell tables
 // are immutable after construction and the match cache is striped behind
 // per-shard mutexes, so a single matcher serves every SA chain and every
-// run_batch worker concurrently instead of being rebuilt per evaluation.
+// service worker concurrently instead of being rebuilt per evaluation.
 // Cache entries are keyed by (function, leaf count) — match validity
 // depends on the leaf count (a cell pin must not read a padding variable),
 // so the same padded table queried with different cut sizes yields

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -244,6 +245,23 @@ void apply_flow_params(FlowParams* params, const Json& overrides) {
     } else {
       bad("unknown params key '" + key + "'");
     }
+  }
+}
+
+void reject_unread_keys(const Json& overrides, const std::string& flow,
+                        const std::vector<std::string>& stages) {
+  auto has = [&stages](const char* stage) {
+    return std::find(stages.begin(), stages.end(), stage) != stages.end();
+  };
+  for (std::string key : {"window_size", "fraig_post", "lut_size"}) {
+    const bool lut = key == "lut_size";
+    if (!overrides.contains(key) ||
+        (lut ? has("lutmap") || has("choicemap-lut") : has("partition"))) {
+      continue;
+    }
+    bad("field '" + key + "' is not read by flow '" + flow +
+        "' (only by flows with a " +
+        (lut ? "'lutmap' or 'choicemap-lut'" : "'partition'") + " stage)");
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "flow/pipeline.hpp"
 #include "util/json.hpp"
@@ -62,8 +63,9 @@ struct JobRequest {
 };
 
 /// Apply a params-override object onto `params`. Accepted keys:
-///   rounds, area_weight, verify, fraig_post, lut_size, window_size,
-///   paranoia
+///   rounds, area_weight, verify, paranoia
+///   fraig_post, window_size, lut_size (the server admits these only for
+///             flows whose stages read them, see reject_unread_keys)
 ///   sa:      {iterations, moves_per_iteration, num_threads,
 ///             initial_temperature}
 ///   rewrite: {max_iterations, max_enodes, time_limit_s, match_threads}
@@ -76,6 +78,12 @@ struct JobRequest {
 /// fingerprint via the overrides object itself, so e.g. jobs with different
 /// lut_size values never alias in the flow-result cache.
 void apply_flow_params(FlowParams* params, const Json& overrides);
+
+/// Throws std::invalid_argument naming the key and `flow` when `overrides`
+/// holds a key no stage in `stages` (the admitted pipeline's stage_names())
+/// reads: such a key would change nothing but the result-cache key.
+void reject_unread_keys(const Json& overrides, const std::string& flow,
+                        const std::vector<std::string>& stages);
 
 /// Fingerprint of everything besides (input, seed) that shapes a job's
 /// result: the flow name and the override object's canonical serialization

@@ -301,8 +301,11 @@ void SynthServer::handle_submit(const std::shared_ptr<Session>& session,
   }
 
   FlowParams params = config_.base_params;
+  Pipeline pipeline;
   try {
     apply_flow_params(&params, request.params);
+    pipeline = flow_it->second(params);
+    reject_unread_keys(request.params, request.flow, pipeline.stage_names());
   } catch (const std::invalid_argument& e) {
     stat_malformed_.fetch_add(1, std::memory_order_relaxed);
     send(session, make_error(ErrorCode::kBadParams, e.what(), request.id));
@@ -314,7 +317,7 @@ void SynthServer::handle_submit(const std::shared_ptr<Session>& session,
   job->session = session;
   job->input = std::move(input);
   job->params = params;
-  job->pipeline = flow_it->second(params);
+  job->pipeline = std::move(pipeline);
   if (config_.cache_results) {
     job->cache_eligible = true;
     job->cache_key = WarmCache::flow_key(

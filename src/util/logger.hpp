@@ -7,7 +7,7 @@
 // common case):
 //  * the threshold is an atomic — readers never race writers;
 //  * each message is composed into one string and emitted with a single
-//    guarded write, so concurrent run_batch workers / service sessions can
+//    guarded write, so concurrent pool workers / service sessions can
 //    never interleave partial lines;
 //  * the sink is injectable (set_sink) for daemons that log to a file and
 //    for tests that assert on per-line atomicity.

@@ -20,7 +20,7 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 /// Seed of the `index`-th sub-run of a run seeded with `base_seed` (a
-/// run_batch circuit, a partition chunk): decorrelated across indices so
+/// partition chunk, a window in it): decorrelated across indices so
 /// sub-runs never share SA chains, and never 0, which the pipeline reads
 /// as "no override".
 inline std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {

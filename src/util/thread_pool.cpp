@@ -60,6 +60,9 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
+  // Wait for every task before get() rethrows the first failure: the tasks
+  // reference `fn` and the caller's frame, which unwinding would free.
+  for (auto& f : futures) f.wait();
   for (auto& f : futures) f.get();
 }
 

@@ -1,7 +1,7 @@
 #pragma once
-// Fixed-size worker pool: the batch driver runs one circuit per task
-// (run_batch, and the windows of a partitioned run through it), and the
-// saturation runner one rule's search per task (RunnerParams::match_threads).
+// Fixed-size worker pool: the partitioned flow runs one window per task
+// (PartitionParams::num_threads), and the saturation runner one rule's
+// search per task (RunnerParams::match_threads).
 // docs/architecture.md ("Parallelism") lists every thread knob.
 
 #include <condition_variable>
@@ -30,7 +30,8 @@ class ThreadPool {
   /// in get() with the queued work behind it in the queue.
   std::future<void> submit(std::function<void()> task);
 
-  /// Run `fn(i)` for i in [0, n) across the pool and wait for all of them.
+  /// Run `fn(i)` for i in [0, n) across the pool and wait for all of them;
+  /// then rethrow the first (lowest-index) exception a task threw.
   /// From inside one of this pool's own workers the loop runs inline on the
   /// calling worker (same nested-invocation deadlock guard as submit; the
   /// nested path is exercised by tests/util/test_thread_pool.cpp).

@@ -21,8 +21,9 @@
 #include "cec/cec.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
-#include "flow/batch.hpp"
 #include "flow/pipeline.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace emorphic {
 namespace {
@@ -218,18 +219,29 @@ TEST(ChoicemapStage, BatchRunsChoicemapDeterministically) {
   circuits.push_back(make_adder(4));
   circuits.push_back(make_multiplier(3));
 
-  BatchParams batch;
-  batch.num_threads = 2;
+  // One context per circuit, circuit i seeded derive_seed(1, i), on a pool
+  // of `threads` workers.
   const Pipeline pipeline = Pipeline::recipe("emorphic-choice");
-  BatchResult first = run_batch(circuits, pipeline, params, batch);
-  batch.num_threads = 1;
-  BatchResult second = run_batch(circuits, pipeline, params, batch);
-  ASSERT_EQ(first.results.size(), 2u);
+  auto run_all = [&](unsigned threads) {
+    std::vector<FlowResult> results(circuits.size());
+    ThreadPool pool(threads);
+    pool.parallel_for(circuits.size(), [&](std::size_t i) {
+      FlowContext ctx;
+      ctx.params = params;
+      ctx.input = circuits[i];
+      ctx.seed = derive_seed(1, i);
+      results[i] = pipeline.run(ctx);
+    });
+    return results;
+  };
+  std::vector<FlowResult> first = run_all(2);
+  std::vector<FlowResult> second = run_all(1);
+  ASSERT_EQ(first.size(), 2u);
   for (std::size_t i = 0; i < circuits.size(); ++i) {
-    EXPECT_EQ(cec(circuits[i], first.results[i].final_aig).status,
+    EXPECT_EQ(cec(circuits[i], first[i].final_aig).status,
               CecStatus::kEquivalent);
-    EXPECT_EQ(first.results[i].qor.area, second.results[i].qor.area);
-    EXPECT_EQ(first.results[i].qor.delay, second.results[i].qor.delay);
+    EXPECT_EQ(first[i].qor.area, second[i].qor.area);
+    EXPECT_EQ(first[i].qor.delay, second[i].qor.delay);
   }
 }
 

@@ -1,6 +1,7 @@
 // The windowed flow (flow/partition_flow.hpp): function preservation,
-// thread-count determinism, and the "EMPC" checkpoint's resume, fingerprint,
-// torn-tail and cancel contracts. The window geometry it builds on is
+// thread-count determinism, a golden digest of a straight run, and the
+// "EMPC" checkpoint's resume, fingerprint, torn-tail, cancel and deadline
+// contracts. The window geometry it builds on is
 // tested in tests/opt/test_partition.cpp.
 
 #include "flow/partition_flow.hpp"
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -112,6 +114,37 @@ TEST(PartitionFlow, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(r.stats.ands_after, ref_stats.ands_after);
     }
   }
+}
+
+TEST(PartitionFlow, GoldenStraightRunDigest) {
+  // One digest of the stitched netlist's binary AIGER and the EMPC
+  // checkpoint bytes of a straight fraig_post run (31 windows, 2 chunks),
+  // at 1 and 4 threads. The constant was derived at the commit before each
+  // window became one pool task: it pins that move as byte-identical across
+  // commits, not only across thread counts.
+  constexpr std::uint64_t kGolden = 0x81bd1e29891e5576ull;
+  const Aig input = tile_to_ands(doubled(make_adder(6)), 3000);
+  FlowParams params = window_params(100);
+  params.fraig_post = true;
+  params.checkpoint_path = temp_path("golden");
+  for (unsigned threads : {1u, 4u}) {
+    std::remove(params.checkpoint_path.c_str());
+    PartitionParams run;
+    run.num_threads = threads;
+    PartitionResult r = partition(input, params, 21, run);
+    ASSERT_TRUE(r.stats.completed);
+    EXPECT_EQ(r.stats.chunks_total, 2u);
+    std::ifstream in(params.checkpoint_path, std::ios::binary);
+    const std::string checkpoint{std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>()};
+    std::uint64_t h = 0;
+    for (unsigned char ch : write_aiger_binary(r.optimized)) {
+      h = fingerprint_fold(h, ch);
+    }
+    for (unsigned char ch : checkpoint) h = fingerprint_fold(h, ch);
+    EXPECT_EQ(h, kGolden) << threads << " threads: 0x" << std::hex << h;
+  }
+  std::remove(params.checkpoint_path.c_str());
 }
 
 TEST(PartitionFlow, SeedChangesAreIsolatedToResults) {
@@ -262,14 +295,15 @@ TEST(PartitionFlow, DeadlineStopsBetweenChunks) {
   // stage polls it between chunks, so an expired budget stops the run
   // after the chunk in flight, not after the whole stage.
   Aig input = tile_to_ands(doubled(make_adder(6)), 12000);  // 41 windows
+  FlowParams params = window_params(300);
+  params.rewrite.max_iterations = 3;
+  params.rewrite.max_enodes = 12000;
   Pipeline pipeline;
   pipeline.add(std::make_unique<PartitionStage>());
   FlowContext ctx;
   ctx.input = input;
-  ctx.params = window_params(300);
-  ctx.params.rewrite.max_iterations = 3;
-  ctx.params.rewrite.max_enodes = 12000;
-  ctx.time_budget_s = 0.05;  // one chunk takes about 0.3 s on 4 cores
+  ctx.params = params;
+  ctx.time_budget_s = 0.05;  // one chunk takes about 0.15 s on 4 cores
   FlowResult r = pipeline.run(ctx);
   ASSERT_EQ(r.telemetry.stages.size(), 1u);  // the stage started in budget
   EXPECT_FALSE(r.cancelled);                  // and no stage was skipped
@@ -277,6 +311,28 @@ TEST(PartitionFlow, DeadlineStopsBetweenChunks) {
   EXPECT_FALSE(r.partition_stats.completed);
   EXPECT_EQ(r.stop_reason, FlowStopReason::kDeadline);
   EXPECT_EQ(write_aiger_binary(r.final_aig), write_aiger_binary(input));
+
+  // Every window gets the remaining budget, so the chunk in flight is cut
+  // short too: a budgeted run ends in under half the time of an unbounded
+  // first chunk. A window stops at its next poll, after its rewrite
+  // iteration in flight, so the comparison holds the pool at 4 threads:
+  // each runs four windows one after another, whatever the core count.
+  PartitionParams four;
+  four.num_threads = 4;
+  four.stop_after_chunks = 1;
+  Timer first_chunk;
+  (void)partition(input, params, 0, four);
+  const double chunk_s = first_chunk.seconds();
+  four.stop_after_chunks = 0;
+  FlowContext budgeted;
+  budgeted.current = input;
+  budgeted.params = params;
+  budgeted.time_budget_s = 0.01;
+  Timer cut;
+  EXPECT_FALSE(partition_optimize(budgeted, four).stats.completed);
+  const double cut_s = cut.seconds();
+  EXPECT_LT(cut_s, 0.5 * chunk_s)
+      << "budgeted run " << cut_s << " s, first chunk " << chunk_s << " s";
 }
 
 }  // namespace

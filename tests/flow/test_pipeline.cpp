@@ -1,7 +1,7 @@
 // Tests for the composable Pipeline API: stages and recipes by name (with the
 // recipes' pinned stage lists and QoR), stage ordering and context
 // threading, observer event counts, cancellation (between stages and
-// mid-SA), time budgets, and run_batch determinism.
+// mid-SA) and time budgets.
 
 #include "flow/pipeline.hpp"
 
@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <mutex>
 #include <string_view>
 #include <thread>
 
@@ -21,7 +20,6 @@
 #include "benchgen/control.hpp"
 #include "core/emorphic.hpp"  // optimize() facade
 #include "egraph/snapshot.hpp"  // fingerprint_fold
-#include "flow/batch.hpp"
 
 namespace emorphic {
 namespace {
@@ -419,89 +417,6 @@ TEST(Pipeline, BaselinePipelineMatchesLegacyShape) {
   EXPECT_TRUE(result.sa.trace.empty());
 }
 
-TEST(RunBatch, DeterministicAcrossRunsAndWorkerCounts) {
-  std::vector<Aig> circuits;
-  circuits.push_back(make_adder(4));
-  circuits.push_back(make_arbiter(4));
-  circuits.push_back(make_adder(6));
-
-  FlowParams params = quick_params();
-  params.sa.num_threads = 1;
-  Pipeline pipeline = Pipeline::emorphic();
-
-  BatchParams two_workers;
-  two_workers.base_seed = 7;
-  two_workers.num_threads = 2;
-  BatchResult first = run_batch(circuits, pipeline, params, two_workers);
-  BatchResult second = run_batch(circuits, pipeline, params, two_workers);
-  BatchParams one_worker = two_workers;
-  one_worker.num_threads = 1;
-  BatchResult serial = run_batch(circuits, pipeline, params, one_worker);
-
-  ASSERT_EQ(first.results.size(), circuits.size());
-  ASSERT_EQ(second.results.size(), circuits.size());
-  ASSERT_EQ(serial.results.size(), circuits.size());
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    EXPECT_GT(first.results[i].qor.area, 0.0);
-    EXPECT_DOUBLE_EQ(first.results[i].qor.area, second.results[i].qor.area);
-    EXPECT_DOUBLE_EQ(first.results[i].qor.delay, second.results[i].qor.delay);
-    // Same seeds win regardless of how many workers fan the batch out.
-    EXPECT_DOUBLE_EQ(first.results[i].qor.area, serial.results[i].qor.area);
-    EXPECT_DOUBLE_EQ(first.results[i].qor.delay, serial.results[i].qor.delay);
-    EXPECT_TRUE(testing::functionally_equal(circuits[i],
-                                            first.results[i].final_aig));
-  }
-}
-
-TEST(RunBatch, SeedsDifferPerCircuit) {
-  // Two copies of the same circuit get different seeds — the batch driver
-  // must not run every circuit with an identical RNG stream.
-  std::vector<Aig> circuits;
-  circuits.push_back(make_adder(6));
-  circuits.push_back(make_adder(6));
-
-  FlowParams params = quick_params();
-  params.sa.num_threads = 1;
-  BatchParams batch;
-  batch.base_seed = 3;
-  BatchResult result = run_batch(circuits, Pipeline::emorphic(), params, batch);
-  ASSERT_EQ(result.results.size(), 2u);
-  // The SA traces of the two runs should diverge (same circuit, different
-  // seed). Cost sequences are a robust fingerprint of the RNG stream.
-  const auto& a = result.results[0].sa.trace;
-  const auto& b = result.results[1].sa.trace;
-  ASSERT_FALSE(a.empty());
-  bool diverged = a.size() != b.size();
-  for (std::size_t i = 0; !diverged && i < a.size(); ++i) {
-    diverged = a[i].candidate_cost != b[i].candidate_cost;
-  }
-  EXPECT_TRUE(diverged);
-}
-
-TEST(RunBatch, ObserverSeesAllCircuits) {
-  class BatchObserver : public FlowObserver {
-   public:
-    void on_flow_end(const FlowContext& ctx) override {
-      std::lock_guard<std::mutex> lock(mutex);
-      indices.push_back(ctx.batch_index);
-    }
-    std::mutex mutex;
-    std::vector<std::size_t> indices;
-  };
-
-  std::vector<Aig> circuits;
-  circuits.push_back(make_adder(4));
-  circuits.push_back(make_adder(5));
-  BatchObserver observer;
-  FlowParams params = quick_params();
-  params.sa.num_threads = 1;
-  BatchParams batch;
-  batch.num_threads = 2;
-  run_batch(circuits, Pipeline::baseline(), params, batch, &observer);
-  std::sort(observer.indices.begin(), observer.indices.end());
-  EXPECT_EQ(observer.indices, (std::vector<std::size_t>{0, 1}));
-}
-
 TEST(Optimize, ReturnsTheWholeFlowResult) {
   // optimize() runs Pipeline::emorphic(options.flow) and hands back its
   // FlowResult unabridged: the cover, telemetry and stop state too.
@@ -564,21 +479,6 @@ TEST(Optimize, RuntimePrioritizedHonorsConfiguredSaThreads) {
     max_thread = std::max(max_thread, pt.thread);
   }
   EXPECT_EQ(max_thread, 2u);  // chains 0..2 ran
-}
-
-TEST(RunBatch, SharedCancellationFlag) {
-  std::vector<Aig> circuits;
-  for (int i = 0; i < 4; ++i) circuits.push_back(make_adder(6));
-  std::atomic<bool> cancel{true};  // cancelled before the batch even starts
-  BatchParams batch;
-  batch.cancel = &cancel;
-  batch.num_threads = 2;
-  BatchResult result =
-      run_batch(circuits, Pipeline::emorphic(), quick_params(), batch);
-  for (const FlowResult& r : result.results) {
-    EXPECT_TRUE(r.cancelled);
-    EXPECT_TRUE(r.telemetry.stages.empty());
-  }
 }
 
 }  // namespace

@@ -286,6 +286,7 @@ TEST(SynthServer, LutParamAbuseGetsTypedBadParams) {
 
   // Ill-typed values die the same way.
   JobRequest bad_num = adder_request("bad-num");
+  bad_num.flow = "emorphic-lut";
   bad_num.params["lut_size"] = "six";
   EXPECT_EQ(client.submit(bad_num).at("code").as_string(), "BAD_PARAMS");
 
@@ -300,6 +301,50 @@ TEST(SynthServer, LutParamAbuseGetsTypedBadParams) {
   ok.flow = "emorphic-lut";
   ASSERT_EQ(client.submit(ok).at("type").as_string(), "accepted");
   EXPECT_EQ(client.await("ok").at("type").as_string(), "result");
+}
+
+TEST(SynthServer, KeysTheFlowNeverReadsGetBadParams) {
+  // window_size and fraig_post are read only by a "partition" stage and
+  // lut_size only by a LUT mapping stage: on any other flow they would
+  // change nothing but the result-cache key, so admission refuses them.
+  ServerFixture fx;
+  SynthClient client = fx.connect();
+  struct Case {
+    const char* flow;
+    const char* key;
+    Json value;
+  };
+  const Case refused[] = {{"emorphic", "window_size", Json(512)},
+                          {"emorphic", "fraig_post", Json(true)},
+                          {"emorphic", "lut_size", Json(4)},
+                          {"partition", "lut_size", Json(4)},
+                          {"baseline-lut", "window_size", Json(64)},
+                          {"slowtest", "window_size", Json(64)}};
+  for (const Case& c : refused) {
+    JobRequest req = adder_request(std::string("refused-") + c.flow);
+    req.flow = c.flow;
+    req.params[c.key] = c.value;
+    Json error = client.submit(req);
+    ASSERT_EQ(error.at("code").as_string(), "BAD_PARAMS") << c.flow;
+    const std::string message = error.at("message").as_string();
+    EXPECT_NE(message.find(c.key), std::string::npos) << message;
+    EXPECT_NE(message.find(c.flow), std::string::npos) << message;
+  }
+
+  // The flows that read them still serve them.
+  JobRequest windows = adder_request("windows");
+  windows.flow = "partition";
+  windows.params["window_size"] = 16;
+  windows.params["fraig_post"] = true;
+  JobRequest luts = adder_request("luts");
+  luts.flow = "emorphic-lut";
+  luts.params["lut_size"] = 4;
+  for (const JobRequest& req : {windows, luts}) {
+    ASSERT_EQ(client.submit(req).at("type").as_string(), "accepted")
+        << req.flow;
+    EXPECT_EQ(client.await(req.id).at("type").as_string(), "result")
+        << req.flow;
+  }
 }
 
 TEST(SynthServer, StreamsProgressEvents) {

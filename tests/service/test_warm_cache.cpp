@@ -1,7 +1,7 @@
-// WarmCache: the shared substrate the batch driver and the synthesis
-// service warm across runs. The load-bearing test is the determinism gate:
-// N threads through one WarmCache produce bit-identical results to serial,
-// cold runs — sharing the matcher and QoR memo must never change answers.
+// WarmCache: the shared substrate the synthesis service warms across runs.
+// The load-bearing test is the determinism gate: N threads through one
+// WarmCache produce bit-identical results to serial, cold runs — sharing
+// the matcher and QoR memo must never change answers.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,9 @@
 
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
-#include "flow/batch.hpp"
 #include "flow/warm_cache.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace emorphic {
 namespace {
@@ -36,6 +37,26 @@ std::vector<Aig> test_circuits() {
   circuits.push_back(make_square(4));
   circuits.push_back(make_adder(8));
   return circuits;
+}
+
+/// Every circuit through `pipeline`, one context per task on a
+/// `threads`-worker pool: circuit i is seeded derive_seed(1, i), and with a
+/// cache each context is prepared from it.
+std::vector<FlowResult> run_all(const std::vector<Aig>& circuits,
+                                const Pipeline& pipeline,
+                                const FlowParams& params, unsigned threads,
+                                WarmCache* cache = nullptr) {
+  std::vector<FlowResult> results(circuits.size());
+  ThreadPool pool(threads);
+  pool.parallel_for(circuits.size(), [&](std::size_t i) {
+    FlowContext ctx;
+    ctx.params = params;
+    if (cache != nullptr) cache->prepare(ctx);
+    ctx.input = circuits[i];
+    ctx.seed = derive_seed(1, i);
+    results[i] = pipeline.run(ctx);
+  });
+  return results;
 }
 
 TEST(WarmCache, SharesOneMatcherPerLibrary) {
@@ -105,31 +126,23 @@ TEST(WarmCache, ConcurrentSharingIsBitIdenticalToSerial) {
   Pipeline pipeline = Pipeline::emorphic();
   FlowParams params = quick_params();
 
-  BatchParams serial;
-  serial.num_threads = 1;
-  BatchResult reference = run_batch(circuits, pipeline, params, serial);
+  std::vector<FlowResult> reference = run_all(circuits, pipeline, params, 1);
 
   WarmCache cache;
-  BatchParams shared;
-  shared.num_threads = 4;
-  shared.warm_cache = &cache;
-  BatchResult warm = run_batch(circuits, pipeline, params, shared);
+  std::vector<FlowResult> warm = run_all(circuits, pipeline, params, 4, &cache);
 
-  ASSERT_EQ(reference.results.size(), warm.results.size());
-  for (std::size_t i = 0; i < reference.results.size(); ++i) {
-    EXPECT_EQ(reference.results[i].qor.area, warm.results[i].qor.area)
-        << "circuit " << i;
-    EXPECT_EQ(reference.results[i].qor.delay, warm.results[i].qor.delay)
-        << "circuit " << i;
-    EXPECT_EQ(reference.results[i].qor.lev, warm.results[i].qor.lev)
-        << "circuit " << i;
+  ASSERT_EQ(reference.size(), warm.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].qor.area, warm[i].qor.area) << "circuit " << i;
+    EXPECT_EQ(reference[i].qor.delay, warm[i].qor.delay) << "circuit " << i;
+    EXPECT_EQ(reference[i].qor.lev, warm[i].qor.lev) << "circuit " << i;
   }
   // The shared memo saw traffic (the gate is vacuous otherwise).
   WarmCacheStats stats = cache.stats();
   EXPECT_GT(stats.qor_hits + stats.qor_misses, 0u);
 }
 
-/// Re-running a batch against an already-warm cache — the service's
+/// Re-running the circuits against an already-warm cache — the service's
 /// steady state — still changes nothing.
 TEST(WarmCache, WarmReRunsStayIdentical) {
   std::vector<Aig> circuits = test_circuits();
@@ -137,19 +150,16 @@ TEST(WarmCache, WarmReRunsStayIdentical) {
   FlowParams params = quick_params();
 
   WarmCache cache;
-  BatchParams batch;
-  batch.num_threads = 2;
-  batch.warm_cache = &cache;
-
-  BatchResult first = run_batch(circuits, pipeline, params, batch);
+  std::vector<FlowResult> first = run_all(circuits, pipeline, params, 2, &cache);
   WarmCacheStats after_first = cache.stats();
-  BatchResult second = run_batch(circuits, pipeline, params, batch);
+  std::vector<FlowResult> second =
+      run_all(circuits, pipeline, params, 2, &cache);
   WarmCacheStats after_second = cache.stats();
 
-  for (std::size_t i = 0; i < first.results.size(); ++i) {
-    EXPECT_EQ(first.results[i].qor.area, second.results[i].qor.area);
-    EXPECT_EQ(first.results[i].qor.delay, second.results[i].qor.delay);
-    EXPECT_EQ(first.results[i].qor.lev, second.results[i].qor.lev);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].qor.area, second[i].qor.area);
+    EXPECT_EQ(first[i].qor.delay, second[i].qor.delay);
+    EXPECT_EQ(first[i].qor.lev, second[i].qor.lev);
   }
   // The second pass re-visits structures the first one mapped.
   EXPECT_GT(after_second.qor_hits, after_first.qor_hits);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 namespace emorphic {
 namespace {
@@ -24,6 +27,22 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(64);
   pool.parallel_for(64, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // The tasks reference the caller's frame, so the first failure must not
+  // unwind it while other tasks still run.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(16,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("0");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(1));
+                                   ++finished;
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 15);
 }
 
 TEST(ThreadPool, ZeroThreadsClampsToOne) {
