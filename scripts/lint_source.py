@@ -24,10 +24,12 @@ thread-site rule:
                         Examples and benches are free to print.
 
   include-layering      A file under src/{aig,sat,egraph,cec,opt,extract,
-                        mapper}/ includes flow/, service/, core/ or ml/.
-                        Dependencies point one way (aig -> egraph/sat ->
-                        opt/extract/mapper -> flow -> service); a lower layer
-                        that needs an upper one gets split instead.
+                        mapper}/ includes flow/, service/, core/ or ml/, or
+                        a file under src/util/ includes a project header
+                        outside util/. Dependencies point one way (util ->
+                        aig -> egraph/sat -> opt/extract/mapper -> flow ->
+                        service); a lower layer that needs an upper one gets
+                        split instead.
 
   orphan-header         A src/**/*.hpp that no file under src/, bench/,
                         examples/ or perfbench/src/ includes. Code only the
@@ -104,6 +106,8 @@ SEED_PATTERNS = (
 # The layers below flow/ and the upper layers they must never include.
 LOWER_LAYERS = ("aig", "sat", "egraph", "cec", "opt", "extract", "mapper")
 UPPER_INCLUDE_RE = re.compile(r'#include\s+"((?:flow|service|core|ml)/[^"]*)"')
+# The bottom layer: src/util/ may include only its own headers.
+NON_UTIL_INCLUDE_RE = re.compile(r'#include\s+"((?!util/)[^"]*)"')
 
 # A thread or pool by value, or a call that starts a thread. `std::thread::`
 # (hardware_concurrency, id), `ThreadPool*`/`&` and the forward declaration
@@ -316,6 +320,11 @@ def lint_file(f: File, names: set[str], check_stdout: bool) -> None:
             f.report(idx, "include-layering",
                      f"src/{layer}/ includes \"{m.group(1)}\" — a lower "
                      "layer must not depend on flow/, service/, core/ or ml/")
+        m = NON_UTIL_INCLUDE_RE.match(raw.strip())
+        if m and layer == "util":
+            f.report(idx, "include-layering",
+                     f"src/util/ includes \"{m.group(1)}\" — the bottom "
+                     "layer may include only util/ headers")
         line = code_part(raw)
         for m in RANGE_FOR_RE.finditer(line):
             expr = m.group(1)

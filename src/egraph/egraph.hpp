@@ -39,8 +39,6 @@ namespace check {
 struct CheckProbe;  // corruption-seeding seam for validator tests
 }  // namespace check
 
-struct SnapshotAccess;  // binary checkpoint/restore seam (egraph/snapshot.cpp)
-
 /// Back-edge from a child class to an e-node that references it.
 /// `node` is the parent e-node as it was last canonicalized; `cls` is the
 /// class that e-node belongs to.
@@ -156,7 +154,6 @@ class EGraph {
 
  private:
   friend struct check::CheckProbe;
-  friend struct SnapshotAccess;
 
   EClassId make_class(ENode node);
   /// Path-halving find; used on the mutating paths where writes are safe.

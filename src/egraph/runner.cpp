@@ -140,6 +140,10 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
         search_rules(egraph, rules, params, pool ? &*pool : nullptr,
                      &report.rule_search_steps);
     if (hooks.on_search) hooks.on_search(all_matches);
+    if (hooks.stop && hooks.stop()) {
+      report.stop_reason = StopReason::kCancelled;
+      break;
+    }
     for (std::size_t r = 0; r < rules.size(); ++r) {
       stats.matches += all_matches[r].size();
       report.rule_matches[r] += all_matches[r].size();
@@ -171,7 +175,8 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     stats.seconds = iter_timer.seconds();
     report.iterations.push_back(stats);
 
-    if (hooks.on_iteration && !hooks.on_iteration(stats)) {
+    if (hooks.on_iteration) hooks.on_iteration(stats);
+    if (hooks.stop && hooks.stop()) {
       report.stop_reason = StopReason::kCancelled;
       break;
     }

@@ -60,7 +60,7 @@ enum class StopReason {
   kIterLimit,
   kNodeLimit,
   kTimeLimit,
-  kCancelled,  // an iteration hook asked to stop (see RunnerHooks)
+  kCancelled,  // RunnerHooks::stop asked to stop
 };
 
 /// Printable name of a StopReason.
@@ -98,11 +98,15 @@ struct RunnerHooks {
   /// Called after every search phase with each rule's ordered match list,
   /// before any of them is applied.
   std::function<void(const std::vector<RuleMatches>&)> on_search;
-  /// Called after every completed iteration with its stats; return false to
-  /// stop early (reported as StopReason::kCancelled). This is how the flow
-  /// pipeline forwards iteration telemetry to FlowObserver and implements
-  /// cancellation / time budgets.
-  std::function<bool(const IterationStats&)> on_iteration;
+  /// Called after every completed iteration with its stats. The flow
+  /// pipeline forwards this telemetry to FlowObserver.
+  std::function<void(const IterationStats&)> on_iteration;
+  /// Polled right after each search phase (after on_search, before any
+  /// match is applied) and after each iteration; return true to stop early
+  /// (reported as StopReason::kCancelled). A stop after a search applies
+  /// nothing and records no iteration. The flow pipeline implements
+  /// cancellation and time budgets through it.
+  std::function<bool()> stop;
 };
 
 /// The search phase of one iteration: each rule's first

@@ -10,7 +10,7 @@
 
 #include "aig/aig_io.hpp"
 #include "aig/signature.hpp"
-#include "egraph/snapshot.hpp"
+#include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -152,11 +152,9 @@ PartitionResult partition_optimize(const FlowContext& ctx,
   window_pipeline.add(std::make_unique<RewriteStage>());
   window_pipeline.add(std::make_unique<EgraphConversionStage>());  // greedy
   if (params.fraig_post) window_pipeline.add(std::make_unique<FraigStage>());
-  // The windows' Rewrite stages must not checkpoint: this flow owns the
-  // file and records window results, not saturations. The windows are the
-  // parallelism; inner match threads would multiply with the pool's.
+  // The windows are the parallelism; inner match threads would multiply
+  // with the pool's.
   FlowParams window_params = params;
-  window_params.checkpoint_path.clear();
   window_params.rewrite.match_threads = 1;
 
   unsigned workers = run.num_threads;

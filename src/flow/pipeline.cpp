@@ -5,11 +5,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "aig/signature.hpp"
 #include "check/check.hpp"
 #include "check/validators.hpp"
 #include "egraph/rules.hpp"
-#include "egraph/snapshot.hpp"
 #include "flow/partition_flow.hpp"
 
 namespace emorphic {
@@ -126,69 +124,6 @@ void EgraphConversionStage::run(FlowContext& ctx) const {
 
 // --- Rewrite ----------------------------------------------------------------
 
-namespace {
-
-// Mid-saturation checkpointing ("EMCK"): after every saturation iteration
-// the Rewrite stage snapshots the (clean, just-rebuilt) e-graph to
-// FlowParams::checkpoint_path. A later run with the same circuit and
-// parameters restores the snapshot and runs only the remaining iterations;
-// because the runner's iterations are deterministic functions of the
-// e-graph state, the resumed trajectory is bit-identical to the
-// uninterrupted one (tests/flow/test_checkpoint.cpp). The checkpoint
-// envelope replaces the file atomically, so a kill mid-write leaves the
-// previous complete checkpoint, never a torn one.
-
-constexpr char kRewriteCkptMagic[4] = {'E', 'M', 'C', 'K'};
-constexpr const char* kRewriteCkptFormat = "rewrite checkpoint";
-
-/// Everything the saturation trajectory depends on: circuit, caps, seed
-/// and rule set (by name). A checkpoint whose fingerprint disagrees was
-/// taken under a different run and throws (restoring it would silently
-/// splice two unrelated saturations).
-std::uint64_t rewrite_ckpt_fingerprint(const FlowContext& ctx,
-                                       const std::vector<Rewrite>& rules) {
-  std::uint64_t h = structural_signature(ctx.current);
-  h = fingerprint_fold(h, ctx.params.rewrite.max_iterations);
-  h = fingerprint_fold(h, ctx.params.rewrite.max_enodes);
-  h = fingerprint_fold(h, ctx.params.rewrite.max_matches_per_rule);
-  h = fingerprint_fold(h, ctx.seed);
-  h = fingerprint_fold(h, rules.size());
-  for (const Rewrite& rule : rules) {
-    h = fingerprint_fold(h, rule.name.size());
-    for (unsigned char c : rule.name) h = fingerprint_fold(h, c);
-  }
-  return h;
-}
-
-/// Restore a checkpoint into `egraph`; returns iterations already done
-/// (0 when no checkpoint file exists). Throws SnapshotError on any
-/// mismatch or corruption.
-std::uint64_t load_rewrite_ckpt(const std::string& path,
-                                std::uint64_t fingerprint, EGraph& egraph) {
-  std::optional<std::string> body =
-      read_checkpoint(path, kRewriteCkptMagic, kRewriteCkptFormat, fingerprint);
-  if (!body.has_value()) return 0;
-  SnapshotReader r(*body);
-  std::uint64_t iterations = r.varint("iterations done");
-  std::uint64_t len = r.varint("snapshot length");
-  std::string snapshot = r.bytes(len, "e-graph snapshot");
-  r.expect_end(kRewriteCkptFormat);
-  egraph = snapshot_to_egraph(snapshot);
-  return iterations;
-}
-
-void save_rewrite_ckpt(const std::string& path, std::uint64_t fingerprint,
-                       std::uint64_t iterations, const EGraph& egraph) {
-  SnapshotWriter w;
-  w.varint(iterations);
-  std::string snapshot = egraph_to_snapshot(egraph);
-  w.varint(snapshot.size());
-  w.bytes(snapshot);
-  replace_checkpoint(path, kRewriteCkptMagic, fingerprint, w.str());
-}
-
-}  // namespace
-
 void RewriteStage::run(FlowContext& ctx) const {
   if (!ctx.egraph.has_value()) {
     throw std::runtime_error(
@@ -200,37 +135,13 @@ void RewriteStage::run(FlowContext& ctx) const {
     rules = &default_rules;
   }
 
-  // The partitioned flow owns the file at window granularity and hands
-  // its windows an empty checkpoint_path.
-  const bool checkpointing = !ctx.params.checkpoint_path.empty();
-  RunnerParams rewrite = ctx.params.rewrite;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t iterations_done = 0;
-  if (checkpointing) {
-    fingerprint = rewrite_ckpt_fingerprint(ctx, *rules);
-    iterations_done = load_rewrite_ckpt(ctx.params.checkpoint_path,
-                                        fingerprint, ctx.egraph->egraph);
-    if (iterations_done >= rewrite.max_iterations) {
-      rewrite.max_iterations = 0;  // everything already done: restore only
-    } else {
-      rewrite.max_iterations -= static_cast<unsigned>(iterations_done);
-    }
-  }
-
   RunnerHooks hooks;
-  std::uint64_t iteration_counter = iterations_done;
-  hooks.on_iteration = [&](const IterationStats& stats) {
-    // Checkpoint before the cancel poll: a run killed at iteration k can
-    // then resume from k, not k-1.
-    if (checkpointing) {
-      save_rewrite_ckpt(ctx.params.checkpoint_path, fingerprint,
-                        ++iteration_counter, ctx.egraph->egraph);
-    }
+  hooks.on_iteration = [&ctx](const IterationStats& stats) {
     if (ctx.observer != nullptr) ctx.observer->on_rewrite_iteration(stats, ctx);
-    return !ctx.should_stop();
   };
+  hooks.stop = [&ctx] { return ctx.should_stop(); };
   ctx.rewrite_report =
-      run_rewriting(ctx.egraph->egraph, *rules, rewrite, hooks);
+      run_rewriting(ctx.egraph->egraph, *rules, ctx.params.rewrite, hooks);
   ctx.egraph_classes = ctx.egraph->egraph.num_classes();
   ctx.egraph_enodes = ctx.egraph->egraph.num_enodes();
 }
@@ -538,6 +449,8 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
     }
     validate("after stage " + std::string(stage.name()));
   }
+  // Records a stop that fired during a stage that never polls (Cec).
+  (void)ctx.should_stop();
 
   // FlowQor::seconds is the optimization time: every stage except the
   // verification.

@@ -119,12 +119,11 @@ struct FlowParams {
   bool partition = false;
   /// Maximum AND nodes per window for the partition stage.
   std::uint32_t window_size = 1000;
-  /// Checkpoint file for crash-safe resume; empty disables checkpointing.
-  /// The partition stage keeps per-chunk window results in it ("EMPC");
-  /// the Rewrite stage snapshots the e-graph after every saturation
-  /// iteration ("EMCK") and resumes from it bit-identically. CLI/test
-  /// surface only — the synthesis service deliberately does not expose it
-  /// (clients must not name server-side paths).
+  /// Checkpoint file for crash-safe resume of the partition stage, which
+  /// keeps per-chunk window results in it ("EMPC"); empty disables
+  /// checkpointing. No other stage reads it. CLI/test surface only — the
+  /// synthesis service deliberately does not expose it (clients must not
+  /// name server-side paths).
   std::string checkpoint_path;
 };
 
@@ -196,10 +195,11 @@ struct FlowResult {
   /// between stages). See `stop_reason` for which signal it was.
   bool cancelled = false;
   /// Which stop signal fired during the run, recorded at the first poll
-  /// that observed it — including polls *inside* the final stage, so a run
-  /// whose budget expired mid-TechMap reports kDeadline even though
-  /// `cancelled` stays false (no stage was skipped, but the result may have
-  /// been computed under a fired budget and should be treated accordingly).
+  /// that observed it — including polls *inside* stages and one poll after
+  /// the last stage, so a run whose budget expired mid-TechMap or mid-Cec
+  /// reports kDeadline even though `cancelled` stays false (no stage was
+  /// skipped, but the result may have been computed under a fired budget
+  /// and should be treated accordingly).
   FlowStopReason stop_reason = FlowStopReason::kNone;
 };
 
@@ -248,8 +248,8 @@ struct FlowContext : FlowResult {
   /// params.library (the paper's quality-prioritized mode).
   const QorEvaluator* evaluator = nullptr;
   FlowObserver* observer = nullptr;
-  /// External cancellation flag, polled between stages, between rewrite
-  /// iterations, and between SA moves.
+  /// External cancellation flag, polled between stages, after the last
+  /// stage, after each rewrite search and iteration, and between SA moves.
   std::atomic<bool>* cancel = nullptr;
   /// Optional shared QoR memo for the SA evaluator (extract/qor_memo.hpp),
   /// keyed by structural signature: repeated structures across runs skip
@@ -292,7 +292,7 @@ struct FlowContext : FlowResult {
   std::optional<CircuitEGraph> egraph;
 
   /// First stop signal observed by any should_stop() poll this run —
-  /// including polls inside stages (SA moves, rewrite iterations), so a
+  /// including polls inside stages (SA moves, rewrite searches), so a
   /// deadline that fires during the final stage is still reported. Atomic:
   /// SA chains poll concurrently; the first recorded reason wins.
   mutable std::atomic<FlowStopReason> stop_signal{FlowStopReason::kNone};

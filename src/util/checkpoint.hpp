@@ -1,61 +1,33 @@
 #pragma once
-// Binary e-graph snapshots: a byte-exact serialization of a *clean*
-// (rebuilt) e-graph, built for mid-saturation checkpoint/restore.
+// The checkpoint envelope and the binary primitives checkpoint formats are
+// written with. The partitioned flow's window-result file ("EMPC",
+// flow/partition_flow.cpp) is the one format built on it.
 //
-// The Fig. 7 JSON DSL (serialize.hpp) captures an e-graph up to
-// equivalence — good for interchange, but it re-numbers classes and drops
-// cyclic node forms, so a restored e-graph continues a saturation run on a
-// *different* trajectory. Checkpointing needs more: the restored e-graph
-// must be observationally identical — same class ids, same member order,
-// same union-find shape and ranks — so that resuming iteration k+1 from a
-// snapshot taken after iteration k reproduces the uninterrupted run bit
-// for bit (the runner's match order walks class ids and member lists in
-// storage order, and merge decisions read the union-find ranks).
-//
-// The format ("EMSS", versioned) therefore serializes the raw internals:
-// the union-find arrays plus every root class's node and parent-edge
-// spans, verbatim. The hashcons is NOT stored: on a clean e-graph it is
-// exactly the set of live canonical e-nodes (check_invariants enforces the
-// bijection), so restore re-interns them — every lookup resolves through
-// find() anyway, making the root-valued rebuild observationally identical.
-//
-// All integers are LEB128 varints; every count is bounds-checked against
-// the remaining input before any allocation, so a corrupted or truncated
-// snapshot throws SnapshotError and never crashes or over-allocates.
+// Every checkpoint file opens with one header: a 4-byte magic, varint
+// version 1, and a varint fingerprint of everything the recorded progress
+// depends on. The body after it is format-specific. All integers are
+// LEB128 varints; every read is bounds-checked, so a corrupted or truncated
+// file throws SnapshotError and never crashes or over-allocates.
 
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
-
-#include "egraph/egraph.hpp"
+#include <utility>
 
 namespace emorphic {
 
-/// Typed error for every malformed-snapshot condition: wrong magic,
-/// unsupported version, truncation, out-of-range ids, trailing garbage.
-/// A subclass of std::runtime_error so generic handlers still catch it.
+/// Typed error for every malformed-checkpoint condition: wrong magic,
+/// unsupported version, fingerprint mismatch, truncation, trailing garbage,
+/// or a file that cannot be written. A subclass of std::runtime_error so
+/// generic handlers still catch it.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what)
       : std::runtime_error("snapshot: " + what) {}
 };
 
-/// Serialize a clean e-graph ("EMSS" format). Throws SnapshotError when the
-/// e-graph has pending merges (snapshots are taken between iterations, where
-/// rebuild() has restored the invariants).
-std::string egraph_to_snapshot(const EGraph& egraph);
-
-/// Restore an e-graph from egraph_to_snapshot bytes. The result is
-/// observationally identical to the snapshotted e-graph: same class ids,
-/// same member/parent order, same union-find, re-interned hashcons. Throws
-/// SnapshotError on any malformed input.
-EGraph snapshot_to_egraph(const std::string& bytes);
-
 // --- checkpoint envelope ----------------------------------------------------
-// Every checkpoint file ("EMCK", "EMPC") opens with one header: a 4-byte
-// magic, varint version 1, and a varint fingerprint of everything the
-// recorded progress depends on. The body after it is format-specific.
 
 /// Fold one configuration value into a checkpoint fingerprint.
 std::uint64_t fingerprint_fold(std::uint64_t h, std::uint64_t v);
@@ -78,9 +50,7 @@ void replace_checkpoint(const std::string& path, const char magic[4],
 /// Append one record to the checkpoint at `path` (same error contract).
 void append_checkpoint(const std::string& path, const std::string& record);
 
-// --- shared binary primitives -----------------------------------------------
-// Reused by the checkpoint file formats (flow/pipeline.cpp's saturation
-// checkpoints, flow/partition_flow.cpp's window-result checkpoints).
+// --- binary primitives ------------------------------------------------------
 
 /// Append-only byte-buffer writer with LEB128 varints.
 class SnapshotWriter {
@@ -116,8 +86,6 @@ class SnapshotReader {
   std::string bytes(std::uint64_t n, const char* field);
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
-  /// Throw unless the input was consumed exactly.
-  void expect_end(const char* format_name);
 
  private:
   const std::string& data_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../test_helpers.hpp"
 #include "benchgen/epfl.hpp"
 #include "egraph/rules.hpp"
@@ -164,6 +166,66 @@ TEST(Runner, UncappedCountsMatchTheSeedCore) {
       EXPECT_EQ(matches, pin.matches) << where;
       EXPECT_EQ(ce.egraph.num_enodes(), pin.enodes) << where;
       EXPECT_EQ(ce.egraph.num_classes(), pin.classes) << where;
+    }
+  }
+}
+
+/// Every live class with its member e-nodes in storage order: equal dumps
+/// mean equal e-graphs.
+std::string egraph_dump(const EGraph& eg) {
+  std::string out;
+  for (EClassId id : eg.class_ids()) {
+    out += std::to_string(id) + ":";
+    for (const ENode& n : eg.eclass(id).nodes) {
+      out += " " + std::to_string(static_cast<int>(n.op)) + "/" +
+             std::to_string(n.symbol) + "/" + std::to_string(n.children[0]) +
+             "/" + std::to_string(n.children[1]);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(Runner, StopHookHaltsBetweenSearchAndApply) {
+  // The stop hook is polled after each search and after each iteration, so
+  // its calls 1, 2 and 3 come after iteration 1's search, after iteration 1
+  // and after iteration 2's search. A stop after a search applies none of
+  // its matches: stopping at call 1 leaves the e-graph untouched, and
+  // stopping at call 2 or 3 leaves the e-graph of a one-iteration run.
+  auto fresh = [] {
+    Rng rng(33);
+    return std::move(aig_to_egraph(testing::random_aig(6, 3, 40, rng)).egraph);
+  };
+  const std::vector<Rewrite> rules = make_logic_rules();
+  RunnerParams limits;
+  limits.max_iterations = 4;
+  limits.max_enodes = 1u << 20;
+
+  EGraph once = fresh();
+  RunnerParams one_iteration = limits;
+  one_iteration.max_iterations = 1;
+  ASSERT_EQ(run_rewriting(once, rules, one_iteration).stop_reason,
+            StopReason::kIterLimit);
+  const std::string after_one = egraph_dump(once);
+
+  for (int k : {1, 2, 3}) {
+    EGraph eg = fresh();
+    const std::size_t classes = eg.num_classes();
+    const std::size_t enodes = eg.num_enodes();
+    ASSERT_NE(egraph_dump(eg), after_one);  // iteration 1 changes the graph
+    int calls = 0;
+    RunnerHooks hooks;
+    hooks.stop = [&calls, k] { return ++calls == k; };
+    RunnerReport report = run_rewriting(eg, rules, limits, hooks);
+    EXPECT_EQ(calls, k);
+    EXPECT_EQ(report.stop_reason, StopReason::kCancelled) << "k=" << k;
+    if (k == 1) {
+      EXPECT_EQ(eg.num_classes(), classes);
+      EXPECT_EQ(eg.num_enodes(), enodes);
+      EXPECT_TRUE(report.iterations.empty());
+    } else {
+      EXPECT_EQ(egraph_dump(eg), after_one) << "k=" << k;
+      EXPECT_EQ(report.iterations.size(), 1u) << "k=" << k;
     }
   }
 }

@@ -1,8 +1,8 @@
 // The windowed flow (flow/partition_flow.hpp): function preservation,
-// thread-count determinism, a golden digest of a straight run, and the
-// "EMPC" checkpoint's resume, fingerprint, torn-tail, cancel and deadline
-// contracts. The window geometry it builds on is
-// tested in tests/opt/test_partition.cpp.
+// thread-count determinism, a golden digest of a straight run, the "EMPC"
+// checkpoint's resume, fingerprint, torn-tail, cancel and deadline
+// contracts, and the partition stage inside the "partition" recipe. The
+// window geometry it builds on is tested in tests/opt/test_partition.cpp.
 
 #include "flow/partition_flow.hpp"
 
@@ -22,7 +22,7 @@
 #include "benchgen/doubling.hpp"
 #include "benchgen/scale.hpp"
 #include "cec/cec.hpp"
-#include "egraph/snapshot.hpp"
+#include "util/checkpoint.hpp"
 
 namespace emorphic {
 namespace {
@@ -333,6 +333,87 @@ TEST(PartitionFlow, DeadlineStopsBetweenChunks) {
   const double cut_s = cut.seconds();
   EXPECT_LT(cut_s, 0.5 * chunk_s)
       << "budgeted run " << cut_s << " s, first chunk " << chunk_s << " s";
+}
+
+// --- the partition stage inside the flow -------------------------------------
+
+/// Whole-recipe parameters: small saturation and SA effort, no wall-clock
+/// limit on the rewrite.
+FlowParams recipe_params() {
+  FlowParams params;
+  params.rounds = 2;
+  params.rewrite.max_iterations = 3;
+  params.rewrite.max_enodes = 8000;
+  params.rewrite.time_limit_s = 1e9;
+  params.sa.num_threads = 2;
+  params.sa.iterations = 2;
+  params.sa.moves_per_iteration = 2;
+  params.verify = false;
+  params.cec_params.conflict_limit = 50000;
+  return params;
+}
+
+TEST(PartitionFlow, EmorphicPartitionPipelinePreservesFunction) {
+  Aig input = make_multiplier(6);
+  FlowParams params = recipe_params();
+  params.window_size = 40;
+  params.verify = true;  // end-to-end Cec gate over the stitched circuit
+  FlowResult result = Pipeline::recipe("partition").run(input, params);
+  ASSERT_FALSE(result.cancelled);
+  ASSERT_TRUE(result.partition_stats.completed);
+  EXPECT_GT(result.partition_stats.num_windows, 1u);
+  EXPECT_EQ(result.partition_stats.ands_before, input.num_ands());
+  EXPECT_EQ(result.verify_status, CecStatus::kEquivalent);
+  EXPECT_TRUE(testing::functionally_equal(input, result.final_aig));
+}
+
+TEST(PartitionFlow, PartitionOwnsTheCheckpointFile) {
+  // In the partition recipe, FlowParams::checkpoint_path is the
+  // window-level "EMPC" checkpoint; the inner window flows run Rewrite
+  // stages but never touch the file.
+  Aig input = make_adder(6);
+  FlowParams params = recipe_params();
+  params.window_size = 20;
+  std::string path = temp_path("empc_owner");
+  params.checkpoint_path = path;
+  FlowResult result = Pipeline::recipe("partition").run(input, params);
+  ASSERT_TRUE(result.partition_stats.completed);
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  char magic[4] = {};
+  in.read(magic, 4);
+  EXPECT_EQ(std::string(magic, 4), "EMPC");
+  std::remove(path.c_str());
+}
+
+TEST(PartitionFlow, EmorphicRecipeIgnoresTheCheckpointPath) {
+  // Only the partition stage reads checkpoint_path: a recipe without it
+  // writes no file and returns the netlist of a run without the path.
+  Aig input = make_adder(6);
+  FlowParams params = recipe_params();
+  FlowResult plain = Pipeline::recipe("emorphic").run(input, params);
+  std::string path = temp_path("emorphic_no_file");
+  params.checkpoint_path = path;
+  FlowResult with_path = Pipeline::recipe("emorphic").run(input, params);
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_EQ(write_aiger(with_path.final_aig), write_aiger(plain.final_aig));
+  std::remove(path.c_str());
+}
+
+TEST(PartitionFlow, CancelledPartitionReportsCancelled) {
+  Aig input = make_adder(6);
+  FlowParams params = recipe_params();
+  params.window_size = 20;
+  std::atomic<bool> cancel{true};
+  FlowContext ctx;
+  ctx.params = params;
+  ctx.input = input;
+  ctx.cancel = &cancel;
+  FlowResult result = Pipeline::recipe("partition").run(ctx);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
+  EXPECT_FALSE(result.partition_stats.completed);
 }
 
 }  // namespace

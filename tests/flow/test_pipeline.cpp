@@ -1,7 +1,7 @@
 // Tests for the composable Pipeline API: stages and recipes by name (with the
 // recipes' pinned stage lists and QoR), stage ordering and context
-// threading, observer event counts, cancellation (between stages and
-// mid-SA) and time budgets.
+// threading, observer event counts, cancellation (between stages, mid-SA
+// and after the last stage) and time budgets.
 
 #include "flow/pipeline.hpp"
 
@@ -19,7 +19,7 @@
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
 #include "core/emorphic.hpp"  // optimize() facade
-#include "egraph/snapshot.hpp"  // fingerprint_fold
+#include "util/checkpoint.hpp"  // fingerprint_fold
 
 namespace emorphic {
 namespace {
@@ -368,6 +368,29 @@ TEST(Pipeline, BudgetExpiryDuringFinalStageReportsDeadline) {
   EXPECT_FALSE(result.cancelled);  // every stage executed
   EXPECT_EQ(result.stop_reason, FlowStopReason::kDeadline);
   EXPECT_EQ(result.telemetry.stages.size(), 1u);
+}
+
+TEST(Pipeline, CancelDuringANonPollingFinalStageIsRecorded) {
+  // A stage that never polls (like Cec) leaves a stop fired during it to
+  // the poll after the last stage: stop_reason records it, and `cancelled`
+  // stays false because no stage was skipped.
+  class CancelWithoutPolling : public Stage {
+   public:
+    const char* name() const override { return "CancelWithoutPolling"; }
+    void run(FlowContext& ctx) const override { ctx.cancel->store(true); }
+  };
+
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<CancelWithoutPolling>());
+  std::atomic<bool> cancel{false};
+  FlowContext ctx;
+  ctx.params = quick_params();
+  ctx.input = make_adder(4);
+  ctx.cancel = &cancel;
+  FlowResult result = pipeline.run(ctx);
+
+  EXPECT_FALSE(result.cancelled);  // every stage executed
+  EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
 }
 
 TEST(Pipeline, StopReasonResetsBetweenRuns) {

@@ -8,7 +8,7 @@
 #include "benchgen/control.hpp"
 #include "benchgen/doubling.hpp"
 #include "cec/cec.hpp"
-#include "egraph/snapshot.hpp"  // fingerprint_fold
+#include "util/checkpoint.hpp"  // fingerprint_fold
 
 namespace emorphic {
 namespace {
