@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links.
+"""Fail on broken intra-repo markdown links and stale source-file names.
 
 Scans every tracked *.md file for inline links/images and reference
 definitions, resolves repo-relative and file-relative targets, and exits
 nonzero listing any target that does not exist. External links (http/https/
 mailto) and pure in-page anchors are ignored; anchors on intra-repo links
 are checked against the target file's headings.
+
+README.md and docs/*.md are also scanned for backticked *.hpp / *.cpp /
+*.py names outside fenced code blocks. A name resolves when it exists
+repo-relative or src/-relative, or when some file under src/, bench/,
+tests/, examples/ or scripts/ ends with it (a bare basename included).
+CHANGES.md and ROADMAP.md are history and are not scanned for names.
 
 Usage: scripts/check_markdown_links.py [repo_root]
 """
@@ -18,6 +24,10 @@ INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s*(\S+)", re.MULTILINE)
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+SOURCE_NAME = re.compile(r"^[\w./-]+\.(?:hpp|cpp|py)$")
+SOURCE_DIRS = ("src", "bench", "tests", "examples", "scripts")
 
 
 def slugify(heading: str) -> str:
@@ -48,8 +58,44 @@ def anchors_of(path: str) -> set:
     return {slugify(h) for h in HEADING.findall(text)}
 
 
-def check(root: str) -> int:
+def source_paths(root: str) -> list:
+    paths = []
+    for top in SOURCE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, top)):
+            rel = os.path.relpath(dirpath, root).replace(os.sep, "/")
+            paths.extend(f"/{rel}/{name}" for name in filenames)
+    return paths
+
+
+def stale_source_names(root: str) -> list:
+    """Backticked source-file names in README.md and docs/*.md that
+    resolve to no file."""
+    docs = os.path.join(root, "docs")
+    scanned = [os.path.join(root, "README.md")]
+    if os.path.isdir(docs):
+        scanned += sorted(os.path.join(docs, name)
+                          for name in os.listdir(docs) if name.endswith(".md"))
+    paths = source_paths(root)
     errors = []
+    for md_path in scanned:
+        if not os.path.exists(md_path):
+            continue
+        with open(md_path, encoding="utf-8") as handle:
+            text = FENCE.sub("", handle.read())
+        rel_md = os.path.relpath(md_path, root)
+        for name in sorted(set(CODE_SPAN.findall(text))):
+            if not SOURCE_NAME.match(name):
+                continue
+            if (os.path.exists(os.path.join(root, name))
+                    or os.path.exists(os.path.join(root, "src", name))
+                    or any(p.endswith("/" + name) for p in paths)):
+                continue
+            errors.append(f"{rel_md}: no file named '{name}'")
+    return errors
+
+
+def check(root: str) -> int:
+    errors = stale_source_names(root)
     for md_path in sorted(markdown_files(root)):
         with open(md_path, encoding="utf-8") as handle:
             text = handle.read()
@@ -78,7 +124,7 @@ def check(root: str) -> int:
                     errors.append(
                         f"{rel_md}: missing anchor '{target}#{anchor}'")
     if errors:
-        print(f"{len(errors)} broken markdown link(s):")
+        print(f"{len(errors)} broken markdown link(s) or file name(s):")
         for error in errors:
             print(f"  {error}")
         return 1

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/checkpoint.hpp"
+
 namespace emorphic {
 
 // ---------------------------------------------------------------------------
@@ -222,14 +224,22 @@ Aig read_equations(const std::string& text) {
 
 namespace {
 
-// AIGER's delta encoding is LEB128: 7 payload bits per byte, high bit set
-// on every byte but the last.
-void put_delta(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
+// AIGER numbering: PIs 1..I, then ANDs I+1..I+A in definition order. Our
+// variable numbering is already topological, but PIs may interleave with
+// ANDs, so both writers remap.
+std::vector<std::uint32_t> aiger_numbering(const Aig& aig) {
+  std::vector<std::uint32_t> var_to_aiger(aig.num_nodes(), 0);
+  std::uint32_t next = 1;
+  for (Var v : aig.pis()) var_to_aiger[v] = next++;
+  for (Var v = 1; v < aig.num_nodes(); ++v) {
+    if (aig.is_and(v)) var_to_aiger[v] = next++;
   }
-  out.push_back(static_cast<char>(v));
+  return var_to_aiger;
+}
+
+std::uint64_t aiger_lit(const std::vector<std::uint32_t>& var_to_aiger,
+                        Lit l) {
+  return 2ull * var_to_aiger[lit_var(l)] + (lit_is_compl(l) ? 1u : 0u);
 }
 
 // Strict decimal parse of a whole token: nonempty, digits only, no overflow.
@@ -288,17 +298,8 @@ void read_symbol_table(const std::string& text, std::size_t pos,
 
 
 std::string write_aiger(const Aig& aig) {
-  // AIGER requires PIs first, then ANDs; our variable numbering already
-  // guarantees topological order, but PIs may interleave with ANDs, so remap.
-  std::vector<std::uint32_t> var_to_aiger(aig.num_nodes(), 0);
-  std::uint32_t next = 1;
-  for (Var v : aig.pis()) var_to_aiger[v] = next++;
-  for (Var v = 1; v < aig.num_nodes(); ++v) {
-    if (aig.is_and(v)) var_to_aiger[v] = next++;
-  }
-  auto to_aiger_lit = [&](Lit l) {
-    return 2 * var_to_aiger[lit_var(l)] + (lit_is_compl(l) ? 1u : 0u);
-  };
+  const std::vector<std::uint32_t> var_to_aiger = aiger_numbering(aig);
+  auto to_aiger_lit = [&](Lit l) { return aiger_lit(var_to_aiger, l); };
 
   std::ostringstream out;
   std::uint32_t m = aig.num_pis() + aig.num_ands();
@@ -449,46 +450,35 @@ Aig read_aiger(const std::string& text) {
 // ---------------------------------------------------------------------------
 
 std::string write_aiger_binary(const Aig& aig) {
-  // Same PIs-first remap as write_aiger; in the binary format the remap is
-  // mandatory, since variable numbering must be contiguous (inputs 1..I,
-  // ANDs I+1..I+A in definition order).
-  std::vector<std::uint32_t> var_to_aiger(aig.num_nodes(), 0);
-  std::uint32_t next = 1;
-  for (Var v : aig.pis()) var_to_aiger[v] = next++;
-  for (Var v = 1; v < aig.num_nodes(); ++v) {
-    if (aig.is_and(v)) var_to_aiger[v] = next++;
-  }
-  auto to_aiger_lit = [&](Lit l) -> std::uint64_t {
-    return 2ull * var_to_aiger[lit_var(l)] + (lit_is_compl(l) ? 1u : 0u);
-  };
-
+  // The binary format needs the contiguous numbering: inputs are implicit.
+  const std::vector<std::uint32_t> var_to_aiger = aiger_numbering(aig);
   std::uint64_t m = aig.num_pis() + aig.num_ands();
-  std::string out = "aig " + std::to_string(m) + ' ' +
-                    std::to_string(aig.num_pis()) + " 0 " +
-                    std::to_string(aig.num_pos()) + ' ' +
-                    std::to_string(aig.num_ands()) + '\n';
+  SnapshotWriter out;
+  out.bytes("aig " + std::to_string(m) + ' ' + std::to_string(aig.num_pis()) +
+            " 0 " + std::to_string(aig.num_pos()) + ' ' +
+            std::to_string(aig.num_ands()) + '\n');
   for (Lit po : aig.pos()) {
-    out += std::to_string(to_aiger_lit(po));
-    out += '\n';
+    out.bytes(std::to_string(aiger_lit(var_to_aiger, po)) + '\n');
   }
+  // AIGER's delta encoding is LEB128, the checkpoint varint.
   for (Var v = 1; v < aig.num_nodes(); ++v) {
     if (!aig.is_and(v)) continue;
     std::uint64_t lhs = 2ull * var_to_aiger[v];
-    std::uint64_t rhs0 = to_aiger_lit(aig.fanin0(v));
-    std::uint64_t rhs1 = to_aiger_lit(aig.fanin1(v));
+    std::uint64_t rhs0 = aiger_lit(var_to_aiger, aig.fanin0(v));
+    std::uint64_t rhs1 = aiger_lit(var_to_aiger, aig.fanin1(v));
     if (rhs0 < rhs1) std::swap(rhs0, rhs1);
     // Fanins remap below their AND (PIs <= I, earlier ANDs earlier), so
     // lhs > rhs0 >= rhs1 as the format requires.
-    put_delta(out, lhs - rhs0);
-    put_delta(out, rhs0 - rhs1);
+    out.varint(lhs - rhs0);
+    out.varint(rhs0 - rhs1);
   }
   for (std::uint32_t k = 0; k < aig.num_pis(); ++k) {
-    out += 'i' + std::to_string(k) + ' ' + aig.pi_name(k) + '\n';
+    out.bytes('i' + std::to_string(k) + ' ' + aig.pi_name(k) + '\n');
   }
   for (std::uint32_t k = 0; k < aig.num_pos(); ++k) {
-    out += 'o' + std::to_string(k) + ' ' + aig.po_name(k) + '\n';
+    out.bytes('o' + std::to_string(k) + ' ' + aig.po_name(k) + '\n');
   }
-  return out;
+  return out.take();
 }
 
 Aig read_aiger_binary(const std::string& bytes) {
@@ -552,38 +542,16 @@ Aig read_aiger_binary(const std::string& bytes) {
       po_lits[static_cast<std::size_t>(k)] = lit;
     }
 
-    auto read_delta = [&](const char* what) -> std::uint64_t {
-      std::uint64_t value = 0;
-      unsigned shift = 0;
-      for (;;) {
-        if (pos >= bytes.size()) {
-          throw std::runtime_error(std::string("aiger binary: truncated ") +
-                                   what);
-        }
-        std::uint8_t byte = static_cast<std::uint8_t>(bytes[pos++]);
-        if (shift == 63 && (byte & 0x7e) != 0) {
-          throw std::runtime_error(std::string("aiger binary: ") + what +
-                                   " overflows");
-        }
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0) return value;
-        shift += 7;
-        if (shift > 63) {
-          throw std::runtime_error(std::string("aiger binary: ") + what +
-                                   " overflows");
-        }
-      }
-    };
-
     // AND fanins, decoded before any node is built: the symbol table sits
     // after the binary section, and PIs must carry their names from
     // construction, so structure is staged here and built at the end.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> and_rhs(
         static_cast<std::size_t>(a));
+    SnapshotReader deltas(bytes, pos);
     for (std::uint64_t k = 0; k < a; ++k) {
       std::uint64_t lhs = 2 * (i + 1 + k);
-      std::uint64_t delta0 = read_delta("AND delta");
-      std::uint64_t delta1 = read_delta("AND delta");
+      std::uint64_t delta0 = deltas.varint("aiger binary AND delta");
+      std::uint64_t delta1 = deltas.varint("aiger binary AND delta");
       if (delta0 == 0 || delta0 > lhs || delta1 > lhs - delta0) {
         throw std::runtime_error("aiger binary: AND " + std::to_string(lhs) +
                                  " has out-of-range deltas");
@@ -591,6 +559,7 @@ Aig read_aiger_binary(const std::string& bytes) {
       std::uint64_t rhs0 = lhs - delta0;
       and_rhs[static_cast<std::size_t>(k)] = {rhs0, rhs0 - delta1};
     }
+    pos = bytes.size() - deltas.remaining();
 
     std::vector<std::string> pi_names(static_cast<std::size_t>(i));
     std::vector<std::string> po_names(static_cast<std::size_t>(o));

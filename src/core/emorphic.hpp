@@ -18,7 +18,6 @@
 #include "cec/cec.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
-#include "egraph/serialize.hpp"
 #include "extract/sa_extractor.hpp"
 #include "flow/conversion.hpp"
 #include "flow/pipeline.hpp"

@@ -185,4 +185,11 @@ class EGraph {
   std::vector<ENode> stranded_;         // rebuild(): stranded-key sweep
 };
 
+/// A designated output of an e-graph (a PO of the circuit).
+struct SerializedRoot {
+  EClassId id = kNoEClass;
+  bool complemented = false;
+  std::string name;
+};
+
 }  // namespace emorphic

@@ -59,7 +59,7 @@ inline constexpr bool op_is_commutative(Op op) {
   return op == Op::kAnd || op == Op::kOr || op == Op::kXor;
 }
 
-/// Printable name of an operator (used by pattern/DSL printers).
+/// Printable name of an operator (used by the pattern printer).
 inline const char* op_name(Op op) {
   switch (op) {
     case Op::kConst0:

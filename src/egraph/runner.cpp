@@ -175,12 +175,13 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     stats.seconds = iter_timer.seconds();
     report.iterations.push_back(stats);
 
-    if (hooks.on_iteration) hooks.on_iteration(stats);
     if (hooks.stop && hooks.stop()) {
       report.stop_reason = StopReason::kCancelled;
       break;
     }
-    if (stats.enodes_after >= params.max_enodes) {
+    // A capped apply phase stops the run too: every later search would
+    // find matches the cap no longer lets it apply.
+    if (apply_capped || stats.enodes_after >= params.max_enodes) {
       report.stop_reason = StopReason::kNodeLimit;
       break;
     }
@@ -190,11 +191,7 @@ RunnerReport run_rewriting(EGraph& egraph, const std::vector<Rewrite>& rules,
     }
     if (stats.enodes_after == enodes_before &&
         stats.classes_after == classes_before) {
-      // Unchanged because the budget cut the apply phase short is not
-      // saturation.
-      report.stop_reason = apply_capped && stats.matches > 0
-                               ? StopReason::kNodeLimit
-                               : StopReason::kSaturated;
+      report.stop_reason = StopReason::kSaturated;
       break;
     }
     report.stop_reason = StopReason::kIterLimit;

@@ -58,7 +58,8 @@ struct RunnerParams {
 enum class StopReason {
   kSaturated,
   kIterLimit,
-  kNodeLimit,
+  kNodeLimit,  // an iteration left max_enodes live e-nodes, or its apply
+               // phase passed max_enodes on created ids
   kTimeLimit,
   kCancelled,  // RunnerHooks::stop asked to stop
 };
@@ -66,7 +67,7 @@ enum class StopReason {
 /// Printable name of a StopReason.
 const char* stop_reason_name(StopReason reason);
 
-/// Per-iteration statistics reported to RunnerHooks::on_iteration.
+/// Per-iteration statistics (RunnerReport::iterations).
 struct IterationStats {
   std::size_t matches = 0;       // substitutions found
   std::size_t applied = 0;       // merges that changed the e-graph
@@ -98,9 +99,6 @@ struct RunnerHooks {
   /// Called after every search phase with each rule's ordered match list,
   /// before any of them is applied.
   std::function<void(const std::vector<RuleMatches>&)> on_search;
-  /// Called after every completed iteration with its stats. The flow
-  /// pipeline forwards this telemetry to FlowObserver.
-  std::function<void(const IterationStats&)> on_iteration;
   /// Polled right after each search phase (after on_search, before any
   /// match is applied) and after each iteration; return true to stop early
   /// (reported as StopReason::kCancelled). A stop after a search applies

@@ -1,7 +1,6 @@
 #include "egraph/sexpr.hpp"
 
 #include <cctype>
-#include <map>
 #include <unordered_map>
 
 #include "util/timer.hpp"
@@ -246,68 +245,6 @@ Aig sexpr_to_aig(const std::string& text, const SExprLimits& limits) {
   parser.parse_document(builder);
   for (auto& [name, lit] : builder.outputs) aig.add_po(lit, name);
   return aig;
-}
-
-namespace {
-
-void print_class(const EGraph& egraph, EClassId cls,
-                 const std::vector<std::uint32_t>& choice,
-                 const std::vector<std::string>& var_names, std::string& out,
-                 Budget& budget) {
-  budget.charge(8, out.size());
-  cls = egraph.find(cls);
-  const ENode& n = egraph.eclass(cls).nodes.at(choice[cls]);
-  switch (n.op) {
-    case Op::kConst0:
-      out += "false";
-      break;
-    case Op::kConst1:
-      out += "true";
-      break;
-    case Op::kVar:
-      out += var_names.at(n.symbol);
-      break;
-    case Op::kNot:
-      out += "(not ";
-      print_class(egraph, n.children[0], choice, var_names, out, budget);
-      out += ')';
-      break;
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-      out += n.op == Op::kAnd ? "(and " : n.op == Op::kOr ? "(or " : "(xor ";
-      print_class(egraph, n.children[0], choice, var_names, out, budget);
-      out += ' ';
-      print_class(egraph, n.children[1], choice, var_names, out, budget);
-      out += ')';
-      break;
-  }
-}
-
-}  // namespace
-
-std::string egraph_to_sexpr(const EGraph& egraph,
-                            const std::vector<SerializedRoot>& roots,
-                            const std::vector<std::string>& var_names,
-                            const std::vector<std::uint32_t>& choice,
-                            const SExprLimits& limits) {
-  Budget budget(limits);
-  std::string out = "(outputs";
-  for (const SerializedRoot& r : roots) {
-    out += " (";
-    out += r.name;
-    out += ' ';
-    if (r.complemented) {
-      out += "(not ";
-      print_class(egraph, r.id, choice, var_names, out, budget);
-      out += ')';
-    } else {
-      print_class(egraph, r.id, choice, var_names, out, budget);
-    }
-    out += ')';
-  }
-  out += ')';
-  return out;
 }
 
 }  // namespace emorphic

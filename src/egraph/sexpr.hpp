@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "egraph/serialize.hpp"
+#include "egraph/egraph.hpp"
 
 namespace emorphic {
 
@@ -48,14 +48,6 @@ struct SExprEGraph {
 
 /// Parse an S-expression document into a fresh e-graph.
 SExprEGraph sexpr_to_egraph(const std::string& text, const SExprLimits& limits);
-
-/// Print a chosen term per root as an S-expression (duplicating shared
-/// subterms). `choice[class]` indexes the selected e-node of each class.
-std::string egraph_to_sexpr(const EGraph& egraph,
-                            const std::vector<SerializedRoot>& roots,
-                            const std::vector<std::string>& var_names,
-                            const std::vector<std::uint32_t>& choice,
-                            const SExprLimits& limits);
 
 /// Parse an S-expression document back into an AIG (the E-Syn "backward"
 /// conversion). PI names come from the document's leaves.

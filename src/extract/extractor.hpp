@@ -22,7 +22,6 @@
 
 #include "aig/aig.hpp"
 #include "egraph/egraph.hpp"
-#include "egraph/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace emorphic {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "aig/signature.hpp"
@@ -72,8 +71,8 @@ ChainResult run_chain(unsigned thread_index, const ExtractView& view,
                       const std::vector<SerializedRoot>& roots,
                       const std::vector<std::string>& pi_names,
                       const QorEvaluator& evaluator, const SaParams& params,
-                      const SaHooks& hooks, std::mutex& hook_mutex,
-                      QorMemo* memo, ExtractScratch& scratch) {
+                      const SaHooks& hooks, QorMemo* memo,
+                      ExtractScratch& scratch) {
   ChainResult result;
   Rng rng(params.seed * 0x9e3779b97f4a7c15ull + thread_index + 1);
 
@@ -147,13 +146,9 @@ ChainResult run_chain(unsigned thread_index, const ExtractView& view,
         accept = rng.next_double() < std::exp(-delta / temperature);
       }
 
-      SaTracePoint point{thread_index, iter,         move,   temperature,
-                         cost,         current_cost, accept, last_was_hit};
-      result.trace.push_back(point);
-      if (hooks.on_move) {
-        std::lock_guard<std::mutex> lock(hook_mutex);
-        hooks.on_move(point);
-      }
+      result.trace.push_back(SaTracePoint{thread_index, iter, move,
+                                          temperature, cost, current_cost,
+                                          accept, last_was_hit});
       if (accept) {
         current = std::move(candidate);
         current_qor = qor;
@@ -195,7 +190,6 @@ SaResult sa_extract(const EGraph& egraph,
   std::vector<ChainResult> chains(num_threads);
   std::vector<std::exception_ptr> errors(num_threads);
   {
-    std::mutex hook_mutex;
     // lint:allow(thread-in-library) SaParams::num_threads, one SA chain each
     std::vector<std::thread> threads;
     threads.reserve(num_threads);
@@ -203,7 +197,7 @@ SaResult sa_extract(const EGraph& egraph,
       threads.emplace_back([&, t] {
         try {
           chains[t] = run_chain(t, view, roots, pi_names, evaluator, params,
-                                hooks, hook_mutex, memo_ptr, scratch[t]);
+                                hooks, memo_ptr, scratch[t]);
         } catch (...) {
           errors[t] = std::current_exception();
         }

@@ -114,13 +114,9 @@ struct SaResult {
 
 class QorMemo;  // extract/qor_memo.hpp
 
-/// Progress callbacks for an extraction run (all optional). The flow
-/// pipeline uses them to stream FlowObserver events and to implement
-/// cancellation / time budgets across the parallel chains.
+/// Run hooks for an extraction (all optional). The flow pipeline uses them
+/// to implement cancellation / time budgets across the parallel chains.
 struct SaHooks {
-  /// Called after every evaluated move. Calls are serialized by an internal
-  /// mutex, but chains interleave in nondeterministic order.
-  std::function<void(const SaTracePoint&)> on_move;
   /// Polled by every chain before each move; return true to stop all chains
   /// early. Must be thread-safe. The best solution found so far still wins.
   std::function<bool()> stop;

@@ -52,13 +52,4 @@ Aig egraph_to_aig_greedy(const CircuitEGraph& ce, CostKind kind) {
       .cleanup();
 }
 
-CircuitEGraph dsl_to_circuit_egraph(const std::string& text) {
-  DeserializedEGraph de = dsl_to_egraph(text);
-  CircuitEGraph ce;
-  ce.egraph = std::move(de.egraph);
-  ce.roots = std::move(de.roots);
-  ce.pi_names = std::move(de.var_names);
-  return ce;
-}
-
 }  // namespace emorphic

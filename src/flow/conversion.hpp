@@ -10,7 +10,6 @@
 
 #include "aig/aig.hpp"
 #include "egraph/egraph.hpp"
-#include "egraph/serialize.hpp"
 #include "extract/extractor.hpp"
 
 namespace emorphic {
@@ -21,9 +20,6 @@ struct CircuitEGraph {
   EGraph egraph;
   std::vector<SerializedRoot> roots;
   std::vector<std::string> pi_names;
-
-  /// Serialize to the Fig. 7 intermediate DSL.
-  std::string to_dsl() const { return egraph_to_dsl(egraph, roots, pi_names); }
 };
 
 /// Forward conversion (circuit -> e-graph), linear time.
@@ -35,8 +31,5 @@ Aig egraph_to_aig(const CircuitEGraph& ce, const Extraction& solution);
 /// Convenience backward conversion with greedy extraction.
 Aig egraph_to_aig_greedy(const CircuitEGraph& ce,
                          CostKind kind = CostKind::kSize);
-
-/// Rebuild a CircuitEGraph from the Fig. 7 DSL text.
-CircuitEGraph dsl_to_circuit_egraph(const std::string& text);
 
 }  // namespace emorphic

@@ -136,9 +136,6 @@ void RewriteStage::run(FlowContext& ctx) const {
   }
 
   RunnerHooks hooks;
-  hooks.on_iteration = [&ctx](const IterationStats& stats) {
-    if (ctx.observer != nullptr) ctx.observer->on_rewrite_iteration(stats, ctx);
-  };
   hooks.stop = [&ctx] { return ctx.should_stop(); };
   ctx.rewrite_report =
       run_rewriting(ctx.egraph->egraph, *rules, ctx.params.rewrite, hooks);
@@ -173,11 +170,6 @@ void SaExtractStage::run(FlowContext& ctx) const {
   // the memo caches one evaluator's output per structural signature, and a
   // custom evaluator would poison / be poisoned by it.
   if (ctx.evaluator == nullptr) hooks.qor_memo = ctx.qor_memo;
-  if (ctx.observer != nullptr) {
-    hooks.on_move = [&ctx](const SaTracePoint& point) {
-      ctx.observer->on_sa_move(point, ctx);
-    };
-  }
   ctx.sa = sa_extract(ctx.egraph->egraph, ctx.egraph->roots,
                       ctx.egraph->pi_names, *evaluator, sa_params, hooks);
 }

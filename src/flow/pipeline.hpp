@@ -220,13 +220,6 @@ class FlowObserver {
   virtual void on_stage_end(const Stage& /*stage*/,
                             const StageTelemetry& /*telemetry*/,
                             const FlowContext& /*ctx*/) {}
-  /// One equality-saturation iteration finished (Rewrite stage).
-  virtual void on_rewrite_iteration(const IterationStats& /*stats*/,
-                                    const FlowContext& /*ctx*/) {}
-  /// One annealing move was evaluated (SaExtract stage). Serialized by an
-  /// internal mutex, but chains interleave nondeterministically.
-  virtual void on_sa_move(const SaTracePoint& /*point*/,
-                          const FlowContext& /*ctx*/) {}
   virtual void on_flow_end(const FlowContext& /*ctx*/) {}
 };
 

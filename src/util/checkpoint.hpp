@@ -76,7 +76,9 @@ class SnapshotWriter {
 /// varint throws SnapshotError naming the failing field.
 class SnapshotReader {
  public:
-  explicit SnapshotReader(const std::string& data) : data_(data) {}
+  /// Reads `data` from byte `pos` on.
+  explicit SnapshotReader(const std::string& data, std::size_t pos = 0)
+      : data_(data), pos_(pos) {}
 
   /// Consume and check a 4-byte magic tag.
   void expect_magic(const char tag[4], const char* format_name);
@@ -89,7 +91,7 @@ class SnapshotReader {
 
  private:
   const std::string& data_;
-  std::size_t pos_ = 0;
+  std::size_t pos_;
 };
 
 }  // namespace emorphic

@@ -1,9 +1,7 @@
 #pragma once
 // Tiny self-contained JSON value type with parser and printer.
 //
-// Used by the intermediate DSL of Fig. 7: the serialized e-graph format that
-// makes direct DAG-to-DAG circuit/e-graph conversion possible is a JSON
-// document mapping e-class ids to their e-nodes and parent lists.
+// Used by the synthesis service protocol (job requests, result frames).
 
 #include <cstdint>
 #include <map>

@@ -61,23 +61,47 @@ TEST(Runner, NodeLimitStops) {
   EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
 }
 
-TEST(Runner, NodeLimitInTheApplyPhaseIsNotSaturation) {
-  // The budget also caps the ids the apply phase creates. On hyp the fifth
-  // iteration passes it at its first match, so nothing is applied and the
-  // e-graph is unchanged with its live e-nodes still under the budget. The
-  // run stopped at the node limit; it did not saturate.
-  CircuitEGraph ce = aig_to_egraph(make_epfl("hyp"));
+RunnerParams hyp_capped_params() {
   RunnerParams limits;
   limits.max_iterations = 5;
   limits.max_enodes = 20000;
   limits.max_matches_per_rule = 500;
   limits.time_limit_s = 1e9;
+  return limits;
+}
+
+TEST(Runner, NodeLimitInTheApplyPhaseStopsTheRun) {
+  // The budget also caps the ids the apply phase creates. On hyp the fourth
+  // iteration passes it with its live e-nodes still under the budget: the
+  // run records that iteration and stops at the node limit.
+  CircuitEGraph ce = aig_to_egraph(make_epfl("hyp"));
+  const RunnerParams limits = hyp_capped_params();
   RunnerReport report = run_rewriting(ce.egraph, make_logic_rules(), limits);
-  ASSERT_EQ(report.iterations.size(), 5u);
-  EXPECT_EQ(report.iterations.back().matches, 8034u);
-  EXPECT_EQ(report.iterations.back().applied, 0u);
+  ASSERT_EQ(report.iterations.size(), 4u);
+  EXPECT_EQ(report.iterations.back().matches, 7489u);
+  EXPECT_EQ(report.iterations.back().applied, 990u);
   EXPECT_EQ(ce.egraph.num_enodes(), 19144u);
+  EXPECT_GT(ce.egraph.num_classes_created(), limits.max_enodes);
   EXPECT_EQ(report.stop_reason, StopReason::kNodeLimit);
+}
+
+TEST(Runner, NoSearchFollowsACappedApplyPhase) {
+  // Every search runs on an e-graph whose created ids are within the
+  // budget: once an apply phase passes it, the next search could find
+  // matches but apply none of them.
+  CircuitEGraph ce = aig_to_egraph(make_epfl("hyp"));
+  const RunnerParams limits = hyp_capped_params();
+  std::size_t searches = 0;
+  RunnerHooks hooks;
+  hooks.on_search = [&](const std::vector<RuleMatches>&) {
+    ++searches;
+    EXPECT_LE(ce.egraph.num_classes_created(), limits.max_enodes)
+        << "search " << searches;
+  };
+  RunnerReport report =
+      run_rewriting(ce.egraph, make_logic_rules(), limits, hooks);
+  EXPECT_EQ(searches, report.iterations.size());
+  EXPECT_GT(ce.egraph.num_classes_created(), limits.max_enodes);
 }
 
 TEST(Runner, IterationLimitRespected) {

@@ -4,7 +4,6 @@
 
 #include "../test_helpers.hpp"
 #include "benchgen/arith.hpp"
-#include "extract/extractor.hpp"
 
 namespace emorphic {
 namespace {
@@ -88,19 +87,6 @@ TEST(SExpr, SmallAdderSucceeds) {
   SExprEGraph eg = sexpr_to_egraph(text, limits);
   EXPECT_EQ(eg.roots.size(), adder.num_pos());
   EXPECT_GT(eg.egraph.num_enodes(), 0u);
-}
-
-TEST(SExpr, EGraphToSExprUsesChoices) {
-  EGraph eg;
-  EClassId a = eg.add_var(0);
-  EClassId b = eg.add_var(1);
-  EClassId f = eg.add_and(a, b);
-  Extraction sol = greedy_extract(eg, CostModel{CostKind::kSize});
-  std::vector<std::uint32_t> choice(eg.num_classes_created(), 0);
-  for (EClassId c : eg.class_ids()) choice[c] = sol.choice(c);
-  std::string text = egraph_to_sexpr(eg, {SerializedRoot{f, false, "f"}},
-                                     {"a", "b"}, choice, SExprLimits{});
-  EXPECT_EQ(text, "(outputs (f (and a b)))");
 }
 
 }  // namespace

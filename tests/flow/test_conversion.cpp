@@ -72,15 +72,6 @@ TEST(Conversion, LinearScaling) {
   EXPECT_GT(ce_large.egraph.num_enodes(), ce_small.egraph.num_enodes());
 }
 
-TEST(Conversion, DslRoundTrip) {
-  Aig sqrt_circuit = make_sqrt(8);
-  CircuitEGraph ce = aig_to_egraph(sqrt_circuit);
-  CircuitEGraph back = dsl_to_circuit_egraph(ce.to_dsl());
-  EXPECT_EQ(back.egraph.num_enodes(), ce.egraph.num_enodes());
-  Aig out = egraph_to_aig_greedy(back);
-  EXPECT_TRUE(testing::functionally_equal(sqrt_circuit, out));
-}
-
 TEST(Conversion, ComplementedPoIsFlagNotNode) {
   Aig aig;
   Lit a = make_lit(aig.add_pi());

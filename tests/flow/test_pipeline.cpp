@@ -53,16 +53,8 @@ class CountingObserver : public FlowObserver {
     ++stage_end;
     telemetry_seconds += telemetry.seconds;
   }
-  void on_rewrite_iteration(const IterationStats&,
-                            const FlowContext&) override {
-    ++rewrite_iterations;
-  }
-  void on_sa_move(const SaTracePoint&, const FlowContext&) override {
-    ++sa_moves;
-  }
 
   int flow_begin = 0, flow_end = 0, stage_begin = 0, stage_end = 0;
-  int rewrite_iterations = 0, sa_moves = 0;
   double telemetry_seconds = 0.0;
   std::vector<std::string> order;
 };
@@ -242,10 +234,7 @@ TEST(Pipeline, ObserverEventCounts) {
   // The emorphic pipeline has 7 stages (EgraphConversion appears twice).
   EXPECT_EQ(observer.stage_begin, 7);
   EXPECT_EQ(observer.stage_end, 7);
-  EXPECT_EQ(observer.rewrite_iterations,
-            static_cast<int>(result.rewrite_report.iterations.size()));
-  EXPECT_EQ(observer.sa_moves, static_cast<int>(result.sa.trace.size()));
-  EXPECT_GT(observer.sa_moves, 0);
+  EXPECT_FALSE(result.sa.trace.empty());
   // Observer-visible stage telemetry covers the optimization time.
   EXPECT_GE(observer.telemetry_seconds, result.qor.seconds);
 }
@@ -297,12 +286,15 @@ TEST(Pipeline, CancellationBetweenStages) {
 }
 
 TEST(Pipeline, CancellationMidSaExtract) {
-  // Cancel from inside the SA stage: every chain stops at its next move.
-  class CancelOnFirstMove : public FlowObserver {
+  // Cancel from inside the SA stage: the first QoR evaluation sets the
+  // flag, so every chain stops at its next move.
+  class CancelOnFirstEvaluation : public QorEvaluator {
    public:
-    explicit CancelOnFirstMove(std::atomic<bool>* flag) : flag_(flag) {}
-    void on_sa_move(const SaTracePoint&, const FlowContext&) override {
+    explicit CancelOnFirstEvaluation(std::atomic<bool>* flag) : flag_(flag) {}
+    Qor evaluate(const Aig& candidate) const override {
       flag_->store(true);
+      return Qor{static_cast<double>(candidate.num_ands()),
+                 static_cast<double>(candidate.num_levels())};
     }
 
    private:
@@ -316,11 +308,11 @@ TEST(Pipeline, CancellationMidSaExtract) {
   const int full_moves = 2 * 4 * 4;
 
   std::atomic<bool> cancel{false};
-  CancelOnFirstMove observer(&cancel);
+  CancelOnFirstEvaluation evaluator(&cancel);
   FlowContext ctx;
   ctx.params = params;
   ctx.input = make_arbiter(6);
-  ctx.observer = &observer;
+  ctx.evaluator = &evaluator;
   ctx.cancel = &cancel;
   FlowResult result = Pipeline::emorphic().run(ctx);
 
