@@ -29,27 +29,32 @@ std::string write_equations(const Aig& aig) {
   }
   out << ";\n";
 
-  auto lit_name = [&](Lit l) -> std::string {
-    std::string base;
+  auto put_lit = [&](Lit l) {
     Var v = lit_var(l);
     if (aig.is_const0(v)) {
-      return lit_is_compl(l) ? "1" : "0";
+      out << (lit_is_compl(l) ? '1' : '0');
+      return;
     }
+    if (lit_is_compl(l)) out << '!';
     if (aig.is_pi(v)) {
-      base = aig.pi_name(aig.pi_index(v));
+      out << aig.pi_name(aig.pi_index(v));
     } else {
-      base = "n" + std::to_string(v);
+      out << 'n' << v;
     }
-    return lit_is_compl(l) ? "!" + base : base;
   };
 
   for (Var v = 1; v < aig.num_nodes(); ++v) {
     if (!aig.is_and(v)) continue;
-    out << 'n' << v << " = " << lit_name(aig.fanin0(v)) << " & "
-        << lit_name(aig.fanin1(v)) << ";\n";
+    out << 'n' << v << " = ";
+    put_lit(aig.fanin0(v));
+    out << " & ";
+    put_lit(aig.fanin1(v));
+    out << ";\n";
   }
   for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
-    out << aig.po_name(i) << " = " << lit_name(aig.po(i)) << ";\n";
+    out << aig.po_name(i) << " = ";
+    put_lit(aig.po(i));
+    out << ";\n";
   }
   return out.str();
 }

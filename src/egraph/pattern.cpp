@@ -93,9 +93,16 @@ std::string Pattern::to_string(const std::vector<std::string>& var_names) const 
           return op_name(n.op);
         case 1:
           return std::string(op_name(n.op)) + (*this)(n.children[0]);
-        default:
-          return "(" + (*this)(n.children[0]) + " " + op_name(n.op) + " " +
-                 (*this)(n.children[1]) + ")";
+        default: {
+          std::string s = "(";
+          s += (*this)(n.children[0]);
+          s += ' ';
+          s += op_name(n.op);
+          s += ' ';
+          s += (*this)(n.children[1]);
+          s += ')';
+          return s;
+        }
       }
     }
   };

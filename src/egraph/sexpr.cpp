@@ -13,8 +13,7 @@ class Budget {
  public:
   explicit Budget(const SExprLimits& limits) : limits_(limits) {}
 
-  void charge(std::size_t chars, std::size_t total_chars) {
-    work_ += chars;
+  void charge(std::size_t total_chars) {
     if (total_chars > limits_.max_chars) {
       throw SExprLimitError(SExprLimitError::Kind::kMemory,
                             "s-expression exceeded memory budget");
@@ -31,12 +30,11 @@ class Budget {
  private:
   const SExprLimits& limits_;
   Timer timer_;
-  std::size_t work_ = 0;
   std::size_t checks_ = 0;
 };
 
 void flatten_lit(const Aig& aig, Lit lit, std::string& out, Budget& budget) {
-  budget.charge(8, out.size());
+  budget.charge(out.size());
   Var v = lit_var(lit);
   if (lit_is_compl(lit)) {
     out += "(not ";
@@ -108,7 +106,7 @@ class SExprParser {
 
   template <typename Builder>
   typename Builder::Value parse_expr(Builder& builder) {
-    budget_.charge(4, pos_);
+    budget_.charge(pos_);
     skip_ws();
     if (peek() != '(') {
       std::string atom = parse_atom();

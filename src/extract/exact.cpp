@@ -48,12 +48,11 @@ std::optional<Extraction> exact_extract(const EGraph& egraph,
     for (std::size_t i = 0; i < universe.size(); ++i) {
       candidate.choose(universe[i], digits[i]);
     }
-    if (solution_is_well_founded(view, candidate, roots, scratch)) {
-      double cost = solution_cost(view, candidate, params.cost, roots, scratch);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = std::move(candidate);
-      }
+    // A cyclic assignment costs kInfCost and never wins.
+    double cost = solution_cost(view, candidate, params.cost, roots, scratch);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = std::move(candidate);
     }
     // Increment the mixed-radix counter.
     std::size_t pos = 0;

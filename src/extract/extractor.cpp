@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "check/check.hpp"
 
@@ -23,16 +24,65 @@ double node_op_cost(const CostModel& cost, Op op) {
 
 using Node = ExtractView::Node;
 
-/// DFS states of the solution walks.
+/// DFS states of walk_chosen. kUnseen is zero and kDone nonzero, so after
+/// a complete walk `state` marks exactly the classes of the cone.
 enum : std::uint8_t { kUnseen, kOpen, kDone };
 
-/// Upper bound on the stack of the solution walks below: the roots, plus
-/// at most two children pushed per class (a class pushes its children the
-/// first time it is examined undone, and never again). Reserving it keeps
-/// a warm scratch allocation-free.
+/// Upper bound on walk_chosen's stack: the roots, plus at most two children
+/// pushed per class (a class pushes its children when it is opened, and is
+/// opened once). Reserving it keeps a warm scratch allocation-free.
 std::size_t dfs_bound(const ExtractView& view,
                       const std::vector<SerializedRoot>& roots) {
   return roots.size() + 2 * static_cast<std::size_t>(view.num_classes());
+}
+
+/// How walk_chosen ended.
+enum class Walk { kOk, kUncovered, kCycle };
+
+/// The one walk over the cone `solution` chooses below `roots`: an
+/// iterative post-order DFS that pushes children 0..arity-1 and calls
+/// `visit(d, node)` once per class, after all of its children. It stops at
+/// the first class in the cone without a choice (kUncovered), or at a
+/// chosen edge into a class still open (kCycle: open classes are always
+/// ancestors of the stack top). After kOk, scratch.state is nonzero on
+/// exactly the classes visited.
+template <typename Visit>
+Walk walk_chosen(const ExtractView& view, const Extraction& solution,
+                 const std::vector<SerializedRoot>& roots,
+                 ExtractScratch& scratch, Visit&& visit) {
+  std::vector<std::uint8_t>& state = scratch.state;
+  std::vector<std::uint32_t>& stack = scratch.stack;
+  state.assign(view.num_classes(), kUnseen);
+  stack.clear();
+  stack.reserve(dfs_bound(view, roots));
+  for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
+  while (!stack.empty()) {
+    const std::uint32_t d = stack.back();
+    if (state[d] == kDone) {
+      stack.pop_back();
+      continue;
+    }
+    if (state[d] == kUnseen) {
+      if (!solution.has(view.slot(d))) return Walk::kUncovered;
+      state[d] = kOpen;
+      const Node& v = view.chosen(solution, d);
+      bool pending = false;
+      for (unsigned k = 0; k < op_arity(v.op); ++k) {
+        const std::uint8_t child = state[v.child[k]];
+        if (child == kOpen) return Walk::kCycle;
+        if (child == kUnseen) {
+          stack.push_back(v.child[k]);
+          pending = true;
+        }
+      }
+      if (pending) continue;
+    }
+    // Every child is done: finish the class.
+    visit(d, view.chosen(solution, d));
+    state[d] = kDone;
+    stack.pop_back();
+  }
+  return Walk::kOk;
 }
 
 /// Algorithm 1 over a view. `free_classes` (per dense class, may be null)
@@ -364,32 +414,18 @@ Extraction dag_refine(const ExtractView& view, Extraction base,
   Extraction best = std::move(base);
   // True DAG cost arbitrates: size semantics count every class once.
   const CostModel dag_cost{CostKind::kSize};
-  if (!solution_is_well_founded(view, best, roots, scratch)) return best;
   double best_value = solution_cost(view, best, dag_cost, roots, scratch);
+  if (best_value == kInfCost) return best;  // not well-founded
 
   for (unsigned pass = 0; pass < passes; ++pass) {
-    // Mark the classes the incumbent actually uses below the roots.
-    std::vector<std::uint8_t>& used = scratch.used;
-    std::vector<std::uint32_t>& stack = scratch.stack;
-    used.assign(view.num_classes(), 0);
-    stack.clear();
-    stack.reserve(dfs_bound(view, roots));
-    for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
-    while (!stack.empty()) {
-      const std::uint32_t d = stack.back();
-      stack.pop_back();
-      if (used[d] || !best.has(view.slot(d))) continue;
-      used[d] = 1;
-      const Node& v = view.chosen(best, d);
-      for (unsigned k = 0; k < op_arity(v.op); ++k) stack.push_back(v.child[k]);
-    }
-
+    // The incumbent's cost walk left the classes it uses below the roots
+    // marked in scratch.state: those are free.
     BottomUpOptions options;
     options.cost = &cost;
-    Extraction candidate = relax(view, options, scratch, used.data());
-    // Zero-cost contributions void the acyclicity guarantee: validate, and
-    // only adopt strict improvements of the true DAG cost.
-    if (!solution_is_well_founded(view, candidate, roots, scratch)) break;
+    Extraction candidate = relax(view, options, scratch, scratch.state.data());
+    // Zero-cost contributions void the acyclicity guarantee: a cyclic
+    // candidate costs kInfCost, and only strict improvements of the true
+    // DAG cost are adopted (which leaves the new incumbent's walk marked).
     double value = solution_cost(view, candidate, dag_cost, roots, scratch);
     if (value >= best_value) break;
     best = std::move(candidate);
@@ -477,38 +513,8 @@ bool solution_is_well_founded(const ExtractView& view,
                               const Extraction& solution,
                               const std::vector<SerializedRoot>& roots,
                               ExtractScratch& scratch) {
-  std::vector<std::uint8_t>& state = scratch.state;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>& stack = scratch.frames;
-  state.assign(view.num_classes(), kUnseen);
-  stack.reserve(view.num_classes());  // a class is Open at most once
-
-  // Iterative DFS with an explicit "children pending" phase (a frame is a
-  // class and its next child); an Open node reached again is a cycle.
-  for (const SerializedRoot& r : roots) {
-    const std::uint32_t root = view.dense(r.id);
-    if (state[root] == kDone) continue;
-    if (state[root] == kOpen) return false;
-    stack.clear();
-    stack.emplace_back(root, 0);
-    state[root] = kOpen;
-    while (!stack.empty()) {
-      const std::uint32_t d = stack.back().first;
-      if (!solution.has(view.slot(d))) return false;
-      const Node& v = view.chosen(solution, d);
-      if (stack.back().second >= op_arity(v.op)) {
-        state[d] = kDone;
-        stack.pop_back();
-        continue;
-      }
-      const std::uint32_t child = v.child[stack.back().second++];
-      if (state[child] == kOpen) return false;  // cycle
-      if (state[child] == kUnseen) {
-        state[child] = kOpen;
-        stack.emplace_back(child, 0);
-      }
-    }
-  }
-  return true;
+  return walk_chosen(view, solution, roots, scratch,
+                     [](std::uint32_t, const Node&) {}) == Walk::kOk;
 }
 
 bool solution_is_well_founded(const EGraph& egraph, const Extraction& solution,
@@ -521,49 +527,21 @@ double solution_cost(const ExtractView& view, const Extraction& solution,
                      const CostModel& cost,
                      const std::vector<SerializedRoot>& roots,
                      ExtractScratch& scratch) {
-  // Iterative DFS over chosen nodes; size counts each class once (DAG cost),
-  // depth memoizes the longest path.
-  std::vector<std::uint8_t>& state = scratch.state;
+  // Size counts each class once (DAG cost); depth is the longest path.
   std::vector<double>& depth = scratch.depth;
-  std::vector<std::uint32_t>& stack = scratch.stack;
-  state.assign(view.num_classes(), kUnseen);
   depth.assign(view.num_classes(), 0.0);
   double total_size = 0.0;
-
-  stack.clear();
-  stack.reserve(dfs_bound(view, roots));
-  for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
-  while (!stack.empty()) {
-    const std::uint32_t d = stack.back();
-    if (state[d] == kDone) {
-      stack.pop_back();
-      continue;
-    }
-    assert(solution.has(view.slot(d)));
-    const Node& v = view.chosen(solution, d);
-    const unsigned arity = op_arity(v.op);
-    if (state[d] == kUnseen) {
-      state[d] = kOpen;
-      bool pending = false;
-      for (unsigned k = 0; k < arity; ++k) {
-        if (state[v.child[k]] != kDone) {
-          assert(state[v.child[k]] != kOpen && "cyclic extraction");
-          stack.push_back(v.child[k]);
-          pending = true;
-        }
-      }
-      if (pending) continue;
-    }
-    // Children done: finalize.
-    double node_cost = cost.op_cost(v.op);
+  auto fold = [&](std::uint32_t d, const Node& v) {
+    const double node_cost = cost.op_cost(v.op);
     double child_depth = 0.0;
-    for (unsigned k = 0; k < arity; ++k) {
+    for (unsigned k = 0; k < op_arity(v.op); ++k) {
       child_depth = std::max(child_depth, depth[v.child[k]]);
     }
     depth[d] = node_cost + child_depth;
     total_size += node_cost;
-    state[d] = kDone;
-    stack.pop_back();
+  };
+  if (walk_chosen(view, solution, roots, scratch, fold) != Walk::kOk) {
+    return kInfCost;
   }
 
   if (cost.kind == CostKind::kSize) return total_size;
@@ -581,71 +559,56 @@ double solution_cost(const EGraph& egraph, const Extraction& solution,
   return solution_cost(ExtractView(egraph), solution, cost, roots, scratch);
 }
 
+Lit lower_enode(Aig& aig, const ExtractView::Node& v,
+                const std::vector<Lit>& lits) {
+  switch (v.op) {
+    case Op::kConst0:
+      return kLitFalse;
+    case Op::kConst1:
+      return kLitTrue;
+    case Op::kVar:
+      return make_lit(aig.pis()[v.symbol()]);
+    case Op::kNot:
+      return lit_not(lits[v.child[0]]);
+    case Op::kAnd:
+      return aig.make_and(lits[v.child[0]], lits[v.child[1]]);
+    case Op::kOr:
+      return aig.make_or(lits[v.child[0]], lits[v.child[1]]);
+    case Op::kXor:
+      return aig.make_xor(lits[v.child[0]], lits[v.child[1]]);
+  }
+  return kLitFalse;
+}
+
+void lower_cone(const ExtractView& view, const Extraction& solution,
+                const std::vector<SerializedRoot>& roots, Aig& aig,
+                ExtractScratch& scratch, std::vector<std::uint32_t>* order) {
+  std::vector<Lit>& lits = scratch.lits;
+  lits.assign(view.num_classes(), kLitFalse);
+  if (order != nullptr) order->clear();
+  const Walk walk = walk_chosen(
+      view, solution, roots, scratch, [&](std::uint32_t d, const Node& v) {
+        lits[d] = lower_enode(aig, v, lits);
+        if (order != nullptr) order->push_back(d);
+      });
+  if (walk == Walk::kUncovered) {
+    throw std::invalid_argument(
+        "lower_cone: extraction does not cover the output cone");
+  }
+  if (walk == Walk::kCycle) {
+    throw std::invalid_argument("lower_cone: extraction is cyclic");
+  }
+}
+
 Aig extraction_to_aig(const ExtractView& view, const Extraction& solution,
                       const std::vector<SerializedRoot>& roots,
                       const std::vector<std::string>& pi_names,
                       ExtractScratch& scratch) {
   Aig aig;
   for (const auto& name : pi_names) aig.add_pi(name);
-
-  std::vector<Lit>& built = scratch.lits;
-  std::vector<std::uint8_t>& done = scratch.state;
-  std::vector<std::uint32_t>& stack = scratch.stack;
-  built.assign(view.num_classes(), kLitFalse);
-  done.assign(view.num_classes(), 0);
-
-  stack.clear();
-  stack.reserve(dfs_bound(view, roots));
-  for (const SerializedRoot& r : roots) stack.push_back(view.dense(r.id));
-  while (!stack.empty()) {
-    const std::uint32_t d = stack.back();
-    if (done[d]) {
-      stack.pop_back();
-      continue;
-    }
-    assert(solution.has(view.slot(d)) &&
-           "extraction does not cover the output cone");
-    const Node& v = view.chosen(solution, d);
-    bool pending = false;
-    for (unsigned k = 0; k < op_arity(v.op); ++k) {
-      if (!done[v.child[k]]) {
-        stack.push_back(v.child[k]);
-        pending = true;
-      }
-    }
-    if (pending) continue;
-
-    Lit lit = kLitFalse;
-    switch (v.op) {
-      case Op::kConst0:
-        lit = kLitFalse;
-        break;
-      case Op::kConst1:
-        lit = kLitTrue;
-        break;
-      case Op::kVar:
-        lit = make_lit(aig.pis()[v.symbol()]);
-        break;
-      case Op::kNot:
-        lit = lit_not(built[v.child[0]]);
-        break;
-      case Op::kAnd:
-        lit = aig.make_and(built[v.child[0]], built[v.child[1]]);
-        break;
-      case Op::kOr:
-        lit = aig.make_or(built[v.child[0]], built[v.child[1]]);
-        break;
-      case Op::kXor:
-        lit = aig.make_xor(built[v.child[0]], built[v.child[1]]);
-        break;
-    }
-    built[d] = lit;
-    done[d] = 1;
-    stack.pop_back();
-  }
-
+  lower_cone(view, solution, roots, aig, scratch);
   for (const SerializedRoot& r : roots) {
-    Lit lit = built[view.dense(r.id)];
+    Lit lit = scratch.lits[view.dense(r.id)];
     aig.add_po(lit_notcond(lit, r.complemented), r.name);
   }
   return aig;

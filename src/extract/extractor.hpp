@@ -8,7 +8,12 @@
 //  * the paper's Algorithm 1 ("Generate Neighboring Solution"): a bottom-up
 //    pass from the leaves with per-class cost caching (`Costs_map`) and
 //    solution-space pruning (Fig. 6), optionally randomized so SA can
-//    explore.
+//    explore,
+//  * one post-order walk of a solution's chosen cone (children
+//    0..arity-1 before their class), behind its well-foundedness check,
+//    its cost, dag_refine's marking and its lowering into an AIG
+//    (lower_cone / lower_enode, which SA scoring and the choice export in
+//    flow/choice_export.hpp both go through).
 // All of them run over an ExtractView, the e-graph compiled once into flat
 // arrays, with caller-owned ExtractScratch, so an SA chain's moves reuse
 // one view and one scratch.
@@ -17,7 +22,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -187,12 +191,10 @@ struct ExtractScratch {
   std::vector<std::uint64_t> memo;    // per flat node: clock of its last evaluation
   std::vector<std::uint32_t> queue;   // FIFO ring over dense classes
   std::vector<std::uint8_t> queued;   // per class: in the queue
-  std::vector<std::uint8_t> used;     // dag_refine: classes the incumbent uses
-  std::vector<std::uint8_t> state;    // DFS state of the solution walks
+  std::vector<std::uint8_t> state;    // per class: state of the cone walk
   std::vector<double> depth;          // solution_cost's longest paths
-  std::vector<Lit> lits;              // extraction_to_aig's built literals
-  std::vector<std::uint32_t> stack;   // DFS stack of dense classes
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (class, next child)
+  std::vector<Lit> lits;              // per class: lower_cone's literal
+  std::vector<std::uint32_t> stack;   // cone walk's stack of dense classes
 };
 
 /// Configuration of one bottom_up_extract run (Algorithm 1).
@@ -264,6 +266,7 @@ bool solution_is_well_founded(const EGraph& egraph, const Extraction& solution,
 
 /// DAG-aware cost of a solution restricted to the cone of `roots`:
 /// size sums each selected class once; depth takes the longest path.
+/// kInfCost when the solution is not well-founded.
 double solution_cost(const ExtractView& view, const Extraction& solution,
                      const CostModel& cost,
                      const std::vector<SerializedRoot>& roots,
@@ -272,8 +275,26 @@ double solution_cost(const EGraph& egraph, const Extraction& solution,
                      const CostModel& cost,
                      const std::vector<SerializedRoot>& roots);
 
-/// Rebuild an AIG from a solution. `pi_names[symbol]` names each kVar leaf;
-/// the roots become POs (with their complement flags and names).
+/// Lower one e-node into `aig` over its children's literals `lits` (per
+/// dense class). NOT and the leaves map to existing literals; a kVar node
+/// is `aig`'s PI number symbol(). The e-graph -> AIG seam's one op switch.
+Lit lower_enode(Aig& aig, const ExtractView::Node& v,
+                const std::vector<Lit>& lits);
+
+/// Lower the cone `solution` chooses below `roots` into `aig` (whose PIs
+/// the kVar symbols index), children before parents. Fills
+/// scratch.lits[d] for every class d of the cone and, when `order` is
+/// given, replaces its contents with those classes in the order they were
+/// lowered. Throws std::invalid_argument when the solution does not cover
+/// the cone or is cyclic.
+void lower_cone(const ExtractView& view, const Extraction& solution,
+                const std::vector<SerializedRoot>& roots, Aig& aig,
+                ExtractScratch& scratch,
+                std::vector<std::uint32_t>* order = nullptr);
+
+/// Rebuild an AIG from a solution: PIs named `pi_names` (indexed by kVar
+/// symbol), then lower_cone, then the roots as POs with their complement
+/// flags and names. Throws std::invalid_argument as lower_cone does.
 Aig extraction_to_aig(const ExtractView& view, const Extraction& solution,
                       const std::vector<SerializedRoot>& roots,
                       const std::vector<std::string>& pi_names,

@@ -1,11 +1,11 @@
 #include "extract/sa_extractor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <exception>
-#include <thread>
 
 #include "aig/signature.hpp"
 #include "extract/qor_memo.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace emorphic {
@@ -77,12 +77,12 @@ ChainResult run_chain(unsigned thread_index, const ExtractView& view,
   Rng rng(params.seed * 0x9e3779b97f4a7c15ull + thread_index + 1);
 
   // Initial solution (Fig. 4): greedy depth / greedy size / random,
-  // round-robin across threads so chains start from diverse corners. Each
-  // chain also explores with the matching proxy cost: depth-seeded chains
-  // chase delay structures, size-seeded chains chase sharing-friendly ones
+  // round-robin across threads so chains start from diverse corners. The
+  // size-seeded chain also explores with the size proxy cost, the others
+  // with depth: depth chases delay structures, size sharing-friendly ones
   // — the blended QoR cost arbitrates between them.
   Extraction current;
-  CostModel proxy = params.proxy_cost;
+  CostModel proxy{CostKind::kDepth};
   switch (thread_index % 3) {
     case 0:
       current = greedy_extract(view, CostModel{CostKind::kDepth}, scratch,
@@ -188,25 +188,13 @@ SaResult sa_extract(const EGraph& egraph,
   const ExtractView view(egraph);
   std::vector<ExtractScratch> scratch(num_threads);
   std::vector<ChainResult> chains(num_threads);
-  std::vector<std::exception_ptr> errors(num_threads);
   {
     // lint:allow(thread-in-library) SaParams::num_threads, one SA chain each
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t] {
-        try {
-          chains[t] = run_chain(t, view, roots, pi_names, evaluator, params,
-                                hooks, memo_ptr, scratch[t]);
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
+    ThreadPool pool(num_threads);
+    pool.parallel_for(num_threads, [&](std::size_t t) {
+      chains[t] = run_chain(static_cast<unsigned>(t), view, roots, pi_names,
+                            evaluator, params, hooks, memo_ptr, scratch[t]);
+    });
   }
 
   SaResult result;

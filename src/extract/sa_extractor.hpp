@@ -67,8 +67,6 @@ struct SaParams {
   /// entirely. Never changes the result (the cached Qor is the evaluator's
   /// own earlier answer); hit/miss counters land in SaResult.
   bool memoize_qor = true;
-  /// Proxy cost used by the neighbor-generation pass (depth tracks delay).
-  CostModel proxy_cost{CostKind::kDepth};
 };
 
 /// One point of the annealing trace (for the Fig. 4 bench / diagnostics).

@@ -1,10 +1,10 @@
 #include "flow/choice_export.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <stdexcept>
+#include <tuple>
 #include <vector>
 
-#include "egraph/choices.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
 
@@ -12,28 +12,29 @@ namespace emorphic {
 
 namespace {
 
-/// Lower one e-node over already-built child literals. NOT and the leaves
-/// lower to existing literals (no new structure); binary operators build.
-Lit lower_node(Aig& aig, const ENode& n, const std::vector<Lit>& built,
-               const EGraph& egraph, const std::vector<Var>& pis) {
-  auto child = [&](unsigned k) { return built[egraph.find(n.children[k])]; };
-  switch (n.op) {
-    case Op::kConst0:
-      return kLitFalse;
-    case Op::kConst1:
-      return kLitTrue;
-    case Op::kVar:
-      return make_lit(pis[n.symbol]);
-    case Op::kNot:
-      return lit_not(child(0));
-    case Op::kAnd:
-      return aig.make_and(child(0), child(1));
-    case Op::kOr:
-      return aig.make_or(child(0), child(1));
-    case Op::kXor:
-      return aig.make_xor(child(0), child(1));
+/// Flat indices of the members of dense class `d` to attempt as choice
+/// alternatives, at most `cap`, excluding the chosen member `chosen`. Only
+/// binary operators: NOT and the leaves lower to existing literals, so they
+/// add no structure. The order is stable across e-graph rebuilds, which
+/// keeps the export reproducible: operator index (AND before OR before XOR,
+/// cheaper lowerings first), then the children's dense ids (ascending
+/// canonical ids), then position in the class.
+std::vector<std::uint32_t> choice_candidates(const ExtractView& view,
+                                             std::uint32_t d,
+                                             std::uint32_t chosen,
+                                             std::uint32_t cap) {
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t i = view.node_begin(d); i < view.node_begin(d + 1); ++i) {
+    if (i != chosen && op_arity(view.node(i).op) == 2) candidates.push_back(i);
   }
-  return kLitFalse;
+  auto key = [&](std::uint32_t i) {
+    const ExtractView::Node& v = view.node(i);
+    return std::tuple(op_index(v.op), v.child[0], v.child[1], i);
+  };
+  std::sort(candidates.begin(), candidates.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return key(a) < key(b); });
+  if (candidates.size() > cap) candidates.resize(cap);
+  return candidates;
 }
 
 /// A tentative ring member awaiting verification.
@@ -49,55 +50,28 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
                                const Extraction& solution,
                                const ChoiceExportParams& params,
                                ChoiceExportStats* stats) {
-  const EGraph& egraph = ce.egraph;
   ChoiceExportStats local_stats;
   ChoiceExportStats& st = stats != nullptr ? *stats : local_stats;
   st = ChoiceExportStats{};
 
   // --- Phase 1: lower the chosen extraction (the representative cone) ------
-  // Same traversal as extraction_to_aig, but the per-class literals and the
-  // completion (topological) order of the classes are kept: phase 2 lowers
+  // extraction_to_aig's lowering, keeping the per-class literals and the
+  // completion (topological) order of the classes: phase 2 lowers
   // alternatives over exactly these literals, so every alternative cone
   // hangs off representatives — never off another alternative.
+  const ExtractView view(ce.egraph);
+  ExtractScratch scratch;
   Aig aig;
   for (const auto& name : ce.pi_names) aig.add_pi(name);
-
-  const std::size_t slots = egraph.num_classes_created();
-  std::vector<Lit> built(slots, kLitFalse);
-  std::vector<std::uint8_t> done(slots, 0);
-  std::vector<EClassId> class_order;
-
-  std::vector<EClassId> stack;
-  for (const SerializedRoot& r : ce.roots) stack.push_back(egraph.find(r.id));
-  while (!stack.empty()) {
-    EClassId c = egraph.find(stack.back());
-    if (done[c]) {
-      stack.pop_back();
-      continue;
-    }
-    if (!solution.has(c)) {
-      throw std::invalid_argument(
-          "egraph_to_choice_aig: extraction does not cover the output cone");
-    }
-    const ENode& n = egraph.eclass(c).nodes[solution.choice(c)];
-    bool pending = false;
-    for (unsigned k = 0; k < n.arity(); ++k) {
-      EClassId child = egraph.find(n.children[k]);
-      if (!done[child]) {
-        stack.push_back(child);
-        pending = true;
-      }
-    }
-    if (pending) continue;
-    built[c] = lower_node(aig, n, built, egraph, aig.pis());
-    done[c] = 1;
-    class_order.push_back(c);
-    stack.pop_back();
-  }
+  std::vector<std::uint32_t> class_order;
+  lower_cone(view, solution, ce.roots, aig, scratch, &class_order);
+  const std::vector<Lit>& built = scratch.lits;
   for (const SerializedRoot& r : ce.roots) {
-    Lit lit = built[egraph.find(r.id)];
+    Lit lit = built[view.dense(r.id)];
     aig.add_po(lit_notcond(lit, r.complemented), r.name);
   }
+  std::vector<std::uint8_t> lowered(view.num_classes(), 0);
+  for (std::uint32_t d : class_order) lowered[d] = 1;
   st.cone_classes = class_order.size();
 
   // --- Phase 2: lower alternative members over the representatives ---------
@@ -112,23 +86,22 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
     if (v >= role.size()) role.resize(aig.num_nodes(), kPlain);
     return role[v];
   };
-  for (EClassId c : class_order) {
-    Var rep = lit_var(built[c]);
+  for (std::uint32_t d : class_order) {
+    Var rep = lit_var(built[d]);
     if (aig.is_and(rep)) role_of(rep) = kRep;
   }
 
   std::vector<PendingAlt> pending_alts;
-  for (EClassId c : class_order) {
-    Lit rep_lit = built[c];
+  for (std::uint32_t d : class_order) {
+    Lit rep_lit = built[d];
     Var rep = lit_var(rep_lit);
     if (!aig.is_and(rep)) continue;  // constant / PI classes have no choices
+    const std::uint32_t chosen =
+        view.node_begin(d) + solution.choice(view.slot(d));
     for (std::uint32_t i :
-         choice_candidates(egraph, c, solution.choice(c), params.ring_cap)) {
-      const ENode& n = egraph.eclass(c).nodes[i];
-      bool unbuildable = false;
-      for (unsigned k = 0; k < n.arity(); ++k) {
-        if (!done[egraph.find(n.children[k])]) unbuildable = true;
-      }
+         choice_candidates(view, d, chosen, params.ring_cap)) {
+      const ExtractView::Node& v = view.node(i);
+      const bool unbuildable = !lowered[v.child[0]] || !lowered[v.child[1]];
       if (unbuildable) {
         // A member may reference classes the chosen cone never lowered;
         // materializing those cones could drag in an unbounded slice of
@@ -136,7 +109,7 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
         ++st.alts_unbuildable;
         continue;
       }
-      Lit alt_lit = lower_node(aig, n, built, egraph, aig.pis());
+      Lit alt_lit = lower_enode(aig, v, built);
       Var alt = lit_var(alt_lit);
       if (alt == rep || !aig.is_and(alt)) {
         // Structural hashing recognized the member as the representative

@@ -5,12 +5,14 @@
 // Extraction commits to ONE e-node per e-class; every other structural
 // variant the saturation discovered would normally be thrown away before
 // `map_to_cells` ever runs. This export keeps them: the chosen extraction
-// is lowered as usual (its nodes become the choice-class representatives
-// that carry all fanout), and then, class by class, a capped number of the
-// *other* member e-nodes (egraph/choices.hpp) are lowered as alternative
-// cones over the same child representatives. Each alternative is
-// complement-normalized against its representative — fraig-style, phase on
-// the literal — and recorded in an AigChoices ring (aig/choice.hpp).
+// is lowered by the extractor's own lower_cone (extract/extractor.hpp), so
+// its nodes become the choice-class representatives that carry all
+// fanout, and then, class by class, a capped number of the *other*
+// binary-operator member e-nodes, in a rebuild-stable order, are lowered
+// by lower_enode as alternatives over the same child representatives. Each
+// alternative is complement-normalized against its representative —
+// fraig-style, phase on the literal — and recorded in an AigChoices ring
+// (aig/choice.hpp).
 //
 // Every ring member is then SAT-verified against its representative over
 // one incremental CNF of the whole network (two assumption-only queries
@@ -58,8 +60,9 @@ struct ChoiceExportStats {
   std::size_t verify_sat_calls = 0;    // individual solver queries
 };
 
-/// Export `ce` under `solution` (which must cover the cone of the roots,
-/// e.g. the SA winner or a greedy extraction) as a choice-annotated AIG.
+/// Export `ce` under `solution` (which must cover the cone of the roots
+/// acyclically, e.g. the SA winner or a greedy extraction; otherwise
+/// std::invalid_argument) as a choice-annotated AIG.
 /// The result's plain PO cones equal `egraph_to_aig(ce, solution)` up to
 /// structural hashing; the rings carry the verified alternatives. The
 /// returned annotation is finalized and check()-clean.

@@ -135,7 +135,7 @@ MappedNetlist map_luts(const Aig& aig, const AigChoices* choices,
       lut.inputs[j] = leaf_net(cut.leaves[j]);
     }
     lut.tt = cut.tt & tt_mask(cut.size);
-    lut.output = out.add_net("n" + std::to_string(v));
+    lut.output = out.add_net(std::string("n").append(std::to_string(v)));
     net[v][0] = lut.output;
     out.add_gate(std::move(lut));
     stack.pop_back();
@@ -170,7 +170,8 @@ MappedNetlist map_luts(const Aig& aig, const AigChoices* choices,
         }
         dup.tt = tt_not(cut.tt, cut.size);
       }
-      dup.output = out.add_net("n" + std::to_string(r) + "_b");
+      dup.output = out.add_net(
+          std::string("n").append(std::to_string(r)).append("_b"));
       net[r][1] = dup.output;
       out.add_gate(std::move(dup));
       po_net = net[r][1];

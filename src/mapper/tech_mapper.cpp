@@ -98,7 +98,8 @@ MappedNetlist map_cells(const Aig& aig, const AigChoices* choices,
   }
 
   auto net_name_for = [&](Var v, int p) {
-    std::string name = "n" + std::to_string(v);
+    std::string name = "n";
+    name += std::to_string(v);
     if (p == 1) name += "_b";
     return name;
   };

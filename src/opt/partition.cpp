@@ -75,7 +75,8 @@ Aig extract_window(const Aig& aig, const Window& window) {
   Aig sub;
   std::vector<Lit> map(aig.num_nodes(), kLitFalse);
   for (Var in : window.inputs) {
-    map[in] = make_lit(sub.add_pi("v" + std::to_string(in)));
+    map[in] =
+        make_lit(sub.add_pi(std::string("v").append(std::to_string(in))));
   }
   auto translate = [&map](Lit l) {
     return lit_notcond(map[lit_var(l)], lit_is_compl(l));
@@ -84,7 +85,7 @@ Aig extract_window(const Aig& aig, const Window& window) {
     map[v] = sub.make_and(translate(aig.fanin0(v)), translate(aig.fanin1(v)));
   }
   for (Var out : window.outputs) {
-    sub.add_po(map[out], "v" + std::to_string(out));
+    sub.add_po(map[out], std::string("v").append(std::to_string(out)));
   }
   return sub;
 }

@@ -1,7 +1,8 @@
 #pragma once
 // Fixed-size worker pool: the partitioned flow runs one window per task
-// (PartitionParams::num_threads), and the saturation runner one rule's
-// search per task (RunnerParams::match_threads).
+// (PartitionParams::num_threads), the saturation runner one rule's search
+// per task (RunnerParams::match_threads), and SA one annealing chain per
+// task (SaParams::num_threads).
 // docs/architecture.md ("Parallelism") lists every thread knob.
 
 #include <condition_variable>

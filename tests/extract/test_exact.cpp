@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../test_helpers.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
@@ -82,6 +84,11 @@ TEST(Exact, WellFoundednessDetectsCycles) {
   cyclic.choose(eg.find(a), and_index(eg.find(a)));
   cyclic.choose(eg.find(b), and_index(eg.find(b)));
   EXPECT_FALSE(solution_is_well_founded(eg, cyclic, roots));
+  // Every other user of the cone walk rejects it too.
+  const CostModel size{CostKind::kSize};
+  EXPECT_EQ(solution_cost(eg, cyclic, size, roots), kInfCost);
+  EXPECT_THROW(extraction_to_aig(eg, cyclic, roots, {"x", "y"}),
+               std::invalid_argument);
 
   Extraction fine(eg.num_classes_created());
   fine.choose(eg.find(a), and_index(eg.find(a)));
@@ -96,8 +103,12 @@ TEST(Exact, IncompleteSolutionIsNotWellFounded) {
   EClassId f = eg.add_and(a, b);
   Extraction partial(eg.num_classes_created());
   partial.choose(f, 0);  // children undecided
-  EXPECT_FALSE(solution_is_well_founded(
-      eg, partial, {SerializedRoot{f, false, "f"}}));
+  const std::vector<SerializedRoot> roots{SerializedRoot{f, false, "f"}};
+  EXPECT_FALSE(solution_is_well_founded(eg, partial, roots));
+  EXPECT_EQ(solution_cost(eg, partial, CostModel{CostKind::kDepth}, roots),
+            kInfCost);
+  EXPECT_THROW(extraction_to_aig(eg, partial, roots, {"a", "b"}),
+               std::invalid_argument);
 }
 
 /// Property sweep: on small rewritten e-graphs the greedy extractor is never
