@@ -1,10 +1,12 @@
 // Timings for the kernels the end-to-end benchmark (perfbench/) cannot
-// isolate: the two ResynRounds kernels, priority-cut enumeration and NPN
-// canonization of 4-input functions, the e-matching search (per rule class,
+// isolate: the ResynRounds kernels (priority-cut enumeration, NPN
+// canonization of 4-input functions, and the two resynthesis passes,
+// refactoring and SOP balancing), the e-matching search (per rule class,
 // and all rules serial against a 4-thread pool), the SA neighbour
 // generation of the extraction kernel, and the covering DP under both
 // mapping backends. Timing only; the bit-identical guarantees are ctest
-// cases (Cut.GoldenDigestOverEpfl in tests/aig,
+// cases (Cut.GoldenDigestOverEpfl and Truth.NpnCanonMatchesBruteForce in
+// tests/aig, Resyn.GoldenDigestOverEpfl in tests/opt,
 // MatchMemo.ThreadedSearchEqualsSerial and
 // Runner.GoldenMatchDigestOverEpfl in tests/egraph,
 // Extract.GoldenDigestOverEpfl in tests/extract,
@@ -26,6 +28,8 @@
 #include "flow/conversion.hpp"
 #include "mapper/lut_mapper.hpp"
 #include "mapper/tech_mapper.hpp"
+#include "opt/refactor.hpp"
+#include "opt/sop_balance.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -72,6 +76,44 @@ void BM_NpnCanon(minibench::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_NpnCanon);
+
+/// The ten EPFL circuits as generated, the input ResynRounds sees.
+const std::vector<Aig>& generated_epfl() {
+  static const std::vector<Aig> circuits = [] {
+    std::vector<Aig> out;
+    for (const std::string& name : epfl_names()) out.push_back(make_epfl(name));
+    return out;
+  }();
+  return circuits;
+}
+
+/// One pass of `pass` over each of the ten EPFL circuits. Items are AND
+/// nodes of the inputs.
+template <typename Pass>
+void resynthesize_epfl(minibench::State& state, Pass pass) {
+  std::int64_t ands = 0;
+  for (const Aig& aig : generated_epfl()) {
+    ands += static_cast<std::int64_t>(aig.num_ands());
+  }
+  for (auto _ : state) {
+    std::size_t out_ands = 0;
+    for (const Aig& aig : generated_epfl()) out_ands += pass(aig).num_ands();
+    minibench::DoNotOptimize(out_ands);
+  }
+  state.SetItemsProcessed(state.iterations() * ands);
+}
+
+/// `refactor` under its default parameters (6-input cuts, 6 per node).
+void BM_Refactor(minibench::State& state) {
+  resynthesize_epfl(state, [](const Aig& aig) { return refactor(aig); });
+}
+BENCHMARK(BM_Refactor);
+
+/// `sop_balance` under its default parameters (6-input cuts, 8 per node).
+void BM_SopBalance(minibench::State& state) {
+  resynthesize_epfl(state, [](const Aig& aig) { return sop_balance(aig); });
+}
+BENCHMARK(BM_SopBalance);
 
 /// The ten EPFL e-graphs after four rewrite iterations under perfbench's
 /// rewrite caps (5 iterations, 60000 e-nodes or 40000 above 3000 ANDs,

@@ -117,28 +117,80 @@ constexpr std::uint8_t kPerms[24][4] = {
     {2, 1, 3, 0}, {2, 3, 0, 1}, {2, 3, 1, 0}, {3, 0, 1, 2}, {3, 0, 2, 1},
     {3, 1, 0, 2}, {3, 1, 2, 0}, {3, 2, 0, 1}, {3, 2, 1, 0},
 };
+
+/// kPermSource[p][m]: the minterm of f that minterm m of f's image under
+/// permutation kPerms[p] (no phases) reads; input j of f is bit kPerms[p][j]
+/// of m, as in npn_apply.
+constexpr auto kPermSource = [] {
+  std::array<std::array<std::uint8_t, 16>, 24> source{};
+  for (unsigned p = 0; p < 24; ++p) {
+    for (unsigned m = 0; m < 16; ++m) {
+      unsigned src = 0;
+      for (unsigned j = 0; j < 4; ++j) src |= ((m >> kPerms[p][j]) & 1u) << j;
+      source[p][m] = static_cast<std::uint8_t>(src);
+    }
+  }
+  return source;
+}();
+
+/// The 4-input table with input `i` complemented: its two cofactor halves
+/// swap places.
+Tt flip_input(Tt t, unsigned i) {
+  const unsigned shift = 1u << i;
+  return (((t & kProj[i]) >> shift) | ((t & ~kProj[i]) << shift)) & tt_mask(4);
+}
+
 }  // namespace
 
+// The result is npn_apply's minimum over all 768 transforms, and the
+// transform is the first to reach it in perm -> input phase -> output phase
+// order. Per permutation the table is permuted once; the 16 input phases follow in
+// Gray-code order, each one input flip away from an earlier one, and are
+// then compared in plain phase order so ties resolve as in that search.
 Tt npn_canon(Tt t, NpnTransform* out_transform) {
   t &= tt_mask(4);
   Tt best = ~0ull;
-  NpnTransform best_tr;
-  for (const auto& perm : kPerms) {
+  unsigned best_perm = 0;
+  unsigned best_phase = 0;
+  bool best_output = false;
+  std::array<Tt, 16> phased{};  // indexed by input phase
+  for (unsigned p = 0; p < 24; ++p) {
+    Tt permuted = 0;
+    for (unsigned m = 0; m < 16; ++m) {
+      permuted |= ((t >> kPermSource[p][m]) & 1ull) << m;
+    }
+    // Complementing input j of f complements input kPerms[p][j] of the
+    // permuted table.
+    phased[0] = permuted;
+    unsigned prev = 0;
+    for (unsigned k = 1; k < 16; ++k) {
+      const unsigned phase = k ^ (k >> 1);
+      const unsigned j = static_cast<unsigned>(std::countr_zero(phase ^ prev));
+      phased[phase] = flip_input(phased[prev], kPerms[p][j]);
+      prev = phase;
+    }
     for (unsigned phase = 0; phase < 16; ++phase) {
-      NpnTransform tr;
-      tr.perm = {perm[0], perm[1], perm[2], perm[3]};
-      tr.input_phase = static_cast<std::uint8_t>(phase);
-      for (unsigned out_phase = 0; out_phase < 2; ++out_phase) {
-        tr.output_phase = out_phase != 0;
-        Tt candidate = npn_apply(t, tr);
-        if (candidate < best) {
-          best = candidate;
-          best_tr = tr;
-        }
+      if (phased[phase] < best) {
+        best = phased[phase];
+        best_perm = p;
+        best_phase = phase;
+        best_output = false;
+      }
+      const Tt complemented = phased[phase] ^ tt_mask(4);
+      if (complemented < best) {
+        best = complemented;
+        best_perm = p;
+        best_phase = phase;
+        best_output = true;
       }
     }
   }
-  if (out_transform != nullptr) *out_transform = best_tr;
+  if (out_transform != nullptr) {
+    const std::uint8_t* perm = kPerms[best_perm];
+    out_transform->perm = {perm[0], perm[1], perm[2], perm[3]};
+    out_transform->input_phase = static_cast<std::uint8_t>(best_phase);
+    out_transform->output_phase = best_output;
+  }
   return best;
 }
 

@@ -50,6 +50,15 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
                                const Extraction& solution,
                                const ChoiceExportParams& params,
                                ChoiceExportStats* stats) {
+  return egraph_to_choice_aig(ce, ExtractView(ce.egraph), solution, params,
+                              stats);
+}
+
+ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
+                               const ExtractView& view,
+                               const Extraction& solution,
+                               const ChoiceExportParams& params,
+                               ChoiceExportStats* stats) {
   ChoiceExportStats local_stats;
   ChoiceExportStats& st = stats != nullptr ? *stats : local_stats;
   st = ChoiceExportStats{};
@@ -59,7 +68,6 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
   // completion (topological) order of the classes: phase 2 lowers
   // alternatives over exactly these literals, so every alternative cone
   // hangs off representatives — never off another alternative.
-  const ExtractView view(ce.egraph);
   ExtractScratch scratch;
   Aig aig;
   for (const auto& name : ce.pi_names) aig.add_pi(name);

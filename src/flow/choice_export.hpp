@@ -70,6 +70,13 @@ ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
                                const Extraction& solution,
                                const ChoiceExportParams& params = {},
                                ChoiceExportStats* stats = nullptr);
+/// The same export over `view`, compiled from `ce.egraph` by the caller,
+/// which may reuse it (the choicemap stage also lowers the plain cone).
+ChoiceAig egraph_to_choice_aig(const CircuitEGraph& ce,
+                               const ExtractView& view,
+                               const Extraction& solution,
+                               const ChoiceExportParams& params,
+                               ChoiceExportStats* stats);
 
 /// Result of one Pareto-gated choice-aware mapping (map_with_choices_gated),
 /// for either backend.

@@ -238,14 +238,19 @@ void ChoiceMapStage::run(FlowContext& ctx) const {
   // everything else the saturation discovered. ctx.current becomes the
   // plain extraction (what verification and downstream stages see); the
   // annotation is what gets mapped, Pareto-gated so the rings can only
-  // improve the cover, never hurt it.
+  // improve the cover, never hurt it. One compiled view serves the greedy
+  // fallback, the export and the plain lowering.
+  const CircuitEGraph& ce = *ctx.egraph;
+  const ExtractView view(ce.egraph);
+  ExtractScratch scratch;
   Extraction solution =
-      sa_ran(ctx)
-          ? ctx.sa.best
-          : greedy_extract(ctx.egraph->egraph, CostModel{CostKind::kDepth});
+      sa_ran(ctx) ? ctx.sa.best
+                  : greedy_extract(view, CostModel{CostKind::kDepth}, scratch);
   ChoiceAig choice_aig = egraph_to_choice_aig(
-      *ctx.egraph, solution, ctx.params.choice_export, &ctx.choice_stats);
-  ctx.current = egraph_to_aig(*ctx.egraph, solution);
+      ce, view, solution, ctx.params.choice_export, &ctx.choice_stats);
+  ctx.current =
+      extraction_to_aig(view, solution, ce.roots, ce.pi_names, scratch)
+          .cleanup();
   ChoiceMapOutcome outcome =
       backend_ == Backend::kCells
           ? map_with_choices_gated(choice_aig, *ctx.shared_matcher(),

@@ -15,31 +15,48 @@ namespace {
 /// actually disappear if `v` were re-expressed: the root plus interior
 /// nodes used *only* inside this cone (fanout 1). Shared interior nodes
 /// survive for their other users, so counting them would overestimate the
-/// benefit and cause net growth.
-unsigned exclusive_cone_size(const Aig& aig,
-                             const std::vector<std::uint32_t>& fanout, Var v,
-                             const Cut& cut) {
-  std::vector<Var> stack{v};
-  unsigned count = 0;
-  auto is_leaf = [&](Var u) {
-    for (unsigned i = 0; i < cut.size; ++i) {
-      if (cut.leaves[i] == u) return true;
+/// benefit and cause net growth. A walk marks its nodes with its own stamp,
+/// so it costs O(cone): nothing AIG-sized is cleared between walks.
+class ConeCounter {
+ public:
+  ConeCounter(const Aig& aig, const std::vector<std::uint32_t>& fanout)
+      : aig_(aig), fanout_(fanout), stamp_(aig.num_nodes(), 0) {}
+
+  unsigned exclusive_cone_size(Var v, const Cut& cut) {
+    if (++walk_ == 0) {  // the stamps wrapped: forget every old mark
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      walk_ = 1;
     }
-    return false;
-  };
-  std::vector<bool> seen(aig.num_nodes(), false);
-  while (!stack.empty()) {
-    Var u = stack.back();
-    stack.pop_back();
-    if (seen[u] || !aig.is_and(u) || (u != v && is_leaf(u))) continue;
-    if (u != v && fanout[u] > 1) continue;  // shared: survives anyway
-    seen[u] = true;
-    ++count;
-    stack.push_back(lit_var(aig.fanin0(u)));
-    stack.push_back(lit_var(aig.fanin1(u)));
+    auto is_leaf = [&](Var u) {
+      for (unsigned i = 0; i < cut.size; ++i) {
+        if (cut.leaves[i] == u) return true;
+      }
+      return false;
+    };
+    unsigned count = 0;
+    stack_.assign(1, v);
+    while (!stack_.empty()) {
+      Var u = stack_.back();
+      stack_.pop_back();
+      if (stamp_[u] == walk_ || !aig_.is_and(u) || (u != v && is_leaf(u))) {
+        continue;
+      }
+      if (u != v && fanout_[u] > 1) continue;  // shared: survives anyway
+      stamp_[u] = walk_;
+      ++count;
+      stack_.push_back(lit_var(aig_.fanin0(u)));
+      stack_.push_back(lit_var(aig_.fanin1(u)));
+    }
+    return count;
   }
-  return count;
-}
+
+ private:
+  const Aig& aig_;
+  const std::vector<std::uint32_t>& fanout_;
+  std::vector<std::uint32_t> stamp_;  // walk_ marks the current walk's nodes
+  std::uint32_t walk_ = 0;
+  std::vector<Var> stack_;
+};
 
 /// Estimated AND-node count of a factored form: each m-ary gate costs m-1.
 unsigned factored_cost(const FactoredForm& form) {
@@ -55,7 +72,7 @@ unsigned factored_cost(const FactoredForm& form) {
 struct Plan {
   bool refactored = false;
   Cut cut;
-  FactoredForm form;
+  const FactoredForm* form = nullptr;  // owned by the call's FactorMemo
   bool output_compl = false;  // the factored form implements the complement
 };
 
@@ -67,6 +84,8 @@ Aig refactor(const Aig& aig, const RefactorParams& params) {
   cut_params.num_cuts = params.num_cuts;
   CutManager cuts(aig, cut_params);
   auto fanout = aig.fanout_counts();
+  ConeCounter cones(aig, fanout);
+  FactorMemo memo;
 
   // Decide, per node, whether a factored replacement is worthwhile. Shared
   // interior nodes still get built on demand, so the benefit estimate
@@ -80,21 +99,20 @@ Aig refactor(const Aig& aig, const RefactorParams& params) {
     for (auto it = node_cuts.rbegin(); it != node_cuts.rend(); ++it) {
       const Cut& cut = *it;
       if (cut.is_trivial(v) || cut.size < params.min_cut_size) continue;
-      unsigned cone = exclusive_cone_size(aig, fanout, v, cut);
+      unsigned cone = cones.exclusive_cone_size(v, cut);
       if (cone < 2) continue;
 
       // Factor the cheaper polarity; a complemented output is free in AIGs.
-      Sop sop_pos = isop(cut.tt, cut.size);
-      Sop sop_neg = isop(tt_not(cut.tt, cut.size), cut.size);
-      FactoredForm form_pos = factor(sop_pos);
-      FactoredForm form_neg = factor(sop_neg);
+      const FactoredForm& form_pos = memo.get(cut.tt, cut.size);
+      const FactoredForm& form_neg =
+          memo.get(tt_not(cut.tt, cut.size), cut.size);
       bool use_neg = factored_cost(form_neg) < factored_cost(form_pos);
       const FactoredForm& form = use_neg ? form_neg : form_pos;
 
       if (factored_cost(form) < cone) {
         plans[v].refactored = true;
         plans[v].cut = cut;
-        plans[v].form = form;
+        plans[v].form = &form;
         plans[v].output_compl = use_neg;
         break;  // first profitable cut wins
       }
@@ -147,7 +165,7 @@ Aig refactor(const Aig& aig, const RefactorParams& params) {
         for (unsigned i = 0; i < plan.cut.size; ++i) {
           leaves[i] = map[plan.cut.leaves[i]];
         }
-        Lit lit = build_factored(out, plan.form, leaves, arrivals);
+        Lit lit = build_factored(out, *plan.form, leaves, arrivals);
         map[v] = lit_notcond(lit, plan.output_compl);
       } else {
         Lit a = lit_notcond(map[lit_var(aig.fanin0(v))],

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 
+#include "check/check.hpp"
+
 namespace emorphic {
 
 unsigned Cube::num_lits() const {
@@ -236,6 +238,29 @@ FactoredForm factor(const Sop& sop) {
   }
   form.root = factor_rec(form, sop);
   return form;
+}
+
+const FactoredForm& FactorMemo::get(Tt t, unsigned n) {
+  assert(n < forms_.size());
+  t &= tt_mask(n);
+  auto [it, inserted] = forms_[n].try_emplace(t);
+  if (inserted) {
+    it->second = factor(isop(t, n));
+    return it->second;
+  }
+  // A hit must be exactly what the uncached path computes.
+  EM_CHECK_EXPENSIVE(factor(isop(t, n)) == it->second
+                         ? std::string()
+                         : "FactorMemo: cached form of " + tt_to_string(t, n) +
+                               " differs from factor(isop(t, " +
+                               std::to_string(n) + "))");
+  return it->second;
+}
+
+std::size_t FactorMemo::size() const {
+  std::size_t total = 0;
+  for (std::size_t n = 0; n < forms_.size(); ++n) total += forms_[n].size();
+  return total;
 }
 
 Lit build_factored(Aig& aig, const FactoredForm& form,

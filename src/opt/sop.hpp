@@ -3,10 +3,13 @@
 //  * irredundant SOP computation from a truth table (Minato-Morreale ISOP),
 //  * algebraic factoring of an SOP into a multi-level form,
 //  * arrival-aware construction of the factored form as AIG nodes —
-//    the core primitive behind both `refactor` and SOP balancing [22].
+//    the core primitive behind both `refactor` and SOP balancing [22],
+//  * a per-pass memo of the factored form of each cut function.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -46,18 +49,37 @@ struct FactoredForm {
     std::uint8_t var = 0;       // for literals
     bool complemented = false;  // for literals
     std::vector<std::uint32_t> children;
+
+    bool operator==(const Node& other) const = default;
   };
   std::vector<Node> nodes;
   std::uint32_t root = 0;
   bool const_value = false;  // when nodes is empty: constant 0/1
 
   unsigned num_lits() const;
+  bool operator==(const FactoredForm& other) const = default;
 };
 
 /// Algebraic factoring (quick_factor-style): repeatedly divide by the most
 /// frequent literal. Produces a multi-level form with fewer literals than
 /// the flat SOP whenever common factors exist.
 FactoredForm factor(const Sop& sop);
+
+/// `factor(isop(t, n))`, computed once per (table, support size): cut
+/// functions repeat heavily within one pass over an AIG (on the EPFL
+/// circuits `refactor` looks up each distinct one about 40 times). Both
+/// functions are pure, so a hit returns exactly what a fresh call would.
+/// One memo serves one pass on one thread; references stay valid for the
+/// memo's lifetime.
+class FactorMemo {
+ public:
+  const FactoredForm& get(Tt t, unsigned n);
+  /// Distinct (table, support size) entries held.
+  std::size_t size() const;
+
+ private:
+  std::array<std::unordered_map<Tt, FactoredForm>, 7> forms_;  // by n
+};
 
 /// Build a factored form on top of existing AIG literals, pairing the
 /// earliest-arriving operands first ("SOP balancing"): `arrival[i]` is the

@@ -22,6 +22,7 @@ Aig sop_balance(const Aig& aig, const SopBalanceParams& params) {
   cut_params.cut_size = params.cut_size;
   cut_params.num_cuts = params.num_cuts;
   CutManager cuts(aig, cut_params);
+  FactorMemo memo;
 
   // Delay-oriented cut selection under the unit LUT-delay model.
   std::vector<NodeChoice> choice(aig.num_nodes());
@@ -109,9 +110,8 @@ Aig sop_balance(const Aig& aig, const SopBalanceParams& params) {
       leaves[i] = map[cut.leaves[i]];
       arrivals[i] = level_of(leaves[i]);
     }
-    Sop sop = isop(cut.tt, cut.size);
-    FactoredForm form = factor(sop);
-    map[v] = build_factored(out, form, leaves, arrivals);
+    map[v] =
+        build_factored(out, memo.get(cut.tt, cut.size), leaves, arrivals);
     new_arrival[v] = level_of(map[v]);
   }
 

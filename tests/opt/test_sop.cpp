@@ -106,6 +106,37 @@ TEST(Factor, NeverMoreLiteralsThanSop) {
   }
 }
 
+TEST(FactorMemo, EntriesAreKeyedByTableAndSupportSize) {
+  FactorMemo memo;
+  // 0x8 is a&b over two inputs but a&b&c' over three: the same table bits
+  // at two support sizes are different functions.
+  const FactoredForm& two = memo.get(0x8, 2);
+  const FactoredForm& three = memo.get(0x8, 3);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(two, factor(isop(0x8, 2)));
+  EXPECT_EQ(three, factor(isop(0x8, 3)));
+  EXPECT_NE(two, three);
+  EXPECT_EQ(two.num_lits(), 2u);
+  EXPECT_EQ(three.num_lits(), 3u);
+  // A repeat is a hit: the same entry, not a new one. Bits above the
+  // support are ignored, as isop ignores them.
+  EXPECT_EQ(&memo.get(0x8, 2), &two);
+  EXPECT_EQ(&memo.get(0xf8, 2), &two);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(FactorMemo, MatchesTheUncachedPathOnRandomTables) {
+  Rng rng(112);
+  FactorMemo memo;
+  for (int round = 0; round < 200; ++round) {
+    const unsigned n = 1 + static_cast<unsigned>(rng.next_below(6));
+    // Few distinct tables, so most lookups are hits.
+    const Tt f = rng.next_below(8) * 0x9e3779b97f4a7c15ull & tt_mask(n);
+    EXPECT_EQ(memo.get(f, n), factor(isop(f, n))) << n << " " << f;
+  }
+  EXPECT_LE(memo.size(), 48u);
+}
+
 TEST(BuildSop, DirectConstruction) {
   Aig aig;
   Lit a = make_lit(aig.add_pi());
