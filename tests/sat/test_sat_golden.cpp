@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "benchgen/doubling.hpp"
 #include "benchgen/epfl.hpp"
@@ -35,27 +36,34 @@ void expect_counters(const Solver& s, SatResult r, const Expected& want) {
   EXPECT_EQ(st.learned, want.learned);
 }
 
-/// One miter solve of an EPFL circuit against its dch resynthesis.
-SatResult solve_miter(Solver& s, const std::string& name,
-                      std::uint64_t conflict_limit) {
-  Aig a = make_epfl(name);
-  s.add_unit(encode_miter(s, a, dch_substitute(a)));
-  return s.solve({}, conflict_limit);
-}
-
 TEST(Sat, GoldenSolverCounters) {
   {
-    // Proved: the miter is UNSAT well inside the budget.
+    // Proved outright: the miter output is asserted as a unit clause.
     Solver s;
-    SatResult r = solve_miter(s, "arbiter", 20000);
+    Aig arbiter = make_epfl("arbiter");
+    s.add_unit(encode_miter(s, arbiter, dch_substitute(arbiter)));
+    SatResult r = s.solve({}, 20000);
     expect_counters(s, r, {SatResult::kUnsat, 4078, 386209, 1635, 14, 1630});
   }
   {
-    // Budget-limited: past 8,000 live learnt clauses a restart reduces the
-    // learnt database, compacting the arena and relocating trail reasons.
+    // Incremental, across two miters in one solver. The arbiter miter is
+    // proved under an assumption; a clause added after its learnt clauses
+    // then becomes a level-0 reason. The sqrt miter's budget-limited query
+    // passes 8,000 live learnt clauses, so a restart reduces the learnt
+    // database: the arena is compacted past deleted clauses in front of
+    // that reason, which must move with its clause.
     Solver s;
-    SatResult r = solve_miter(s, "sqrt", 12000);
-    expect_counters(s, r, {SatResult::kUndecided, 18818, 2497737, 12000, 62, 11996});
+    Aig arbiter = make_epfl("arbiter");
+    SatLit m = encode_miter(s, arbiter, dch_substitute(arbiter));
+    SatResult r = s.solve({m});
+    expect_counters(s, r, {SatResult::kUnsat, 3365, 319962, 1315, 13, 1311});
+    EXPECT_EQ(s.failed_assumptions(), std::vector<SatLit>{m});
+    const SatVar u = s.new_vars(2);
+    s.add_binary(sat_lit(u, true), sat_lit(u + 1));
+    s.add_unit(sat_lit(u));
+    Aig sqrt = make_epfl("sqrt");
+    r = s.solve({encode_miter(s, sqrt, dch_substitute(sqrt))}, 12000);
+    expect_counters(s, r, {SatResult::kUndecided, 22647, 2844929, 13315, 75, 13307});
   }
   {
     // Incremental: one encoded AIG, two assumption-only queries per pair
