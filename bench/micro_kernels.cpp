@@ -3,14 +3,15 @@
 // canonization of 4-input functions, and the two resynthesis passes,
 // refactoring and SOP balancing), the e-matching search (per rule class,
 // and all rules serial against a 4-thread pool), the SA neighbour
-// generation of the extraction kernel, and the covering DP under both
-// mapping backends. Timing only; the bit-identical guarantees are ctest
-// cases (Cut.GoldenDigestOverEpfl and Truth.NpnCanonMatchesBruteForce in
-// tests/aig, Resyn.GoldenDigestOverEpfl in tests/opt,
-// MatchMemo.ThreadedSearchEqualsSerial and
+// generation of the extraction kernel, the covering DP under both mapping
+// backends, and the CDCL kernel on two CEC miters. Timing only; the
+// bit-identical guarantees are ctest cases (Cut.GoldenDigestOverEpfl and
+// Truth.NpnCanonMatchesBruteForce in tests/aig, Resyn.GoldenDigestOverEpfl
+// in tests/opt, MatchMemo.ThreadedSearchEqualsSerial and
 // Runner.GoldenMatchDigestOverEpfl in tests/egraph,
 // Extract.GoldenDigestOverEpfl in tests/extract,
-// Mapper.GoldenCoverDigestOverEpfl in tests/mapper).
+// Mapper.GoldenCoverDigestOverEpfl in tests/mapper,
+// Sat.GoldenSolverCounters in tests/sat).
 //
 //   $ ./bench/micro_kernels
 
@@ -29,7 +30,9 @@
 #include "mapper/lut_mapper.hpp"
 #include "mapper/tech_mapper.hpp"
 #include "opt/refactor.hpp"
+#include "opt/resyn.hpp"
 #include "opt/sop_balance.hpp"
+#include "sat/cnf.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -254,6 +257,31 @@ void BM_MapLuts(minibench::State& state) {
                           static_cast<std::int64_t>(aig.num_nodes()));
 }
 BENCHMARK(BM_MapLuts)->Arg(8)->Arg(16);
+
+/// The miters of Sat.GoldenSolverCounters (tests/sat): an EPFL circuit
+/// against its dch resynthesis, with the miter output asserted. Arg 0 is
+/// the arbiter miter, proved; arg 1 the sqrt miter under the gate's
+/// 12,000-conflict budget, which reduces the learnt database once. Each
+/// iteration encodes into a fresh solver and solves; items are conflicts.
+void BM_SolveMiter(minibench::State& state) {
+  struct Miter {
+    const char* name;
+    std::uint64_t conflict_limit;
+  };
+  const Miter miter = state.range(0) == 0 ? Miter{"arbiter", 0}
+                                          : Miter{"sqrt", 12000};
+  const Aig a = make_epfl(miter.name);
+  const Aig b = dch_substitute(a);
+  std::uint64_t conflicts = 0;
+  for (auto _ : state) {
+    sat::Solver solver;
+    solver.add_unit(sat::encode_miter(solver, a, b));
+    minibench::DoNotOptimize(solver.solve({}, miter.conflict_limit));
+    conflicts += solver.stats().conflicts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(conflicts));
+}
+BENCHMARK(BM_SolveMiter)->Arg(0)->Arg(1);
 
 }  // namespace
 

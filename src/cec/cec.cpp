@@ -19,7 +19,8 @@ const char* cec_status_name(CecStatus status) {
   return "?";
 }
 
-CecResult cec(const Aig& a, const Aig& b, const CecParams& params) {
+CecResult cec(const Aig& a, const Aig& b, const CecParams& params,
+              const std::function<bool()>& stop) {
   CecResult result;
   Timer timer;
   if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) {
@@ -61,8 +62,8 @@ CecResult cec(const Aig& a, const Aig& b, const CecParams& params) {
   sat::SatLit miter = sat::encode_miter(solver, a, b);
   solver.add_unit(miter);
   sat::SatResult sat_result =
-      solver.solve({}, params.conflict_limit, params.time_limit_s);
-  result.sat_conflicts = solver.stats().conflicts;
+      solver.solve({}, params.conflict_limit, params.time_limit_s, stop);
+  result.solver = solver.stats();
   switch (sat_result) {
     case sat::SatResult::kUnsat:
       result.status = CecStatus::kEquivalent;

@@ -6,10 +6,12 @@
 //     caller can trade effort for certainty on very large designs).
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "sat/solver.hpp"
 
 namespace emorphic {
 
@@ -19,7 +21,8 @@ struct CecResult {
   CecStatus status = CecStatus::kUndecided;
   /// On kNotEquivalent: one distinguishing input assignment (per PI).
   std::vector<bool> counterexample;
-  std::uint64_t sat_conflicts = 0;
+  /// The SAT proof's counters (all zero when simulation decided).
+  sat::SolverStats solver;
   double seconds = 0.0;
 };
 
@@ -34,7 +37,12 @@ struct CecParams {
 };
 
 /// Check functional equivalence of two AIGs with identical interfaces.
-CecResult cec(const Aig& a, const Aig& b, const CecParams& params = {});
+/// `stop`, when set, is polled with the time limit inside the SAT proof
+/// (every sat::Solver::kStopPollConflicts conflicts); returning true ends
+/// the proof with kUndecided. It is an argument, not a CecParams field,
+/// because params are part of what the service fingerprints.
+CecResult cec(const Aig& a, const Aig& b, const CecParams& params = {},
+              const std::function<bool()>& stop = {});
 
 const char* cec_status_name(CecStatus status);
 

@@ -209,7 +209,10 @@ void TechMapStage::run(FlowContext& ctx) const {
 
 void CecStage::run(FlowContext& ctx) const {
   if (!ctx.params.verify) return;
-  ctx.verify_status = cec(ctx.input, ctx.current, ctx.params.cec_params).status;
+  CecResult result = cec(ctx.input, ctx.current, ctx.params.cec_params,
+                         [&ctx] { return ctx.should_stop(); });
+  ctx.verify_status = result.status;
+  ctx.verify_solver = result.solver;
 }
 
 // --- fraig ------------------------------------------------------------------
@@ -446,7 +449,7 @@ FlowResult Pipeline::run(FlowContext& ctx) const {
     }
     validate("after stage " + std::string(stage.name()));
   }
-  // Records a stop that fired during a stage that never polls (Cec).
+  // Records a stop that fired during a stage that never polls (TechMap).
   (void)ctx.should_stop();
 
   // FlowQor::seconds is the optimization time: every stage except the

@@ -191,6 +191,9 @@ struct FlowResult {
   std::size_t egraph_enodes = 0;
   std::size_t initial_enodes = 0;
   CecStatus verify_status = CecStatus::kUndecided;
+  /// The SAT counters of the last executed "Cec" stage (all-zero otherwise,
+  /// or when simulation alone decided).
+  sat::SolverStats verify_solver;
   /// True when stages were skipped (cancellation flag or time budget fired
   /// between stages). See `stop_reason` for which signal it was.
   bool cancelled = false;
@@ -242,7 +245,8 @@ struct FlowContext : FlowResult {
   const QorEvaluator* evaluator = nullptr;
   FlowObserver* observer = nullptr;
   /// External cancellation flag, polled between stages, after the last
-  /// stage, after each rewrite search and iteration, and between SA moves.
+  /// stage, after each rewrite search and iteration, between SA moves and
+  /// inside Cec's SAT proof.
   std::atomic<bool>* cancel = nullptr;
   /// Optional shared QoR memo for the SA evaluator (extract/qor_memo.hpp),
   /// keyed by structural signature: repeated structures across runs skip
@@ -401,7 +405,9 @@ class TechMapStage : public Stage {
 
 /// SAT-backed combinational equivalence check of ctx.current against
 /// ctx.input (no-op unless params.verify). Its runtime is excluded from
-/// FlowQor::seconds.
+/// FlowQor::seconds. The proof polls ctx.should_stop() every
+/// sat::Solver::kStopPollConflicts conflicts; a stop leaves verify_status
+/// kUndecided.
 class CecStage : public Stage {
  public:
   const char* name() const override { return "Cec"; }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
+#include "check/check.hpp"
 #include "util/timer.hpp"
 
 namespace emorphic::sat {
@@ -30,9 +32,10 @@ std::uint64_t luby(std::uint64_t i) {
 SatVar Solver::new_vars(std::uint32_t n) {
   SatVar first = num_vars();
   for (std::uint32_t i = 0; i < n; ++i) {
-    assign_.push_back(kUndef);
-    saved_phase_.push_back(1);  // default phase: false (lit negated true)
-    reason_.push_back(-1);
+    lit_val_.push_back(kUndef);
+    lit_val_.push_back(kUndef);
+    saved_phase_.push_back(kTrue);  // first decision on a var: positive
+    reason_.push_back(kNoReason);
     level_.push_back(0);
     activity_.push_back(0.0);
     watches_.emplace_back();
@@ -97,19 +100,23 @@ SatVar Solver::heap_pop() {
   return top;
 }
 
-std::uint32_t Solver::alloc_clause(const SatLit* first, std::size_t n,
-                                   bool learned) {
-  Clause c;
-  c.offset = static_cast<std::uint32_t>(lit_store_.size());
-  c.size = static_cast<std::uint32_t>(n);
-  c.learned = learned;
-  lit_store_.insert(lit_store_.end(), first, first + n);
-  clauses_.push_back(c);
-  return static_cast<std::uint32_t>(clauses_.size() - 1);
+Solver::CRef Solver::alloc_clause(const SatLit* first, std::size_t n,
+                                  bool learned, std::uint32_t lbd) {
+  const std::size_t c = arena_.size();
+  // Bit 0 of a watch holds the binary tag, so references stay below 2^31.
+  if (c + kHeaderWords + n > 0x80000000u) {
+    throw std::length_error("sat: clause arena exceeds 2^31 words");
+  }
+  arena_.push_back(static_cast<std::uint32_t>(n));
+  arena_.push_back((lbd << kLbdShift) | (learned ? kLearned : 0));
+  arena_.insert(arena_.end(), first, first + n);
+  return static_cast<CRef>(c);
 }
 
 void Solver::add_clause(const SatLit* first, const SatLit* last) {
   if (unsat_) return;
+  // A budget-limited solve() returns mid-search; clauses join at level 0.
+  backtrack(0);
   // Normalize in reused scratch: drop duplicates and satisfied-at-level-0
   // literals (the caller's range is copied, so no aliasing hazards).
   add_scratch_.assign(first, last);
@@ -124,8 +131,8 @@ void Solver::add_clause(const SatLit* first, const SatLit* last) {
   std::size_t kept = 0;
   for (SatLit l : add_scratch_) {
     std::uint8_t v = value(l);
-    if (v == 1 && level_[sat_var(l)] == 0) return;  // already satisfied
-    if (v == 0 && level_[sat_var(l)] == 0) continue;  // falsified forever
+    if (v == kTrue && level_[sat_var(l)] == 0) return;  // already satisfied
+    if (v == kFalse && level_[sat_var(l)] == 0) continue;  // falsified forever
     add_scratch_[kept++] = l;
   }
   if (kept == 0) {
@@ -133,78 +140,89 @@ void Solver::add_clause(const SatLit* first, const SatLit* last) {
     return;
   }
   if (kept == 1) {
-    if (!enqueue(add_scratch_[0], -1)) unsat_ = true;
-    if (propagate() >= 0) unsat_ = true;
+    if (!enqueue(add_scratch_[0], kNoReason)) unsat_ = true;
+    if (propagate() != kNoReason) unsat_ = true;
     return;
   }
-  attach(alloc_clause(add_scratch_.data(), kept, false));
+  attach(alloc_clause(add_scratch_.data(), kept, false, 0));
 }
 
-void Solver::attach(std::uint32_t ci) {
-  const SatLit* cl = clause_lits_const(clauses_[ci]);
-  watches_[sat_neg(cl[0])].push_back(Watch{ci, cl[1]});
-  watches_[sat_neg(cl[1])].push_back(Watch{ci, cl[0]});
+void Solver::attach(CRef c) {
+  const SatLit* cl = clause_lits(c);
+  const std::uint32_t ref = (c << 1) | (clause_size(c) == 2 ? 1u : 0u);
+  watches_[sat_neg(cl[0])].push_back(Watch{ref, cl[1]});
+  watches_[sat_neg(cl[1])].push_back(Watch{ref, cl[0]});
 }
 
-bool Solver::enqueue(SatLit lit, std::int32_t reason) {
+bool Solver::enqueue(SatLit lit, CRef reason) {
   std::uint8_t v = value(lit);
-  if (v == 0) return false;
-  if (v == 1) return true;
-  SatVar var = sat_var(lit);
-  assign_[var] = static_cast<std::uint8_t>(1 ^ (lit & 1));
-  reason_[var] = reason;
-  level_[var] = static_cast<std::uint32_t>(trail_lim_.size());
-  trail_.push_back(lit);
+  if (v != kUndef) return v == kTrue;
+  assign(lit, reason);
   return true;
 }
 
-std::int32_t Solver::propagate() {
+Solver::CRef Solver::propagate() {
   while (qhead_ < trail_.size()) {
-    SatLit lit = trail_[qhead_++];
+    const SatLit lit = trail_[qhead_++];
+    const SatLit falsified = sat_neg(lit);
     ++stats_.propagations;
-    auto& watch_list = watches_[lit];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < watch_list.size(); ++i) {
-      Watch w = watch_list[i];
-      if (value(w.blocker) == 1) {
-        watch_list[keep++] = w;
+    // Compact the watch list in place: `i` reads, `j` writes back the
+    // watches that stay. No push below targets this list: a replacement
+    // watch is never on a false literal, and `falsified` is false.
+    std::vector<Watch>& watch_list = watches_[lit];
+    Watch* i = watch_list.data();
+    Watch* j = i;
+    Watch* const end = i + watch_list.size();
+    while (i != end) {
+      const Watch w = *i++;
+      const std::uint8_t blocker = value(w.blocker);
+      if (blocker == kTrue) {
+        *j++ = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      const CRef c = watch_cref(w);
       SatLit* cl = clause_lits(c);
-      // Ensure the falsified literal is cl[1].
-      SatLit falsified = sat_neg(lit);
-      if (cl[0] == falsified) std::swap(cl[0], cl[1]);
-      if (value(cl[0]) == 1) {
-        watch_list[keep++] = Watch{w.clause, cl[0]};
-        continue;
-      }
-      // Look for a new literal to watch.
-      bool moved = false;
-      for (std::size_t k = 2; k < c.size; ++k) {
-        if (value(cl[k]) != 0) {
+      if (watch_binary(w)) {
+        // The blocker is the other literal: unit or conflicting, decided
+        // without reading the clause.
+        *j++ = w;
+        if (blocker == kUndef) {
+          assign(w.blocker, c);
+          continue;
+        }
+        if (cl[0] == falsified) std::swap(cl[0], cl[1]);
+      } else {
+        // Ensure the falsified literal is cl[1].
+        if (cl[0] == falsified) std::swap(cl[0], cl[1]);
+        if (value(cl[0]) == kTrue) {
+          *j++ = Watch{w.ref, cl[0]};
+          continue;
+        }
+        // Look for a new literal to watch.
+        const std::uint32_t size = clause_size(c);
+        std::uint32_t k = 2;
+        while (k < size && value(cl[k]) == kFalse) ++k;
+        if (k < size) {
           std::swap(cl[1], cl[k]);
-          watches_[sat_neg(cl[1])].push_back(Watch{w.clause, cl[0]});
-          moved = true;
-          break;
+          watches_[sat_neg(cl[1])].push_back(Watch{w.ref, cl[0]});
+          continue;
+        }
+        // Unit or conflicting.
+        *j++ = w;
+        if (value(cl[0]) == kUndef) {
+          assign(cl[0], c);
+          continue;
         }
       }
-      if (moved) continue;
-      // Unit or conflicting.
-      watch_list[keep++] = w;
-      if (!enqueue(cl[0], static_cast<std::int32_t>(w.clause))) {
-        // Conflict: keep the remaining watches and report.
-        for (std::size_t k = i + 1; k < watch_list.size(); ++k) {
-          watch_list[keep++] = watch_list[k];
-        }
-        watch_list.resize(keep);
-        qhead_ = trail_.size();
-        return static_cast<std::int32_t>(w.clause);
-      }
+      // Conflict: keep the remaining watches and report.
+      while (i != end) *j++ = *i++;
+      watch_list.resize(static_cast<std::size_t>(j - watch_list.data()));
+      qhead_ = trail_.size();
+      return c;
     }
-    watch_list.resize(keep);
+    watch_list.resize(static_cast<std::size_t>(j - watch_list.data()));
   }
-  return -1;
+  return kNoReason;
 }
 
 void Solver::bump(SatVar v) {
@@ -217,7 +235,7 @@ void Solver::bump(SatVar v) {
   if (heap_pos_[v] >= 0) heap_sift_up(static_cast<std::size_t>(heap_pos_[v]));
 }
 
-void Solver::analyze(std::int32_t conflict, std::vector<SatLit>& learnt,
+void Solver::analyze(CRef conflict, std::vector<SatLit>& learnt,
                      std::uint32_t& backtrack_level) {
   learnt.clear();
   learnt.push_back(0);  // slot for the asserting literal
@@ -231,12 +249,12 @@ void Solver::analyze(std::int32_t conflict, std::vector<SatLit>& learnt,
   std::size_t index = trail_.size();
   std::uint32_t current_level = static_cast<std::uint32_t>(trail_lim_.size());
 
-  std::int32_t reason_clause = conflict;
+  CRef reason_clause = conflict;
   for (;;) {
-    assert(reason_clause >= 0);
-    const Clause& c = clauses_[reason_clause];
-    const SatLit* cl = clause_lits_const(c);
-    for (std::size_t j = 0; j < c.size; ++j) {
+    assert(reason_clause != kNoReason);
+    const SatLit* cl = clause_lits(reason_clause);
+    const std::uint32_t size = clause_size(reason_clause);
+    for (std::uint32_t j = 0; j < size; ++j) {
       SatLit q = cl[j];
       if (have_p && q == p) continue;  // skip the implied literal itself
       SatVar v = sat_var(q);
@@ -279,10 +297,12 @@ void Solver::backtrack(std::uint32_t target) {
   if (trail_lim_.size() <= target) return;
   std::uint32_t boundary = trail_lim_[target];
   for (std::size_t i = trail_.size(); i > boundary; --i) {
-    SatVar v = sat_var(trail_[i - 1]);
-    saved_phase_[v] = assign_[v];
-    assign_[v] = kUndef;
-    reason_[v] = -1;
+    const SatLit lit = trail_[i - 1];
+    const SatVar v = sat_var(lit);
+    saved_phase_[v] = sat_sign(lit) ? kFalse : kTrue;
+    lit_val_[lit] = kUndef;
+    lit_val_[sat_neg(lit)] = kUndef;
+    reason_[v] = kNoReason;
     heap_insert(v);
   }
   trail_.resize(boundary);
@@ -296,60 +316,64 @@ void Solver::reduce_learnt_db() {
   // currently a reason. Watches are rebuilt from scratch afterwards —
   // simple and safe, and reduction is rare enough that it's cheap.
   assert(trail_lim_.empty());
-  reason_mark_.assign(clauses_.size(), 0);
   for (SatLit lit : trail_) {
-    std::int32_t r = reason_[sat_var(lit)];
-    if (r >= 0) reason_mark_[static_cast<std::size_t>(r)] = 1;
+    const CRef r = reason_[sat_var(lit)];
+    if (r != kNoReason) arena_[r + 1] |= kReason;
   }
   reduce_order_.clear();
-  for (std::uint32_t ci = 0; ci < clauses_.size(); ++ci) {
-    const Clause& c = clauses_[ci];
-    if (c.learned && !c.deleted && c.size > 2 && reason_mark_[ci] == 0) {
-      reduce_order_.push_back(ci);
+  for (CRef c = 0; c < arena_.size(); c += kHeaderWords + clause_size(c)) {
+    const std::uint32_t flags = clause_flags(c);
+    if ((flags & kLearned) != 0 && (flags & kReason) == 0 &&
+        clause_size(c) > 2) {
+      reduce_order_.push_back(c);
     }
   }
-  std::sort(reduce_order_.begin(), reduce_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (clauses_[a].lbd != clauses_[b].lbd) {
-                return clauses_[a].lbd > clauses_[b].lbd;
-              }
-              return clauses_[a].size > clauses_[b].size;
-            });
-  std::size_t to_delete = reduce_order_.size() / 2;
+  std::sort(reduce_order_.begin(), reduce_order_.end(), [&](CRef a, CRef b) {
+    if (clause_lbd(a) != clause_lbd(b)) return clause_lbd(a) > clause_lbd(b);
+    return clause_size(a) > clause_size(b);
+  });
+  const std::size_t to_delete = reduce_order_.size() / 2;
   for (std::size_t i = 0; i < to_delete; ++i) {
-    Clause& c = clauses_[reduce_order_[i]];
-    c.deleted = true;
-    c.size = 0;
+    arena_[reduce_order_[i] + 1] |= kDeleted;
   }
-  // Compact the literal arena in place: clauses_ is in ascending-offset
-  // order (offsets are handed out monotonically and never reassigned), so
-  // a single forward pass slides every surviving clause's literals over the
-  // holes the deleted ones left. Clause *indices* are untouched — reason_
-  // entries and watch payloads stay valid.
-  std::size_t write = 0;
-  for (Clause& c : clauses_) {
-    if (c.deleted || c.size == 0) continue;
-    std::memmove(lit_store_.data() + write, lit_store_.data() + c.offset,
-                 c.size * sizeof(SatLit));
-    c.offset = static_cast<std::uint32_t>(write);
-    write += c.size;
+  // Compact the arena in one forward pass: every surviving clause slides
+  // down over the holes, keeping its order, and a reason moves its trail
+  // literal's reference along. That literal is the clause's one true
+  // literal (all others are false), and it sits in cl[0] or cl[1].
+  CRef write = 0;
+  for (CRef c = 0; c < arena_.size();) {
+    const std::uint32_t words = kHeaderWords + clause_size(c);
+    const std::uint32_t flags = clause_flags(c);
+    if ((flags & kDeleted) == 0) {
+      if ((flags & kReason) != 0) {
+        const SatLit* cl = clause_lits(c);
+        const SatLit implied = value(cl[0]) == kTrue ? cl[0] : cl[1];
+        reason_[sat_var(implied)] = write;
+      }
+      std::memmove(arena_.data() + write, arena_.data() + c,
+                   words * sizeof(std::uint32_t));
+      arena_[write + 1] = flags & ~kReason;
+      write += words;
+    }
+    c += words;
   }
-  lit_store_.resize(write);
+  arena_.resize(write);
   // Rebuild every watch list.
   for (auto& w : watches_) w.clear();
-  for (std::uint32_t ci = 0; ci < clauses_.size(); ++ci) {
-    if (!clauses_[ci].deleted && clauses_[ci].size >= 2) attach(ci);
+  for (CRef c = 0; c < arena_.size(); c += kHeaderWords + clause_size(c)) {
+    attach(c);
   }
+  EM_CHECK_EXPENSIVE(check_invariants());
 }
 
 SatLit Solver::pick_branch() {
   SatVar best = 0;
   while (!heap_.empty()) {
     best = heap_pop();
-    if (assign_[best] == kUndef) break;
+    if (value(sat_lit(best)) == kUndef) break;
   }
-  // saved_phase_ holds the assigned value (0/1); pick the same polarity.
-  return sat_lit(best, saved_phase_[best] != 1);
+  // saved_phase_ holds the value the var last had; pick the same polarity.
+  return sat_lit(best, saved_phase_[best] != kTrue);
 }
 
 void Solver::analyze_final(SatLit p) {
@@ -365,15 +389,14 @@ void Solver::analyze_final(SatLit p) {
   for (std::size_t i = trail_.size(); i-- > trail_lim_[0];) {
     SatVar v = sat_var(trail_[i]);
     if (seen_[v] == 0) continue;
-    std::int32_t r = reason_[v];
-    if (r < 0) {
+    const CRef r = reason_[v];
+    if (r == kNoReason) {
       // A decision above level 0 during assumption re-establishment is
       // always an assumed literal.
       if (trail_[i] != p) failed_.push_back(trail_[i]);
     } else {
-      const Clause& c = clauses_[r];
-      const SatLit* cl = clause_lits_const(c);
-      for (std::size_t j = 0; j < c.size; ++j) {
+      const SatLit* cl = clause_lits(r);
+      for (std::uint32_t j = 0; j < clause_size(r); ++j) {
         SatVar lv = sat_var(cl[j]);
         if (level_[lv] > 0 && seen_[lv] == 0) {
           seen_[lv] = 1;
@@ -385,12 +408,83 @@ void Solver::analyze_final(SatLit p) {
   for (SatVar v : seen_touched_) seen_[v] = 0;
 }
 
+std::string Solver::check_invariants() const {
+  auto at = [](const char* what, std::size_t where) {
+    return std::string(what) + " at " + std::to_string(where);
+  };
+  // 1. The headers tile the arena exactly. `header` marks every clause
+  //    start; `watched` collects one bit per watched literal slot.
+  std::vector<std::uint8_t> header(arena_.size(), 0);
+  std::vector<std::uint8_t> watched(arena_.size(), 0);
+  CRef c = 0;
+  while (c < arena_.size()) {
+    if (arena_.size() - c < kHeaderWords) return at("sat: truncated header", c);
+    const std::uint32_t size = clause_size(c);
+    if (size < 2) return at("sat: clause shorter than 2", c);
+    if (arena_.size() - c - kHeaderWords < size) {
+      return at("sat: clause overruns the arena", c);
+    }
+    if ((clause_flags(c) & (kReason | kDeleted)) != 0) {
+      return at("sat: stale reduction mark", c);
+    }
+    header[c] = 1;
+    c += kHeaderWords + size;
+  }
+  // 2. Each clause is watched exactly once by ~cl[0] and once by ~cl[1]; a
+  //    binary clause's watch is tagged and blocks on the other literal.
+  for (SatLit l = 0; l < watches_.size(); ++l) {
+    for (const Watch& w : watches_[l]) {
+      const CRef wc = watch_cref(w);
+      if (wc >= arena_.size() || header[wc] == 0) {
+        return at("sat: watch of a non-clause, literal", l);
+      }
+      const SatLit* cl = clause_lits(wc);
+      const bool binary = clause_size(wc) == 2;
+      if (watch_binary(w) != binary) return at("sat: wrong binary tag", wc);
+      const int slot = sat_neg(l) == cl[0] ? 0 : sat_neg(l) == cl[1] ? 1 : -1;
+      if (slot < 0) return at("sat: watch on an unwatched literal", wc);
+      if ((watched[wc] & (1u << slot)) != 0) {
+        return at("sat: clause watched twice", wc);
+      }
+      watched[wc] |= static_cast<std::uint8_t>(1u << slot);
+      if (binary && w.blocker != cl[1 - slot]) {
+        return at("sat: binary watch blocks on a foreign literal", wc);
+      }
+    }
+  }
+  for (c = 0; c < arena_.size(); c += kHeaderWords + clause_size(c)) {
+    if (watched[c] != 3) return at("sat: clause not watched twice", c);
+  }
+  // 3. Every reason is a live clause holding its trail literal, with every
+  //    other literal false.
+  for (SatLit lit : trail_) {
+    const CRef r = reason_[sat_var(lit)];
+    if (r == kNoReason) continue;
+    if (r >= arena_.size() || header[r] == 0) {
+      return at("sat: reason is not a clause, var", sat_var(lit));
+    }
+    const SatLit* cl = clause_lits(r);
+    bool holds = false;
+    for (std::uint32_t j = 0; j < clause_size(r); ++j) {
+      if (cl[j] == lit) {
+        holds = true;
+      } else if (value(cl[j]) != kFalse) {
+        return at("sat: reason with a non-false side literal, var",
+                  sat_var(lit));
+      }
+    }
+    if (!holds) return at("sat: reason lacks its literal, var", sat_var(lit));
+  }
+  return {};
+}
+
 SatResult Solver::solve(const std::vector<SatLit>& assumptions,
-                        std::uint64_t conflict_limit, double time_limit_s) {
+                        std::uint64_t conflict_limit, double time_limit_s,
+                        const std::function<bool()>& stop) {
   failed_.clear();
   if (unsat_) return SatResult::kUnsat;
   backtrack(0);
-  if (propagate() >= 0) {
+  if (propagate() != kNoReason) {
     unsat_ = true;
     return SatResult::kUnsat;
   }
@@ -404,8 +498,8 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
   std::uint64_t max_learnt = 8000;
 
   for (;;) {
-    std::int32_t conflict = propagate();
-    if (conflict >= 0) {
+    const CRef conflict = propagate();
+    if (conflict != kNoReason) {
       ++stats_.conflicts;
       ++conflicts_call;
       ++conflicts_here;
@@ -425,13 +519,12 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
       backtrack(bt_level);
       if (learnt.size() == 1) {
         backtrack(0);
-        if (!enqueue(learnt[0], -1)) {
+        if (!enqueue(learnt[0], kNoReason)) {
           unsat_ = true;
           return SatResult::kUnsat;
         }
         // Re-assert assumptions on the next loop iterations.
       } else {
-        std::uint32_t ci = alloc_clause(learnt.data(), learnt.size(), true);
         // LBD ("glue"): number of distinct decision levels in the clause,
         // counted with a stamped per-level mark array — no per-conflict
         // hash set.
@@ -444,11 +537,12 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
             ++distinct;
           }
         }
-        clauses_[ci].lbd = distinct;
+        const CRef c =
+            alloc_clause(learnt.data(), learnt.size(), true, distinct);
         ++stats_.learned;
         ++live_learnt;
-        attach(ci);
-        if (!enqueue(learnt[0], static_cast<std::int32_t>(ci))) {
+        attach(c);
+        if (!enqueue(learnt[0], c)) {
           unsat_ = true;
           return SatResult::kUnsat;
         }
@@ -457,8 +551,9 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
       if (conflict_limit > 0 && conflicts_call >= conflict_limit) {
         return SatResult::kUndecided;
       }
-      if (time_limit_s > 0.0 && (conflicts_call & 0x3ff) == 0 &&
-          timer.seconds() > time_limit_s) {
+      if (conflicts_call % kStopPollConflicts == 0 &&
+          ((time_limit_s > 0.0 && timer.seconds() > time_limit_s) ||
+           (stop && stop()))) {
         return SatResult::kUndecided;
       }
       if (conflicts_here >= restart_budget) {
@@ -479,7 +574,7 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
     if (trail_lim_.size() < assumptions.size()) {
       SatLit a = assumptions[trail_lim_.size()];
       std::uint8_t v = value(a);
-      if (v == 0) {
+      if (v == kFalse) {
         // UNSAT under the assumptions only: record which of them the
         // refutation used and leave the solver reusable (ok() stays true).
         analyze_final(a);
@@ -487,23 +582,23 @@ SatResult Solver::solve(const std::vector<SatLit>& assumptions,
         return SatResult::kUnsat;
       }
       trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-      if (v == kUndef) {
-        enqueue(a, -1);
-      }
+      if (v == kUndef) assign(a, kNoReason);
       continue;
     }
 
     // All variables assigned? (the trail holds exactly the assigned vars)
     if (trail_.size() == num_vars()) {
       model_.assign(num_vars(), false);
-      for (SatVar v = 0; v < num_vars(); ++v) model_[v] = assign_[v] == 1;
+      for (SatVar v = 0; v < num_vars(); ++v) {
+        model_[v] = value(sat_lit(v)) == kTrue;
+      }
       backtrack(0);
       return SatResult::kSat;
     }
 
     ++stats_.decisions;
     trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    enqueue(pick_branch(), -1);
+    enqueue(pick_branch(), kNoReason);
   }
 }
 

@@ -6,6 +6,8 @@
 // ABC's `cec` (Sec. IV-A).
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace emorphic::sat {
@@ -29,13 +31,19 @@ struct SolverStats {
   std::uint64_t conflicts = 0;
   std::uint64_t restarts = 0;
   std::uint64_t learned = 0;
+
+  bool operator==(const SolverStats&) const = default;
 };
 
 class Solver {
  public:
+  /// Conflicts between two polls of solve()'s time limit and stop
+  /// predicate: a stop ends a solve within this many conflicts.
+  static constexpr std::uint64_t kStopPollConflicts = 1024;
+
   /// Create `n` fresh variables; returns the first.
   SatVar new_vars(std::uint32_t n = 1);
-  std::uint32_t num_vars() const { return static_cast<std::uint32_t>(assign_.size()); }
+  std::uint32_t num_vars() const { return static_cast<std::uint32_t>(level_.size()); }
 
   /// Add a clause (empty clause makes the instance trivially UNSAT). The
   /// literals are copied; the range must not alias solver-internal storage.
@@ -56,7 +64,8 @@ class Solver {
   /// Solve under optional assumptions. `conflict_limit` 0 = no limit;
   /// exceeding it within this call returns kUndecided (the cec/fraig effort
   /// knob — the budget is per query, not per solver lifetime). A positive
-  /// `time_limit_s` bounds wall-clock time the same way.
+  /// `time_limit_s` bounds wall-clock time the same way, and so does `stop`
+  /// returning true. Both are polled every kStopPollConflicts conflicts.
   ///
   /// The solver is incremental: clauses may be added between calls and the
   /// learnt-clause database carries over, so repeated queries over one CNF
@@ -66,7 +75,8 @@ class Solver {
   /// with no assumptions involved is permanent (see ok()).
   SatResult solve(const std::vector<SatLit>& assumptions = {},
                   std::uint64_t conflict_limit = 0,
-                  double time_limit_s = 0.0);
+                  double time_limit_s = 0.0,
+                  const std::function<bool()>& stop = {});
 
   /// False once the clause database itself is contradictory (UNSAT without
   /// any assumptions): every further solve() returns kUnsat immediately.
@@ -83,55 +93,80 @@ class Solver {
 
   const SolverStats& stats() const { return stats_; }
 
- private:
-  enum : std::uint8_t { kUndef = 2 };
+  /// Validate the clause arena, the watch lists and the trail's reasons:
+  /// the clause headers tile the arena; each clause is watched once by the
+  /// negation of each of its first two literals, a binary one through a
+  /// tagged watch; each reason holds its trail literal and all its other
+  /// literals are false. Empty when consistent (the check/validators.hpp
+  /// convention); runs after every learnt-database reduction under
+  /// EMORPHIC_CHECKS.
+  std::string check_invariants() const;
 
-  /// Clause header: the literals live as a contiguous run inside the shared
-  /// `lit_store_` arena (MiniSat's clause-arena layout) instead of one heap
-  /// vector per clause — adding, propagating over and deleting clauses does
-  /// no per-clause allocator traffic, and propagation walks one flat array.
-  struct Clause {
-    std::uint32_t offset = 0;  // first literal's index into lit_store_
-    std::uint32_t size = 0;    // number of literals
-    bool learned = false;
-    bool deleted = false;
-    std::uint32_t lbd = 0;  // glue: #decision levels in the clause at learn time
-  };
+ private:
+  /// A clause reference: the arena offset of the clause's header.
+  using CRef = std::uint32_t;
+  static constexpr CRef kNoReason = 0xffffffffu;
+  enum : std::uint8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
+
+  // Clause layout in `arena_` (MiniSat's region allocator, with the header
+  // inline): word 0 is the size, word 1 the flags and the LBD ("glue": the
+  // number of decision levels in the clause when it was learnt), then the
+  // literals. A reference is the header's offset, so reading a clause is
+  // one cache line, not a header table plus a literal arena.
+  static constexpr std::uint32_t kHeaderWords = 2;
+  static constexpr std::uint32_t kLearned = 1;  // flag bits of word 1
+  static constexpr std::uint32_t kReason = 2;   // reduce_learnt_db's mark
+  static constexpr std::uint32_t kDeleted = 4;  // reduce_learnt_db's victim
+  static constexpr std::uint32_t kLbdShift = 3;
+
+  /// A watch for the literal whose list holds it. `ref` is the clause's
+  /// CRef shifted left by one, with bit 0 set for a binary clause: then the
+  /// blocker is the clause's other literal, and propagation decides the
+  /// clause from the watch alone.
   struct Watch {
-    std::uint32_t clause;
+    std::uint32_t ref;
     SatLit blocker;
   };
+  static constexpr CRef watch_cref(Watch w) { return w.ref >> 1; }
+  static constexpr bool watch_binary(Watch w) { return (w.ref & 1) != 0; }
 
-  bool enqueue(SatLit lit, std::int32_t reason);
+  std::uint32_t clause_size(CRef c) const { return arena_[c]; }
+  std::uint32_t clause_flags(CRef c) const { return arena_[c + 1]; }
+  std::uint32_t clause_lbd(CRef c) const { return arena_[c + 1] >> kLbdShift; }
+  SatLit* clause_lits(CRef c) { return arena_.data() + c + kHeaderWords; }
+  const SatLit* clause_lits(CRef c) const {
+    return arena_.data() + c + kHeaderWords;
+  }
+  /// Append a clause to the arena and return its reference.
+  CRef alloc_clause(const SatLit* first, std::size_t n, bool learned,
+                    std::uint32_t lbd);
+  void attach(CRef c);
+
+  std::uint8_t value(SatLit l) const { return lit_val_[l]; }
+  /// Assign an unassigned literal true.
+  void assign(SatLit lit, CRef reason) {
+    lit_val_[lit] = kTrue;
+    lit_val_[sat_neg(lit)] = kFalse;
+    reason_[sat_var(lit)] = reason;
+    level_[sat_var(lit)] = static_cast<std::uint32_t>(trail_lim_.size());
+    trail_.push_back(lit);
+  }
+  bool enqueue(SatLit lit, CRef reason);
+  CRef propagate();  // returns the conflicting clause or kNoReason
+  void analyze(CRef conflict, std::vector<SatLit>& learnt,
+               std::uint32_t& backtrack_level);
   void analyze_final(SatLit p);
   void reduce_learnt_db();
-  std::int32_t propagate();  // returns conflicting clause index or -1
-  void analyze(std::int32_t conflict, std::vector<SatLit>& learnt,
-               std::uint32_t& backtrack_level);
-
-  SatLit* clause_lits(const Clause& c) { return lit_store_.data() + c.offset; }
-  const SatLit* clause_lits_const(const Clause& c) const {
-    return lit_store_.data() + c.offset;
-  }
-  /// Append a clause header + literals to the arena and return its index.
-  std::uint32_t alloc_clause(const SatLit* first, std::size_t n, bool learned);
   void backtrack(std::uint32_t level);
   SatLit pick_branch();
   void bump(SatVar v);
   void decay() { var_inc_ /= 0.95; }
-  std::uint8_t value(SatLit l) const {
-    std::uint8_t a = assign_[sat_var(l)];
-    if (a == kUndef) return kUndef;
-    return static_cast<std::uint8_t>(a ^ (l & 1));
-  }
-  void attach(std::uint32_t ci);
 
-  std::vector<Clause> clauses_;
-  std::vector<SatLit> lit_store_;  // every clause's literals, contiguous
+  std::vector<std::uint32_t> arena_;         // every clause, header first
   std::vector<std::vector<Watch>> watches_;  // indexed by literal
-  std::vector<std::uint8_t> assign_;         // per var: 0/1/kUndef
-  std::vector<std::uint8_t> saved_phase_;
-  std::vector<std::int32_t> reason_;         // clause index or -1
+  std::vector<std::uint8_t> lit_val_;        // per literal: kFalse/kTrue/kUndef
+  std::vector<std::uint8_t> saved_phase_;    // per var: value when unassigned
+  std::vector<CRef> reason_;                 // per var; kNoReason if none
   std::vector<std::uint32_t> level_;
   std::vector<SatLit> trail_;
   std::vector<std::uint32_t> trail_lim_;
@@ -152,8 +187,7 @@ class Solver {
   std::vector<SatLit> add_scratch_;     // add_clause normalization buffer
   std::vector<std::uint32_t> lbd_marks_;  // per-level stamp for LBD counting
   std::uint32_t lbd_stamp_ = 0;
-  std::vector<std::uint8_t> reason_mark_;   // reduce_learnt_db: is-a-reason
-  std::vector<std::uint32_t> reduce_order_;  // reduce_learnt_db: sort buffer
+  std::vector<CRef> reduce_order_;  // reduce_learnt_db: sort buffer
 
   // Indexed max-heap over variable activities (MiniSat's order heap):
   // decisions pop the most active unassigned variable in O(log n).

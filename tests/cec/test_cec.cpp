@@ -41,7 +41,7 @@ TEST(Cec, SimulationCatchesEasyDifference) {
   ASSERT_EQ(result.counterexample.size(), 2u);
   bool va = result.counterexample[0], vb = result.counterexample[1];
   EXPECT_NE(va && vb, va || vb);
-  EXPECT_EQ(result.sat_conflicts, 0u);  // refuted by simulation alone
+  EXPECT_EQ(result.solver.conflicts, 0u);  // refuted by simulation alone
 }
 
 TEST(Cec, SatCatchesRareDifference) {

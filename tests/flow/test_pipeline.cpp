@@ -18,6 +18,7 @@
 #include "aig/signature.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/control.hpp"
+#include "benchgen/epfl.hpp"
 #include "core/emorphic.hpp"  // optimize() facade
 #include "util/checkpoint.hpp"  // fingerprint_fold
 
@@ -363,7 +364,7 @@ TEST(Pipeline, BudgetExpiryDuringFinalStageReportsDeadline) {
 }
 
 TEST(Pipeline, CancelDuringANonPollingFinalStageIsRecorded) {
-  // A stage that never polls (like Cec) leaves a stop fired during it to
+  // A stage that never polls (like TechMap) leaves a stop fired during it to
   // the poll after the last stage: stop_reason records it, and `cancelled`
   // stays false because no stage was skipped.
   class CancelWithoutPolling : public Stage {
@@ -383,6 +384,66 @@ TEST(Pipeline, CancelDuringANonPollingFinalStageIsRecorded) {
 
   EXPECT_FALSE(result.cancelled);  // every stage executed
   EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
+}
+
+/// Replaces ctx.current with its dch resynthesis: a structurally distinct,
+/// equivalent circuit for the Cec stage to prove.
+class DchStage : public Stage {
+ public:
+  const char* name() const override { return "Dch"; }
+  void run(FlowContext& ctx) const override {
+    ctx.current = dch_substitute(ctx.input);
+    ctx.netlist.reset();
+  }
+};
+
+Pipeline dch_then_cec() {
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<DchStage>());
+  pipeline.add(make_stage("Cec"));
+  return pipeline;
+}
+
+TEST(Pipeline, CecStageReportsTheSolverCounters) {
+  FlowParams params = quick_params();
+  params.verify = true;
+  FlowResult result = dch_then_cec().run(make_epfl("sin"), params);
+  ASSERT_EQ(result.verify_status, CecStatus::kEquivalent);
+  CecResult direct = cec(make_epfl("sin"), result.final_aig, params.cec_params);
+  EXPECT_GT(result.verify_solver.conflicts, 0u);  // SAT, not simulation
+  EXPECT_EQ(result.verify_solver, direct.solver);
+}
+
+TEST(Pipeline, CancelAtCecStartEndsTheProofWithinOnePoll) {
+  // The multiplier miter needs far more than one poll interval of
+  // conflicts; a cancel fired as Cec begins must end the proof at the
+  // first poll, counted in conflicts rather than seconds.
+  class CancelAtCec : public FlowObserver {
+   public:
+    explicit CancelAtCec(std::atomic<bool>* flag) : flag_(flag) {}
+    void on_stage_begin(const Stage& stage, const FlowContext&) override {
+      if (std::string_view(stage.name()) == "Cec") flag_->store(true);
+    }
+
+   private:
+    std::atomic<bool>* flag_;
+  };
+
+  std::atomic<bool> cancel{false};
+  CancelAtCec observer(&cancel);
+  FlowContext ctx;
+  ctx.params = quick_params();
+  ctx.params.verify = true;
+  ctx.input = make_epfl("multiplier");
+  ctx.observer = &observer;
+  ctx.cancel = &cancel;
+  FlowResult result = dch_then_cec().run(ctx);
+
+  EXPECT_FALSE(result.cancelled);  // every stage executed
+  EXPECT_EQ(result.stop_reason, FlowStopReason::kCancelled);
+  EXPECT_EQ(result.verify_status, CecStatus::kUndecided);
+  EXPECT_GT(result.verify_solver.conflicts, 0u);
+  EXPECT_LE(result.verify_solver.conflicts, sat::Solver::kStopPollConflicts);
 }
 
 TEST(Pipeline, StopReasonResetsBetweenRuns) {

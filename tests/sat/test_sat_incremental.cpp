@@ -9,6 +9,8 @@
 #include <algorithm>
 
 #include "aig/aig.hpp"
+#include "benchgen/epfl.hpp"
+#include "opt/resyn.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
 
@@ -110,6 +112,25 @@ TEST(SatIncremental, SolverReuseAcrossEquivalenceQueries) {
   EXPECT_EQ(s.solve(), SatResult::kSat);
   EXPECT_TRUE(s.model_value(map[lit_var(z)]) !=
               static_cast<bool>(lit_is_compl(z)));
+}
+
+TEST(SatIncremental, UnitAfterUndecidedSolveIsAddedAtLevelZero) {
+  // A budget-limited solve returns mid-search, with decisions on the trail
+  // and its last learnt literal not yet propagated. A unit clause added
+  // then must land at level 0: propagated mid-search, a conflict there was
+  // taken for a contradiction of the database (a satisfiable instance
+  // answered kUnsat from then on), and the unit itself was undone by the
+  // next solve's backtrack.
+  Aig sqrt = make_epfl("sqrt");
+  Solver s;
+  SatLit miter = encode_miter(s, sqrt, dch_substitute(sqrt));
+  ASSERT_EQ(s.solve({miter}, 3000), SatResult::kUndecided);
+  SatVar fresh = s.new_vars();
+  s.add_unit(sat_lit(fresh));
+  EXPECT_TRUE(s.ok());
+  // Without the assumption the miter output is free: satisfiable.
+  ASSERT_EQ(s.solve(), SatResult::kSat);
+  EXPECT_TRUE(s.model_value(fresh));
 }
 
 // --- Tseitin / miter edge cases ---------------------------------------------
