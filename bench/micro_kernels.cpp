@@ -1,15 +1,15 @@
 // Timings for the kernels the end-to-end benchmark (perfbench/) cannot
-// isolate: the ResynRounds kernels (priority-cut enumeration, NPN
-// canonization of 4-input functions, and the two resynthesis passes,
-// refactoring and SOP balancing), the e-matching search (per rule class,
-// and all rules serial against a 4-thread pool), the SA neighbour
-// generation of the extraction kernel, the covering DP under both mapping
-// backends, and the CDCL kernel on two CEC miters. Timing only; the
-// bit-identical guarantees are ctest cases (Cut.GoldenDigestOverEpfl and
-// Truth.NpnCanonMatchesBruteForce in tests/aig, Resyn.GoldenDigestOverEpfl
-// in tests/opt, MatchMemo.ThreadedSearchEqualsSerial and
-// Runner.GoldenMatchDigestOverEpfl in tests/egraph,
-// Extract.GoldenDigestOverEpfl in tests/extract,
+// isolate: building and copying AIGs (structural hashing), the ResynRounds
+// kernels (priority-cut enumeration, NPN canonization of 4-input functions,
+// and the two resynthesis passes, refactoring and SOP balancing), the
+// e-matching search (per rule class, and all rules serial against a
+// 4-thread pool), the SA neighbour generation of the extraction kernel, the
+// covering DP under both mapping backends, and the CDCL kernel on two CEC
+// miters. Timing only; the bit-identical guarantees are ctest cases
+// (Cut.GoldenDigestOverEpfl and Truth.NpnCanonMatchesBruteForce in
+// tests/aig, Resyn.GoldenDigestOverEpfl in tests/opt,
+// MatchMemo.ThreadedSearchEqualsSerial and Runner.GoldenMatchDigestOverEpfl
+// in tests/egraph, Extract.GoldenDigestOverEpfl in tests/extract,
 // Mapper.GoldenCoverDigestOverEpfl in tests/mapper,
 // Sat.GoldenSolverCounters in tests/sat).
 //
@@ -17,12 +17,15 @@
 
 #include "minibench.hpp"
 
+#include <string>
 #include <vector>
 
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
 #include "benchgen/arith.hpp"
+#include "benchgen/doubling.hpp"
 #include "benchgen/epfl.hpp"
+#include "benchgen/scale.hpp"
 #include "egraph/rules.hpp"
 #include "egraph/runner.hpp"
 #include "extract/extractor.hpp"
@@ -105,6 +108,39 @@ void resynthesize_epfl(minibench::State& state, Pass pass) {
   }
   state.SetItemsProcessed(state.iterations() * ands);
 }
+
+/// Building AIGs through structural hashing. Arg 0 tiles doubled 6-bit
+/// adders to 4*10^4 ANDs (the set-up perfbench's scale_partition times),
+/// arg 1 generates the ten EPFL circuits. Items are AND nodes built.
+void BM_AigBuild(minibench::State& state) {
+  std::int64_t ands = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      ands += tile_to_ands(doubled(make_adder(6)), 40000).num_ands();
+    } else {
+      for (const std::string& name : epfl_names()) {
+        ands += make_epfl(name).num_ands();
+      }
+    }
+  }
+  minibench::DoNotOptimize(ands);
+  state.SetItemsProcessed(ands);
+}
+BENCHMARK(BM_AigBuild)->Arg(0)->Arg(1);
+
+/// Copying each of the ten EPFL circuits. Items are AND nodes copied.
+void BM_AigCopy(minibench::State& state) {
+  std::int64_t ands = 0;
+  for (auto _ : state) {
+    for (const Aig& aig : generated_epfl()) {
+      Aig copy = aig;
+      ands += copy.num_ands();
+      minibench::DoNotOptimize(copy.num_nodes());
+    }
+  }
+  state.SetItemsProcessed(ands);
+}
+BENCHMARK(BM_AigCopy);
 
 /// `refactor` under its default parameters (6-input cuts, 6 per node).
 void BM_Refactor(minibench::State& state) {

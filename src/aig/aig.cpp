@@ -1,6 +1,7 @@
 #include "aig/aig.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -36,30 +37,67 @@ std::uint32_t Aig::add_po(Lit lit, std::string name) {
   return index;
 }
 
-Lit Aig::make_and(Lit a, Lit b) {
-  EM_ASSERT(lit_var(a) < nodes_.size() && lit_var(b) < nodes_.size(),
-            "make_and: fanin literal over dead variable " +
-                std::to_string(std::max(lit_var(a), lit_var(b))));
-  // Constant propagation.
+Lit Aig::fold_and(Lit a, Lit b) {
   if (a == kLitFalse || b == kLitFalse) return kLitFalse;
   if (a == kLitTrue) return b;
   if (b == kLitTrue) return a;
   if (a == b) return a;
   if (a == lit_not(b)) return kLitFalse;
+  return kLitNone;
+}
+
+std::size_t Aig::probe(Lit a, Lit b) const {
+  // Fibonacci hashing: the top log2(size) bits of the key times 2^64/phi.
+  const std::size_t mask = strash_.size() - 1;
+  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+  std::size_t slot = static_cast<std::size_t>(
+      (key * 0x9e3779b97f4a7c15ull) >> (64 - std::countr_zero(strash_.size())));
+  while (strash_[slot] != 0) {
+    const Node& node = nodes_[strash_[slot]];
+    if (node.fanin0 == a && node.fanin1 == b) break;
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void Aig::grow_strash() {
+  strash_.assign(std::max<std::size_t>(16, strash_.size() * 2), 0);
+  for (Var v = 1; v < nodes_.size(); ++v) {
+    if (nodes_[v].type != NodeType::kAnd) continue;
+    strash_[probe(nodes_[v].fanin0, nodes_[v].fanin1)] = v;
+  }
+}
+
+Lit Aig::make_and(Lit a, Lit b) {
+  EM_ASSERT(lit_var(a) < nodes_.size() && lit_var(b) < nodes_.size(),
+            "make_and: fanin literal over dead variable " +
+                std::to_string(std::max(lit_var(a), lit_var(b))));
+  if (Lit folded = fold_and(a, b); folded != kLitNone) return folded;
   // Canonical operand order for strashing.
   if (a > b) std::swap(a, b);
-  std::uint64_t key = and_key(a, b);
-  auto it = strash_.find(key);
-  if (it != strash_.end()) return make_lit(it->second);
+  std::size_t slot = 0;
+  if (!strash_.empty()) {
+    slot = probe(a, b);
+    if (strash_[slot] != 0) return make_lit(strash_[slot]);
+  }
+  // Keep the table at most half full after this insertion.
+  if (2 * (static_cast<std::size_t>(num_ands_) + 1) > strash_.size()) {
+    grow_strash();
+    slot = probe(a, b);
+  }
   Var v = static_cast<Var>(nodes_.size());
-  Node node;
-  node.type = NodeType::kAnd;
-  node.fanin0 = a;
-  node.fanin1 = b;
-  nodes_.push_back(node);
-  strash_.emplace(key, v);
+  strash_[slot] = v;
+  nodes_.push_back(Node{NodeType::kAnd, a, b});
   ++num_ands_;
   return make_lit(v);
+}
+
+Lit Aig::find_and(Lit a, Lit b) const {
+  if (Lit folded = fold_and(a, b); folded != kLitNone) return folded;
+  if (a > b) std::swap(a, b);
+  if (strash_.empty()) return kLitNone;
+  Var hit = strash_[probe(a, b)];
+  return hit != 0 ? make_lit(hit) : kLitNone;
 }
 
 Lit Aig::make_and_n(std::vector<Lit> lits) {

@@ -12,9 +12,9 @@
 //  * node indices are topologically ordered by construction: a node's fanins
 //    always have smaller indices.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace emorphic {
@@ -28,6 +28,8 @@ struct CheckProbe;  // corruption-seeding seam for validator tests
 
 inline constexpr Lit kLitFalse = 0;
 inline constexpr Lit kLitTrue = 1;
+/// "No such literal": what Aig::find_and returns for an AND not in the graph.
+inline constexpr Lit kLitNone = ~Lit{0};
 
 inline constexpr Lit make_lit(Var v, bool complement = false) {
   return (v << 1) | static_cast<Lit>(complement);
@@ -56,6 +58,9 @@ class Aig {
   /// Strashed AND with constant propagation:
   ///   and(0,x)=0, and(1,x)=x, and(x,x)=x, and(x,!x)=0.
   Lit make_and(Lit a, Lit b);
+  /// The literal make_and(a, b) would return if it already exists (the same
+  /// constant rules apply), else kLitNone. Never creates a node.
+  Lit find_and(Lit a, Lit b) const;
 
   // Derived connectives, all lowered onto AND/NOT.
   Lit make_or(Lit a, Lit b) { return lit_not(make_and(lit_not(a), lit_not(b))); }
@@ -150,16 +155,24 @@ class Aig {
     Lit fanin1 = 0;
   };
 
-  static std::uint64_t and_key(Lit a, Lit b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
+  /// and(a, b) when it needs no node (constant propagation), else kLitNone.
+  static Lit fold_and(Lit a, Lit b);
+  /// The slot of strash_ holding the AND over canonical fanins a < b, or the
+  /// empty slot where it would go. strash_ must not be empty.
+  std::size_t probe(Lit a, Lit b) const;
+  /// Double strash_ (or give it its first slots) and re-insert every AND.
+  void grow_strash();
 
   std::vector<Node> nodes_;
   std::vector<Var> pis_;
   std::vector<Lit> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;
-  std::unordered_map<std::uint64_t, Var> strash_;
+  /// Structural hash: open addressing with linear probing over AND
+  /// variables, 0 for an empty slot (variable 0 is never an AND). A slot's
+  /// key is its node's fanin pair, so a slot is one Var. Power-of-two size,
+  /// at most half full; nodes are never removed, so no tombstones.
+  std::vector<Var> strash_;
   std::uint32_t num_ands_ = 0;
 };
 

@@ -1,9 +1,9 @@
-// lint:allow(orphan-header) test-only seam for the validator tests
 #pragma once
 // CheckProbe: the deliberate backdoor into the core structures' private
-// state, used ONLY to seed corruption in tests/check/test_validators.cpp so
+// state, used to seed corruption in tests/check/test_validators.cpp so
 // every validator of check/validators.hpp can be shown to actually catch the
-// defect class it guards against. The public APIs are (by design) unable to
+// defect class it guards against (check_aig also reads the AIG's strash
+// slots through it). The public APIs are (by design) unable to
 // produce a cyclic AIG, a stale hashcons entry, or an unsorted cut list —
 // without this seam the validators' failure paths would be dead code to the
 // test suite.
@@ -31,7 +31,10 @@ struct CheckProbe {
     aig.nodes_[v].fanin0 = f0;
     aig.nodes_[v].fanin1 = f1;
   }
-  static std::unordered_map<std::uint64_t, Var>& strash(Aig& aig) {
+  /// The structural-hash slot vector (0 = empty slot). The const overload
+  /// is how check_aig reads it.
+  static std::vector<Var>& strash_slots(Aig& aig) { return aig.strash_; }
+  static const std::vector<Var>& strash_slots(const Aig& aig) {
     return aig.strash_;
   }
   static std::uint32_t& num_ands(Aig& aig) { return aig.num_ands_; }

@@ -10,6 +10,7 @@
 #include "aig/choice.hpp"
 #include "aig/cut.hpp"
 #include "aig/truth.hpp"
+#include "check/probe.hpp"
 #include "egraph/egraph.hpp"
 #include "mapper/netlist.hpp"
 #include "util/rng.hpp"
@@ -145,6 +146,38 @@ std::string check_aig(const Aig& aig) {
       return "PO " + std::to_string(i) + ": literal over dead variable " +
              std::to_string(lit_var(aig.po(i)));
     }
+  }
+  // The strash table. Slots first: once every full slot holds a distinct
+  // live AND, the lookups below only read live nodes.
+  const std::vector<Var>& slots = CheckProbe::strash_slots(aig);
+  std::vector<std::uint32_t> slot_of(n, 0);  // 1 + slot index; 0 = none
+  std::uint32_t full = 0;
+  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+    const Var v = slots[s];
+    if (v == 0) continue;
+    ++full;
+    if (v >= n || !aig.is_and(v)) {
+      return "strash slot " + std::to_string(s) + " holds " + node_str(v) +
+             ", which is not a live AND";
+    }
+    if (slot_of[v] != 0) {
+      return node_str(v) + ": held by strash slots " +
+             std::to_string(slot_of[v] - 1) + " and " + std::to_string(s);
+    }
+    slot_of[v] = s + 1;
+  }
+  for (Var v = 1; v < n; ++v) {
+    if (!aig.is_and(v)) continue;
+    const Lit found = aig.find_and(aig.fanin0(v), aig.fanin1(v));
+    if (found != make_lit(v)) {
+      return node_str(v) + ": strash lookup of its fanins finds " +
+             (found == kLitNone ? std::string("nothing")
+                                : "literal " + std::to_string(found));
+    }
+  }
+  if (full != aig.num_ands()) {
+    return "strash table holds " + std::to_string(full) + " ANDs but " +
+           "num_ands() reports " + std::to_string(aig.num_ands());
   }
   return "";
 }

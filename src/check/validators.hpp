@@ -31,7 +31,9 @@ namespace check {
 /// back-indices consistent with pis(), AND fanins topologically ordered
 /// (acyclicity) and in canonical strash order, no AND over a constant or a
 /// single variable, no structurally duplicate ANDs, num_ands() consistent,
-/// every PO literal over a live variable.
+/// every PO literal over a live variable; then the strash table: every full
+/// slot holds a distinct live AND, a lookup (Aig::find_and) of each AND's
+/// fanins finds that AND, and the full-slot count equals num_ands().
 std::string check_aig(const Aig& aig);
 
 /// E-graph congruence/hash-consing invariants of a *clean* (rebuilt)

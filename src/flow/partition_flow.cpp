@@ -205,9 +205,10 @@ PartitionResult partition_optimize(const FlowContext& ctx,
       if (smaller) {
         CecParams gate = params.cec_params;
         gate.time_limit_s = 0.0;  // conflict-bounded only: deterministic
-        s = cec(orig, norm, gate).status == CecStatus::kEquivalent
-                ? kAdopted
-                : kRejectedCec;
+        // A stop ends the proof kUndecided; the chunk is discarded then.
+        CecStatus verdict =
+            cec(orig, norm, gate, [&ctx] { return ctx.should_stop(); }).status;
+        s = verdict == CecStatus::kEquivalent ? kAdopted : kRejectedCec;
       }
       status[i] = s;
       adopted[i].reset();  // the replay may have parsed part of this chunk

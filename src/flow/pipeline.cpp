@@ -224,7 +224,8 @@ void FraigStage::run(FlowContext& ctx) const {
   // results stay reproducible; under a finite conflict budget the seed can
   // affect which borderline pairs prove in time (never soundness).
   if (ctx.seed != 0) params.seed ^= ctx.seed;
-  ctx.current = fraig(ctx.current, params, &ctx.fraig_stats);
+  ctx.current = fraig(ctx.current, params, &ctx.fraig_stats,
+                      [&ctx] { return ctx.should_stop(); });
   ctx.netlist.reset();
 }
 

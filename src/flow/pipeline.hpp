@@ -416,8 +416,9 @@ class CecStage : public Stage {
 
 /// SAT sweeping of ctx.current (see opt/fraig.hpp): merges
 /// proven-equivalent nodes, invalidating any mapped netlist. Configured by
-/// FlowParams::fraig; stats land in FlowResult::fraig_stats. Named
-/// ABC-style in lowercase: "fraig".
+/// FlowParams::fraig; stats land in FlowResult::fraig_stats. Polls
+/// ctx.should_stop() before each pair query. Named ABC-style in lowercase:
+/// "fraig".
 class FraigStage : public Stage {
  public:
   const char* name() const override { return "fraig"; }

@@ -146,7 +146,8 @@ std::vector<Lit> identity_replacement(const Aig& aig) {
   return replacement;
 }
 
-Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
+Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats,
+                 const std::function<bool()>& stop) {
   Rng rng(params.seed);
 
   const unsigned w = std::max(1u, params.sim_words);
@@ -189,6 +190,7 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
         ++i;
         continue;
       }
+      if (stop && stop()) return aig.substitute(replacement);
       bool relphase = part.phase[m] != part.phase[rep];
       PairVerdict verdict = sat::prove_pair(
           solver, sat::lit_to_sat(smap, make_lit(rep)),
@@ -225,7 +227,8 @@ Aig sweep_guided(const Aig& aig, const FraigParams& params, FraigStats& stats) {
   return aig.substitute(replacement);
 }
 
-Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
+Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats,
+                const std::function<bool()>& stop) {
   Solver solver;
   std::vector<sat::SatVar> smap = sat::encode_aig(solver, aig);
   std::vector<Lit> replacement = identity_replacement(aig);
@@ -235,6 +238,7 @@ Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
       if (replacement[r] != make_lit(r)) continue;  // merged away already
       for (int phase = 0; phase < 2 && replacement[m] == make_lit(m);
            ++phase) {
+        if (stop && stop()) return aig.substitute(replacement);
         PairVerdict verdict = sat::prove_pair(
             solver, sat::lit_to_sat(smap, make_lit(r)),
             sat::lit_to_sat(smap, make_lit(m, phase != 0)),
@@ -255,13 +259,14 @@ Aig sweep_naive(const Aig& aig, const FraigParams& params, FraigStats& stats) {
 
 }  // namespace
 
-Aig fraig(const Aig& aig, const FraigParams& params, FraigStats* stats) {
+Aig fraig(const Aig& aig, const FraigParams& params, FraigStats* stats,
+          const std::function<bool()>& stop) {
   FraigStats local;
   FraigStats& s = stats != nullptr ? *stats : local;
   s = FraigStats{};
   s.ands_before = aig.num_ands();
-  Aig out = params.use_simulation ? sweep_guided(aig, params, s)
-                                  : sweep_naive(aig, params, s);
+  Aig out = params.use_simulation ? sweep_guided(aig, params, s, stop)
+                                  : sweep_naive(aig, params, s, stop);
   s.ands_after = out.num_ands();
   return out;
 }

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -74,8 +75,10 @@ struct FraigStats {
 /// SAT-sweep `aig`: returns a functionally equivalent network in which every
 /// proven-equivalent AND node is merged into its earliest representative
 /// (complement handled via the literal phase) and dangling logic is removed.
-/// PI/PO interface and names are preserved.
+/// PI/PO interface and names are preserved. `stop`, when set, is polled
+/// before each pair query; returning true ends the sweep there, keeping the
+/// merges proven so far (the result is still equivalent to `aig`).
 Aig fraig(const Aig& aig, const FraigParams& params = {},
-          FraigStats* stats = nullptr);
+          FraigStats* stats = nullptr, const std::function<bool()>& stop = {});
 
 }  // namespace emorphic

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "../test_helpers.hpp"
 #include "aig/aig.hpp"
@@ -82,6 +84,61 @@ TEST(CheckAig, RejectsAndCountDrift) {
   ++CheckProbe::num_ands(aig);
   std::string why = check::check_aig(aig);
   EXPECT_NE(why.find("num_ands"), std::string::npos) << why;
+}
+
+/// A full strash slot whose successor is empty: no other AND's probe runs
+/// through it, so emptying it loses exactly its own node.
+std::size_t last_slot_of_a_run(const std::vector<Var>& slots) {
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s] != 0 && slots[(s + 1) % slots.size()] == 0) return s;
+  }
+  return slots.size();
+}
+
+std::size_t first_empty_slot(const std::vector<Var>& slots) {
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s] == 0) return s;
+  }
+  return slots.size();
+}
+
+TEST(CheckAig, RejectsDroppedStrashSlot) {
+  Aig aig = small_aig();
+  std::vector<Var>& slots = CheckProbe::strash_slots(aig);
+  const std::size_t s = last_slot_of_a_run(slots);
+  ASSERT_LT(s, slots.size());
+  const Var victim = slots[s];
+  slots[s] = 0;
+  std::string why = check::check_aig(aig);
+  EXPECT_EQ(why.find("node " + std::to_string(victim) + ":"), 0u) << why;
+  EXPECT_NE(why.find("strash lookup"), std::string::npos) << why;
+}
+
+TEST(CheckAig, RejectsDuplicatedStrashSlot) {
+  Aig aig = small_aig();
+  std::vector<Var>& slots = CheckProbe::strash_slots(aig);
+  const std::size_t full = last_slot_of_a_run(slots);
+  const std::size_t empty = first_empty_slot(slots);
+  ASSERT_LT(full, slots.size());
+  ASSERT_LT(empty, slots.size());
+  const Var victim = slots[full];
+  slots[empty] = victim;
+  std::string why = check::check_aig(aig);
+  EXPECT_EQ(why.find("node " + std::to_string(victim) + ":"), 0u) << why;
+  EXPECT_NE(why.find("held by strash slots"), std::string::npos) << why;
+}
+
+TEST(CheckAig, RejectsStrashSlotOnPi) {
+  Aig aig = small_aig();
+  std::vector<Var>& slots = CheckProbe::strash_slots(aig);
+  const std::size_t empty = first_empty_slot(slots);
+  ASSERT_LT(empty, slots.size());
+  const Var pi = aig.pis()[2];
+  slots[empty] = pi;
+  std::string why = check::check_aig(aig);
+  EXPECT_NE(why.find("node " + std::to_string(pi) + ","), std::string::npos)
+      << why;
+  EXPECT_NE(why.find("not a live AND"), std::string::npos) << why;
 }
 
 // --- check_egraph ------------------------------------------------------------

@@ -141,6 +141,34 @@ TEST(Fraig, GoldenSweepCounters) {
   EXPECT_EQ(h, 0x7e68f729d97de8efull) << std::hex << h;
 }
 
+TEST(Fraig, StopPredicateEndsSweepBetweenPairQueries) {
+  // Clock-free: the predicate fires at its k-th poll. Polls come before each
+  // pair query, so at most k - 1 pairs (plus at most one) are queried, and
+  // the merges proven by then still give an equivalent circuit.
+  const Aig aig = doubled(make_adder(6));
+  for (bool guided : {true, false}) {
+    FraigParams params;
+    params.use_simulation = guided;
+    FraigStats full;
+    const Aig unstopped = fraig(aig, params, &full);
+    const std::size_t pairs = full.proved + full.refuted + full.undecided;
+    ASSERT_GT(pairs, 4u);
+    FraigStats never;
+    const Aig polled = fraig(aig, params, &never, [] { return false; });
+    EXPECT_EQ(structural_signature(polled), structural_signature(unstopped));
+    EXPECT_EQ(never.sat_calls, full.sat_calls);
+    for (std::size_t k : {std::size_t{1}, std::size_t{3}, pairs / 2}) {
+      std::size_t polls = 0;
+      FraigStats stats;
+      Aig swept = fraig(aig, params, &stats, [&] { return ++polls >= k; });
+      EXPECT_EQ(polls, k) << "no poll after the stop";
+      EXPECT_LE(stats.proved + stats.refuted + stats.undecided, k);
+      EXPECT_LE(stats.sat_calls, full.sat_calls);
+      EXPECT_EQ(cec(aig, swept).status, CecStatus::kEquivalent);
+    }
+  }
+}
+
 TEST(Fraig, GuidedSweepProvesWideDoubledAdder) {
   // Past the naive sweep's quadratic reach: the guided sweep alone.
   Aig aig = doubled(make_adder(24));
